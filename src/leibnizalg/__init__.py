@@ -65,7 +65,6 @@ from .linalg import (
     LinearSolution,
     Matrix,
     binomial,
-    kernel_name,
     matrix_is_nilpotent,
     nullspace,
     rref,

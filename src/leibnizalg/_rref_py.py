@@ -1,9 +1,8 @@
-"""Pure-Python kernel: fraction-free Gauss-Jordan elimination over the integers.
+"""Row-reduction kernel: fraction-free Gauss-Jordan elimination over the integers.
 
-Twin of the compiled kernel in ``_rref_c.pyx``; both must produce identical
-output. Entries stay integers throughout (Bareiss exact division), so callers
-can run exact rational reduction without ever constructing Fraction objects
-inside the O(rank * rows * cols) loop.
+Entries stay integers throughout (Bareiss exact division), so callers can run
+exact rational reduction without ever constructing Fraction objects inside
+the O(rank * rows * cols) loop.
 """
 
 from __future__ import annotations

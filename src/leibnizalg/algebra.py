@@ -2,6 +2,12 @@
 
 An :class:`Algebra` is a dense tensor c_{ij}^k over exact rationals on a fixed
 ordered basis. All operations are pure; algebras are immutable once built.
+
+Products are evaluated on the sparse product table ``prods[i][j] = ((k, c),
+...)`` that lists the nonzero coordinates of [b_i, b_j]. Its scalars may be
+Fractions or Polys: the bracket and the Leibniz defect below use only ``+``,
+``-``, ``*`` and a caller-supplied zero, so the symbolic extension problem and
+the graded alpha relations evaluate the same identity as the exact check.
 """
 
 from __future__ import annotations
@@ -13,6 +19,52 @@ from typing import Mapping, Optional, Sequence
 from .linalg import nullspace, rref, vec_is_zero
 
 Vector = tuple
+
+_ZERO = Fraction(0)
+
+
+# -- the product table --------------------------------------------------------
+
+
+def product_table(tensor: Sequence) -> tuple:
+    """Sparse table of a dense tensor: prods[i][j] lists the nonzero (k, c)."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in plane) for plane in tensor
+    )
+
+
+def table_bracket(prods: Sequence, u: Sequence, v: Sequence, zero=_ZERO) -> list:
+    """Coordinates of [u, v] for coordinate vectors over the table's basis."""
+    out = [zero] * len(prods)
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        row = prods[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            uv = ui * vj
+            for k, c in row[j]:
+                out[k] = out[k] + uv * c
+    return out
+
+
+def leibniz_defect(prods: Sequence, i: int, j: int, k: int, zero=_ZERO) -> list:
+    """Coordinates of [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]]."""
+    out = [zero] * len(prods)
+    for m, c in prods[i][j]:  # [[bi,bj],bk]
+        for t, c2 in prods[m][k]:
+            out[t] = out[t] + c * c2
+    for m, c in prods[i][k]:  # -[[bi,bk],bj]
+        for t, c2 in prods[m][j]:
+            out[t] = out[t] - c * c2
+    for m, c in prods[j][k]:  # -[bi,[bj,bk]]
+        for t, c2 in prods[i][m]:
+            out[t] = out[t] - c * c2
+    return out
+
+
+# -- algebras -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -30,13 +82,9 @@ class Algebra:
         )
         if any(len(tensor[i]) != d or any(len(tensor[i][j]) != d for j in range(d)) for i in range(d)):
             raise ValueError("tensor shape must be dim x dim x dim")
-        products = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(tensor[i][j]) if c) for j in range(d))
-            for i in range(d)
-        )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "_products", product_table(tensor))
 
     @property
     def dim(self) -> int:
@@ -45,12 +93,21 @@ class Algebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        return self.tensor[i][j]
-
     def __repr__(self) -> str:
         name = (self.metadata or {}).get("family", "Algebra")
         return f"<{name} dim={self.dim}>"
+
+
+def dense_tensor(products: Mapping, d: int) -> list:
+    """Dense d x d x d tensor of a sparse {(i, j): [(k, coeff), ...]} table;
+    omitted products are zero and repeated coordinates add up."""
+    tensor = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), entries in products.items():
+        for k, c in entries:
+            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+                raise ValueError(f"index out of range in product ({i},{j})->{k}")
+            tensor[i][j][k] += Fraction(c)
+    return tensor
 
 
 def algebra_from_products(
@@ -60,14 +117,7 @@ def algebra_from_products(
 ) -> Algebra:
     """Build an algebra from a sparse {(i, j): [(k, coeff), ...]} table;
     omitted products are zero."""
-    d = len(labels)
-    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for (i, j), entries in products.items():
-        for k, c in entries:
-            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-                raise ValueError(f"index out of range in product ({i},{j})->{k}")
-            tensor[i][j][k] += Fraction(c)
-    return Algebra(tuple(labels), tuple(tuple(tuple(r) for r in p) for p in tensor), metadata)
+    return Algebra(tuple(labels), dense_tensor(products, len(labels)), metadata)
 
 
 def bracket(alg: Algebra, u: Sequence, v: Sequence) -> Vector:
@@ -75,18 +125,7 @@ def bracket(alg: Algebra, u: Sequence, v: Sequence) -> Vector:
     d = alg.dim
     if len(u) != d or len(v) != d:
         raise ValueError(f"vectors must have length {d}")
-    out = [Fraction(0)] * d
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = alg._products[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            uv = ui * vj
-            for k, c in row[j]:
-                out[k] += uv * c
-    return tuple(out)
+    return tuple(table_bracket(alg._products, u, v))
 
 
 @dataclass(frozen=True)
@@ -108,18 +147,8 @@ def leibniz_check(alg: Algebra) -> LeibnizReport:
     failures = []
     for i in range(d):
         for j in range(d):
-            pij = prods[i][j]
             for k in range(d):
-                defect = [Fraction(0)] * d
-                for m, c in pij:  # [[ei,ej],ek]
-                    for t, c2 in prods[m][k]:
-                        defect[t] += c * c2
-                for m, c in prods[i][k]:  # -[[ei,ek],ej]
-                    for t, c2 in prods[m][j]:
-                        defect[t] -= c * c2
-                for m, c in prods[j][k]:  # -[ei,[ej,ek]]
-                    for t, c2 in prods[i][m]:
-                        defect[t] -= c * c2
+                defect = leibniz_defect(prods, i, j, k)
                 if any(defect):
                     failures.append((i, j, k, tuple(defect)))
     return LeibnizReport(not failures, tuple(failures))

@@ -19,28 +19,27 @@ from .linalg import Matrix, matrix_is_nilpotent, nullspace, rank, rref
 from .poly import PolyRing
 
 
-def _derivation_rows(alg: Algebra) -> list:
-    """Coefficient rows of the derivation equation; unknown X_{rs} is the
-    matrix entry at flat index r*dim + s."""
+def derivation_equations(alg: Algebra):
+    """The derivation equation d([e_i,e_j]) = [d(e_i),e_j] + [e_i,d(e_j)], one
+    coordinate m at a time, in the order of (i, j, m). Each equation is a pair
+    (lhs, rhs) of sparse linear terms ((r*dim + s, c), ...) over the flat
+    entries of d, whose row r is the image of e_r; a side may repeat an index
+    or be empty."""
     d = alg.dim
-    t = alg.tensor
-    rows = []
+    prods = alg._products
     for i in range(d):
         for j in range(d):
-            pij = alg._products[i][j]
-            for m in range(d):
-                row = [Fraction(0)] * (d * d)
-                for k, c in pij:
-                    row[k * d + m] += c
-                for p in range(d):
-                    if t[p][j][m]:
-                        row[i * d + p] -= t[p][j][m]
-                for q in range(d):
-                    if t[i][q][m]:
-                        row[j * d + q] -= t[i][q][m]
-                if any(row):
-                    rows.append(row)
-    return rows
+            lhs = [[] for _ in range(d)]
+            rhs = [[] for _ in range(d)]
+            for k, c in prods[i][j]:  # d([ei,ej])
+                for m in range(d):
+                    lhs[m].append((k * d + m, c))
+            for p in range(d):
+                for m, c in prods[p][j]:  # [d(ei),ej]
+                    rhs[m].append((i * d + p, c))
+                for m, c in prods[i][p]:  # [ei,d(ej)]
+                    rhs[m].append((j * d + p, c))
+            yield from zip(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,16 @@ def _names_for(vectors, d: int) -> tuple:
 def derivation_space(alg: Algebra) -> DerivationSpace:
     """Full derivation algebra as a canonical matrix-space basis."""
     d = alg.dim
-    vecs = nullspace(_derivation_rows(alg), d * d)
+    rows = []
+    for lhs, rhs in derivation_equations(alg):
+        row = [0] * (d * d)
+        for idx, c in lhs:
+            row[idx] += c
+        for idx, c in rhs:
+            row[idx] -= c
+        if any(row):
+            rows.append(row)
+    vecs = nullspace(rows, d * d)
     mats = tuple(Matrix(tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))) for v in vecs)
     return DerivationSpace(alg, mats, _names_for(vecs, d))
 
@@ -99,29 +107,18 @@ def is_derivation(alg: Algebra, mat: Matrix) -> bool:
     d = alg.dim
     if mat.nrows != d or mat.ncols != d:
         raise ValueError(f"matrix must be {d}x{d}")
-    return not any(any(vec) for _, _, vec in _derivation_defects(alg, mat))
-
-
-def _derivation_defects(alg: Algebra, mat: Matrix):
-    d = alg.dim
-    t = alg.tensor
-    rows = mat.rows
-    for i in range(d):
-        for j in range(d):
-            out = [None] * d
-            for m in range(d):
-                acc = Fraction(0)
-                for k, c in alg._products[i][j]:  # d([ei,ej])
-                    if rows[k][m]:
-                        acc = acc + c * rows[k][m]
-                for p in range(d):  # -[d(ei),ej]
-                    if rows[i][p] and t[p][j][m]:
-                        acc = acc - rows[i][p] * t[p][j][m]
-                for q in range(d):  # -[ei,d(ej)]
-                    if rows[j][q] and t[i][q][m]:
-                        acc = acc - rows[j][q] * t[i][q][m]
-                out[m] = acc
-            yield i, j, tuple(out)
+    flat = mat.flat()
+    for lhs, rhs in derivation_equations(alg):
+        acc = 0
+        for idx, c in lhs:
+            if flat[idx]:
+                acc = acc + c * flat[idx]
+        for idx, c in rhs:
+            if flat[idx]:
+                acc = acc - c * flat[idx]
+        if acc:
+            return False
+    return True
 
 
 def right_multiplication(alg: Algebra, j: int) -> Matrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Algebra, bracket, leibniz_check
+from .algebra import Algebra, bracket, leibniz_check, leibniz_defect, product_table, table_bracket
 from .derivations import derivation_space, is_derivation
 from .linalg import Matrix, mat_inverse, rref
 from .poly import Poly, PolyRing
@@ -136,30 +136,6 @@ class ConstraintSystem:
         return len(self.equations)
 
 
-def _product_table(problem: ExtensionProblem):
-    """prod[p][q] = coordinate vector (length dim N) of [b_p, b_q] over Poly."""
-    N = problem.nilradical
-    ring = problem.ring
-    d = N.dim
-    zero = ring.zero
-    consts = {}
-
-    def c(x):
-        if x not in consts:
-            consts[x] = ring.const(x)
-        return consts[x]
-
-    prod = [[None] * (d + 1) for _ in range(d + 1)]
-    for i in range(d):
-        for j in range(d):
-            prod[i][j] = tuple(c(N.tensor[i][j][k]) if N.tensor[i][j][k] else zero for k in range(d))
-        prod[i][d] = problem.template.rows[i]
-    for j in range(d):
-        prod[d][j] = problem.unknown_rows[j]
-    prod[d][d] = problem.square_row
-    return prod
-
-
 def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] = ()) -> ConstraintSystem:
     """Leibniz identity over every extended-basis triple involving x, plus the
     right-annihilator equations [u, [v,w]+[w,v]] = 0 for pairs involving x.
@@ -172,33 +148,11 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
     m = d + 1
     ring = problem.ring
     zero = ring.zero
-    prod = _product_table(problem)
-
-    def vec_bracket_left(vec, q):
-        # [vec, b_q] for an e-supported coordinate vector of Polys
-        out = [zero] * d
-        for k in range(d):
-            vk = vec[k]
-            if not vk:
-                continue
-            target = prod[k][q]
-            for t in range(d):
-                if target[t]:
-                    out[t] = out[t] + vk * target[t]
-        return out
-
-    def vec_bracket_right(p, vec):
-        out = [zero] * d
-        for k in range(d):
-            vk = vec[k]
-            if not vk:
-                continue
-            target = prod[p][k]
-            for t in range(d):
-                if target[t]:
-                    out[t] = out[t] + vk * target[t]
-        return out
-
+    # product table of N + <x>: the template rows [e_i, x], the unknown rows
+    # [x, e_j] and the square row [x, x] join N's products; all lie in N
+    dense = [N.tensor[i] + (problem.template.rows[i],) for i in range(d)]
+    dense.append(problem.unknown_rows + (problem.square_row,))
+    table = product_table(dense)
     seen = set()
     equations = []
 
@@ -215,19 +169,20 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
             for r in range(m):
                 if p < d and q < d and r < d:
                     continue
-                lhs = vec_bracket_left(prod[p][q], r)
-                mid = vec_bracket_left(prod[p][r], q)
-                rhs = vec_bracket_right(p, prod[q][r])
-                add(tuple(lhs[t] - mid[t] - rhs[t] for t in range(d)))
+                add(leibniz_defect(table, p, q, r, zero))
     for q in range(m):
         for r in range(q, m):
             if q < d and r < d:
                 continue
-            sym = tuple(prod[q][r][t] + prod[r][q][t] for t in range(d))
+            sym = [zero] * m
+            for k, c in table[q][r] + table[r][q]:
+                sym[k] = sym[k] + c
             if not any(sym):
                 continue
             for p in range(m):
-                add(tuple(vec_bracket_right(p, sym)))
+                unit = [0] * m
+                unit[p] = 1
+                add(table_bracket(table, unit, sym, zero))
     for h in hypotheses:
         if h.ring is not ring:
             h = _lift(h, ring)
@@ -246,10 +201,6 @@ class Contradiction:
     assignments: tuple  # ordered ((name, value Poly, source equation), ...)
 
     kind = "contradiction"
-
-    @property
-    def witness_value(self) -> Fraction:
-        return self.witness.as_rational()
 
 
 @dataclass(frozen=True)
@@ -446,18 +397,8 @@ def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
     if T.nrows != alg.dim:
         raise ValueError("basis change has wrong dimension")
     inv = mat_inverse(T)
-    d = alg.dim
-    tensor = []
-    for p in range(d):
-        plane = []
-        for q in range(d):
-            w = bracket(alg, T.rows[p], T.rows[q])
-            plane.append(tuple(
-                sum((w[m] * inv.rows[m][r] for m in range(d) if w[m]), Fraction(0))
-                for r in range(d)
-            ))
-        tensor.append(tuple(plane))
-    out = Algebra(alg.labels, tuple(tensor), alg.metadata)
+    tensor = tuple(tuple(inv.apply(bracket(alg, u, v)) for v in T.rows) for u in T.rows)
+    out = Algebra(alg.labels, tensor, alg.metadata)
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
+from .algebra import (
+    Algebra,
+    algebra_from_products,
+    dense_tensor,
+    is_lie,
+    leibniz_check,
+    product_table,
+    table_bracket,
+)
 from .linalg import binomial
 
 FAMILY_IDS = (
@@ -353,14 +361,6 @@ def make_L3(n: int, j0: int) -> Algebra:
     return _validated(prods, _e_labels(n, with_x=True), meta)
 
 
-def _rows_from_prods(prods: dict, dim: int) -> list:
-    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), entries in prods.items():
-        for k, c in entries:
-            table[i][j][k] += c
-    return table
-
-
 def _solvable_lie_extension(n: int, nil_prods: dict, row0, row1, family: str,
                             params: dict, e_n_route) -> Algebra:
     """Assemble a solvable Lie algebra N + <x> from the action rows of e_0 and
@@ -368,38 +368,26 @@ def _solvable_lie_extension(n: int, nil_prods: dict, row0, row1, family: str,
     chain products, antisymmetrizing, and validating."""
     dim = n + 2
     x = n + 1
-    table = _rows_from_prods(nil_prods, dim)
-
-    def nbracket(u, v):
-        out = [Fraction(0)] * dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    for k in range(dim):
-                        if table[i][j][k]:
-                            out[k] += ui * vj * table[i][j][k]
-        return out
-
+    labels = _e_labels(n, with_x=True)
+    table = product_table(dense_tensor(nil_prods, dim))
     rows = {0: list(row0), 1: list(row1)}
     basis = lambda i: [Fraction(1 if j == i else 0) for j in range(dim)]
     for i in range(1, n):
-        lhs = nbracket(rows[0], basis(i))
-        rhs = nbracket(basis(0), rows[i])
+        lhs = table_bracket(table, rows[0], basis(i))
+        rhs = table_bracket(table, basis(0), rows[i])
         rows[i + 1] = [a + b for a, b in zip(lhs, rhs)]
     if e_n_route is not None:
         # the top row is reached through the alternating product instead
         i, sign = e_n_route
-        lhs = nbracket(rows[i], basis(n - i))
-        rhs = nbracket(basis(i), rows[n - i])
+        lhs = table_bracket(table, rows[i], basis(n - i))
+        rhs = table_bracket(table, basis(i), rows[n - i])
         rows[n] = [sign * (a + b) for a, b in zip(lhs, rhs)]
     prods = dict(nil_prods)
     for i in range(n + 1):
         prods[(i, x)] = [(k, c) for k, c in enumerate(rows[i]) if c]
         prods[(x, i)] = [(k, -c) for k, c in enumerate(rows[i]) if c]
     meta = {"family": family, "n": n, "lie": True, "params": params}
-    return _validated(prods, _e_labels(n, with_x=True), meta)
+    return _validated(prods, labels, meta)
 
 
 def make_SolvA(n: int, r: int, alphas: Mapping[int, Fraction], a1, bs: Mapping[int, Fraction]) -> Algebra:

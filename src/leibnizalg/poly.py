@@ -105,12 +105,6 @@ class Poly:
             return 0
         return max(sum(e) for e in self._terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.ring.index[name]
-        if not self._terms:
-            return 0
-        return max((e[i] for e in self._terms), default=0)
-
     def variables(self) -> tuple[str, ...]:
         """Names occurring with positive exponent, in ring order."""
         seen = set()

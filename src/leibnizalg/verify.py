@@ -27,8 +27,9 @@ from .algebra import (
     is_lie,
     is_nilpotent,
     is_solvable,
-    leibniz_check,
+    leibniz_defect,
     nilradical_equals,
+    product_table,
     subalgebra_on_indices,
 )
 from .derivations import derivation_space, max_nil_independent
@@ -337,7 +338,7 @@ def _assignment_lines(outcome, limit: int = 400):
 
 
 def _graded_symbolic_products(variant: str, n: int, r: int, ring: PolyRing, t: int):
-    """Symbolic product table of the A/B nilradicals with alpha indeterminates."""
+    """Sparse product table of the A/B nilradicals with alpha indeterminates."""
     zero = ring.zero
     one = ring.const(1)
 
@@ -376,26 +377,18 @@ def _graded_symbolic_products(variant: str, n: int, r: int, ring: PolyRing, t: i
                     c = coeff(i, j)
                     prod[i][j][i + j + r] = prod[i][j][i + j + r] + c
                     prod[j][i][i + j + r] = prod[j][i][i + j + r] - c
-    return prod
+    return product_table(prod)
 
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int):
-    prod = _graded_symbolic_products(variant, n, r, ring, t)
+    prods = _graded_symbolic_products(variant, n, r, ring, t)
     d = n + 1
     seen = set()
     rels = []
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                for m in range(d):
-                    acc = ring.zero
-                    for s in range(d):
-                        if prod[i][j][s]:
-                            acc = acc + prod[i][j][s] * prod[s][k][m]
-                        if prod[i][k][s]:
-                            acc = acc - prod[i][k][s] * prod[s][j][m]
-                        if prod[j][k][s]:
-                            acc = acc - prod[j][k][s] * prod[i][s][m]
+                for acc in leibniz_defect(prods, i, j, k, ring.zero):
                     if acc:
                         acc = acc.content_normalized()
                         if acc not in seen:
@@ -1272,7 +1265,3 @@ def run_all(n_values, seed: int = 0) -> list:
             if sc.admissible(n):
                 reports.append(sc.runner(n, seed))
     return reports
-
-
-def all_pass(reports) -> bool:
-    return all(r.verdict == "pass" for r in reports)

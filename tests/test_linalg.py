@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from leibnizalg.linalg import (
     Matrix,
-    available_kernels,
     binomial,
     mat_inverse,
     matrix_is_nilpotent,
@@ -52,24 +51,6 @@ def test_rref_matches_textbook_oracle(rows):
     want_rows, want_piv = oracle_rref([r for r in rows if any(r)], ncols)
     assert got_piv == want_piv
     assert got_rows == want_rows
-
-
-def test_kernel_twins_agree():
-    kernels = available_kernels()
-    if "compiled" not in kernels:
-        pytest.skip("compiled kernel not built")
-    import random
-
-    rng = random.Random(0)
-    for _ in range(60):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        a = [r[:] for r in rows]
-        b = [r[:] for r in rows]
-        res_a = kernels["pure"].rref_int(a, n)
-        res_b = kernels["compiled"].rref_int(b, n)
-        assert res_a == res_b
-        assert a == b
 
 
 def test_solve_identity_case():
