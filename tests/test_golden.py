@@ -1,23 +1,34 @@
-"""Byte-for-byte golden snapshot of the canonical verification reports.
+"""Byte-for-byte golden snapshots of the canonical verification reports.
 
-``golden/verify-all-n5-6-seed0.json`` is the stdout of
+Each file under ``golden/`` is the stdout of
 
-    leibnizalg verify all --n 5..6 --seed 0 --format machine
+    leibnizalg verify all --n <N> --seed 0 --format machine
 
-taken before the product table, the bracket, the Leibniz defect and the
-derivation equation were unified. Any change to a verdict, a witness, an
-assignment log or a finding shows up here as a byte difference.
+``verify-all-n5-6-seed0.json`` was taken before the product table, the
+bracket, the Leibniz defect and the derivation equation were unified;
+``verify-all-n7-seed0.json`` was taken before polynomials moved from dense
+exponent tuples to sparse monomials. n = 7 is the widest ring the snapshots
+reach. Any change to a verdict, a witness, an assignment log or a finding
+shows up here as a byte difference.
 """
 
 from pathlib import Path
 
 from leibnizalg.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "verify-all-n5-6-seed0.json"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _verify_all(capsys, n: str) -> bytes:
+    code = main(["verify", "all", "--n", n, "--seed", "0", "--format", "machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    return out.encode("utf-8")
 
 
 def test_verify_all_n5_6_matches_golden(capsys):
-    code = main(["verify", "all", "--n", "5..6", "--seed", "0", "--format", "machine"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.encode("utf-8") == GOLDEN.read_bytes()
+    assert _verify_all(capsys, "5..6") == (GOLDEN / "verify-all-n5-6-seed0.json").read_bytes()
+
+
+def test_verify_all_n7_matches_golden(capsys):
+    assert _verify_all(capsys, "7") == (GOLDEN / "verify-all-n7-seed0.json").read_bytes()
