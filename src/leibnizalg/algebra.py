@@ -78,7 +78,8 @@ class Algebra:
         labels = tuple(self.labels)
         d = len(labels)
         tensor = tuple(
-            tuple(tuple(Fraction(c) for c in self.tensor[i][j]) for j in range(d)) for i in range(d)
+            tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in self.tensor[i][j])
+                  for j in range(d)) for i in range(d)
         )
         if any(len(tensor[i]) != d or any(len(tensor[i][j]) != d for j in range(d)) for i in range(d)):
             raise ValueError("tensor shape must be dim x dim x dim")

@@ -239,6 +239,11 @@ def _cmd_verify(args) -> int:
         print(f"error: cannot parse --n {args.n!r} (use N or A..B)", file=sys.stderr)
         return 2
     if args.scenario == "all":
+        if not any(sc.admissible(n) for sc in SCENARIOS.values() for n in n_values):
+            low = min(sc.min_n for sc in SCENARIOS.values())
+            print(f"error: no admissible n in {args.n} for any scenario "
+                  f"(requires {low} <= n <= {MAX_N})", file=sys.stderr)
+            return 2
         reports = run_all(n_values, seed=args.seed)
     elif args.scenario in SCENARIOS:
         sc = SCENARIOS[args.scenario]

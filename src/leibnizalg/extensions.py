@@ -10,27 +10,23 @@ Contradiction (with a replayable witness) or a residual parametric Family.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Algebra, bracket, leibniz_check, leibniz_defect, product_table, table_bracket
 from .derivations import derivation_space, is_derivation
 from .linalg import Matrix, mat_inverse, rref
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, lex_key
 
 
 def _lift(poly: Poly, ring: PolyRing) -> Poly:
     """Re-express a polynomial in a ring containing all of its names."""
-    terms = {}
     src = poly.ring.names
-    for exp, c in poly._terms.items():
-        out = [0] * len(ring.names)
-        for i, k in enumerate(exp):
-            if k:
-                out[ring.index[src[i]]] = k
-        terms[tuple(out)] = c
-    return Poly(ring, terms)
+    return Poly(ring, {tuple(sorted(ring.index[src[i]] for i in mono)): c
+                       for mono, c in poly._terms.items()})
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,10 @@ class Family:
 
 
 def _poly_sort_key(p: Poly):
-    return (p.num_terms, tuple(p.terms()))
+    """Fewest terms first, then the terms in descending graded-lex order,
+    each compared by its monomial as a dense exponent vector, then by its
+    coefficient."""
+    return (p.num_terms, tuple((lex_key(mono), c) for mono, c in p.terms()))
 
 
 def eliminate(system: ConstraintSystem):
@@ -226,53 +225,71 @@ def eliminate(system: ConstraintSystem):
     Tie-break: lexicographically smallest variable name, then fewest terms,
     then canonical term order. Each substitution removes an indeterminate, so
     termination is immediate; the outcome is deterministic.
+
+    Live equations are numbered, and two indexes over the numbers keep a step
+    local: ``index`` maps each variable to the equations that contain it, so
+    a substitution touches only those; ``solvable`` maps each variable to the
+    equations linear in it, with their ``(coefficient, rest)``, so the best
+    candidate is found without a scan.
     """
     ring = system.ring
-    eqs = set()
+    numbers: dict = {}    # live equation -> its number
+    live: dict = {}       # number -> (equation, its variables)
+    index = defaultdict(set)
+    solvable: dict = {}
+    constants: list = []
+    log: list = []
+    counter = count()
+
+    def add(e: Poly):
+        if e in numbers:
+            return
+        k = numbers[e] = next(counter)
+        names = e.variables()
+        live[k] = (e, names)
+        if not names:
+            constants.append(e)
+            return
+        for v in names:
+            index[v].add(k)
+            lc = e.linear_coefficient(v)
+            if lc is not None:
+                solvable.setdefault(v, {})[k] = lc
+
+    def drop(k: int, var: str) -> Poly:
+        e, names = live.pop(k)
+        del numbers[e]
+        for v in names:
+            if v == var:
+                continue
+            index[v].discard(k)
+            cands = solvable.get(v)
+            if cands is not None and cands.pop(k, None) is not None and not cands:
+                del solvable[v]
+        return e
+
     for e in system.equations:
         if e:
-            eqs.add(e.content_normalized())
-    log: list = []
-    candidates_cache: dict = {}
-
-    def candidates(e: Poly):
-        if e not in candidates_cache:
-            out = []
-            for v in e.variables():
-                lc = e.linear_coefficient(v)
-                if lc is not None:
-                    out.append((v, lc[0], lc[1]))
-            candidates_cache[e] = tuple(out)
-        return candidates_cache[e]
-
+            add(e.content_normalized())
     while True:
-        constants = [e for e in eqs if e.is_constant()]
         if constants:
             witness = min(constants, key=_poly_sort_key)
             return Contradiction(witness=witness, assignments=tuple(log))
-        best = None
-        for e in eqs:
-            for v, c, rest in candidates(e):
-                key = (v, e.num_terms, _poly_sort_key(e))
-                if best is None or key < best[0]:
-                    best = (key, e, v, c, rest)
-        if best is None:
+        if not solvable:
             assigned = {name for name, _, _ in log}
             free = tuple(n for n in ring.names if n not in assigned)
-            residual = tuple(sorted(eqs, key=_poly_sort_key))
+            residual = tuple(sorted(numbers, key=_poly_sort_key))
             return Family(residual=residual, assignments=tuple(log), free=free)
-        _, src, var, coeff, rest = best
+        var = min(solvable)
+        cands = solvable.pop(var)
+        best = min(cands, key=lambda k: _poly_sort_key(live[k][0]))
+        coeff, rest = cands[best]
         value = rest * (Fraction(-1) / coeff)
-        log.append((var, value, src))
-        nxt = set()
-        for e in eqs:
-            if var in e.variables():
-                e2 = e.substitute(var, value)
-                if e2:
-                    nxt.add(e2.content_normalized())
-            else:
-                nxt.add(e)
-        eqs = nxt
+        log.append((var, value, live[best][0]))
+        for e in [drop(k, var) for k in index.pop(var)]:
+            e2 = e.substitute(var, value)
+            if e2:
+                add(e2.content_normalized())
 
 
 def resolved_assignments(outcome) -> dict:
@@ -355,11 +372,10 @@ def diagonal_branches(problem: ExtensionProblem) -> list:
     for i in range(d):
         poly = problem.template.rows[i][i]
         row = [Fraction(0)] * len(params)
-        for exp, c in poly._terms.items():
-            live = [k for k, e in enumerate(exp) if e]
-            if len(live) != 1 or exp[live[0]] != 1:
+        for mono, c in poly._terms.items():
+            if len(mono) != 1:
                 raise ValueError("template diagonal is not linear homogeneous in the parameters")
-            row[pos[ring.names[live[0]]]] += c
+            row[pos[ring.names[mono[0]]]] += c
         rows.append(row)
     rr, _ = rref(rows, len(params))
     funcs = []

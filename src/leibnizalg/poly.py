@@ -1,20 +1,47 @@
 """Multivariate polynomials over exact rationals in named indeterminates.
 
-Terms are kept as a map from dense exponent tuples (one slot per ring
-indeterminate) to nonzero Fraction coefficients; display and tie-breaking use
-graded-lexicographic term order. A degree-0 polynomial round-trips to its
-Fraction value via :meth:`Poly.as_rational`.
+A monomial is the sorted tuple of the indices of its indeterminates, with
+repetition: ``x0*x2`` is ``(0, 2)``, ``x1^2`` is ``(1, 1)`` and ``1`` is
+``()``. A polynomial maps monomials to nonzero Fraction coefficients, so its
+cost follows its terms and their degree, not the width of its ring (the
+sparse monomials of Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007). Every :class:`Poly`
+is immutable and caches the set of indices it contains.
+
+Monomials are ordered as the dense exponent vectors they stand for. The
+lexicographic order of exponent vectors is the tuple order of the negated
+indices (:func:`lex_key`); graded-lex puts the degree first. Display and
+tie-breaking use descending graded-lex order, which within one degree is the
+ascending tuple order of the indices themselves. A degree-0 polynomial
+round-trips to its Fraction value via :meth:`Poly.as_rational`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+
+def lex_key(mono: tuple) -> tuple:
+    """Sort key under which monomials compare as their dense exponent vectors do."""
+    return tuple(map(neg, mono))
+
+
+def _grlex_desc(mono: tuple):
+    # descending graded-lex: higher degree first, then ascending indices
+    return (-len(mono), mono)
+
+
+def _term_grlex_desc(item):
+    mono = item[0]
+    return (-len(mono), mono)
 
 
 class PolyRing:
@@ -23,7 +50,7 @@ class PolyRing:
     Every :class:`Poly` belongs to exactly one ring; mixing rings is an error.
     """
 
-    __slots__ = ("names", "index", "_zero_exp")
+    __slots__ = ("names", "index")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -31,7 +58,6 @@ class PolyRing:
             raise ValueError("duplicate indeterminate names")
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
-        self._zero_exp = (0,) * len(names)
 
     def __repr__(self) -> str:
         return f"PolyRing({', '.join(self.names)})"
@@ -39,45 +65,53 @@ class PolyRing:
     def var(self, name: str) -> "Poly":
         if name not in self.index:
             raise KeyError(f"unknown indeterminate {name!r}")
-        exp = [0] * len(self.names)
-        exp[self.index[name]] = 1
-        return Poly(self, {tuple(exp): Fraction(1)})
+        return Poly._raw(self, {(self.index[name],): Fraction(1)})
 
     def const(self, value: Scalar) -> "Poly":
         coeff = Fraction(value)
         if coeff == 0:
-            return Poly(self, {})
-        return Poly(self, {self._zero_exp: coeff})
+            return Poly._raw(self, {})
+        return Poly._raw(self, {(): coeff})
 
     @property
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._raw(self, {})
 
     @property
     def one(self) -> "Poly":
         return self.const(1)
 
 
-def _grlex_key(item):
-    exp, _ = item
-    return (sum(exp), exp)
-
-
 class Poly:
-    """Immutable multivariate polynomial over a :class:`PolyRing`."""
+    """Immutable multivariate polynomial over a :class:`PolyRing`.
 
-    __slots__ = ("ring", "_terms", "_hash")
+    ``terms`` maps monomials (sorted tuples of ring indices, see the module
+    docstring) to coefficients; zero coefficients are dropped.
+    """
+
+    __slots__ = ("ring", "_terms", "_hash", "_vars")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction]):
         self.ring = ring
-        self._terms = {e: c for e, c in terms.items() if c != 0}
+        self._terms = {m: c for m, c in terms.items() if c != 0}
         self._hash = None
+        self._vars = None
+
+    @classmethod
+    def _raw(cls, ring: PolyRing, terms: dict) -> "Poly":
+        """Wrap ``terms``, which hold no zero coefficient, without copying."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p._terms = terms
+        p._hash = None
+        p._vars = None
+        return p
 
     # -- basic structure ------------------------------------------------
 
     def terms(self):
         """Term items sorted in descending graded-lex order."""
-        return sorted(self._terms.items(), key=_grlex_key, reverse=True)
+        return sorted(self._terms.items(), key=_term_grlex_desc)
 
     @property
     def num_terms(self) -> int:
@@ -90,7 +124,8 @@ class Poly:
         return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def as_rational(self) -> Fraction:
         """Value of a degree-0 polynomial; raises if any indeterminate occurs."""
@@ -98,21 +133,21 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self._terms.values()))
+        return self._terms[()]
 
     def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(len, self._terms), default=0)
+
+    def _indices(self) -> frozenset:
+        """Indices of the occurring indeterminates, computed once."""
+        if self._vars is None:
+            self._vars = frozenset().union(*self._terms)
+        return self._vars
 
     def variables(self) -> tuple[str, ...]:
         """Names occurring with positive exponent, in ring order."""
-        seen = set()
-        for e in self._terms:
-            for i, k in enumerate(e):
-                if k:
-                    seen.add(i)
-        return tuple(self.ring.names[i] for i in sorted(seen))
+        names = self.ring.names
+        return tuple(names[i] for i in sorted(self._indices()))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -130,18 +165,22 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
+        for m, c in other._terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
             else:
-                out.pop(e, None)
-        return Poly(self.ring, out)
+                s += c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Poly._raw(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self._terms.items()})
+        return Poly._raw(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -156,19 +195,19 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.ring.zero
-            return Poly(self.ring, {e: c * other for e, c in self._terms.items()})
+            return Poly._raw(self.ring, {m: c * other for m, c in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        get = out.get
+        right = other._terms.items()
+        for m1, c1 in self._terms.items():
+            for m2, c2 in right:
+                # the product of two monomials merges their sorted indices
+                m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                s = get(m)
+                out[m] = c1 * c2 if s is None else s + c1 * c2
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -176,14 +215,14 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return self.ring.one if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -200,37 +239,53 @@ class Poly:
     # -- substitution / evaluation ----------------------------------------
 
     def substitute(self, name: str, value) -> "Poly":
-        """Exact substitution of ``value`` (Poly or scalar) for ``name``."""
-        if name not in self.ring.index:
+        """Exact substitution of ``value`` (Poly or scalar) for ``name``.
+
+        Only the terms that contain ``name`` are rewritten."""
+        ring = self.ring
+        if name not in ring.index:
             raise KeyError(f"unknown indeterminate {name!r}")
-        i = self.ring.index[name]
-        if isinstance(value, (int, Fraction)):
-            value = self.ring.const(value)
-        elif value.ring is not self.ring:
+        i = ring.index[name]
+        scalar = isinstance(value, (int, Fraction))
+        if not scalar and value.ring is not ring:
             raise ValueError("substitution value from a different ring")
-        out = self.ring.zero
-        powers = {0: self.ring.one}
-        for e, c in self._terms.items():
-            k = e[i]
-            reste = list(e)
-            reste[i] = 0
-            base = Poly(self.ring, {tuple(reste): c})
+        if i not in self._indices():
+            return self
+        terms = self._terms
+        hits = [m for m in terms if i in m]
+        out = dict(terms)
+        for m in hits:
+            del out[m]
+        get = out.get
+        powers: dict = {}
+        for m in hits:
+            c = terms[m]
+            k = m.count(i)
+            rest = tuple(j for j in m if j != i)
+            if scalar:
+                s = get(rest)
+                t = c * value**k
+                out[rest] = t if s is None else s + t
+                continue
             if k not in powers:
-                powers[k] = value**k
-            out = out + base * powers[k]
-        return out
+                powers[k] = (value**k)._terms.items()
+            for m2, c2 in powers[k]:
+                mm = tuple(sorted(rest + m2)) if rest and m2 else rest or m2
+                s = get(mm)
+                out[mm] = c * c2 if s is None else s + c * c2
+        return Poly(ring, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation; every occurring indeterminate must be assigned."""
+        names = self.ring.names
         total = Fraction(0)
-        for e, c in self._terms.items():
+        for m, c in self._terms.items():
             v = c
-            for i, k in enumerate(e):
-                if k:
-                    name = self.ring.names[i]
-                    if name not in assignment:
-                        raise KeyError(f"no value for indeterminate {name!r}")
-                    v *= Fraction(assignment[name]) ** k
+            for i in m:
+                name = names[i]
+                if name not in assignment:
+                    raise KeyError(f"no value for indeterminate {name!r}")
+                v *= Fraction(assignment[name])
             total += v
         return total
 
@@ -240,52 +295,48 @@ class Poly:
         """If the poly is ``c*name + rest`` with constant c != 0 and ``name``
         absent from ``rest``, return ``(c, rest)``; otherwise ``None``."""
         i = self.ring.index[name]
-        coeff = Fraction(0)
-        rest: dict = {}
-        for e, c in self._terms.items():
-            k = e[i]
-            if k == 0:
-                rest[e] = c
-            elif k == 1 and not any(e[j] for j in range(len(e)) if j != i):
-                coeff += c
-            else:
-                return None
-        if coeff == 0:
+        terms = self._terms
+        coeff = terms.get((i,))
+        if coeff is None:
             return None
-        return coeff, Poly(self.ring, rest)
+        rest = dict(terms)
+        del rest[(i,)]
+        for m in rest:
+            if i in m:
+                return None
+        return coeff, Poly._raw(self.ring, rest)
 
     def content_normalized(self) -> "Poly":
         """Canonical scalar multiple: integer coprime coefficients, leading
         (graded-lex greatest) coefficient positive."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return self
-        denoms = lcm(*(c.denominator for c in self._terms.values()))
-        numers = gcd(*(c.numerator for c in self._terms.values()))
-        scale = Fraction(denoms, numers)
-        lead = max(self._terms.items(), key=_grlex_key)
-        if lead[1] * scale < 0:
-            scale = -scale
-        if scale == 1:
+        denoms = lcm(*(c.denominator for c in terms.values()))
+        numers = gcd(*(c.numerator for c in terms.values()))
+        if terms[min(terms, key=_grlex_desc)] < 0:
+            numers = -numers
+        elif denoms == 1 and numers == 1:
             return self
-        return Poly(self.ring, {e: c * scale for e, c in self._terms.items()})
+        return Poly._raw(self.ring, {m: Fraction(c.numerator // numers * (denoms // c.denominator))
+                                     for m, c in terms.items()})
 
     # -- display -----------------------------------------------------------
 
-    def _monomial_str(self, exp) -> str:
+    def _monomial_str(self, mono) -> str:
+        names = self.ring.names
         parts = []
-        for i, k in enumerate(exp):
-            if k == 1:
-                parts.append(self.ring.names[i])
-            elif k > 1:
-                parts.append(f"{self.ring.names[i]}^{k}")
+        for i, run in groupby(mono):
+            k = len(tuple(run))
+            parts.append(names[i] if k == 1 else f"{names[i]}^{k}")
         return "*".join(parts)
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         chunks = []
-        for e, c in self.terms():
-            mono = self._monomial_str(e)
+        for m, c in self.terms():
+            mono = self._monomial_str(m)
             if mono:
                 if c == 1:
                     body = mono

@@ -413,10 +413,10 @@ def _rational_roots(poly: Poly, name: str):
     """Exact rational roots of a univariate polynomial (rational root test)."""
     idx = poly.ring.index[name]
     coeffs: dict = {}
-    for exp, c in poly._terms.items():
-        if any(e for i, e in enumerate(exp) if i != idx):
+    for mono, c in poly._terms.items():
+        if any(i != idx for i in mono):
             return ()
-        coeffs[exp[idx]] = coeffs.get(exp[idx], Fraction(0)) + c
+        coeffs[len(mono)] = coeffs.get(len(mono), Fraction(0)) + c
     if not coeffs:
         return ()
     scale = 1

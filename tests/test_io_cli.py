@@ -94,6 +94,15 @@ def test_cli_unknown_scenario_exits_2(capsys):
     assert "known scenarios" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["13", "8..5", "1..3"])
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_cli_verify_all_without_admissible_n_exits_2(capsys, n, fmt):
+    assert main(["verify", "all", "--n", n, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no admissible n" in captured.err
+
+
 def test_cli_verify_machine_format_deterministic(capsys):
     assert main(["verify", "prop32-nonexist", "--n", "5", "--format", "machine"]) == 0
     first = capsys.readouterr().out

@@ -6,7 +6,10 @@ over ``alg.tensor`` and against a brute-force derivation check built from
 ``bracket`` and ``Matrix.apply``; the non-existence verdicts are checked
 against reduced Groebner bases computed by sympy (Cox-Little-O'Shea, *Ideals,
 Varieties, and Algorithms*, ch. 2 and 4: a system has no solution over the
-algebraic closure iff its reduced Groebner basis is [1]).
+algebraic closure iff its reduced Groebner basis is [1]); the classification
+families are instantiated at random rational points and each point is checked
+with the dense triple loop, which covers elimination and back-substitution
+without the library's own Leibniz check.
 """
 
 import random
@@ -16,9 +19,12 @@ import pytest
 
 from leibnizalg.algebra import Algebra, bracket, leibniz_check
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
-from leibnizalg.extensions import build_extension_problem, diagonal_branches, eliminate, generate_constraints
-from leibnizalg.families import make_F1, make_F1s, make_F2, make_F3, make_L1, make_Ln, make_Qn
+from leibnizalg.extensions import (build_extension_problem, diagonal_branches, eliminate, generate_constraints,
+                                   instantiate)
+from leibnizalg.families import (make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j, make_F3,
+                                 make_L1, make_Ln, make_Qn)
 from leibnizalg.linalg import Matrix
+from leibnizalg.verify import sample_graded_alphas
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -155,8 +161,8 @@ def groebner_basis(sympy, system):
 
     def expr(p):
         return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[s**k for s, k in zip(syms, e) if k])
-            for e, c in p._terms.items()
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[syms[i] for i in mono])
+            for mono, c in p._terms.items()
         ])
 
     return list(sympy.groebner([expr(e) for e in system.equations], *syms, order="grevlex").exprs)
@@ -184,3 +190,34 @@ def test_contradiction_branches_have_groebner_basis_one(case):
         system = generate_constraints(problem, hypotheses=hyp)
         assert eliminate(system).kind == "contradiction"
         assert groebner_basis(sympy, system) == [1]
+
+
+# -- the classification families ---------------------------------------------------------
+
+
+FAMILY_N5 = {
+    "thm35 F2(0,...,0,1)": lambda: make_F2(5, {}, 1),
+    "thm37 F2^3": lambda: make_F2j(5, 3),
+    "thm37 F2^4": lambda: make_F2j(5, 4),
+    "thm37 F2^5": lambda: make_F2j(5, 5),
+    "thm42 A r=1": lambda: make_A_algebra(5, 1, sample_graded_alphas("A", 5, 1, random.Random(42))),
+    "thm45 B r=1": lambda: make_B_algebra(5, 1, sample_graded_alphas("B", 5, 1, random.Random(45))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_N5))
+def test_family_points_satisfy_dense_leibniz_identity(case):
+    rng = random.Random(case)
+    problem = build_extension_problem(FAMILY_N5[case]())
+    families = 0
+    for hyp in diagonal_branches(problem):
+        outcome = eliminate(generate_constraints(problem, hypotheses=hyp))
+        if outcome.kind != "family" or outcome.residual:
+            continue
+        families += 1
+        for _ in range(3):
+            point = {name: Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for name in outcome.free}
+            alg = instantiate(problem, outcome, point, validate=False)
+            assert alg.dim == problem.dim
+            assert dense_leibniz_failures(alg) == ()
+    assert families >= 1

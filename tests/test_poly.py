@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg.poly import Poly, PolyRing, poly_substitute
+from leibnizalg.poly import PolyRing, poly_substitute
 
 RING = PolyRing(("x", "y", "z"))
 
 
 def rand_poly(draw_terms):
+    x, y, z = (RING.var(name) for name in RING.names)
     p = RING.zero
     for (ex, ey, ez), c in draw_terms:
-        p = p + Poly(RING, {(ex, ey, ez): Fraction(c)})
+        p = p + x**ex * y**ey * z**ez * Fraction(c)
     return p
 
 

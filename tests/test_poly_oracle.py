@@ -1,0 +1,140 @@
+"""The sparse-monomial ``Poly`` against the dense-exponent oracle.
+
+``dense_poly`` keeps the former implementation, with one exponent slot per
+ring indeterminate. Every polynomial here is built twice from the same term
+list, through each implementation's public ``var``/``*``/``+``, and every
+operation must give the same terms, the same display and the same order:
+over a 3-variable ring at degree up to 3, and over a 90-variable ring with
+the sparse supports the constraint systems have (a few variables per term).
+"""
+
+from hypothesis import given, settings, strategies as st
+
+import dense_poly
+from leibnizalg.extensions import _poly_sort_key
+from leibnizalg.poly import PolyRing
+
+SMALL = ("x", "y", "z")
+WIDE = tuple(f"v{i:02d}" for i in range(90))
+
+RINGS = {names: (PolyRing(names), dense_poly.PolyRing(names)) for names in (SMALL, WIDE)}
+
+coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def term_lists(names, max_degree, max_terms):
+    mono = st.lists(st.integers(0, len(names) - 1), max_size=max_degree)
+    return st.lists(st.tuples(mono, coeffs), max_size=max_terms)
+
+
+def build(ring, names, spec):
+    """sum of coeff * prod(var) over the spec's (indices, coeff) terms"""
+    p = ring.zero
+    for indices, c in spec:
+        t = ring.one * c
+        for i in indices:
+            t = t * ring.var(names[i])
+        p = p + t
+    return p
+
+
+def pair(names, spec):
+    sparse, dense = RINGS[names]
+    return build(sparse, names, spec), build(dense, names, spec)
+
+
+def dense_exp(mono, width):
+    """The dense exponent tuple a sparse monomial stands for."""
+    exp = [0] * width
+    for i in mono:
+        exp[i] += 1
+    return tuple(exp)
+
+
+def agree(sp, dp):
+    width = len(sp.ring.names)
+    assert {dense_exp(m, width): c for m, c in sp._terms.items()} == dp._terms
+    assert [(dense_exp(m, width), c) for m, c in sp.terms()] == dp.terms()
+    assert str(sp) == str(dp)
+    assert sp.variables() == dp.variables()
+    assert sp.degree() == dp.degree()
+    assert sp.is_constant() == dp.is_constant()
+    assert sp.num_terms == dp.num_terms
+
+
+def dense_sort_key(p):
+    return (p.num_terms, tuple(p.terms()))
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
+
+
+SMALL_POLYS = term_lists(SMALL, 3, 5)
+WIDE_POLYS = term_lists(WIDE, 3, 9)
+CASES = st.one_of(st.tuples(st.just(SMALL), SMALL_POLYS, SMALL_POLYS),
+                  st.tuples(st.just(WIDE), WIDE_POLYS, WIDE_POLYS))
+
+
+@given(CASES, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_agrees(case, k):
+    names, a, b = case
+    sa, da = pair(names, a)
+    sb, db = pair(names, b)
+    agree(sa, da)
+    agree(sa + sb, da + db)
+    agree(sa - sb, da - db)
+    agree(sa * sb, da * db)
+    agree(sa**k, da**k)
+    assert (sa == sb) == (da == db)
+
+
+@given(CASES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_substitute_agrees(case, data):
+    names, a, b = case
+    sa, da = pair(names, a)
+    sb, db = pair(names, b)
+    live = sa.variables()
+    name = data.draw(st.sampled_from(live) if live else st.sampled_from(names))
+    scalar = data.draw(coeffs)
+    agree(sa.substitute(name, scalar), da.substitute(name, scalar))
+    # the value must not contain the substituted name for elimination, but
+    # substitution itself is defined for any value
+    agree(sa.substitute(name, sb), da.substitute(name, db))
+
+
+@given(CASES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_linear_coefficient_and_content_agree(case, data):
+    names, a, b = case
+    sa, da = pair(names, a)
+    sb, db = pair(names, b)
+    agree(sa.content_normalized(), da.content_normalized())
+    # c*v + rest with v absent from rest, so the linear case is reached often
+    name = data.draw(st.sampled_from(names))
+    c = data.draw(coeffs)
+    rest_s, rest_d = sb.substitute(name, 0), db.substitute(name, 0)
+    for sp, dp in ((sa, da), (sa + rest_s, da + rest_d),
+                   (sa.ring.var(name) * c + rest_s, da.ring.var(name) * c + rest_d)):
+        got, want = sp.linear_coefficient(name), dp.linear_coefficient(name)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            agree(got[1], want[1])
+
+
+@given(st.one_of(st.tuples(st.just(SMALL), st.lists(SMALL_POLYS, min_size=2, max_size=6)),
+                 st.tuples(st.just(WIDE), st.lists(WIDE_POLYS, min_size=2, max_size=6))))
+@settings(max_examples=150, deadline=None)
+def test_sort_key_order_agrees(case):
+    names, specs = case
+    polys = [pair(names, spec) for spec in specs]
+    for sa, da in polys:
+        for sb, db in polys:
+            assert sign(_poly_sort_key(sa), _poly_sort_key(sb)) == \
+                sign(dense_sort_key(da), dense_sort_key(db))
+    sparse_sorted = sorted((sp for sp, _ in polys), key=_poly_sort_key)
+    dense_sorted = sorted((dp for _, dp in polys), key=dense_sort_key)
+    assert [str(p) for p in sparse_sorted] == [str(p) for p in dense_sorted]
