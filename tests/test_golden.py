@@ -7,9 +7,11 @@ Each file under ``golden/`` is the stdout of
 ``verify-all-n5-6-seed0.json`` was taken before the product table, the
 bracket, the Leibniz defect and the derivation equation were unified;
 ``verify-all-n7-seed0.json`` was taken before polynomials moved from dense
-exponent tuples to sparse monomials. n = 7 is the widest ring the snapshots
-reach. Any change to a verdict, a witness, an assignment log or a finding
-shows up here as a byte difference.
+exponent tuples to sparse monomials; ``verify-all-n8-seed0.json`` was taken
+before the exact tensor checks moved to integer-scaled tables. n = 8 is the
+size at which the verdict benchmark runs the derivation shapes. Any change to
+a verdict, a witness, an assignment log or a finding shows up here as a byte
+difference.
 """
 
 from pathlib import Path
@@ -32,3 +34,7 @@ def test_verify_all_n5_6_matches_golden(capsys):
 
 def test_verify_all_n7_matches_golden(capsys):
     assert _verify_all(capsys, "7") == (GOLDEN / "verify-all-n7-seed0.json").read_bytes()
+
+
+def test_verify_all_n8_matches_golden(capsys):
+    assert _verify_all(capsys, "8") == (GOLDEN / "verify-all-n8-seed0.json").read_bytes()
