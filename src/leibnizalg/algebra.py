@@ -5,9 +5,12 @@ ordered basis. All operations are pure; algebras are immutable once built.
 
 Products are evaluated on the sparse product table ``prods[i][j] = ((k, c),
 ...)`` that lists the nonzero coordinates of [b_i, b_j]. Its scalars may be
-Fractions or Polys: the bracket and the Leibniz defect below use only ``+``,
-``-``, ``*`` and a caller-supplied zero, so the symbolic extension problem and
-the graded alpha relations evaluate the same identity as the exact check.
+Fractions, integers or Polys: the bracket and the Leibniz defect below use
+only ``+``, ``-``, ``*`` and a caller-supplied zero, so the symbolic extension
+problem and the graded alpha relations evaluate the same identity as the exact
+check. The exact check runs on the integer-scaled table (:func:`int_table`:
+every coefficient times the common denominator of the table, built on demand)
+and turns only a failing defect back into Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .linalg import nullspace, rref, vec_is_zero
+from .linalg import nullspace, rref, scale_to_integers, vec_is_zero
 
 Vector = tuple
 
@@ -31,6 +34,14 @@ def product_table(tensor: Sequence) -> tuple:
     return tuple(
         tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in plane) for plane in tensor
     )
+
+
+def int_table(prods: Sequence) -> tuple:
+    """(table, den): the rational product table with every coefficient
+    multiplied by den, the least common multiple of their denominators."""
+    ints, den = scale_to_integers([c for plane in prods for cell in plane for _, c in cell])
+    it = iter(ints)
+    return tuple(tuple(tuple((k, next(it)) for k, _ in cell) for cell in plane) for plane in prods), den
 
 
 def table_bracket(prods: Sequence, u: Sequence, v: Sequence, zero=_ZERO) -> list:
@@ -78,7 +89,8 @@ class Algebra:
         labels = tuple(self.labels)
         d = len(labels)
         tensor = tuple(
-            tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in self.tensor[i][j])
+            tuple(tuple(c if type(c) is Fraction else _ZERO if type(c) is int and not c else Fraction(c)
+                        for c in self.tensor[i][j])
                   for j in range(d)) for i in range(d)
         )
         if any(len(tensor[i]) != d or any(len(tensor[i][j]) != d for j in range(d)) for i in range(d)):
@@ -141,26 +153,29 @@ class LeibnizReport:
 def leibniz_check(alg: Algebra) -> LeibnizReport:
     """Evaluate [[x,y],z] - [[x,z],y] - [x,[y,z]] on all basis triples.
 
-    All failing triples are collected (lex order), not just the first.
+    All failing triples are collected (lex order), not just the first. The
+    defects are evaluated on the integer-scaled table, so they come out
+    multiplied by den^2.
     """
     d = alg.dim
-    prods = alg._products
+    prods, den = int_table(alg._products)
+    den2 = den * den
     failures = []
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                defect = leibniz_defect(prods, i, j, k)
+                defect = leibniz_defect(prods, i, j, k, 0)
                 if any(defect):
-                    failures.append((i, j, k, tuple(defect)))
+                    failures.append((i, j, k, tuple(Fraction(c, den2) for c in defect)))
     return LeibnizReport(not failures, tuple(failures))
 
 
 def is_lie(alg: Algebra) -> bool:
-    """Entry-wise antisymmetry; together with the Leibniz identity this is
-    equivalent to the Jacobi identity."""
+    """Antisymmetry, [b_i, b_j] = -[b_j, b_i] on the product table; together
+    with the Leibniz identity this is equivalent to the Jacobi identity."""
     d = alg.dim
-    t = alg.tensor
-    return all(t[i][j][k] == -t[j][i][k] for i in range(d) for j in range(d) for k in range(d))
+    prods = alg._products
+    return all(prods[i][j] == tuple((k, -c) for k, c in prods[j][i]) for i in range(d) for j in range(i, d))
 
 
 # -- subspaces ----------------------------------------------------------------

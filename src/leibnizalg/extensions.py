@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import count
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Algebra, bracket, leibniz_check, leibniz_defect, product_table, table_bracket
+from .algebra import Algebra, bracket, int_table, leibniz_check, leibniz_defect, product_table, table_bracket
 from .derivations import derivation_space, is_derivation
-from .linalg import Matrix, mat_inverse, rref
+from .linalg import Matrix, int_matrix, mat_inverse, rref
 from .poly import Poly, PolyRing, lex_key
 
 
@@ -252,9 +252,13 @@ def eliminate(system: ConstraintSystem):
             return
         for v in names:
             index[v].add(k)
-            lc = e.linear_coefficient(v)
-            if lc is not None:
-                solvable.setdefault(v, {})[k] = lc
+        # only a variable with a degree-1 term can have a linear coefficient
+        for mono in e._terms:
+            if len(mono) == 1:
+                v = e.ring.names[mono[0]]
+                lc = e.linear_coefficient(v)
+                if lc is not None:
+                    solvable.setdefault(v, {})[k] = lc
 
     def drop(k: int, var: str) -> Poly:
         e, names = live.pop(k)
@@ -397,9 +401,10 @@ class BasisChange:
     expressed in the old coordinates."""
 
     matrix: Matrix
+    inverse: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        mat_inverse(self.matrix)  # raises on singular input
+        object.__setattr__(self, "inverse", mat_inverse(self.matrix))  # raises on singular input
 
     @property
     def dim(self) -> int:
@@ -408,13 +413,29 @@ class BasisChange:
 
 def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
     """Transform the structure tensor; the Leibniz verdict is preserved and
-    asserted."""
+    asserted.
+
+    The entry of [u, v] (u, v rows of T) on new basis vector k is
+    (bracket(u, v) @ T^-1)[k]. T, T^-1 and the product table are scaled to
+    integers, so each entry is one integer sum divided once by the product
+    of the three common denominators (twice T's, for the two rows)."""
     T = change.matrix
-    if T.nrows != alg.dim:
+    d = alg.dim
+    if T.nrows != d:
         raise ValueError("basis change has wrong dimension")
-    inv = mat_inverse(T)
-    tensor = tuple(tuple(inv.apply(bracket(alg, u, v)) for v in T.rows) for u in T.rows)
-    out = Algebra(alg.labels, tensor, alg.metadata)
+    rows, den_t = int_matrix(T)
+    inv, den_inv = int_matrix(change.inverse)
+    prods, den_p = int_table(alg._products)
+    den = den_t * den_t * den_p * den_inv
+    tensor = []
+    for u in rows:
+        plane = []
+        for v in rows:
+            w = [(m, c) for m, c in enumerate(table_bracket(prods, u, v, 0)) if c]
+            cell = [sum(c * inv[m][k] for m, c in w) for k in range(d)]
+            plane.append(tuple(Fraction(c, den) if c else 0 for c in cell))
+        tensor.append(tuple(plane))
+    out = Algebra(alg.labels, tuple(tensor), alg.metadata)
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Row reduction clears denominators and runs the integer fraction-free kernel
-in ``_rref_py``; everything returned to callers is in canonical reduced row
-echelon form with leading coefficient 1, so subspace bases and solution sets
-are reproducible across runs.
+The exact checks run on integers: :func:`scale_to_integers` multiplies
+``int``/``Fraction`` entries by the least common multiple of their
+denominators, and the caller builds at most one ``Fraction`` per output
+entry. Row reduction scales each row that way and runs the integer
+fraction-free kernel in ``_rref_py``; the nilpotency test powers an
+integer-scaled copy. Everything returned to callers is in canonical reduced
+row echelon form with leading coefficient 1, so subspace bases and solution
+sets are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -28,15 +32,40 @@ def binomial(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, k))
 
 
+# -- integer scaling ---------------------------------------------------------
+
+
+def scale_to_integers(entries: Sequence) -> tuple[list[int], int]:
+    """(ints, den): den is the least common multiple of the denominators of
+    the ``int``/``Fraction`` entries and ints[i] = entries[i] * den. Any other
+    entry type raises TypeError."""
+    den = 1
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected int or Fraction entries, got {type(x).__name__}")
+        q = x.denominator
+        if den % q:
+            den = lcm(den, q)
+    return [x.numerator * (den // x.denominator) for x in entries], den
+
+
+def int_matrix(mat: "Matrix") -> tuple[list[list[int]], int]:
+    """(rows, den): the rows of ``mat`` times den, the least common multiple
+    of the denominators of its entries."""
+    flat, den = scale_to_integers(mat.flat())
+    n = mat.ncols
+    return [flat[i * n:(i + 1) * n] for i in range(mat.nrows)], den
+
+
 # -- row reduction -----------------------------------------------------------
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled to integers and divided by the gcd of its entries."""
     out = []
     for row in rows:
-        den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        ints = [int(Fraction(x) * den) for x in row]
-        g = gcd(*ints) if any(ints) else 0
+        ints, _ = scale_to_integers(row)
+        g = gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
         out.append(ints)
@@ -214,20 +243,22 @@ class Matrix:
 
 
 def matrix_is_nilpotent(mat: Matrix) -> bool:
-    """True iff M^d = 0 for a d x d rational matrix (exact powering)."""
+    """True iff M^d = 0 for a d x d rational matrix (exact powering of the
+    integer-scaled matrix, which is nilpotent iff M is)."""
     if not mat.is_square():
         raise ValueError("nilpotency is defined for square matrices only")
     d = mat.nrows
     if d == 0:
         return True
-    power = mat
+    power, _ = int_matrix(mat)
     e = 1
     while True:
-        if power.is_zero():
+        if not any(map(any, power)):
             return True
         if e >= d:
             return False
-        power = power @ power
+        cols = list(zip(*power))
+        power = [[sum(a * b for a, b in zip(row, col) if a) for col in cols] for row in power]
         e *= 2
 
 

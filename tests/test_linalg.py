@@ -1,17 +1,22 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leibnizalg.algebra import Subspace
 from leibnizalg.linalg import (
     Matrix,
     binomial,
     mat_inverse,
     matrix_is_nilpotent,
     nullspace,
+    rank,
     rref,
+    scale_to_integers,
     solve_linear_system,
 )
+from leibnizalg.poly import PolyRing
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -165,3 +170,30 @@ def test_inverse_singular_raises():
     m = Matrix(tuple(tuple(Fraction(v) for v in row) for row in [[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
         mat_inverse(m)
+
+
+@pytest.mark.parametrize("bad", [0.5, PolyRing(("t",)).var("t"), "1/2"], ids=["float", "Poly", "str"])
+def test_non_rational_entries_raise_type_error(bad):
+    """Only int and Fraction entries are rational; nothing is converted
+    silently."""
+    name = type(bad).__name__
+    rows = [[Fraction(1, 2), bad], [Fraction(1), Fraction(0)]]
+    calls = [
+        lambda: rref(rows, 2),
+        lambda: rank(rows, 2),
+        lambda: nullspace(rows, 2),
+        lambda: Subspace.span(rows, 2),
+        lambda: matrix_is_nilpotent(Matrix(tuple(tuple(r) for r in rows))),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=name):
+            call()
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-20, 20)), max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_scale_to_integers_uses_the_least_common_denominator(entries):
+    ints, den = scale_to_integers(entries)
+    assert den == lcm(*(Fraction(x).denominator for x in entries))
+    assert len(ints) == len(entries)
+    assert all(type(a) is int and Fraction(a, den) == x for a, x in zip(ints, entries))

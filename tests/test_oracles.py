@@ -10,20 +10,28 @@ algebraic closure iff its reduced Groebner basis is [1]); the classification
 families are instantiated at random rational points and each point is checked
 with the dense triple loop, which covers elimination and back-substitution
 without the library's own Leibniz check.
+
+The library evaluates ``leibniz_check``, ``is_lie``, ``apply_basis_change``
+and ``matrix_is_nilpotent`` on integers scaled to a common denominator;
+Hypothesis checks each against a test-local ``Fraction`` reference on random
+rational inputs with mixed denominators. ``derivation_space`` is checked
+against sympy's ``Matrix.nullspace`` of the derivation equation written out
+from the structure tensor, for every family.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from leibnizalg.algebra import Algebra, bracket, leibniz_check
+from leibnizalg.algebra import Algebra, bracket, is_lie, leibniz_check
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
-from leibnizalg.extensions import (build_extension_problem, diagonal_branches, eliminate, generate_constraints,
-                                   instantiate)
-from leibnizalg.families import (make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j, make_F3,
-                                 make_L1, make_Ln, make_Qn)
-from leibnizalg.linalg import Matrix
+from leibnizalg.extensions import (BasisChange, apply_basis_change, build_extension_problem, diagonal_branches,
+                                   eliminate, generate_constraints, instantiate)
+from leibnizalg.families import (FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
+                                 make_F3, make_family, make_L1, make_Ln, make_Qn)
+from leibnizalg.linalg import Matrix, mat_inverse, matrix_is_nilpotent
 from leibnizalg.verify import sample_graded_alphas
 
 
@@ -221,3 +229,177 @@ def test_family_points_satisfy_dense_leibniz_identity(case):
             assert alg.dim == problem.dim
             assert dense_leibniz_failures(alg) == ()
     assert families >= 1
+
+
+# -- the integer-scaled checks against Fraction references --------------------------------
+
+
+nonzero_rationals = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def rational_algebras(draw, max_dim=4):
+    """Sparse random products with mixed denominators: arbitrary (most fail
+    the Leibniz identity), antisymmetrized, or graded ([e_i, e_j] only
+    reaches e_k with k > max(i, j))."""
+    d = draw(st.integers(1, max_dim))
+    shape = draw(st.sampled_from(("arbitrary", "antisymmetric", "graded")))
+    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if shape == "graded" and k <= max(i, j):
+                    continue
+                if shape == "antisymmetric" and j <= i:
+                    continue
+                if draw(st.integers(0, 2)) == 0:
+                    c = draw(nonzero_rationals)
+                    tensor[i][j][k] = c
+                    if shape == "antisymmetric":
+                        tensor[j][i][k] = -c
+    return Algebra(tuple(f"e{i}" for i in range(d)), tensor)
+
+
+LEIBNIZ_FAMILIES = (
+    make_F1(5, {4: Fraction(2, 3)}, Fraction(-1, 2)), make_F2(5, {}, Fraction(3, 4)), make_F3(5, 1, 0, 0, 1),
+    make_L1(5), make_Ln(5), make_Qn(5),
+    make_family(FamilySpec("SolvA", 5, {"r": 1, "alpha1": 1, "b2": Fraction(2, 3)})),
+)
+
+
+@st.composite
+def invertible_matrices(draw, d: int) -> Matrix:
+    rows = draw(st.lists(st.lists(st.one_of(st.just(Fraction(0)), nonzero_rationals), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    mat = Matrix(tuple(tuple(r) for r in rows))
+    try:
+        mat_inverse(mat)
+    except ValueError:
+        assume(False)
+    return mat
+
+
+def fraction_basis_change(alg: Algebra, mat: Matrix) -> tuple:
+    """The transformed tensor with Fractions throughout: [u, v] @ T^-1 for
+    rows u, v of T."""
+    inv = mat_inverse(mat)
+    return tuple(tuple(inv.apply(bracket(alg, u, v)) for v in mat.rows) for u in mat.rows)
+
+
+@given(rational_algebras())
+@settings(max_examples=150, deadline=None)
+def test_leibniz_check_matches_fraction_reference(alg):
+    want = dense_leibniz_failures(alg)
+    report = leibniz_check(alg)
+    assert report.failures == want
+    assert report.ok == (not want)
+
+
+@given(st.sampled_from(LEIBNIZ_FAMILIES), st.data())
+@settings(max_examples=10, deadline=None)
+def test_leibniz_check_on_transformed_families(alg, data):
+    mat = data.draw(invertible_matrices(alg.dim))
+    moved = Algebra(alg.labels, fraction_basis_change(alg, mat))
+    assert leibniz_check(moved).ok and dense_leibniz_failures(moved) == ()
+    # one perturbed structure constant, with its own denominator
+    i, j, k = (data.draw(st.integers(0, alg.dim - 1)) for _ in range(3))
+    tensor = [[list(cell) for cell in plane] for plane in moved.tensor]
+    tensor[i][j][k] += data.draw(nonzero_rationals)
+    off = Algebra(alg.labels, tensor)
+    assert leibniz_check(off).failures == dense_leibniz_failures(off)
+
+
+@given(rational_algebras())
+@settings(max_examples=150, deadline=None)
+def test_is_lie_matches_fraction_reference(alg):
+    t, d = alg.tensor, alg.dim
+    assert is_lie(alg) == all(t[i][j][k] == -t[j][i][k] for i in range(d) for j in range(d) for k in range(d))
+
+
+@given(st.sampled_from(LEIBNIZ_FAMILIES), st.data())
+@settings(max_examples=30, deadline=None)
+def test_apply_basis_change_matches_fraction_reference(alg, data):
+    mat = data.draw(invertible_matrices(alg.dim))
+    change = BasisChange(mat)
+    assert apply_basis_change(alg, change).tensor == fraction_basis_change(alg, mat)
+    assert change.inverse == mat_inverse(mat)
+
+
+def fraction_is_nilpotent(mat: Matrix) -> bool:
+    power = Matrix.identity(mat.nrows)
+    for _ in range(mat.nrows):
+        power = power @ mat
+    return power.is_zero()
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_matrix_is_nilpotent_matches_fraction_reference(d, data):
+    """Strictly upper-triangular matrices conjugated by a random invertible
+    P (nilpotent, dense), optionally perturbed in one entry, and arbitrary
+    matrices."""
+    entry = st.one_of(st.just(Fraction(0)), nonzero_rationals)
+    if data.draw(st.booleans()):
+        nil = Matrix(tuple(tuple(data.draw(entry) if j > i else Fraction(0) for j in range(d)) for i in range(d)))
+        p = data.draw(invertible_matrices(d))
+        mat = mat_inverse(p) @ nil @ p
+        if data.draw(st.booleans()):
+            rows = [list(r) for r in mat.rows]
+            rows[data.draw(st.integers(0, d - 1))][data.draw(st.integers(0, d - 1))] += data.draw(nonzero_rationals)
+            mat = Matrix(tuple(tuple(r) for r in rows))
+    else:
+        mat = Matrix(tuple(tuple(data.draw(entry) for _ in range(d)) for _ in range(d)))
+    assert matrix_is_nilpotent(mat) == fraction_is_nilpotent(mat)
+
+
+# -- the derivation space against sympy ---------------------------------------------------
+
+
+# every family, at n = 5 where it exists; F2j1 and L2 need even n
+EVERY_FAMILY = [
+    FamilySpec("F1", 5, {"theta": 1}),
+    FamilySpec("F2", 5, {"gamma": 1}),
+    FamilySpec("F3", 5, {"theta1": 1}),
+    FamilySpec("F1s", 5, {"s": 3}),
+    FamilySpec("F2j", 5, {"j": 3}),
+    FamilySpec("F2j1", 6, {"beta": Fraction(1, 2)}),
+    FamilySpec("Ln", 5, {}),
+    FamilySpec("Qn", 5, {}),
+    FamilySpec("A", 5, {"r": 1, "alpha1": 1}),
+    FamilySpec("B", 5, {"r": 1, "alpha1": 1}),
+    FamilySpec("L1", 5, {}),
+    FamilySpec("L2", 6, {"beta": 2}),
+    FamilySpec("L3", 5, {"j0": 4}),
+    FamilySpec("SolvA", 5, {"r": 1, "alpha1": 1, "b2": 1}),
+    FamilySpec("SolvB", 5, {"r": 1, "alpha1": 1, "b2": 1}),
+]
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+def test_derivation_space_matches_sympy_nullspace(spec):
+    """The derivation equation written out from ``alg.tensor`` (D[r][s] is
+    the e_s coordinate of D(e_r)) and solved by sympy spans the same space
+    as ``derivation_space``."""
+    sympy = pytest.importorskip("sympy")
+    alg = make_family(spec)
+    t, d = alg.tensor, alg.dim
+
+    def q(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for m in range(d):
+                row = [0] * (d * d)
+                for k in range(d):  # D([e_i, e_j]) - [D(e_i), e_j] - [e_i, D(e_j)], coordinate m
+                    row[k * d + m] += t[i][j][k]
+                    row[i * d + k] -= t[k][j][m]
+                    row[j * d + k] -= t[i][k][m]
+                rows.append([q(Fraction(c)) for c in row])
+    want = sympy.Matrix(rows).nullspace()
+    got = [[q(c) for c in mat.flat()] for mat in derivation_space(alg).basis]
+    assert len(got) == len(want)
+    if want:
+        span_want = sympy.Matrix.hstack(*want).T.rref()[0]
+        assert sympy.Matrix(got).rref()[0] == span_want
