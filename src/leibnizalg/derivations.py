@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Matrix, matrix_is_nilpotent, nullspace, rank, rref
+from .linalg import Matrix, int_is_nilpotent, nullspace, rank, rref, scale_to_integers
 from .poly import PolyRing
 
 
@@ -162,14 +163,24 @@ def max_nil_independent(space: DerivationSpace, trials: int = 32, seed: int = 7)
         raise ValueError("nil-independence count requires an upper-triangular derivation basis")
     diag_rows = [list(m.diagonal()) for m in space.basis]
     r = rank(diag_rows, alg.dim)
+    # a nonzero multiple of a combination has the same nilpotency and the same
+    # zero pattern on its diagonal, so each combination is built in integers:
+    # the basis over its common denominator, times the coefficients' lcm
+    d = alg.dim
+    size = d * d
+    flat, _ = scale_to_integers([e for m in space.basis for e in m.flat()])
+    basis = [flat[k * size:(k + 1) * size] for k in range(len(space.basis))]
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [_random_rational(rng) for _ in space.basis]
-        combo = space.basis[0].scaled(coeffs[0])
-        for c, m in zip(coeffs[1:], space.basis[1:]):
-            combo = combo + m.scaled(c)
-        diag_zero = all(not e for e in combo.diagonal())
-        if matrix_is_nilpotent(combo) != diag_zero:
+        den = lcm(*(c.denominator for c in coeffs))
+        combo = [0] * size
+        for c, m in zip(coeffs, basis):
+            w = c.numerator * (den // c.denominator)
+            combo = [a + w * b for a, b in zip(combo, m)]
+        rows = [combo[i * d:(i + 1) * d] for i in range(d)]
+        diag_zero = not any(rows[i][i] for i in range(d))
+        if int_is_nilpotent(rows) != diag_zero:
             raise RuntimeError("triangularity assumption failed: nilpotency disagrees with diagonal")
     return r
 

@@ -247,10 +247,15 @@ def matrix_is_nilpotent(mat: Matrix) -> bool:
     integer-scaled matrix, which is nilpotent iff M is)."""
     if not mat.is_square():
         raise ValueError("nilpotency is defined for square matrices only")
-    d = mat.nrows
-    if d == 0:
+    if mat.nrows == 0:
         return True
-    power, _ = int_matrix(mat)
+    return int_is_nilpotent(int_matrix(mat)[0])
+
+
+def int_is_nilpotent(rows: list[list[int]]) -> bool:
+    """True iff M^d = 0 for a nonempty d x d integer matrix, by repeated squaring."""
+    d = len(rows)
+    power = rows
     e = 1
     while True:
         if not any(map(any, power)):

@@ -2,27 +2,38 @@
 
 A monomial is the sorted tuple of the indices of its indeterminates, with
 repetition: ``x0*x2`` is ``(0, 2)``, ``x1^2`` is ``(1, 1)`` and ``1`` is
-``()``. A polynomial maps monomials to nonzero Fraction coefficients, so its
+``()``. A polynomial maps monomials to nonzero rational coefficients, so its
 cost follows its terms and their degree, not the width of its ring (the
 sparse monomials of Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007). Every :class:`Poly`
 is immutable and caches the set of indices it contains.
+
+A coefficient is a Python ``int`` wherever the arithmetic that made it stays
+integral (``var``, integral ``const`` values, products and sums of ``int``
+coefficients, and every :meth:`Poly.content_normalized` result), and a
+``Fraction`` only where a non-integral scalar entered; an integral
+``Fraction`` from such arithmetic may remain. ``int`` and ``Fraction``
+compare and hash alike, so equality, hashing, display and ordering do not
+depend on which of the two a coefficient is. Scalars other than ``int`` and
+``Fraction`` (``float``, ``str``, ...) raise ``TypeError``.
 
 Monomials are ordered as the dense exponent vectors they stand for. The
 lexicographic order of exponent vectors is the tuple order of the negated
 indices (:func:`lex_key`); graded-lex puts the degree first. Display and
 tie-breaking use descending graded-lex order, which within one degree is the
 ascending tuple order of the indices themselves. A degree-0 polynomial
-round-trips to its Fraction value via :meth:`Poly.as_rational`.
+round-trips to its value, as a Fraction, via :meth:`Poly.as_rational`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm
+from math import gcd
 from operator import neg
 from typing import Iterable, Mapping, Union
+
+from .linalg import scale_to_integers
 
 Rational = Fraction
 
@@ -32,6 +43,16 @@ Scalar = Union[int, Fraction]
 def lex_key(mono: tuple) -> tuple:
     """Sort key under which monomials compare as their dense exponent vectors do."""
     return tuple(map(neg, mono))
+
+
+def _scalar(value) -> Scalar:
+    """``value`` as an int when it is integral, else as a Fraction; any type
+    other than int or Fraction raises the TypeError of
+    :func:`~leibnizalg.linalg.scale_to_integers`."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return value
+    (coeff,), _ = scale_to_integers((value,))
+    return coeff
 
 
 def _grlex_desc(mono: tuple):
@@ -65,11 +86,11 @@ class PolyRing:
     def var(self, name: str) -> "Poly":
         if name not in self.index:
             raise KeyError(f"unknown indeterminate {name!r}")
-        return Poly._raw(self, {(self.index[name],): Fraction(1)})
+        return Poly._raw(self, {(self.index[name],): 1})
 
     def const(self, value: Scalar) -> "Poly":
-        coeff = Fraction(value)
-        if coeff == 0:
+        coeff = _scalar(value)
+        if not coeff:
             return Poly._raw(self, {})
         return Poly._raw(self, {(): coeff})
 
@@ -86,12 +107,13 @@ class Poly:
     """Immutable multivariate polynomial over a :class:`PolyRing`.
 
     ``terms`` maps monomials (sorted tuples of ring indices, see the module
-    docstring) to coefficients; zero coefficients are dropped.
+    docstring) to ``int`` or ``Fraction`` coefficients (see the module
+    docstring for which); zero coefficients are dropped.
     """
 
     __slots__ = ("ring", "_terms", "_hash", "_vars")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction]):
+    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar]):
         self.ring = ring
         self._terms = {m: c for m, c in terms.items() if c != 0}
         self._hash = None
@@ -133,7 +155,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[()]
+        return Fraction(self._terms[()])
 
     def degree(self) -> int:
         return max(map(len, self._terms), default=0)
@@ -193,7 +215,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            other = _scalar(other)
+            if not other:
                 return self.ring.zero
             return Poly._raw(self.ring, {m: c * other for m, c in self._terms.items()})
         other = self._coerce(other)
@@ -247,7 +270,9 @@ class Poly:
             raise KeyError(f"unknown indeterminate {name!r}")
         i = ring.index[name]
         scalar = isinstance(value, (int, Fraction))
-        if not scalar and value.ring is not ring:
+        if scalar:
+            value = _scalar(value)
+        elif value.ring is not ring:
             raise ValueError("substitution value from a different ring")
         if i not in self._indices():
             return self
@@ -276,7 +301,8 @@ class Poly:
         return Poly(ring, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation; every occurring indeterminate must be assigned."""
+        """Full evaluation; every occurring indeterminate must be assigned an
+        int or Fraction value."""
         names = self.ring.names
         total = Fraction(0)
         for m, c in self._terms.items():
@@ -285,7 +311,7 @@ class Poly:
                 name = names[i]
                 if name not in assignment:
                     raise KeyError(f"no value for indeterminate {name!r}")
-                v *= Fraction(assignment[name])
+                v *= _scalar(assignment[name])
             total += v
         return total
 
@@ -307,19 +333,20 @@ class Poly:
         return coeff, Poly._raw(self.ring, rest)
 
     def content_normalized(self) -> "Poly":
-        """Canonical scalar multiple: integer coprime coefficients, leading
+        """Canonical scalar multiple: coprime ``int`` coefficients, leading
         (graded-lex greatest) coefficient positive."""
         terms = self._terms
         if not terms:
             return self
-        denoms = lcm(*(c.denominator for c in terms.values()))
-        numers = gcd(*(c.numerator for c in terms.values()))
+        ints = all(type(c) is int for c in terms.values())
+        if not ints:
+            terms = dict(zip(terms, scale_to_integers(list(terms.values()))[0]))
+        content = gcd(*terms.values())
         if terms[min(terms, key=_grlex_desc)] < 0:
-            numers = -numers
-        elif denoms == 1 and numers == 1:
+            content = -content
+        elif content == 1 and ints:
             return self
-        return Poly._raw(self.ring, {m: Fraction(c.numerator // numers * (denoms // c.denominator))
-                                     for m, c in terms.items()})
+        return Poly._raw(self.ring, {m: c // content for m, c in terms.items()})
 
     # -- display -----------------------------------------------------------
 

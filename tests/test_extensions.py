@@ -242,3 +242,22 @@ def test_chain_restore_fixes_adapted_basis():
     target = make_SolvB(5, 1, {1: 1}, {})
     assert moved.tensor != target.tensor
     assert chain_restore(moved, 5, "B").tensor == target.tensor
+
+
+@pytest.mark.parametrize("nilradical", [make_F1s(6, 3), make_F2(5, {}, 1)], ids=["contradiction", "family"])
+def test_elimination_keeps_integer_coefficients(nilradical):
+    prob = build_extension_problem(nilradical)
+    system = generate_constraints(prob, hypotheses=diagonal_branches(prob)[0])
+    out = eliminate(system)
+
+    def all_int(p):
+        return all(type(c) is int for c in p._terms.values())
+
+    assert all(map(all_int, system.equations))
+    outputs = (out.witness,) if out.kind == "contradiction" else out.residual
+    assert all(map(all_int, outputs))
+    for var, value, source in out.assignments:
+        coeff, rest = source.linear_coefficient(var)
+        assert value == rest * (Fraction(-1) / coeff)
+        if coeff in (1, -1):
+            assert all_int(value)

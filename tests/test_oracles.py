@@ -176,20 +176,26 @@ def groebner_basis(sympy, system):
     return list(sympy.groebner([expr(e) for e in system.equations], *syms, order="grevlex").exprs)
 
 
-NONEXIST_N5 = {
+# n = 5 unless the case says otherwise; thm39 with alpha = 1 needs odd n, so
+# at n = 6 only prop32 and prop33 (s = 3, 4, 5) run
+NONEXIST = {
     "prop32 F1(0,...,0,1)": lambda: make_F1(5, {}, 1),
     "prop33 F1^3": lambda: make_F1s(5, 3),
     "prop33 F1^4": lambda: make_F1s(5, 4),
     "thm39 theta=(1,0,0) alpha=1": lambda: make_F3(5, 1, 0, 0, 1),
     "thm39 theta=(0,1,0) alpha=1": lambda: make_F3(5, 0, 1, 0, 1),
     "thm39 theta=(0,0,1) alpha=1": lambda: make_F3(5, 0, 0, 1, 1),
+    "n=6 prop32 F1(0,...,0,1)": lambda: make_F1(6, {}, 1),
+    "n=6 prop33 F1^3": lambda: make_F1s(6, 3),
+    "n=6 prop33 F1^4": lambda: make_F1s(6, 4),
+    "n=6 prop33 F1^5": lambda: make_F1s(6, 5),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NONEXIST_N5))
+@pytest.mark.parametrize("case", sorted(NONEXIST))
 def test_contradiction_branches_have_groebner_basis_one(case):
     sympy = pytest.importorskip("sympy")
-    nilradical = NONEXIST_N5[case]()
+    nilradical = NONEXIST[case]()
     problem = build_extension_problem(nilradical)
     branches = diagonal_branches(problem)
     if not branches:  # no non-nilpotent action, so nothing to contradict

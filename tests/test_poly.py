@@ -129,3 +129,12 @@ def test_str_order_is_graded_lex():
 def test_functional_alias():
     x = RING.var("x")
     assert poly_substitute(x + 1, "x", 2).as_rational() == 3
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, "3/4", RING.var("x")], ids=["float", "float-exact", "str", "Poly"])
+def test_non_rational_scalars_raise_type_error(value):
+    name = type(value).__name__
+    with pytest.raises(TypeError, match=f"expected int or Fraction entries, got {name}"):
+        RING.const(value)
+    with pytest.raises(TypeError, match=f"expected int or Fraction entries, got {name}"):
+        (RING.var("x") + 1).evaluate({"x": value})

@@ -6,13 +6,19 @@ list, through each implementation's public ``var``/``*``/``+``, and every
 operation must give the same terms, the same display and the same order:
 over a 3-variable ring at degree up to 3, and over a 90-variable ring with
 the sparse supports the constraint systems have (a few variables per term).
+
+The sparse ``Poly`` also keeps integral coefficients as ``int``: polynomials
+built from ``int`` inputs keep ``int`` coefficients through every operation,
+and ``content_normalized`` always returns ``int`` coefficients.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import dense_poly
 from leibnizalg.extensions import _poly_sort_key
-from leibnizalg.poly import PolyRing
+from leibnizalg.poly import Poly, PolyRing
 
 SMALL = ("x", "y", "z")
 WIDE = tuple(f"v{i:02d}" for i in range(90))
@@ -22,9 +28,9 @@ RINGS = {names: (PolyRing(names), dense_poly.PolyRing(names)) for names in (SMAL
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
-def term_lists(names, max_degree, max_terms):
+def term_lists(names, max_degree, max_terms, coefficients=coeffs):
     mono = st.lists(st.integers(0, len(names) - 1), max_size=max_degree)
-    return st.lists(st.tuples(mono, coeffs), max_size=max_terms)
+    return st.lists(st.tuples(mono, coefficients), max_size=max_terms)
 
 
 def build(ring, names, spec):
@@ -138,3 +144,57 @@ def test_sort_key_order_agrees(case):
     sparse_sorted = sorted((sp for sp, _ in polys), key=_poly_sort_key)
     dense_sorted = sorted((dp for _, dp in polys), key=dense_sort_key)
     assert [str(p) for p in sparse_sorted] == [str(p) for p in dense_sorted]
+
+
+# -- the coefficient representation ------------------------------------------------------
+
+int_coeffs = st.integers(-6, 6)
+INT_POLYS = {SMALL: term_lists(SMALL, 3, 5, int_coeffs), WIDE: term_lists(WIDE, 3, 9, int_coeffs)}
+
+
+def all_int(p):
+    return all(type(c) is int for c in p._terms.values())
+
+
+@given(st.sampled_from((SMALL, WIDE)), int_coeffs, st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integral_coefficients_stay_int(names, c, k, data):
+    ring = RINGS[names][0]
+    pa = build(ring, names, data.draw(INT_POLYS[names]))
+    pb = build(ring, names, data.draw(INT_POLYS[names]))
+    name = data.draw(st.sampled_from(names))
+    assert all_int(ring.var(name)) and all_int(ring.const(c)) and all_int(ring.const(Fraction(c)))
+    for p in (pa, pa * c, pa * Fraction(c), pa + pb, pa - pb, pa * pb, pa**k, -pa,
+              pa.substitute(name, c), pa.substitute(name, Fraction(c)), pa.substitute(name, pb),
+              pa.content_normalized()):
+        assert all_int(p), p._terms
+
+
+@given(CASES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_content_normalized_is_int_and_as_rational_is_fraction(case, data):
+    names, a, b = case
+    sa, _ = pair(names, a)
+    sb, _ = pair(names, b)
+    name = data.draw(st.sampled_from(names))
+    for p in (sa, sa * sb, sa.substitute(name, sb), sa.substitute(name, data.draw(coeffs))):
+        assert all_int(p.content_normalized())
+    value = data.draw(coeffs)
+    const = sa.ring.const(value)
+    assert all(type(c.as_rational()) is Fraction for c in (const, const.content_normalized(), sa.ring.zero))
+    assert const.as_rational() == value
+
+
+@given(CASES)
+@settings(max_examples=100, deadline=None)
+def test_integral_fraction_and_int_coefficients_are_one_poly(case):
+    names, a, _ = case
+    ring = RINGS[names][0]
+    sa, _ = pair(names, a)
+    as_int = {m: c.numerator if c.denominator == 1 else c for m, c in sa._terms.items()}
+    as_fraction = {m: Fraction(c) for m, c in sa._terms.items()}
+    p, q = Poly(ring, as_int), Poly(ring, as_fraction)
+    assert p == q and hash(p) == hash(q)
+    assert str(p) == str(q) and p.terms() == q.terms()
+    assert _poly_sort_key(p) == _poly_sort_key(q)
+    assert len({p, q}) == 1
