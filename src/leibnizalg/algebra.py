@@ -1,16 +1,18 @@
 """Structure-constant algebras: bracket, identity checking, series, predicates.
 
-An :class:`Algebra` is a dense tensor c_{ij}^k over exact rationals on a fixed
-ordered basis. All operations are pure; algebras are immutable once built.
+An :class:`Algebra` over exact rationals on a fixed ordered basis is stored
+as its sparse product table ``table[i][j] = ((k, c), ...)``: the nonzero
+coordinates of [b_i, b_j], sorted by k, each c a Fraction. All operations are
+pure; algebras are immutable once built.
 
-Products are evaluated on the sparse product table ``prods[i][j] = ((k, c),
-...)`` that lists the nonzero coordinates of [b_i, b_j]. Its scalars may be
-Fractions, integers or Polys: the bracket and the Leibniz defect below use
-only ``+``, ``-``, ``*`` and a caller-supplied zero, so the symbolic extension
-problem and the graded alpha relations evaluate the same identity as the exact
-check. The exact check runs on the integer-scaled table (:func:`int_table`:
-every coefficient times the common denominator of the table, built on demand)
-and turns only a failing defect back into Fractions.
+:func:`product_table` builds such a table from a ``{(i, j): [(k, c), ...]}``
+map for any scalar type. Its scalars may be Fractions, integers or Polys: the
+bracket and the Leibniz defect below use only ``+``, ``-``, ``*`` and a
+caller-supplied zero, so the symbolic extension problem and the graded alpha
+relations evaluate the same identity as the exact check. The exact check runs
+on the integer-scaled table (:func:`int_table`: every coefficient times the
+common denominator of the table, built on demand) and turns only a failing
+defect back into Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .linalg import nullspace, rref, scale_to_integers, vec_is_zero
+from .linalg import nullspace, rref, scale_to_integers, to_fraction, vec_is_zero
 
 Vector = tuple
 
@@ -29,11 +31,21 @@ _ZERO = Fraction(0)
 # -- the product table --------------------------------------------------------
 
 
-def product_table(tensor: Sequence) -> tuple:
-    """Sparse table of a dense tensor: prods[i][j] lists the nonzero (k, c)."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in plane) for plane in tensor
-    )
+def product_table(products: Mapping, d: int) -> tuple:
+    """Canonical sparse table of a {(i, j): [(k, c), ...]} map over d basis
+    vectors: table[i][j] lists the nonzero (k, c) of [b_i, b_j] sorted by k.
+    Omitted products are zero, repeated coordinates add up, zero sums and
+    zero entries are dropped, and an index outside range(d) raises
+    ValueError. Scalars need only ``+`` and a truth value."""
+    cells = {}
+    for (i, j), entries in products.items():
+        cell = {}
+        for k, c in entries:
+            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+                raise ValueError(f"index out of range in product ({i},{j})->{k}")
+            cell[k] = cell[k] + c if k in cell else c
+        cells[i, j] = tuple((k, c) for k, c in sorted(cell.items()) if c)
+    return tuple(tuple(cells.get((i, j), ()) for j in range(d)) for i in range(d))
 
 
 def int_table(prods: Sequence) -> tuple:
@@ -80,24 +92,11 @@ def leibniz_defect(prods: Sequence, i: int, j: int, k: int, zero=_ZERO) -> list:
 
 @dataclass(frozen=True)
 class Algebra:
-    labels: tuple
-    tensor: tuple  # tensor[i][j][k]: coefficient of e_k in [e_i, e_j]
-    metadata: Optional[dict] = field(default=None, compare=False, repr=False)
-    _products: tuple = field(init=False, compare=False, repr=False)
+    """Build one with :func:`algebra_from_products`."""
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        d = len(labels)
-        tensor = tuple(
-            tuple(tuple(c if type(c) is Fraction else _ZERO if type(c) is int and not c else Fraction(c)
-                        for c in self.tensor[i][j])
-                  for j in range(d)) for i in range(d)
-        )
-        if any(len(tensor[i]) != d or any(len(tensor[i][j]) != d for j in range(d)) for i in range(d)):
-            raise ValueError("tensor shape must be dim x dim x dim")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "_products", product_table(tensor))
+    labels: tuple
+    table: tuple  # table[i][j]: the nonzero (k, c) of [b_i, b_j], sorted by k
+    metadata: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -106,21 +105,16 @@ class Algebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
+    def coefficient(self, i: int, j: int, k: int) -> Fraction:
+        """Coefficient of b_k in [b_i, b_j]."""
+        for m, c in self.table[i][j]:
+            if m == k:
+                return c
+        return _ZERO
+
     def __repr__(self) -> str:
         name = (self.metadata or {}).get("family", "Algebra")
         return f"<{name} dim={self.dim}>"
-
-
-def dense_tensor(products: Mapping, d: int) -> list:
-    """Dense d x d x d tensor of a sparse {(i, j): [(k, coeff), ...]} table;
-    omitted products are zero and repeated coordinates add up."""
-    tensor = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for (i, j), entries in products.items():
-        for k, c in entries:
-            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-                raise ValueError(f"index out of range in product ({i},{j})->{k}")
-            tensor[i][j][k] += Fraction(c)
-    return tensor
 
 
 def algebra_from_products(
@@ -129,8 +123,10 @@ def algebra_from_products(
     metadata: Optional[dict] = None,
 ) -> Algebra:
     """Build an algebra from a sparse {(i, j): [(k, coeff), ...]} table;
-    omitted products are zero."""
-    return Algebra(tuple(labels), dense_tensor(products, len(labels)), metadata)
+    omitted products are zero. Coefficients must be int or Fraction (any
+    other type raises TypeError) and are stored as Fractions."""
+    rational = {ij: [(k, to_fraction(c)) for k, c in entries] for ij, entries in products.items()}
+    return Algebra(tuple(labels), product_table(rational, len(labels)), metadata)
 
 
 def bracket(alg: Algebra, u: Sequence, v: Sequence) -> Vector:
@@ -138,7 +134,7 @@ def bracket(alg: Algebra, u: Sequence, v: Sequence) -> Vector:
     d = alg.dim
     if len(u) != d or len(v) != d:
         raise ValueError(f"vectors must have length {d}")
-    return tuple(table_bracket(alg._products, u, v))
+    return tuple(table_bracket(alg.table, u, v))
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def leibniz_check(alg: Algebra) -> LeibnizReport:
     multiplied by den^2.
     """
     d = alg.dim
-    prods, den = int_table(alg._products)
+    prods, den = int_table(alg.table)
     den2 = den * den
     failures = []
     for i in range(d):
@@ -174,7 +170,7 @@ def is_lie(alg: Algebra) -> bool:
     """Antisymmetry, [b_i, b_j] = -[b_j, b_i] on the product table; together
     with the Leibniz identity this is equivalent to the Jacobi identity."""
     d = alg.dim
-    prods = alg._products
+    prods = alg.table
     return all(prods[i][j] == tuple((k, -c) for k, c in prods[j][i]) for i in range(d) for j in range(i, d))
 
 
@@ -290,18 +286,20 @@ def is_filiform(alg: Algebra) -> bool:
 def right_annihilator(alg: Algebra) -> Subspace:
     """All v with [u, v] = 0 for every u (exact kernel computation)."""
     d = alg.dim
-    rows = []
+    rows = [[_ZERO] * d for _ in range(d * d)]  # row i*d + k: coordinate k of [b_i, v]
     for i in range(d):
-        for k in range(d):
-            rows.append([alg.tensor[i][j][k] for j in range(d)])
+        for j in range(d):
+            for k, c in alg.table[i][j]:
+                rows[i * d + k][j] = c
     return Subspace(d, nullspace(rows, d))
 
 
 def subalgebra_on_indices(alg: Algebra, count: int) -> Algebra:
     """Restriction to the first ``count`` basis vectors (caller must know the
     span is closed under the bracket)."""
-    t = tuple(tuple(tuple(alg.tensor[i][j][k] for k in range(count)) for j in range(count)) for i in range(count))
-    return Algebra(alg.labels[:count], t)
+    products = {(i, j): [(k, c) for k, c in alg.table[i][j] if k < count]
+                for i in range(count) for j in range(count)}
+    return algebra_from_products(alg.labels[:count], products)
 
 
 @dataclass(frozen=True)
@@ -319,13 +317,11 @@ def nilradical_report(alg: Algebra, count: int) -> NilradicalReport:
     nilpotent, with the ambient algebra non-nilpotent. Any nilpotent ideal
     strictly containing it would be the whole algebra, which is excluded."""
     d = alg.dim
-    t = alg.tensor
     for i in range(d):
         for j in range(d):
             if i < count or j < count:
-                for k in range(count, d):
-                    if t[i][j][k]:
-                        return NilradicalReport(False, f"not an ideal: [{alg.labels[i]},{alg.labels[j]}] leaves the span")
+                if any(k >= count for k, _ in alg.table[i][j]):
+                    return NilradicalReport(False, f"not an ideal: [{alg.labels[i]},{alg.labels[j]}] leaves the span")
     if not is_nilpotent(subalgebra_on_indices(alg, count)):
         return NilradicalReport(False, "candidate is not nilpotent")
     if is_nilpotent(alg):

@@ -27,7 +27,7 @@ def derivation_equations(alg: Algebra):
     entries of d, whose row r is the image of e_r; a side may repeat an index
     or be empty."""
     d = alg.dim
-    prods = alg._products
+    prods = alg.table
     for i in range(d):
         for j in range(d):
             lhs = [[] for _ in range(d)]
@@ -125,7 +125,7 @@ def is_derivation(alg: Algebra, mat: Matrix) -> bool:
 def right_multiplication(alg: Algebra, j: int) -> Matrix:
     """The operator u -> [u, e_j] as a matrix of image rows."""
     d = alg.dim
-    return Matrix(tuple(tuple(alg.tensor[i][j][k] for k in range(d)) for i in range(d)))
+    return Matrix(tuple(tuple(alg.coefficient(i, j, k) for k in range(d)) for i in range(d)))
 
 
 def inner_derivations(alg: Algebra) -> DerivationSpace:
@@ -157,7 +157,7 @@ def max_nil_independent(space: DerivationSpace, trials: int = 32, seed: int = 7)
     alg = space.algebra
     if not space.basis:
         return 0
-    if all(not c for plane in alg.tensor for row in plane for c in row):
+    if not any(cell for plane in alg.table for cell in plane):
         return alg.dim
     if not all(m.is_upper_triangular() for m in space.basis):
         raise ValueError("nil-independence count requires an upper-triangular derivation basis")

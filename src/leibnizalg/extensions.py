@@ -16,9 +16,18 @@ from fractions import Fraction
 from itertools import count
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Algebra, bracket, int_table, leibniz_check, leibniz_defect, product_table, table_bracket
+from .algebra import (
+    Algebra,
+    algebra_from_products,
+    bracket,
+    int_table,
+    leibniz_check,
+    leibniz_defect,
+    product_table,
+    table_bracket,
+)
 from .derivations import derivation_space, is_derivation
-from .linalg import Matrix, int_matrix, mat_inverse, rref
+from .linalg import Matrix, int_matrix, mat_inverse, rref, to_fraction
 from .poly import Poly, PolyRing, lex_key
 
 
@@ -146,9 +155,12 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
     zero = ring.zero
     # product table of N + <x>: the template rows [e_i, x], the unknown rows
     # [x, e_j] and the square row [x, x] join N's products; all lie in N
-    dense = [N.tensor[i] + (problem.template.rows[i],) for i in range(d)]
-    dense.append(problem.unknown_rows + (problem.square_row,))
-    table = product_table(dense)
+    products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
+    for i in range(d):
+        products[i, d] = enumerate(problem.template.rows[i])
+        products[d, i] = enumerate(problem.unknown_rows[i])
+    products[d, d] = enumerate(problem.square_row)
+    table = product_table(products, m)
     seen = set()
     equations = []
 
@@ -328,7 +340,7 @@ def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fr
     if outcome.kind != "family":
         raise ValueError("only Family outcomes can be instantiated")
     env = {n: Fraction(0) for n in outcome.free}
-    env.update({k: Fraction(v) for k, v in free_values.items()})
+    env.update({k: to_fraction(v) for k, v in free_values.items()})
     for name, value in resolved_assignments(outcome).items():
         env[name] = value.evaluate(env)
     for res in outcome.residual:
@@ -336,20 +348,17 @@ def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fr
             raise ValueError(f"instantiation violates residual constraint {res}")
     N = problem.nilradical
     d = N.dim
-    m = d + 1
-    tensor = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+
+    def values(row):
+        return [(k, c.evaluate(env)) for k, c in enumerate(row)]
+
+    products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
     for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                tensor[i][j][k] = N.tensor[i][j][k]
-    for i in range(d):
-        for k in range(d):
-            tensor[i][d][k] = problem.template.rows[i][k].evaluate(env)
-            tensor[d][i][k] = problem.unknown_rows[i][k].evaluate(env)
-            tensor[d][d][k] = problem.square_row[k].evaluate(env)
-    labels = N.labels + ("x",)
-    alg = Algebra(labels, tuple(tuple(tuple(r) for r in p) for p in tensor),
-                  {"family": "extension", "n": d - 1, "params": dict(free_values)})
+        products[i, d] = values(problem.template.rows[i])
+        products[d, i] = values(problem.unknown_rows[i])
+    products[d, d] = values(problem.square_row)
+    alg = algebra_from_products(N.labels + ("x",), products,
+                                {"family": "extension", "n": d - 1, "params": dict(free_values)})
     if validate:
         rep = leibniz_check(alg)
         if not rep.ok:
@@ -411,8 +420,41 @@ class BasisChange:
         return self.matrix.nrows
 
 
+def shear_change(m: int, entries) -> Optional[BasisChange]:
+    """The identity on m basis vectors plus the listed off-diagonal entries
+    ``(row, col, value)``: new basis vector e_row + value*e_col. Entries at
+    one position add up; None when no value is nonzero."""
+    entries = [(r, c, v) for r, c, v in entries if v]
+    if not entries:
+        return None
+    rows = [[Fraction(1 if c == r else 0) for c in range(m)] for r in range(m)]
+    for r, c, v in entries:
+        rows[r][c] += v
+    return BasisChange(Matrix(tuple(tuple(r) for r in rows)))
+
+
+def tail_coefficients(b: Mapping[int, Fraction], n: int) -> dict:
+    """The cascade that kills tail coefficients b_2..b_n of a head row:
+    A_2 = -b_2, A_i = (b_i + sum_{j=2}^{i-1} A_j b_{i-j+1}) / (1 - i)."""
+    A = {2: -b.get(2, Fraction(0))}
+    for i in range(3, n + 1):
+        acc = b.get(i, Fraction(0))
+        for j in range(2, i):
+            acc += A[j] * b.get(i - j + 1, Fraction(0))
+        A[i] = Fraction(1, 1 - i) * acc
+    return A
+
+
+def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction]) -> Optional[BasisChange]:
+    """On (e_0..e_n, x): e_head -> e_head + sum_{i=2}^{top} A_i e_i and
+    e_i -> e_i + sum_{j>i} A_{j-i+1} e_j for i >= 2."""
+    entries = [(head, i, A.get(i, 0)) for i in range(2, top + 1)]
+    entries += [(i, j, A.get(j - i + 1, 0)) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+    return shear_change(n + 2, entries)
+
+
 def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
-    """Transform the structure tensor; the Leibniz verdict is preserved and
+    """Transform the product table; the Leibniz verdict is preserved and
     asserted.
 
     The entry of [u, v] (u, v rows of T) on new basis vector k is
@@ -425,17 +467,15 @@ def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
         raise ValueError("basis change has wrong dimension")
     rows, den_t = int_matrix(T)
     inv, den_inv = int_matrix(change.inverse)
-    prods, den_p = int_table(alg._products)
+    prods, den_p = int_table(alg.table)
     den = den_t * den_t * den_p * den_inv
-    tensor = []
-    for u in rows:
-        plane = []
-        for v in rows:
+    products = {}
+    for a, u in enumerate(rows):
+        for b, v in enumerate(rows):
             w = [(m, c) for m, c in enumerate(table_bracket(prods, u, v, 0)) if c]
             cell = [sum(c * inv[m][k] for m, c in w) for k in range(d)]
-            plane.append(tuple(Fraction(c, den) if c else 0 for c in cell))
-        tensor.append(tuple(plane))
-    out = Algebra(alg.labels, tuple(tensor), alg.metadata)
+            products[a, b] = [(k, Fraction(c, den)) for k, c in enumerate(cell) if c]
+    out = algebra_from_products(alg.labels, products, alg.metadata)
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out
@@ -449,21 +489,14 @@ def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> BasisChange:
 
     For variant A the e_1 row runs through A_n: the displayed transformation
     stops it at A_{n-1}, which leaves a residual e_n tail on [e_1, x] (checked
-    by hand and by the exact tensor transform); the recursion defines A_n and
+    by hand and by the exact basis change); the recursion defines A_n and
     including it is what makes the elimination work.
     """
-    b = {k: Fraction(v) for k, v in b.items()}
-    A: dict = {}
+    b = {k: to_fraction(v) for k, v in b.items()}
     if variant == "A":
-        A[2] = -b.get(2, Fraction(0))
-        for i in range(3, n + 1):
-            acc = b.get(i, Fraction(0))
-            for j in range(2, i):
-                acc += A[j] * b.get(i - j + 1, Fraction(0))
-            A[i] = Fraction(1, 1 - i) * acc
+        A = tail_coefficients(b, n)
     elif variant == "B":
-        A[2] = -b.get(2, Fraction(0))
-        A[3] = b.get(2, Fraction(0)) ** 2 / 2
+        A = {2: -b.get(2, Fraction(0)), 3: b.get(2, Fraction(0)) ** 2 / 2}
         for m in range(4, n):  # even and odd recursions feed each other in index order
             if m % 2 == 0:
                 k = m // 2
@@ -479,15 +512,8 @@ def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> BasisChange:
                 A[m] = Fraction(-1, 2 * k) * acc
     else:
         raise ValueError("variant must be 'A' or 'B'")
-    m = n + 2
     e1_top = n if variant == "A" else n - 1
-    rows = [[Fraction(1 if c == r else 0) for c in range(m)] for r in range(m)]
-    for i in range(2, e1_top + 1):
-        rows[1][i] += A.get(i, Fraction(0))
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            rows[i][j] += A.get(j - i + 1, Fraction(0))
-    return BasisChange(Matrix(tuple(tuple(r) for r in rows)))
+    return chain_shift(n, 1, e1_top, A) or BasisChange(Matrix.identity(n + 2))
 
 
 def chain_restore(alg: Algebra, n: int, variant: str) -> Algebra:
@@ -522,8 +548,8 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
                      a1, b: Mapping[int, Fraction]) -> ConjectureResult:
     """Build the solvable family member, apply the star transformation, read
     the residual tail coefficients off the transformed [e_1, x] row, then
-    re-adapt the basis through the chain products and compare the whole tensor
-    against the member with all b = 0.
+    re-adapt the basis through the chain products and compare the whole
+    product table against the member with all b = 0.
 
     Everything is re-derived through apply_basis_change, so a single
     mismatched entry is caught exactly.
@@ -540,7 +566,7 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
         raise ValueError("variant must be 'A' or 'B'")
     moved = apply_basis_change(alg, star_change(n, variant, b))
     x = n + 1
-    residual = {i: moved.tensor[1][x][i] for i in range(2, n + 1) if moved.tensor[1][x][i]}
+    residual = {k: c for k, c in moved.table[1][x] if 2 <= k <= n}
     restored = chain_restore(moved, n, variant)
-    return ConjectureResult(eliminated=(not residual and restored.tensor == target.tensor),
+    return ConjectureResult(eliminated=(not residual and restored.table == target.table),
                             residual_b=residual, variant=variant, n=n)

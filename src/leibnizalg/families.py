@@ -9,7 +9,8 @@ Family ids:
 * solvable extensions (one extra generator ``x``): ``L1``, ``L2``, ``L3``,
   ``SolvA``, ``SolvB``
 
-Omitted products are zero. Every constructor validates the Leibniz identity
+Omitted products are zero. Parameters must be int or Fraction; any other
+type raises TypeError. Every constructor validates the Leibniz identity
 and fails loudly naming the first offending basis triple; families declared
 Lie are additionally checked for antisymmetry.
 """
@@ -20,16 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import (
-    Algebra,
-    algebra_from_products,
-    dense_tensor,
-    is_lie,
-    leibniz_check,
-    product_table,
-    table_bracket,
-)
-from .linalg import binomial
+from .algebra import Algebra, algebra_from_products, is_lie, leibniz_check, product_table, table_bracket
+from .linalg import binomial, to_fraction
 
 FAMILY_IDS = (
     "F1", "F2", "F3", "F1s", "F2j", "F2j1", "Ln", "Qn", "A", "B",
@@ -51,7 +44,7 @@ class FamilySpec:
     params: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", {k: Fraction(v) for k, v in dict(self.params).items()})
+        object.__setattr__(self, "params", {k: to_fraction(v) for k, v in dict(self.params).items()})
 
 
 def _e_labels(n: int, with_x: bool = False) -> tuple:
@@ -105,12 +98,13 @@ def _f1_products(n: int, alphas: dict, theta: Fraction) -> dict:
 
 def make_F1(n: int, alphas: Mapping[int, Fraction], theta: Fraction, family="F1", extra=None) -> Algebra:
     _require(n >= 3, "F1 needs n >= 3")
-    full = {k: Fraction(alphas.get(k, 0)) for k in range(3, n + 1)}
+    full = {k: to_fraction(alphas.get(k, 0)) for k in range(3, n + 1)}
+    theta = to_fraction(theta)
     meta = {"family": family, "n": n,
-            "params": {**{f"alpha{k}": v for k, v in full.items()}, "theta": Fraction(theta)}}
+            "params": {**{f"alpha{k}": v for k, v in full.items()}, "theta": theta}}
     if extra:
         meta["params"].update(extra)
-    return _validated(_f1_products(n, full, Fraction(theta)), _e_labels(n), meta)
+    return _validated(_f1_products(n, full, theta), _e_labels(n), meta)
 
 
 def _f2_products(n: int, betas: dict, gamma: Fraction) -> dict:
@@ -127,12 +121,13 @@ def _f2_products(n: int, betas: dict, gamma: Fraction) -> dict:
 
 def make_F2(n: int, betas: Mapping[int, Fraction], gamma: Fraction, family="F2", extra=None) -> Algebra:
     _require(n >= 3, "F2 needs n >= 3")
-    full = {k: Fraction(betas.get(k, 0)) for k in range(3, n + 1)}
+    full = {k: to_fraction(betas.get(k, 0)) for k in range(3, n + 1)}
+    gamma = to_fraction(gamma)
     meta = {"family": family, "n": n,
-            "params": {**{f"beta{k}": v for k, v in full.items()}, "gamma": Fraction(gamma)}}
+            "params": {**{f"beta{k}": v for k, v in full.items()}, "gamma": gamma}}
     if extra:
         meta["params"].update(extra)
-    return _validated(_f2_products(n, full, Fraction(gamma)), _e_labels(n), meta)
+    return _validated(_f2_products(n, full, gamma), _e_labels(n), meta)
 
 
 def make_F3(n: int, theta1, theta2, theta3, alpha=0) -> Algebra:
@@ -140,10 +135,10 @@ def make_F3(n: int, theta1, theta2, theta3, alpha=0) -> Algebra:
     antisymmetric products are taken to be zero, the alternating top product
     [e_i, e_{n-i}] = alpha*(-1)^i e_n is kept (alpha in {0,1}, odd n only)."""
     _require(n >= 3, "F3 needs n >= 3")
-    alpha = Fraction(alpha)
+    alpha = to_fraction(alpha)
     _require(alpha in (0, 1), "F3: alpha must be 0 or 1")
     _require(alpha == 0 or n % 2 == 1, "F3: alpha=1 requires odd n")
-    t1, t2, t3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
+    t1, t2, t3 = to_fraction(theta1), to_fraction(theta2), to_fraction(theta3)
     prods: dict = {}
     for i in range(1, n):
         prods[(i, 0)] = [(i + 1, Fraction(1))]
@@ -193,8 +188,8 @@ def make_F2j(n: int, j: int) -> Algebra:
 
 def make_F2j1(n: int, beta) -> Algebra:
     _require(n >= 4 and n % 2 == 0, "F2j1 needs even n >= 4")
-    return make_F2(n, {(n + 2) // 2: Fraction(beta)}, gamma=Fraction(1),
-                   family="F2j1", extra={"beta": Fraction(beta)})
+    beta = to_fraction(beta)
+    return make_F2(n, {(n + 2) // 2: beta}, gamma=Fraction(1), family="F2j1", extra={"beta": beta})
 
 
 # -- filiform Lie families -----------------------------------------------------
@@ -234,7 +229,7 @@ def make_A(n: int, r: int, alphas: Mapping[int, Fraction], family="A", lie_meta=
     """Product table of the first graded filiform Lie family (dict form)."""
     _require(n >= 4 and 1 <= r <= n - 3, "A needs n >= 4 and 1 <= r <= n - 3")
     t = (n - r - 1) // 2
-    full = {k: Fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
+    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
     _require(any(full.values()), "A: at least one alpha must be nonzero")
     prods: dict = {}
     for i in range(1, n):
@@ -267,7 +262,7 @@ def make_B(n: int, r: int, alphas: Mapping[int, Fraction]) -> dict:
     _require(n >= 5 and n % 2 == 1, "B needs odd n >= 5")
     _require(1 <= r <= n - 3, "B needs 1 <= r <= n - 3")
     t = (n - r - 2) // 2
-    full = {k: Fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
+    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
     _require(t == 0 or any(full.values()), "B: at least one alpha must be nonzero")
     prods: dict = {}
     for i in range(1, n - 1):
@@ -319,7 +314,7 @@ def make_L1(n: int) -> Algebra:
 def make_L2(n: int, beta) -> Algebra:
     """Solvable extension of F2^1(beta_{(n+2)/2}, gamma=1), even n."""
     _require(n >= 4 and n % 2 == 0, "L2 needs even n >= 4")
-    beta = Fraction(beta)
+    beta = to_fraction(beta)
     x = n + 1
     half = Fraction(n, 2)
     mid = (n + 2) // 2
@@ -369,7 +364,7 @@ def _solvable_lie_extension(n: int, nil_prods: dict, row0, row1, family: str,
     dim = n + 2
     x = n + 1
     labels = _e_labels(n, with_x=True)
-    table = product_table(dense_tensor(nil_prods, dim))
+    table = product_table(nil_prods, dim)
     rows = {0: list(row0), 1: list(row1)}
     basis = lambda i: [Fraction(1 if j == i else 0) for j in range(dim)]
     for i in range(1, n):
@@ -394,8 +389,8 @@ def make_SolvA(n: int, r: int, alphas: Mapping[int, Fraction], a1, bs: Mapping[i
     """Solvable Lie extension over an A-family nilradical, free parameters
     a1 and b_2..b_n kept explicit."""
     data = make_A(n, r, alphas)
-    a1 = Fraction(a1)
-    b = {k: Fraction(bs.get(k, 0)) for k in range(2, n + 1)}
+    a1 = to_fraction(a1)
+    b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n + 1)}
     dim = n + 2
     row0 = [Fraction(0)] * dim
     row0[0] = Fraction(1)
@@ -414,7 +409,7 @@ def make_SolvB(n: int, r: int, alphas: Mapping[int, Fraction], bs: Mapping[int, 
     b_2..b_{n-1} kept explicit."""
     _require(1 <= r <= n - 4, "SolvB needs 1 <= r <= n - 4")
     data = make_B(n, r, alphas)
-    b = {k: Fraction(bs.get(k, 0)) for k in range(2, n)}
+    b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n)}
     dim = n + 2
     row0 = [Fraction(0)] * dim
     row0[0] = Fraction(1)
@@ -432,7 +427,7 @@ def make_SolvB(n: int, r: int, alphas: Mapping[int, Fraction], bs: Mapping[int, 
 
 
 def _alpha_map(params: Mapping, prefix: str, lo: int, hi: int) -> dict:
-    return {k: Fraction(params.get(f"{prefix}{k}", 0)) for k in range(lo, hi + 1)}
+    return {k: to_fraction(params.get(f"{prefix}{k}", 0)) for k in range(lo, hi + 1)}
 
 
 def make_family(spec: FamilySpec) -> Algebra:

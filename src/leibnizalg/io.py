@@ -1,8 +1,8 @@
 """Algebra file format: exact rational structure constants as JSON text.
 
 Coefficients serialize as exact rational strings ("p/q" or "p"), never
-decimals; zero entries are omitted. Emit-then-parse reproduces the tensor
-identically.
+decimals; zero entries are omitted. Emit-then-parse reproduces the product
+table identically.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, algebra_from_products
 
 FORMAT = "leibnizalg-algebra/1"
 
@@ -25,14 +25,8 @@ def _fmt(value: Fraction) -> str:
 
 
 def algebra_to_dict(alg: Algebra) -> dict:
-    entries = []
     d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c = alg.tensor[i][j][k]
-                if c:
-                    entries.append([i, j, k, _fmt(c)])
+    entries = [[i, j, k, _fmt(c)] for i in range(d) for j in range(d) for k, c in alg.table[i][j]]
     out = {
         "format": FORMAT,
         "dim": d,
@@ -69,7 +63,7 @@ def algebra_from_dict(data: dict) -> Algebra:
         labels = [f"e{i}" for i in range(d)]
     if len(labels) != d:
         raise AlgebraFileError(f"{len(labels)} labels for dim {d}")
-    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    products: dict = {}
     seen = set()
     for pos, entry in enumerate(data.get("entries", [])):
         try:
@@ -83,7 +77,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             raise AlgebraFileError(f"entry {pos}: duplicate index ({i},{j},{k})")
         seen.add((i, j, k))
         try:
-            tensor[i][j][k] = Fraction(str(coeff))
+            products.setdefault((i, j), []).append((k, Fraction(str(coeff))))
         except (ValueError, ZeroDivisionError):
             raise AlgebraFileError(f"entry {pos}: cannot parse coefficient {coeff!r} exactly")
     metadata: Optional[dict] = None
@@ -96,7 +90,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             metadata["n"] = int(raw_meta["n"])
         if "params" in raw_meta:
             metadata["params"] = {k: Fraction(str(v)) for k, v in raw_meta["params"].items()}
-    return Algebra(tuple(labels), tuple(tuple(tuple(r) for r in p) for p in tensor), metadata)
+    return algebra_from_products(labels, products, metadata)
 
 
 def dumps(alg: Algebra) -> str:

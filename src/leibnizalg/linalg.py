@@ -49,6 +49,15 @@ def scale_to_integers(entries: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in entries], den
 
 
+def to_fraction(x) -> Fraction:
+    """``x`` as a Fraction; like :func:`scale_to_integers`, any type other
+    than int or Fraction raises TypeError."""
+    if type(x) is Fraction:
+        return x
+    (num,), den = scale_to_integers((x,))
+    return Fraction(num, den)
+
+
 def int_matrix(mat: "Matrix") -> tuple[list[list[int]], int]:
     """(rows, den): the rows of ``mat`` times den, the least common multiple
     of the denominators of its entries."""
@@ -189,14 +198,8 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
 
     def is_upper_triangular(self) -> bool:
         return all(not self.rows[i][j] for i in range(self.nrows) for j in range(min(i, self.ncols)))
@@ -212,31 +215,6 @@ class Matrix:
 
     def scaled(self, c) -> "Matrix":
         return Matrix(tuple(tuple(c * e for e in r) for r in self.rows))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = other.ncols
-        out = []
-        for r in self.rows:
-            row = []
-            for j in range(cols):
-                acc = Fraction(0)
-                for k, a in enumerate(r):
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(tuple(out))
-
-    def apply(self, vec):
-        """Row-vector action: vec (length nrows) -> vec @ self."""
-        if len(vec) != self.nrows:
-            raise ValueError("vector length does not match matrix rows")
-        return tuple(
-            sum((vec[i] * self.rows[i][j] for i in range(self.nrows) if vec[i]), Fraction(0))
-            for j in range(self.ncols)
-        )
 
     def flat(self) -> tuple:
         return tuple(e for row in self.rows for e in row)

@@ -38,12 +38,15 @@ from .extensions import (
     ConstraintSystem,
     apply_basis_change,
     build_extension_problem,
+    chain_shift,
     conjecture_check,
     diagonal_branches,
     eliminate,
     generate_constraints,
     instantiate,
     resolved_assignments,
+    shear_change,
+    tail_coefficients,
 )
 from .families import (
     ConstructionError,
@@ -63,7 +66,7 @@ from .families import (
     make_SolvA,
     make_SolvB,
 )
-from .linalg import Matrix, binomial, nullspace
+from .linalg import binomial, nullspace, scale_to_integers
 from .poly import Poly, PolyRing
 
 MAX_N = 12
@@ -127,124 +130,72 @@ def _report(scenario, n, seed, verdict, t0, details=(), findings=(), params=(), 
                   transcript=tuple(transcript), wall_time=time.monotonic() - t0)
 
 
-# -- scripted basis changes (numeric, read from the current tensor) -----------------
-
-
-def _ident_rows(m: int):
-    return [[Fraction(1 if c == r else 0) for c in range(m)] for r in range(m)]
-
-
-def _mk(rows) -> BasisChange:
-    return BasisChange(Matrix(tuple(tuple(r) for r in rows)))
+# -- scripted basis changes (numeric, read from the current table) ------------------
 
 
 def chain_tail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
     """Kill [e_0,x] tails at e_2..e_n by the cascade e_i -> e_i + A_{k-i+1} e_k
     (valid for nilradicals whose products shift indices by a constant)."""
-    x = n + 1
-    t = {i: alg.tensor[0][x][i] for i in range(2, n + 1)}
-    if not any(t.values()):
-        return None
-    coeff = {2: -t[2]}
-    for s in range(3, n + 1):
-        acc = t[s]
-        for j in range(2, s):
-            acc += coeff[j] * t.get(s - j + 1, Fraction(0))
-        coeff[s] = Fraction(1, 1 - s) * acc
-    rows = _ident_rows(n + 2)
-    for i in range(2, n + 1):
-        rows[0][i] += coeff[i]
-        for j in range(i + 1, n + 1):
-            rows[i][j] += coeff[j - i + 1]
-    return _mk(rows)
+    t = {i: alg.coefficient(0, n + 1, i) for i in range(2, n + 1)}
+    return chain_shift(n, 0, n, tail_coefficients(t, n))
 
 
 def e0_mix_change(alg: Algebra, n: int, j0: int) -> Optional[BasisChange]:
     """Kill the e_1 coefficient of [e_0,x] via e_0 -> e_0 + kappa e_1, which
     extends to a nilradical automorphism exactly when 2*j0 - 2 > n (the regime
     where that coefficient is a genuine extra derivation parameter)."""
-    x = n + 1
-    a1 = alg.tensor[0][x][1]
+    a1 = alg.coefficient(0, n + 1, 1)
     if not a1 or 2 * j0 - 2 <= n:
         return None
     kappa = -a1 / Fraction(j0 - 2)
-    rows = _ident_rows(n + 2)
-    rows[0][1] += kappa
-    for i in range(2, n + 1):
-        j = j0 + i - 2
-        if j <= n:
-            rows[i][j] += (i - 1) * kappa
-    return _mk(rows)
+    entries = [(0, 1, kappa)] + [(i, j0 + i - 2, (i - 1) * kappa) for i in range(2, n + 1) if j0 + i - 2 <= n]
+    return shear_change(n + 2, entries)
 
 
 def x_mu_change(alg: Algebra, n: int) -> Optional[BasisChange]:
     """x -> x - sum mu_{i+1} e_i, killing [x,e_0] coefficients at e_3..e_n."""
     x = n + 1
-    mus = {i: alg.tensor[x][0][i + 1] for i in range(2, n)}
-    if not any(mus.values()):
-        return None
-    rows = _ident_rows(n + 2)
-    for i, v in mus.items():
-        rows[x][i] -= v
-    return _mk(rows)
+    return shear_change(n + 2, [(x, i, -alg.coefficient(x, 0, i + 1)) for i in range(2, n)])
 
 
 def e1_etail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
     """Kill [e_1,x] tails at e_m via e_1 -> e_1 - c e_m (diagonal-gap solve)."""
     x = n + 1
-    w1 = alg.tensor[1][x][1]
-    rows = _ident_rows(n + 2)
-    dirty = False
+    w1 = alg.coefficient(1, x, 1)
+    entries = []
     for m in range(2, n + 1):
-        c = alg.tensor[1][x][m]
-        if not c:
-            continue
-        lam = alg.tensor[m][x][m]
-        if lam == w1:
-            continue
-        rows[1][m] -= c / (lam - w1)
-        dirty = True
-    return _mk(rows) if dirty else None
+        c = alg.coefficient(1, x, m)
+        lam = alg.coefficient(m, x, m)
+        if c and lam != w1:
+            entries.append((1, m, -c / (lam - w1)))
+    return shear_change(n + 2, entries)
 
 
 def e1_xtail_change(alg: Algebra, n: int, keep: int) -> Optional[BasisChange]:
     """Kill [x,e_1] coefficients at e_m (m >= 2, m != keep)."""
     x = n + 1
-    w1 = alg.tensor[1][x][1]
-    rows = _ident_rows(n + 2)
-    dirty = False
-    for m in range(2, n + 1):
-        g = alg.tensor[x][1][m]
-        if m == keep or not g:
-            continue
-        rows[1][m] -= g / w1
-        dirty = True
-    return _mk(rows) if dirty else None
+    w1 = alg.coefficient(1, x, 1)
+    return shear_change(n + 2, [(1, m, -g / w1) for m in range(2, n + 1)
+                                if m != keep and (g := alg.coefficient(x, 1, m))])
 
 
 def xx_tail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
     """Kill [x,x] coefficients via x -> x - (delta_m / lambda_m) e_m."""
     x = n + 1
-    ds = {m: alg.tensor[x][x][m] for m in range(2, n + 1)}
-    if not any(ds.values()):
-        return None
-    rows = _ident_rows(n + 2)
-    for m, v in ds.items():
-        if v:
-            rows[x][m] -= v / alg.tensor[m][x][m]
-    return _mk(rows)
+    return shear_change(n + 2, [(x, m, -v / alg.coefficient(m, x, m)) for m in range(2, n + 1)
+                                if (v := alg.coefficient(x, x, m))])
 
 
 def normalize_f2_extension(alg: Algebra, n: int, target: Algebra,
                            mix_j0: Optional[int] = None, keep_xe1: int = -1,
                            rounds: int = 14):
-    """Iterate the cleanup steps until the tensor equals the target; each pass
+    """Iterate the cleanup steps until the table equals the target; each pass
     strictly pushes residue to higher filtration degree, so the loop settles in
     a bounded number of rounds. ``keep_xe1`` names the one [x,e_1] tail index
     the target retains (-1: none). Returns (algebra, matched, step_count)."""
     steps = 0
     for _ in range(rounds):
-        if alg.tensor == target.tensor:
+        if alg.table == target.table:
             return alg, True, steps
         for maker in (
             lambda a: chain_tail_change(a, n),
@@ -258,21 +209,14 @@ def normalize_f2_extension(alg: Algebra, n: int, target: Algebra,
             if change is not None:
                 alg = apply_basis_change(alg, change)
                 steps += 1
-    return alg, alg.tensor == target.tensor, steps
+    return alg, alg.table == target.table, steps
 
 
 def x_left_tail_change(alg: Algebra, n: int, top: int) -> Optional[BasisChange]:
     """x -> x - sum a_{i+1} e_i for chain products [e_0,e_i]=e_{i+1}: kills
     [e_0,x] coefficients at e_2..e_{top}."""
     x = n + 1
-    rows = _ident_rows(n + 2)
-    dirty = False
-    for i in range(1, top):
-        v = alg.tensor[0][x][i + 1]
-        if v:
-            rows[x][i] -= v
-            dirty = True
-    return _mk(rows) if dirty else None
+    return shear_change(n + 2, [(x, i, -alg.coefficient(0, x, i + 1)) for i in range(1, top)])
 
 
 # -- solver pipeline helpers ---------------------------------------------------------
@@ -339,45 +283,38 @@ def _assignment_lines(outcome, limit: int = 400):
 
 def _graded_symbolic_products(variant: str, n: int, r: int, ring: PolyRing, t: int):
     """Sparse product table of the A/B nilradicals with alpha indeterminates."""
-    zero = ring.zero
     one = ring.const(1)
 
     def coeff(i, j):
-        acc = zero
+        acc = ring.zero
         for k in range(i, t + 1):
             c = binomial(j - k - 1, k - i) * Fraction((-1) ** (k - i))
             if c:
                 acc = acc + ring.var(f"al{k:02d}") * c
         return acc
 
-    d = n + 1
-    prod = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod[i][j] = [zero] * d
+    prods: dict = {}
+
+    def put(i, j, k, c):
+        prods.setdefault((i, j), []).append((k, c))
+
     if variant == "A":
         for i in range(1, n):
-            prod[0][i][i + 1] = one
-            prod[i][0][i + 1] = -one
-        for i in range(1, n - 1):
-            for j in range(i + 1, n - 1):
-                if i + j + r <= n:
-                    c = coeff(i, j)
-                    prod[i][j][i + j + r] = prod[i][j][i + j + r] + c
-                    prod[j][i][i + j + r] = prod[j][i][i + j + r] - c
+            put(0, i, i + 1, one)
+            put(i, 0, i + 1, -one)
+        graded = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1) if i + j + r <= n]
     else:
         for i in range(1, n - 1):
-            prod[0][i][i + 1] = one
-            prod[i][0][i + 1] = -one
+            put(0, i, i + 1, one)
+            put(i, 0, i + 1, -one)
         for i in range(1, n):
-            prod[i][n - i][n] = prod[i][n - i][n] + ring.const(Fraction((-1) ** i))
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                if i + j + r <= n - 1:
-                    c = coeff(i, j)
-                    prod[i][j][i + j + r] = prod[i][j][i + j + r] + c
-                    prod[j][i][i + j + r] = prod[j][i][i + j + r] - c
-    return product_table(prod)
+            put(i, n - i, n, ring.const(Fraction((-1) ** i)))
+        graded = [(i, j) for i in range(1, n) for j in range(i + 1, n) if i + j + r <= n - 1]
+    for i, j in graded:
+        c = coeff(i, j)
+        put(i, j, i + j + r, c)
+        put(j, i, i + j + r, -c)
+    return product_table(prods, n + 1)
 
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int):
@@ -419,10 +356,7 @@ def _rational_roots(poly: Poly, name: str):
         coeffs[len(mono)] = coeffs.get(len(mono), Fraction(0)) + c
     if not coeffs:
         return ()
-    scale = 1
-    for c in coeffs.values():
-        scale = scale * c.denominator // __import__("math").gcd(scale, c.denominator)
-    ints = {k: int(c * scale) for k, c in coeffs.items()}
+    ints = dict(zip(coeffs, scale_to_integers(list(coeffs.values()))[0]))
     deg = max(ints)
     lead = ints[deg]
     low = min(k for k, c in ints.items() if c)
@@ -903,7 +837,7 @@ def _run_thm39_nonexist(n: int, seed: int) -> Report:
 def _classification_core(scenario, n, seed, nilradical, target, t0, mix_j0=None,
                          keep_xe1=-1, findings=(), params=()):
     """Shared pipeline: solve, instantiate at random rationals, apply the
-    scripted changes, compare tensors entry for entry, check invariants."""
+    scripted changes, compare tables entry for entry, check invariants."""
     rng = scenario_rng(scenario, n, seed)
     problem, results = solve_extension(nilradical)
     if len(results) != 1:
@@ -1011,8 +945,8 @@ def _graded_classification(scenario, n, seed, variant, t0):
             change = x_left_tail_change(alg, n, n)
             if change is not None:
                 alg = apply_basis_change(alg, change)
-            a1 = alg.tensor[0][x][1]
-            b = {k: alg.tensor[1][x][k] for k in range(2, n + 1)}
+            a1 = alg.coefficient(0, x, 1)
+            b = {k: alg.coefficient(1, x, k) for k in range(2, n + 1)}
             target = make_SolvA(n, r, alphas, a1, b)
             if a1 == 0:
                 findings.append(f"r={r}: the (0,1) coefficient a_1 is forced to 0 by the identity "
@@ -1022,17 +956,13 @@ def _graded_classification(scenario, n, seed, variant, t0):
             change = x_left_tail_change(alg, n, n - 1)
             if change is not None:
                 alg = apply_basis_change(alg, change)
-            a_n = alg.tensor[0][x][n]
-            if a_n:
-                rows = _ident_rows(n + 2)
-                rows[0][n] -= a_n / Fraction(n + 2 * r - 1)
-                alg = apply_basis_change(alg, _mk(rows))
-            b_n = alg.tensor[1][x][n]
-            if b_n:
-                rows = _ident_rows(n + 2)
-                rows[x][n - 1] += b_n
-                alg = apply_basis_change(alg, _mk(rows))
-            b = {k: alg.tensor[1][x][k] for k in range(2, n)}
+            change = shear_change(n + 2, [(0, n, -alg.coefficient(0, x, n) / Fraction(n + 2 * r - 1))])
+            if change is not None:
+                alg = apply_basis_change(alg, change)
+            change = shear_change(n + 2, [(x, n - 1, alg.coefficient(1, x, n))])
+            if change is not None:
+                alg = apply_basis_change(alg, change)
+            b = {k: alg.coefficient(1, x, k) for k in range(2, n)}
             zeroed = [k for k in range(3, n, 2) if not b.get(k)]
             if zeroed:
                 findings.append(f"r={r}: odd-index b at {zeroed} forced to 0 by the identity "
@@ -1040,7 +970,7 @@ def _graded_classification(scenario, n, seed, variant, t0):
             target = make_SolvB(n, r, alphas, b)
         if not is_lie(alg):
             return _fail(scenario, n, seed, t0, [f"r={r}: extension is not Lie"], params=params)
-        if alg.tensor != target.tensor:
+        if alg.table != target.table:
             return _fail(scenario, n, seed, t0,
                          [f"r={r}: scripted changes did not reach the classified table"],
                          params=params)

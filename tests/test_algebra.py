@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg.algebra import (
-    Algebra,
     Subspace,
     algebra_from_products,
     bracket,
@@ -18,9 +18,11 @@ from leibnizalg.algebra import (
     nilpotency_index,
     nilradical_equals,
     nilradical_report,
+    product_table,
     right_annihilator,
     series_dims,
 )
+from leibnizalg import io as algio
 from leibnizalg.families import (
     make_F1,
     make_F2,
@@ -30,11 +32,14 @@ from leibnizalg.families import (
     make_Ln,
     make_Qn,
 )
+from leibnizalg.poly import PolyRing
+
+from dense_algebra import dense, from_dense
 
 
 def abelian(d):
     zero = tuple(tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d)) for _ in range(d))
-    return Algebra(tuple(f"e{i}" for i in range(d)), zero)
+    return from_dense(tuple(f"e{i}" for i in range(d)), zero)
 
 
 def unit(alg, i):
@@ -76,9 +81,9 @@ def test_leibniz_sign_flip_is_an_isomorphic_table():
     # flipping c_{1,0}^2 to -1 lands on the theta=-1 member under e_1 -> -e_1,
     # so the identity still holds
     a = make_F1(5, {}, 1)
-    t = [[[c for c in row] for row in plane] for plane in a.tensor]
+    t = [[[c for c in row] for row in plane] for plane in dense(a)]
     t[1][0][2] = Fraction(-1)
-    flipped = Algebra(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
+    flipped = from_dense(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
     assert leibniz_check(flipped).ok
 
 
@@ -86,9 +91,9 @@ def test_leibniz_genuine_break_detected_on_concrete_triple():
     # adding [e_2,e_1] = e_4 breaks the identity on (e_0, e_0, e_1):
     # [[e_0,e_0],e_1] = [e_2,e_1] = e_4 while both right-hand terms vanish
     a = make_F1(5, {}, 1)
-    t = [[[c for c in row] for row in plane] for plane in a.tensor]
+    t = [[[c for c in row] for row in plane] for plane in dense(a)]
     t[2][1][4] = Fraction(1)
-    broken = Algebra(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
+    broken = from_dense(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
     report = leibniz_check(broken)
     assert not report.ok
     assert (0, 0, 1) in {(i, j, k) for i, j, k, _ in report.failures}
@@ -96,9 +101,9 @@ def test_leibniz_genuine_break_detected_on_concrete_triple():
 
 def test_leibniz_collects_all_failures_in_lex_order():
     a = make_F1(5, {}, 1)
-    t = [[[c for c in row] for row in plane] for plane in a.tensor]
+    t = [[[c for c in row] for row in plane] for plane in dense(a)]
     t[2][1][4] = Fraction(1)
-    broken = Algebra(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
+    broken = from_dense(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
     triples = [(i, j, k) for i, j, k, _ in leibniz_check(broken).failures]
     assert triples == sorted(triples)
     assert len(triples) > 1
@@ -213,10 +218,10 @@ def test_antisymmetric_leibniz_iff_jacobi():
     # perturbation that is not a cocycle must break the check
     a = make_Qn(5)
     assert leibniz_check(a).ok and is_lie(a)
-    t = [[[c for c in row] for row in plane] for plane in a.tensor]
+    t = [[[c for c in row] for row in plane] for plane in dense(a)]
     t[1][2][3] += Fraction(1)
     t[2][1][3] -= Fraction(1)
-    perturbed = Algebra(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
+    perturbed = from_dense(a.labels, tuple(tuple(tuple(r) for r in p) for p in t))
     assert is_lie(perturbed)
     report = leibniz_check(perturbed)
     assert not report.ok
@@ -257,7 +262,7 @@ def test_brute_force_oracles_on_random_small_algebras():
     def small(d):
         t = tuple(tuple(tuple(Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0)
                               for _ in range(d)) for _ in range(d)) for _ in range(d))
-        return Algebra(tuple(f"e{i}" for i in range(d)), t)
+        return from_dense(tuple(f"e{i}" for i in range(d)), t)
 
     def oracle_span(vectors, d):
         rows = [list(v) for v in vectors if any(v)]
@@ -303,3 +308,74 @@ def test_brute_force_oracles_on_random_small_algebras():
             v = alg.basis_vector(i)
             in_kernel = all(not any(bracket(alg, alg.basis_vector(u), v)) for u in range(d))
             assert ann.contains(v) == in_kernel
+
+
+# -- the product-table builder against a dense reference ---------------------------------
+
+
+scalars = st.one_of(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)), st.integers(-3, 3))
+
+
+@st.composite
+def product_maps(draw):
+    """(d, products, entries): a {(i, j): [(k, c), ...]} map over d basis
+    vectors with repeated coordinates, explicit zeros (c = 0 or Fraction(0))
+    and pairs c, -c at one coordinate that cancel, plus its flat entry list."""
+    d = draw(st.integers(1, 4))
+    index = st.integers(0, d - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, scalars), max_size=24))
+    for i, j, k, c in draw(st.lists(st.tuples(index, index, index, scalars), max_size=4)):
+        entries += [(i, j, k, c), (i, j, k, -c)]
+    entries = draw(st.permutations(entries))
+    products: dict = {}
+    for i, j, k, c in entries:
+        products.setdefault((i, j), []).append((k, c))
+    return d, products, entries
+
+
+@given(product_maps())
+@settings(max_examples=200, deadline=None)
+def test_product_table_matches_dense_expansion(case):
+    d, products, entries = case
+    labels = tuple(f"e{i}" for i in range(d))
+    alg = algebra_from_products(labels, products)
+    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k, c in entries:
+        tensor[i][j][k] += c
+    assert dense(alg) == tuple(tuple(tuple(cell) for cell in plane) for plane in tensor)
+    for plane in alg.table:
+        for cell in plane:
+            assert [k for k, _ in cell] == sorted({k for k, _ in cell})
+            assert all(type(c) is Fraction and c for _, c in cell)
+    # an explicit zero gives the same algebra as an omitted entry
+    omitted = {ij: [(k, c) for k, c in cell if c] for ij, cell in products.items()}
+    assert algebra_from_products(labels, omitted).table == alg.table
+    assert from_dense(labels, tensor).table == alg.table
+    assert algio.loads(algio.dumps(alg)).table == alg.table
+
+
+@given(product_maps(), st.integers(0, 2), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_product_table_rejects_out_of_range_index(case, position, negative):
+    d, products, _ = case
+    bad = [0, 0, 0]
+    bad[position] = -1 if negative else d
+    i, j, k = bad
+    products = dict(products)
+    products[i, j] = list(products.get((i, j), [])) + [(k, Fraction(1))]
+    with pytest.raises(ValueError, match="out of range"):
+        algebra_from_products(tuple(f"e{i}" for i in range(d)), products)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, "3/4", PolyRing(("p",)).var("p")],
+                         ids=["float", "float-exact", "str", "Poly"])
+def test_non_rational_coefficients_raise_type_error(value):
+    with pytest.raises(TypeError, match=f"expected int or Fraction entries, got {type(value).__name__}"):
+        algebra_from_products(("e0", "e1"), {(0, 0): [(1, value)]})
+
+
+def test_product_table_sums_polynomial_scalars():
+    ring = PolyRing(("p", "q"))
+    p, q = ring.var("p"), ring.var("q")
+    table = product_table({(0, 1): [(1, p), (0, q), (1, -p)], (1, 0): [(0, p), (0, p)]}, 2)
+    assert table == (((), ((0, q),)), (((0, p * 2),), ()))

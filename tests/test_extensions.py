@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg.algebra import (
-    Algebra,
     is_lie,
     is_nilpotent,
     is_solvable,
@@ -41,10 +40,12 @@ from leibnizalg.families import (
 from leibnizalg.linalg import Matrix, mat_inverse
 from leibnizalg.poly import PolyRing
 
+from dense_algebra import dense, from_dense
+
 
 def abelian(d):
     zero = tuple(tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d)) for _ in range(d))
-    return Algebra(tuple(f"e{i}" for i in range(d)), zero)
+    return from_dense(tuple(f"e{i}" for i in range(d)), zero)
 
 
 def test_build_creates_expected_unknowns():
@@ -154,7 +155,7 @@ def test_f3_contradictions_all_branches():
 def test_identity_change_is_noop():
     a = make_F1(5, {}, 1)
     out = apply_basis_change(a, BasisChange(Matrix.identity(6)))
-    assert out.tensor == a.tensor
+    assert dense(out) == dense(a)
 
 
 def test_scaling_top_basis_vector():
@@ -163,8 +164,8 @@ def test_scaling_top_basis_vector():
     rows[5][5] = Fraction(2)
     out = apply_basis_change(a, BasisChange(Matrix(tuple(tuple(r) for r in rows))))
     # coefficients into e_5 halve, products of e_5 double (none here)
-    assert out.tensor[4][0][5] == Fraction(1, 2)
-    assert out.tensor[0][1][5] == Fraction(1, 2)
+    assert dense(out)[4][0][5] == Fraction(1, 2)
+    assert dense(out)[0][1][5] == Fraction(1, 2)
 
 
 def test_singular_change_rejected():
@@ -240,8 +241,8 @@ def test_chain_restore_fixes_adapted_basis():
     alg = make_SolvB(5, 1, {1: 1}, b)
     moved = apply_basis_change(alg, star_change(5, "B", b))
     target = make_SolvB(5, 1, {1: 1}, {})
-    assert moved.tensor != target.tensor
-    assert chain_restore(moved, 5, "B").tensor == target.tensor
+    assert dense(moved) != dense(target)
+    assert dense(chain_restore(moved, 5, "B")) == dense(target)
 
 
 @pytest.mark.parametrize("nilradical", [make_F1s(6, 3), make_F2(5, {}, 1)], ids=["contradiction", "family"])
@@ -261,3 +262,17 @@ def test_elimination_keeps_integer_coefficients(nilradical):
         assert value == rest * (Fraction(-1) / coeff)
         if coeff in (1, -1):
             assert all_int(value)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, "3/4", PolyRing(("p",)).var("p")],
+                         ids=["float", "float-exact", "str", "Poly"])
+def test_non_rational_values_raise_type_error(value):
+    prob = build_extension_problem(make_F2(5, {}, 1))
+    out = eliminate(generate_constraints(prob, hypotheses=diagonal_branches(prob)[0]))
+    name = out.free[0]
+    message = f"expected int or Fraction entries, got {type(value).__name__}"
+    with pytest.raises(TypeError, match=message):
+        instantiate(prob, out, {name: value})
+    with pytest.raises(TypeError, match=message):
+        star_change(5, "A", {2: value})
+    assert dense(instantiate(prob, out, {name: 2})) == dense(instantiate(prob, out, {name: Fraction(2)}))

@@ -37,6 +37,9 @@ from leibnizalg.families import (
     make_family,
 )
 from leibnizalg.linalg import Matrix
+from leibnizalg.poly import PolyRing
+
+from dense_algebra import dense
 
 
 def test_catalog_has_fifteen_families():
@@ -87,7 +90,7 @@ def test_unknown_parameter_rejected():
 
 def test_ln_table():
     a = make_Ln(4)
-    assert a.tensor[0][1][2] == 1 and a.tensor[1][0][2] == -1
+    assert dense(a)[0][1][2] == 1 and dense(a)[1][0][2] == -1
     assert is_lie(a) and is_filiform(a)
 
 
@@ -104,8 +107,8 @@ def test_f1_unit_top_is_leibniz_non_lie_filiform():
 
 def test_f2_gamma_enters_as_top_square():
     a = make_F2(5, {}, 1)
-    assert a.tensor[1][1][5] == 1
-    assert a.tensor[1][0] == tuple(Fraction(0) for _ in range(6))  # [e_1,e_0] = 0
+    assert dense(a)[1][1][5] == 1
+    assert dense(a)[1][0] == tuple(Fraction(0) for _ in range(6))  # [e_1,e_0] = 0
 
 
 def test_f1s_catalan_pattern_at_s3():
@@ -168,8 +171,8 @@ def test_f2j_and_f2j1_ranges():
     with pytest.raises(ConstructionError):
         make_F2j1(5, 1)  # odd n
     a = make_F2j1(6, Fraction(2, 3))
-    assert a.tensor[0][1][4] == Fraction(2, 3)
-    assert a.tensor[1][1][6] == 1
+    assert dense(a)[0][1][4] == Fraction(2, 3)
+    assert dense(a)[1][1][6] == 1
 
 
 def test_graded_families_lie_filiform():
@@ -189,7 +192,7 @@ def test_b_family_jacobi_relation_enforced():
 
 def test_b_family_wide_r_range_degenerates_to_qn():
     b = make_B_algebra(7, 4, {})  # t = 0: no alpha parameters
-    assert b.tensor == make_Qn(7).tensor
+    assert dense(b) == dense(make_Qn(7))
 
 
 def test_b_family_parity():
@@ -239,7 +242,7 @@ def test_l3_nilradical_is_f2j():
     for n, j0 in ((5, 3), (6, 5), (7, 4)):
         ext = make_L3(n, j0)
         nil = subalgebra_on_indices(ext, n + 1)
-        assert nil.tensor == make_F2j(n, j0).tensor
+        assert dense(nil) == dense(make_F2j(n, j0))
 
 
 def test_solva_a1_forced_zero_at_small_r():
@@ -256,7 +259,7 @@ def test_solvb_constrained_b():
 
 def test_solvb_top_row_diagonal():
     a = make_SolvB(7, 2, {1: 1}, {})
-    assert a.tensor[7][8][7] == 7 + 2 * 2  # (n + 2r) e_n
+    assert dense(a)[7][8][7] == 7 + 2 * 2  # (n + 2r) e_n
 
 
 def test_solva_matches_displayed_row_formulas():
@@ -279,7 +282,7 @@ def test_solva_matches_displayed_row_formulas():
                        for s in range(1, t + 1))
 
         for i in range(3, n - r + 1):
-            row = alg.tensor[i][x]
+            row = dense(alg)[i][x]
             assert row[i] == i + r
             for j in range(i + 1, n + 1):
                 expected = b.get(j - i + 1, Fraction(0))
@@ -287,7 +290,7 @@ def test_solva_matches_displayed_row_formulas():
                     expected += a1 * sum(coeff_1k(k) for k in range(2, i))
                 assert row[j] == expected, (n, r, i, j)
         for i in range(max(n - r + 1, 2), n + 1):
-            row = alg.tensor[i][x]
+            row = dense(alg)[i][x]
             assert row[i] == i + r
             for j in range(i + 1, n + 1):
                 assert row[j] == b.get(j - i + 1, Fraction(0))
@@ -300,7 +303,8 @@ def test_rx_restriction_is_derivation_of_nilradical():
         n = alg.dim - 2
         nil = subalgebra_on_indices(alg, n + 1)
         x = n + 1
-        restriction = Matrix(tuple(tuple(alg.tensor[i][x][k] for k in range(n + 1))
+        t = dense(alg)
+        restriction = Matrix(tuple(tuple(t[i][x][k] for k in range(n + 1))
                                    for i in range(n + 1)))
         assert is_derivation(nil, restriction)
         assert restriction.is_upper_triangular()
@@ -312,3 +316,37 @@ def test_nil_independence_bound_on_solvables():
         n = alg.dim - 2
         nil = subalgebra_on_indices(alg, n + 1)
         assert max_nil_independent(derivation_space(nil)) >= 1
+
+
+NON_RATIONAL = [0.1, 0.5, "3/4", PolyRing(("p",)).var("p")]
+
+
+@pytest.mark.parametrize("value", NON_RATIONAL, ids=["float", "float-exact", "str", "Poly"])
+def test_non_rational_parameters_raise_type_error(value):
+    """A float used to become its binary expansion (alpha3 = 0.1 was stored as
+    3602879701896397/36028797018963968); every parameter now goes through the
+    int/Fraction type check."""
+    message = f"expected int or Fraction entries, got {type(value).__name__}"
+    for build in (
+        lambda: make_F1(5, {3: value}, 1),
+        lambda: make_F1(5, {}, value),
+        lambda: make_F2(5, {4: value}, 0),
+        lambda: make_F3(5, value, 0, 0),
+        lambda: make_F2j1(6, value),
+        lambda: make_A_algebra(5, 1, {1: value}),
+        lambda: make_L2(6, value),
+        lambda: make_SolvA(5, 1, {1: 1}, value, {}),
+        lambda: make_SolvB(7, 1, {1: 1, 2: -2}, {2: value}),
+        lambda: FamilySpec("F1", 5, {"theta": value}),
+    ):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+
+def test_rational_parameters_are_stored_as_fractions():
+    a = make_F1(5, {3: 2, 4: Fraction(1, 3)}, 1)
+    params = a.metadata["params"]
+    assert params["alpha3"] == 2 and params["alpha4"] == Fraction(1, 3)
+    assert all(type(v) is Fraction for v in params.values())
+    assert all(type(c) is Fraction for plane in a.table for cell in plane for _, c in cell)
+    assert make_family(FamilySpec("F1", 5, {"alpha3": 2, "theta": 1})).table == make_F1(5, {3: 2}, 1).table
