@@ -1,52 +1,67 @@
-"""Row-reduction kernel: fraction-free Gauss-Jordan elimination over the integers.
+"""Row-reduction kernel: sparse fraction-free Gauss-Jordan over the integers.
 
-Entries stay integers throughout (Bareiss exact division), so callers can run
-exact rational reduction without ever constructing Fraction objects inside
-the O(rank * rows * cols) loop.
+A row is a ``{col: int}`` dict of its nonzero entries. Forward elimination
+takes the sparsest rows first (few nonzeros means little fill-in, in the
+spirit of Markowitz pivoting) and reduces each against the pivot rows found
+so far; a row that survives becomes a pivot row on its leading column.
+Back-substitution then clears every pivot column above its pivot. Every
+combination is ``a * row - b * pivot_row`` with a, b divided by their gcd,
+and the result is divided by its content, so the entries stay coprime
+integers and no Fraction is built inside the loop. Only nonzero entries are
+ever touched.
 """
 
 from __future__ import annotations
 
+from math import gcd
 
-def rref_int(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Reduce integer rows in place to fraction-free reduced row echelon form.
 
-    Pivot order is deterministic: columns left to right, first remaining row
-    with a nonzero entry. On return the first ``len(pivots)`` rows carry the
-    reduced rows, every pivot entry equals the returned ``denom`` (the final
-    Bareiss pivot, possibly negative), all other entries of pivot columns are
-    zero, and remaining rows are zero. The rational RREF is ``row / denom``.
+def _combine(row: dict, piv: dict, col: int) -> dict:
+    """The primitive integer multiple of ``row * piv[col] - piv * row[col]``,
+    whose entry in ``col`` is zero."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, y in piv.items():
+        x = out.get(c, 0) - b * y
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    content = gcd(*out.values())
+    if content > 1:
+        out = {c: x // content for c, x in out.items()}
+    return out
+
+
+def rref_int(rows: list[dict]) -> list[dict]:
+    """The reduced row echelon form of the span of sparse integer rows.
+
+    Returns one row per pivot, sorted by pivot column; each is primitive
+    (coprime entries) with a positive leading entry and zeros in every other
+    pivot column. The rational RREF row is the row divided by its leading
+    entry. Zero rows are allowed and ignored.
     """
-    nrows = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    t = 0
-    for c in range(ncols):
-        sel = -1
-        for r in range(t, nrows):
-            if rows[r][c] != 0:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        if sel != t:
-            rows[sel], rows[t] = rows[t], rows[sel]
-        piv_row = rows[t]
-        p = piv_row[c]
-        for r in range(nrows):
-            if r == t:
-                continue
-            row = rows[r]
-            f = row[c]
-            if f == 0:
-                if p != prev:
-                    for j in range(ncols):
-                        if row[j]:
-                            row[j] = row[j] * p // prev
-                continue
-            for j in range(ncols):
-                row[j] = (row[j] * p - f * piv_row[j]) // prev
-        prev = p
-        pivots.append(c)
-        t += 1
-    return pivots, prev
+    pivots: dict = {}  # leading column -> pivot row
+    for row in sorted(rows, key=len):
+        # clearing pivot column c brings in only columns right of c, so
+        # taking the leftmost pivot column each time clears each one once
+        c = min(filter(pivots.__contains__, row), default=None)
+        while c is not None:
+            row = _combine(row, pivots[c], c)
+            c = min(filter(pivots.__contains__, row), default=None)
+        if row:
+            lead = min(row)
+            if row[lead] < 0:
+                row = {c: -x for c, x in row.items()}
+            pivots[lead] = row
+    order = sorted(pivots)
+    for i in range(len(order) - 1, -1, -1):
+        c = order[i]
+        piv = pivots[c]
+        for p in order[:i]:
+            if c in pivots[p]:
+                pivots[p] = _combine(pivots[p], piv, c)
+    return [pivots[c] for c in order]

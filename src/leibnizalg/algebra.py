@@ -7,12 +7,13 @@ pure; algebras are immutable once built.
 
 :func:`product_table` builds such a table from a ``{(i, j): [(k, c), ...]}``
 map for any scalar type. Its scalars may be Fractions, integers or Polys: the
-bracket and the Leibniz defect below use only ``+``, ``-``, ``*`` and a
-caller-supplied zero, so the symbolic extension problem and the graded alpha
-relations evaluate the same identity as the exact check. The exact check runs
-on the integer-scaled table (:func:`int_table`: every coefficient times the
-common denominator of the table, built on demand) and turns only a failing
-defect back into Fractions.
+bracket uses only ``+``, ``*`` and a caller-supplied zero, and
+:func:`leibniz_defects`, one walk over the nonzero products that yields
+every nonzero Leibniz defect, only ``+``, ``*`` and ``-``; so the symbolic
+extension problem and the graded alpha relations evaluate the same identity
+as the exact check. The exact check runs on the integer-scaled table
+(:func:`int_table`: every coefficient times the common denominator of the
+table, built on demand) and turns only a failing defect back into Fractions.
 """
 
 from __future__ import annotations
@@ -72,19 +73,62 @@ def table_bracket(prods: Sequence, u: Sequence, v: Sequence, zero=_ZERO) -> list
     return out
 
 
-def leibniz_defect(prods: Sequence, i: int, j: int, k: int, zero=_ZERO) -> list:
-    """Coordinates of [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]]."""
-    out = [zero] * len(prods)
-    for m, c in prods[i][j]:  # [[bi,bj],bk]
-        for t, c2 in prods[m][k]:
-            out[t] = out[t] + c * c2
-    for m, c in prods[i][k]:  # -[[bi,bk],bj]
-        for t, c2 in prods[m][j]:
-            out[t] = out[t] - c * c2
-    for m, c in prods[j][k]:  # -[bi,[bj,bk]]
-        for t, c2 in prods[i][m]:
-            out[t] = out[t] - c * c2
-    return out
+def leibniz_defects(prods: Sequence):
+    """The nonzero defects [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]].
+
+    Yields ``((i, j, k), {t: c})`` in lex order of (i, j, k), each dict
+    holding the nonzero coordinates of the defect in ascending t; a triple
+    whose defect vanishes is skipped. Only nonzero cells are walked: ``rows``
+    lists the cells (m, k) of each b_m, ``by_coord`` the cells (j, k) whose
+    product has a b_m component. The terms of one i-slab are summed in a dict
+    keyed by (j * d + k) * d + t, so sorting its keys gives the output order,
+    before the next slab starts. Scalars need only ``+``, ``*``, unary ``-``
+    and a truth value.
+    """
+    d = len(prods)
+    rows = [[(k, cell) for k, cell in enumerate(plane) if cell] for plane in prods]
+    by_coord = [[] for _ in range(d)]  # by_coord[m]: (j * d + k, c) with c b_m in [b_j, b_k]
+    for j, plane in enumerate(rows):
+        for k, cell in plane:
+            for m, c in cell:
+                by_coord[m].append((j * d + k, c))
+    for i in range(d):
+        acc = {}
+        for j, cell in rows[i]:
+            for m, c in cell:
+                nc = -c
+                for k, cell2 in rows[m]:
+                    # c [b_m, b_k] is [[bi,bj],bk] in (i, j, k) and -[[bi,bj],bk] in (i, k, j)
+                    plus = (j * d + k) * d
+                    minus = (k * d + j) * d
+                    for t, c2 in cell2:
+                        key = plus + t
+                        v = c * c2
+                        acc[key] = acc[key] + v if key in acc else v
+                        key = minus + t
+                        v = nc * c2
+                        acc[key] = acc[key] + v if key in acc else v
+        for m, cell in rows[i]:  # -[bi,[bj,bk]]
+            for jk, c in by_coord[m]:
+                nc = -c
+                base = jk * d
+                for t, c2 in cell:
+                    key = base + t
+                    v = nc * c2
+                    acc[key] = acc[key] + v if key in acc else v
+        current, defect = None, {}
+        for key in sorted(acc):
+            v = acc[key]
+            if not v:
+                continue
+            jk, t = divmod(key, d)
+            if jk != current:
+                if defect:
+                    yield (i, *divmod(current, d)), defect
+                current, defect = jk, {}
+            defect[t] = v
+        if defect:
+            yield (i, *divmod(current, d)), defect
 
 
 # -- algebras -------------------------------------------------------------------
@@ -157,12 +201,11 @@ def leibniz_check(alg: Algebra) -> LeibnizReport:
     prods, den = int_table(alg.table)
     den2 = den * den
     failures = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                defect = leibniz_defect(prods, i, j, k, 0)
-                if any(defect):
-                    failures.append((i, j, k, tuple(Fraction(c, den2) for c in defect)))
+    for (i, j, k), defect in leibniz_defects(prods):
+        vec = [_ZERO] * d
+        for t, c in defect.items():
+            vec[t] = Fraction(c, den2)
+        failures.append((i, j, k, tuple(vec)))
     return LeibnizReport(not failures, tuple(failures))
 
 

@@ -22,7 +22,7 @@ from .algebra import (
     bracket,
     int_table,
     leibniz_check,
-    leibniz_defect,
+    leibniz_defects,
     product_table,
     table_bracket,
 )
@@ -172,12 +172,10 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
                     seen.add(pv)
                     equations.append(pv)
 
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                if p < d and q < d and r < d:
-                    continue
-                add(leibniz_defect(table, p, q, r, zero))
+    for (p, q, r), defect in leibniz_defects(table):
+        if p < d and q < d and r < d:
+            continue
+        add(defect.values())
     for q in range(m):
         for r in range(q, m):
             if q < d and r < d:

@@ -426,6 +426,14 @@ def make_SolvB(n: int, r: int, alphas: Mapping[int, Fraction], bs: Mapping[int, 
 # -- dispatch -------------------------------------------------------------------
 
 
+def _int_param(params: Mapping, name: str, default: int = 1) -> int:
+    """The integer parameter ``name`` (``default`` when absent); a value that
+    is not an integer raises ConstructionError instead of being truncated."""
+    value = to_fraction(params.get(name, default))
+    _require(value.denominator == 1, f"parameter {name} must be an integer, got {value}")
+    return value.numerator
+
+
 def _alpha_map(params: Mapping, prefix: str, lo: int, hi: int) -> dict:
     return {k: to_fraction(params.get(f"{prefix}{k}", 0)) for k in range(lo, hi + 1)}
 
@@ -444,11 +452,11 @@ def make_family(spec: FamilySpec) -> Algebra:
     if fam == "F1s":
         _take_params(spec, {"s"})
         _require("s" in p, "F1s requires parameter s")
-        return make_F1s(n, int(p["s"]))
+        return make_F1s(n, _int_param(p, "s"))
     if fam == "F2j":
         _take_params(spec, {"j"})
         _require("j" in p, "F2j requires parameter j")
-        return make_F2j(n, int(p["j"]))
+        return make_F2j(n, _int_param(p, "j"))
     if fam == "F2j1":
         _take_params(spec, {"beta"})
         return make_F2j1(n, p.get("beta", Fraction(0)))
@@ -459,15 +467,17 @@ def make_family(spec: FamilySpec) -> Algebra:
         _take_params(spec, set())
         return make_Qn(n)
     if fam == "A":
-        t = (n - max(1, int(p.get("r", 1))) - 1) // 2
+        r = _int_param(p, "r")
+        t = (n - max(1, r) - 1) // 2
         _take_params(spec, {"r"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)})
         _require("r" in p, "A requires parameter r")
-        return make_A_algebra(n, int(p["r"]), _alpha_map(p, "alpha", 1, max(t, 0)))
+        return make_A_algebra(n, r, _alpha_map(p, "alpha", 1, max(t, 0)))
     if fam == "B":
-        t = (n - max(1, int(p.get("r", 1))) - 2) // 2
+        r = _int_param(p, "r")
+        t = (n - max(1, r) - 2) // 2
         _take_params(spec, {"r"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)})
         _require("r" in p, "B requires parameter r")
-        return make_B_algebra(n, int(p["r"]), _alpha_map(p, "alpha", 1, max(t, 0)))
+        return make_B_algebra(n, r, _alpha_map(p, "alpha", 1, max(t, 0)))
     if fam == "L1":
         _take_params(spec, set())
         return make_L1(n)
@@ -477,9 +487,9 @@ def make_family(spec: FamilySpec) -> Algebra:
     if fam == "L3":
         _take_params(spec, {"j0"})
         _require("j0" in p, "L3 requires parameter j0")
-        return make_L3(n, int(p["j0"]))
+        return make_L3(n, _int_param(p, "j0"))
     if fam == "SolvA":
-        r = int(p.get("r", 1))
+        r = _int_param(p, "r")
         t = (n - r - 1) // 2
         allowed = {"r", "a1"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)} | {f"b{k}" for k in range(2, n + 1)}
         _take_params(spec, allowed)
@@ -487,7 +497,7 @@ def make_family(spec: FamilySpec) -> Algebra:
         return make_SolvA(n, r, _alpha_map(p, "alpha", 1, max(t, 0)), p.get("a1", Fraction(0)),
                           _alpha_map(p, "b", 2, n))
     if fam == "SolvB":
-        r = int(p.get("r", 1))
+        r = _int_param(p, "r")
         t = (n - r - 2) // 2
         allowed = {"r"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)} | {f"b{k}" for k in range(2, n)}
         _take_params(spec, allowed)

@@ -55,12 +55,8 @@ def _scalar(value) -> Scalar:
     return coeff
 
 
-def _grlex_desc(mono: tuple):
-    # descending graded-lex: higher degree first, then ascending indices
-    return (-len(mono), mono)
-
-
 def _term_grlex_desc(item):
+    # descending graded-lex: higher degree first, then ascending indices
     mono = item[0]
     return (-len(mono), mono)
 
@@ -342,7 +338,13 @@ class Poly:
         if not ints:
             terms = dict(zip(terms, scale_to_integers(list(terms.values()))[0]))
         content = gcd(*terms.values())
-        if terms[min(terms, key=_grlex_desc)] < 0:
+        # the leading monomial: the smallest index tuple of the top degree
+        deg = max(map(len, terms))
+        lead = None
+        for m in terms:
+            if len(m) == deg and (lead is None or m < lead):
+                lead = m
+        if terms[lead] < 0:
             content = -content
         elif content == 1 and ints:
             return self

@@ -27,7 +27,7 @@ from .algebra import (
     is_lie,
     is_nilpotent,
     is_solvable,
-    leibniz_defect,
+    leibniz_defects,
     nilradical_equals,
     product_table,
     subalgebra_on_indices,
@@ -319,18 +319,14 @@ def _graded_symbolic_products(variant: str, n: int, r: int, ring: PolyRing, t: i
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int):
     prods = _graded_symbolic_products(variant, n, r, ring, t)
-    d = n + 1
     seen = set()
     rels = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for acc in leibniz_defect(prods, i, j, k, ring.zero):
-                    if acc:
-                        acc = acc.content_normalized()
-                        if acc not in seen:
-                            seen.add(acc)
-                            rels.append(acc)
+    for _, defect in leibniz_defects(prods):
+        for acc in defect.values():
+            acc = acc.content_normalized()
+            if acc not in seen:
+                seen.add(acc)
+                rels.append(acc)
     return rels
 
 

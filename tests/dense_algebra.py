@@ -2,9 +2,11 @@
 
 The library stores an algebra only as its sparse product table. These helpers
 give the tests the d x d x d structure tensor ``tensor[i][j][k]`` (the
-coefficient of e_k in [e_i, e_j]) in both directions, and the plain
-``Fraction`` matrix action, product and zero test that the oracles compare
-the integer-scaled library routines against.
+coefficient of e_k in [e_i, e_j]) in both directions, the plain ``Fraction``
+matrix action, product and zero test that the oracles compare the
+integer-scaled library routines against, the matrix arithmetic the tests use
+to combine derivations, and the per-triple Leibniz defect that the library's
+sparse walk is compared against.
 """
 
 from fractions import Fraction
@@ -47,3 +49,50 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_is_zero(mat: Matrix) -> bool:
     return all(not e for row in mat.rows for e in row)
+
+
+def mat_zeros(n: int, m: int) -> Matrix:
+    return Matrix(tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n)))
+
+
+def mat_scaled(mat: Matrix, c) -> Matrix:
+    return Matrix(tuple(tuple(c * e for e in r) for r in mat.rows))
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)))
+
+
+def leibniz_defect(prods, i: int, j: int, k: int, zero) -> list:
+    """Coordinates of [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] on a
+    product table, one triple at a time, as a dense list started at ``zero``."""
+    out = [zero] * len(prods)
+    for m, c in prods[i][j]:  # [[bi,bj],bk]
+        for t, c2 in prods[m][k]:
+            out[t] = out[t] + c * c2
+    for m, c in prods[i][k]:  # -[[bi,bk],bj]
+        for t, c2 in prods[m][j]:
+            out[t] = out[t] - c * c2
+    for m, c in prods[j][k]:  # -[bi,[bj,bk]]
+        for t, c2 in prods[i][m]:
+            out[t] = out[t] - c * c2
+    return out
+
+
+def dense_leibniz_defects(prods, zero) -> list:
+    """((i, j, k), {t: c}) for every triple with a nonzero defect, in lex
+    order, from the per-triple loop over all d^3 triples."""
+    d = len(prods)
+    found = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                defect = leibniz_defect(prods, i, j, k, zero)
+                nonzero = {t: c for t, c in enumerate(defect) if c}
+                if nonzero:
+                    found.append(((i, j, k), nonzero))
+    return found

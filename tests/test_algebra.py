@@ -14,6 +14,7 @@ from leibnizalg.algebra import (
     is_nilpotent,
     is_solvable,
     leibniz_check,
+    leibniz_defects,
     lower_central_series,
     nilpotency_index,
     nilradical_equals,
@@ -34,7 +35,7 @@ from leibnizalg.families import (
 )
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import dense, from_dense
+from dense_algebra import dense, dense_leibniz_defects, from_dense
 
 
 def abelian(d):
@@ -379,3 +380,53 @@ def test_product_table_sums_polynomial_scalars():
     p, q = ring.var("p"), ring.var("q")
     table = product_table({(0, 1): [(1, p), (0, q), (1, -p)], (1, 0): [(0, p), (0, p)]}, 2)
     assert table == (((), ((0, q),)), (((0, p * 2),), ()))
+
+
+# -- the sparse Leibniz walk against the per-triple loop ------------------------
+
+_RING = PolyRing(("p", "q", "r"))
+poly_scalars = st.builds(
+    lambda a, b, c, sq: _RING.var("p") * a + _RING.var("q") * b + _RING.const(c) + (_RING.var("r") ** 2 if sq else 0),
+    st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3), st.booleans())
+
+
+@st.composite
+def sparse_tables(draw, coefficients):
+    """A product table over d <= 6 basis vectors with at most 3d entries."""
+    d = draw(st.integers(1, 6))
+    index = st.integers(0, d - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, coefficients), max_size=3 * d))
+    products: dict = {}
+    for i, j, k, c in entries:
+        products.setdefault((i, j), []).append((k, c))
+    return product_table(products, d)
+
+
+def check_walk_matches_loop(table, zero):
+    got = list(leibniz_defects(table))
+    want = dense_leibniz_defects(table, zero)
+    assert got == want
+    assert [ijk for ijk, _ in got] == sorted(ijk for ijk, _ in got)
+    for _, defect in got:
+        assert list(defect) == sorted(defect)
+        assert all(defect.values())
+
+
+@given(sparse_tables(scalars))
+@settings(max_examples=200, deadline=None)
+def test_leibniz_defects_match_per_triple_loop_over_fractions(table):
+    check_walk_matches_loop(table, Fraction(0))
+
+
+@given(sparse_tables(poly_scalars))
+@settings(max_examples=100, deadline=None)
+def test_leibniz_defects_match_per_triple_loop_over_polys(table):
+    check_walk_matches_loop(table, _RING.zero)
+
+
+@pytest.mark.parametrize("alg", [make_F1(6, {3: 1}, 2), make_L1(5), make_L3(6, 4), make_Qn(7)],
+                         ids=["F1", "L1", "L3", "Qn"])
+def test_leibniz_defects_vanish_on_leibniz_algebras(alg):
+    """Every product there cancels, so the walk yields no triple."""
+    assert list(leibniz_defects(alg.table)) == []
+    assert dense_leibniz_defects(alg.table, Fraction(0)) == []

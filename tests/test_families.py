@@ -39,7 +39,7 @@ from leibnizalg.families import (
 from leibnizalg.linalg import Matrix
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import dense
+from dense_algebra import dense, mat_scaled
 
 
 def test_catalog_has_fifteen_families():
@@ -86,6 +86,25 @@ def test_unknown_family_rejected():
 def test_unknown_parameter_rejected():
     with pytest.raises(ConstructionError):
         make_family(FamilySpec("F1", 5, {"bogus": 1}))
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("F1s", 6, {"s": Fraction(7, 2)}),
+    FamilySpec("F2j", 6, {"j": Fraction(7, 2)}),
+    FamilySpec("A", 6, {"r": Fraction(3, 2), "alpha1": 1}),
+    FamilySpec("B", 7, {"r": Fraction(3, 2), "alpha1": 1}),
+    FamilySpec("L3", 6, {"j0": Fraction(9, 2)}),
+    FamilySpec("SolvA", 6, {"r": Fraction(3, 2), "alpha1": 1}),
+    FamilySpec("SolvB", 7, {"r": Fraction(3, 2), "alpha1": 1}),
+], ids=lambda spec: spec.family)
+def test_non_integral_integer_parameter_rejected(spec):
+    """s, j, r and j0 are integers; 7/2 is an error, not 3."""
+    with pytest.raises(ConstructionError, match="must be an integer"):
+        make_family(spec)
+
+
+def test_integral_fraction_parameter_accepted():
+    assert make_family(FamilySpec("F1s", 6, {"s": Fraction(4)})).table == make_F1s(6, 4).table
 
 
 def test_ln_table():
@@ -138,7 +157,7 @@ def test_f1s_admits_non_nilpotent_derivation_with_forced_slope():
         a = make_F1s(n, s)
         space = derivation_space(a)
         combo = next(m for m in space.basis if m.rows[0][0])
-        combo = combo.scaled(Fraction(1) / combo.rows[0][0])
+        combo = mat_scaled(combo, Fraction(1) / combo.rows[0][0])
         assert combo.rows[0][1] == s - 2  # a_1 = (s-2) a_0
         assert max_nil_independent(space) == 1
 

@@ -154,6 +154,13 @@ def test_cli_family_construction_error_exits_2(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_cli_family_non_integral_parameter_exits_2(capsys):
+    assert main(["family", "F1s", "--n", "6", "--params", "s=7/2"]) == 2
+    captured = capsys.readouterr()
+    assert "parameter s must be an integer, got 7/2" in captured.err
+    assert captured.out == ""
+
+
 def test_metadata_survives_family_dispatch():
     alg = make_family(FamilySpec("L3", 5, {"j0": 3}))
     data = algio.algebra_to_dict(alg)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leibnizalg.algebra import Subspace
 from leibnizalg.linalg import (
@@ -18,7 +18,7 @@ from leibnizalg.linalg import (
 )
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import mat_mul
+from dense_algebra import mat_mul, mat_scaled
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -143,7 +143,7 @@ def test_nilpotency_scale_invariance(num, den):
     m = Matrix(((Fraction(0), Fraction(2), Fraction(-3)),
                 (Fraction(0), Fraction(0), Fraction(5)),
                 (Fraction(0), Fraction(0), Fraction(0))))
-    assert matrix_is_nilpotent(m.scaled(c))
+    assert matrix_is_nilpotent(mat_scaled(m, c))
 
 
 def test_binomial_values():
@@ -168,13 +168,46 @@ def test_inverse_round_trip():
     assert mat_mul(m, inv).rows == Matrix.identity(3).rows
 
 
+@st.composite
+def sparse_int_matrices(draw):
+    """Integer matrices, wide or tall, with at most three nonzero entries per
+    row, and zero rows and repeated (plain or scaled) rows mixed in."""
+    nrows = draw(st.integers(1, 9))
+    ncols = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+            row[c] = draw(st.integers(-40, 40).filter(bool))
+        rows.append(row)
+    for r, scale in draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.sampled_from((1, 1, -1, 3))),
+                                  max_size=3)):
+        rows.append([scale * x for x in rows[r]])
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows)), ncols
+
+
+@given(sparse_int_matrices())
+@example(([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]], 4))  # fill-in on a later pivot column
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_sympy_on_sparse_integer_matrices(case):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = case
+    want, want_piv = sympy.Matrix(rows).rref()
+    got_rows, got_piv = rref(frac_rows(rows), ncols)
+    assert got_piv == tuple(want_piv)
+    assert got_rows == tuple(tuple(Fraction(int(x.p), int(x.q)) for x in want.row(t))
+                             for t in range(len(want_piv)))
+
+
 def test_inverse_singular_raises():
     m = Matrix(tuple(tuple(Fraction(v) for v in row) for row in [[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
         mat_inverse(m)
 
 
-@pytest.mark.parametrize("bad", [0.5, PolyRing(("t",)).var("t"), "1/2"], ids=["float", "Poly", "str"])
+@pytest.mark.parametrize("bad", [0.5, 0.0, PolyRing(("t",)).var("t"), "1/2"],
+                         ids=["float", "float-zero", "Poly", "str"])
 def test_non_rational_entries_raise_type_error(bad):
     """Only int and Fraction entries are rational; nothing is converted
     silently."""

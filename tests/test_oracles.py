@@ -35,7 +35,7 @@ from leibnizalg.families import (FamilySpec, make_A_algebra, make_B_algebra, mak
 from leibnizalg.linalg import Matrix, mat_inverse, matrix_is_nilpotent
 from leibnizalg.verify import sample_graded_alphas
 
-from dense_algebra import dense, from_dense, mat_apply, mat_is_zero, mat_mul
+from dense_algebra import dense, from_dense, mat_apply, mat_is_zero, mat_mul, mat_zeros
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -133,7 +133,7 @@ def test_is_derivation_matches_brute_force():
         space = derivation_space(alg)
         candidates = list(space.basis)
         candidates += [perturbed(m, rng) for m in space.basis]
-        candidates += [perturbed(Matrix.zeros(alg.dim, alg.dim), rng) for _ in range(3)]
+        candidates += [perturbed(mat_zeros(alg.dim, alg.dim), rng) for _ in range(3)]
         candidates.append(Matrix.identity(alg.dim))
         for mat in candidates:
             got = is_derivation(alg, mat)
