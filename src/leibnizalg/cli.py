@@ -318,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="solve the codimension-one solvable extension problem")
     p.add_argument("file", help="nilradical algebra file")
-    p.add_argument("--template", default="generic", choices=("generic",),
-                   help="x-action template; 'generic' is the computed derivation space")
     p.add_argument("--hypotheses", default="",
                    help="comma-separated normalizations on the derivation template, "
                         "e.g. a0=1 (entry (0,0)); default: all non-nilpotency branches")

@@ -13,6 +13,11 @@ Omitted products are zero. Parameters must be int or Fraction; any other
 type raises TypeError. Every constructor validates the Leibniz identity
 and fails loudly naming the first offending basis triple; families declared
 Lie are additionally checked for antisymmetry.
+
+The graded tables A, B, SolvA and SolvB each have one product-map builder,
+:func:`graded_products` and :func:`solvable_products`, generic in the scalar
+type of the alphas and b's: the constructors call them with Fractions, the
+sampling in ``verify`` with Poly indeterminates.
 """
 
 from __future__ import annotations
@@ -28,9 +33,6 @@ FAMILY_IDS = (
     "F1", "F2", "F3", "F1s", "F2j", "F2j1", "Ln", "Qn", "A", "B",
     "L1", "L2", "L3", "SolvA", "SolvB",
 )
-
-LIE_FAMILIES = frozenset({"Ln", "Qn", "A", "B", "SolvA", "SolvB"})
-SOLVABLE_FAMILIES = frozenset({"L1", "L2", "L3", "SolvA", "SolvB"})
 
 
 class ConstructionError(ValueError):
@@ -217,75 +219,71 @@ def make_Qn(n: int) -> Algebra:
     return _validated(prods, _e_labels(n), meta)
 
 
-def _graded_coefficient(i: int, j: int, t: int, alphas: dict) -> Fraction:
-    """Coefficient of e_{i+j+r} in [e_i, e_j] for the A/B families."""
-    return sum(
-        ((-1) ** (k - i)) * alphas[k] * binomial(j - k - 1, k - i)
-        for k in range(i, t + 1)
-    ) if i <= t else Fraction(0)
+def graded_alpha_count(variant: str, n: int, r: int) -> int:
+    """t: the graded family ``variant`` ("A" or "B") has alpha_1..alpha_t."""
+    return (n - r - 1) // 2 if variant == "A" else (n - r - 2) // 2
 
 
-def make_A(n: int, r: int, alphas: Mapping[int, Fraction], family="A", lie_meta=True) -> dict:
-    """Product table of the first graded filiform Lie family (dict form)."""
-    _require(n >= 4 and 1 <= r <= n - 3, "A needs n >= 4 and 1 <= r <= n - 3")
-    t = (n - r - 1) // 2
-    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
-    _require(any(full.values()), "A: at least one alpha must be nonzero")
+def graded_products(variant: str, n: int, r: int, alphas: Mapping) -> dict:
+    """{(i, j): [(k, c)]} product map of the graded filiform Lie family A or
+    B over e_0..e_n: the chain [e_0, e_i] = e_{i+1} (B adds the alternating
+    [e_i, e_{n-i}] = (-1)^i e_n) and [e_i, e_j] = c_ij e_{i+j+r}, where
+    c_ij = sum_k (-1)^(k-i) binom(j-k-1, k-i) alpha_k.
+
+    ``alphas[k]`` (k = 1..t) may be any scalar with ``+``, ``*`` and a truth
+    value: Fractions for an algebra, Polys for the Jacobi relations in the
+    alphas. No range or identity check is made here.
+    """
+    t = graded_alpha_count(variant, n, r)
+    top = n if variant == "A" else n - 1  # the chain and the graded products end at e_top
     prods: dict = {}
-    for i in range(1, n):
-        prods[(0, i)] = [(i + 1, Fraction(1))]
-        prods[(i, 0)] = [(i + 1, Fraction(-1))]
-    for i in range(1, n - 1):
-        for j in range(i + 1, n - 1):
-            if i + j + r > n:
-                continue
-            c = _graded_coefficient(i, j, t, full)
+    for i in range(1, top):
+        prods[(0, i)] = [(i + 1, 1)]
+        prods[(i, 0)] = [(i + 1, -1)]
+    if variant == "B":
+        for i in range(1, n):
+            prods[(i, n - i)] = [(n, (-1) ** i)]
+    for i in range(1, t + 1):
+        for j in range(i + 1, top - i - r + 1):
+            c = sum(alphas[k] * ((-1) ** (k - i) * binomial(j - k - 1, k - i))
+                    for k in range(i, min(t, (i + j - 1) // 2) + 1))
             if c:
-                prods.setdefault((i, j), []).append((i + j + r, c))
-                prods.setdefault((j, i), []).append((i + j + r, -c))
-    return {"prods": prods, "t": t, "alphas": full}
+                prods[(i, j)] = [(i + j + r, c)]
+                prods[(j, i)] = [(i + j + r, -c)]
+    return prods
+
+
+def _graded_alphas(family: str, n: int, r: int, alphas: Mapping) -> dict:
+    """The range checks of ``family`` (A, B, SolvA or SolvB, named in the
+    error) and its alpha_1..alpha_t as Fractions."""
+    if family.endswith("A"):
+        _require(n >= 4 and 1 <= r <= n - 3, f"{family} needs n >= 4 and 1 <= r <= n - 3")
+    else:
+        _require(n >= 5 and n % 2 == 1, f"{family} needs odd n >= 5")
+        _require(1 <= r <= n - 3, f"{family} needs 1 <= r <= n - 3")
+    t = graded_alpha_count(family[-1], n, r)
+    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
+    _require(t == 0 or any(full.values()), f"{family}: at least one alpha must be nonzero")
+    return full
+
+
+def _graded_algebra(variant: str, n: int, r: int, alphas: Mapping) -> Algebra:
+    full = _graded_alphas(variant, n, r, alphas)
+    meta = {"family": variant, "n": n, "lie": True,
+            "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()}}}
+    return _validated(graded_products(variant, n, r, full), _e_labels(n), meta)
 
 
 def make_A_algebra(n: int, r: int, alphas: Mapping[int, Fraction]) -> Algebra:
-    data = make_A(n, r, alphas)
-    meta = {"family": "A", "n": n, "lie": True,
-            "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in data["alphas"].items()}}}
-    return _validated(data["prods"], _e_labels(n), meta)
-
-
-def make_B(n: int, r: int, alphas: Mapping[int, Fraction]) -> dict:
-    """Product table of the second graded filiform Lie family (dict form).
-
-    The wide range 1 <= r <= n-3 is accepted; at r = n-3 the alpha arity is
-    zero and the table degenerates to the Qn table.
-    """
-    _require(n >= 5 and n % 2 == 1, "B needs odd n >= 5")
-    _require(1 <= r <= n - 3, "B needs 1 <= r <= n - 3")
-    t = (n - r - 2) // 2
-    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
-    _require(t == 0 or any(full.values()), "B: at least one alpha must be nonzero")
-    prods: dict = {}
-    for i in range(1, n - 1):
-        prods[(0, i)] = [(i + 1, Fraction(1))]
-        prods[(i, 0)] = [(i + 1, Fraction(-1))]
-    for i in range(1, n):
-        prods.setdefault((i, n - i), []).append((n, Fraction((-1) ** i)))
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if i + j + r > n - 1:
-                continue
-            c = _graded_coefficient(i, j, t, full)
-            if c:
-                prods.setdefault((i, j), []).append((i + j + r, c))
-                prods.setdefault((j, i), []).append((i + j + r, -c))
-    return {"prods": prods, "t": t, "alphas": full}
+    """The first graded filiform Lie family."""
+    return _graded_algebra("A", n, r, alphas)
 
 
 def make_B_algebra(n: int, r: int, alphas: Mapping[int, Fraction]) -> Algebra:
-    data = make_B(n, r, alphas)
-    meta = {"family": "B", "n": n, "lie": True,
-            "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in data["alphas"].items()}}}
-    return _validated(data["prods"], _e_labels(n), meta)
+    """The second graded filiform Lie family. The wide range 1 <= r <= n-3 is
+    accepted; at r = n-3 the alpha arity is zero and the table degenerates to
+    the Qn table."""
+    return _graded_algebra("B", n, r, alphas)
 
 
 # -- classified solvable algebras ----------------------------------------------
@@ -356,71 +354,63 @@ def make_L3(n: int, j0: int) -> Algebra:
     return _validated(prods, _e_labels(n, with_x=True), meta)
 
 
-def _solvable_lie_extension(n: int, nil_prods: dict, row0, row1, family: str,
-                            params: dict, e_n_route) -> Algebra:
-    """Assemble a solvable Lie algebra N + <x> from the action rows of e_0 and
-    e_1, propagating [e_{i+1},x] = [[e_0,x],e_i] + [e_0,[e_i,x]] along the
-    chain products, antisymmetrizing, and validating."""
+def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping, a1=0) -> dict:
+    """{(i, j): [(k, c)]} product map of SolvA (``variant`` "A") or SolvB:
+    the graded nilradical N plus x acting by [e_0, x] = e_0 + a1 e_1 and
+    [e_1, x] = (1 + r) e_1 + sum_k b_k e_k. The other rows follow from
+    [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] along the chain products;
+    in B, e_n is not in the e_0-chain and is reached through
+    [e_1, e_{n-1}] = -e_n. [x, e_i] = -[e_i, x].
+
+    Scalars are as in :func:`graded_products`: ``bs[k]`` may be Polys, which
+    makes the map linear in the b_k. No identity check is made here.
+    """
     dim = n + 2
     x = n + 1
-    labels = _e_labels(n, with_x=True)
-    table = product_table(nil_prods, dim)
-    rows = {0: list(row0), 1: list(row1)}
-    basis = lambda i: [Fraction(1 if j == i else 0) for j in range(dim)]
-    for i in range(1, n):
-        lhs = table_bracket(table, rows[0], basis(i))
-        rhs = table_bracket(table, basis(0), rows[i])
+    prods = graded_products(variant, n, r, alphas)
+    table = product_table(prods, dim)
+    basis = lambda i: [int(j == i) for j in range(dim)]
+    rows = {0: [0] * dim, 1: [0] * dim}
+    rows[0][0], rows[0][1] = 1, a1
+    rows[1][1] = 1 + r
+    for k, c in bs.items():
+        rows[1][k] = c
+    for i in range(1, n if variant == "A" else n - 1):
+        lhs = table_bracket(table, rows[0], basis(i), 0)
+        rhs = table_bracket(table, basis(0), rows[i], 0)
         rows[i + 1] = [a + b for a, b in zip(lhs, rhs)]
-    if e_n_route is not None:
-        # the top row is reached through the alternating product instead
-        i, sign = e_n_route
-        lhs = table_bracket(table, rows[i], basis(n - i))
-        rhs = table_bracket(table, basis(i), rows[n - i])
-        rows[n] = [sign * (a + b) for a, b in zip(lhs, rhs)]
-    prods = dict(nil_prods)
+    if variant == "B":
+        lhs = table_bracket(table, rows[1], basis(n - 1), 0)
+        rhs = table_bracket(table, basis(1), rows[n - 1], 0)
+        rows[n] = [-(a + b) for a, b in zip(lhs, rhs)]
     for i in range(n + 1):
         prods[(i, x)] = [(k, c) for k, c in enumerate(rows[i]) if c]
         prods[(x, i)] = [(k, -c) for k, c in enumerate(rows[i]) if c]
-    meta = {"family": family, "n": n, "lie": True, "params": params}
-    return _validated(prods, labels, meta)
+    return prods
 
 
 def make_SolvA(n: int, r: int, alphas: Mapping[int, Fraction], a1, bs: Mapping[int, Fraction]) -> Algebra:
     """Solvable Lie extension over an A-family nilradical, free parameters
     a1 and b_2..b_n kept explicit."""
-    data = make_A(n, r, alphas)
+    full = _graded_alphas("SolvA", n, r, alphas)
     a1 = to_fraction(a1)
     b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n + 1)}
-    dim = n + 2
-    row0 = [Fraction(0)] * dim
-    row0[0] = Fraction(1)
-    row0[1] = a1
-    row1 = [Fraction(0)] * dim
-    row1[1] = Fraction(1 + r)
-    for k in range(2, n + 1):
-        row1[k] = b[k]
-    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in data["alphas"].items()},
+    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
               "a1": a1, **{f"b{k}": v for k, v in b.items()}}
-    return _solvable_lie_extension(n, data["prods"], row0, row1, "SolvA", params, None)
+    meta = {"family": "SolvA", "n": n, "lie": True, "params": params}
+    return _validated(solvable_products("A", n, r, full, b, a1), _e_labels(n, with_x=True), meta)
 
 
 def make_SolvB(n: int, r: int, alphas: Mapping[int, Fraction], bs: Mapping[int, Fraction]) -> Algebra:
     """Solvable Lie extension over a B-family nilradical, free parameters
     b_2..b_{n-1} kept explicit."""
     _require(1 <= r <= n - 4, "SolvB needs 1 <= r <= n - 4")
-    data = make_B(n, r, alphas)
+    full = _graded_alphas("SolvB", n, r, alphas)
     b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n)}
-    dim = n + 2
-    row0 = [Fraction(0)] * dim
-    row0[0] = Fraction(1)
-    row1 = [Fraction(0)] * dim
-    row1[1] = Fraction(1 + r)
-    for k in range(2, n):
-        row1[k] = b[k]
-    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in data["alphas"].items()},
+    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
               **{f"b{k}": v for k, v in b.items()}}
-    # e_n is not in the e_0-chain; reach it through [e_1, e_{n-1}] = -e_n
-    return _solvable_lie_extension(n, data["prods"], row0, row1, "SolvB", params, (1, Fraction(-1)))
+    meta = {"family": "SolvB", "n": n, "lie": True, "params": params}
+    return _validated(solvable_products("B", n, r, full, b), _e_labels(n, with_x=True), meta)
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -468,13 +458,13 @@ def make_family(spec: FamilySpec) -> Algebra:
         return make_Qn(n)
     if fam == "A":
         r = _int_param(p, "r")
-        t = (n - max(1, r) - 1) // 2
+        t = graded_alpha_count("A", n, max(1, r))
         _take_params(spec, {"r"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)})
         _require("r" in p, "A requires parameter r")
         return make_A_algebra(n, r, _alpha_map(p, "alpha", 1, max(t, 0)))
     if fam == "B":
         r = _int_param(p, "r")
-        t = (n - max(1, r) - 2) // 2
+        t = graded_alpha_count("B", n, max(1, r))
         _take_params(spec, {"r"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)})
         _require("r" in p, "B requires parameter r")
         return make_B_algebra(n, r, _alpha_map(p, "alpha", 1, max(t, 0)))
@@ -490,7 +480,7 @@ def make_family(spec: FamilySpec) -> Algebra:
         return make_L3(n, _int_param(p, "j0"))
     if fam == "SolvA":
         r = _int_param(p, "r")
-        t = (n - r - 1) // 2
+        t = graded_alpha_count("A", n, r)
         allowed = {"r", "a1"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)} | {f"b{k}" for k in range(2, n + 1)}
         _take_params(spec, allowed)
         _require("r" in p, "SolvA requires parameter r")
@@ -498,7 +488,7 @@ def make_family(spec: FamilySpec) -> Algebra:
                           _alpha_map(p, "b", 2, n))
     if fam == "SolvB":
         r = _int_param(p, "r")
-        t = (n - r - 2) // 2
+        t = graded_alpha_count("B", n, r)
         allowed = {"r"} | {f"alpha{k}" for k in range(1, max(t, 0) + 1)} | {f"b{k}" for k in range(2, n)}
         _take_params(spec, allowed)
         _require("r" in p, "SolvB requires parameter r")

@@ -85,20 +85,29 @@ def _sparse_int_row(row: Sequence) -> dict:
     return dict(zip(cols, ints))
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
-    """Canonical RREF. Returns (rows, pivots); rows have leading entry 1."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def _int_rows(rows: Sequence[Sequence], last: Optional[int] = None) -> list:
+    """The distinct nonzero rows as primitive ``{col: int}`` dicts; with
+    ``last``, column c is stored as ``last - c`` (columns reversed)."""
     work = {}
     for row in rows:
         sparse = _sparse_int_row(row)
         if sparse:
+            if last is not None:
+                sparse = {last - c: x for c, x in sparse.items()}
             work[tuple(sparse.items())] = sparse
+    return list(work.values())
+
+
+def rref(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
+    """Canonical RREF. Returns (rows, pivots); rows have leading entry 1."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    work = _int_rows(rows)
     if not work:
         return (), ()
     out = []
     pivots = []
-    for row in _kernel.rref_int(list(work.values())):
+    for row in _kernel.rref_int(work):
         lead = min(row)
         den = row[lead]
         vec = [_ZERO] * ncols
@@ -114,20 +123,28 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> int
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Canonical basis (RREF form) of the right kernel of the row matrix."""
-    rrows, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
+    """Canonical basis (RREF form) of the right kernel of the row matrix.
+
+    One reduction with the column order reversed. Each of its pivot rows R_t
+    has its pivot p_t rightmost and zeros in the other pivot columns, so the
+    kernel vector of a free column f, e_f - sum_t (R_t[f] / R_t[p_t]) e_{p_t},
+    has its leading 1 at f and zeros in every other free column: the basis
+    is already in RREF.
+    """
+    last = ncols - 1
+    work = _int_rows(rows, last)
+    reduced = _kernel.rref_int(work) if work else []
+    pivots = {last - min(row) for row in reduced}
+    basis = {f: [_ZERO] * ncols for f in range(ncols) if f not in pivots}
+    for row in reduced:
+        lead = min(row)
+        den = row[lead]
+        for c, x in row.items():
+            if c != lead:
+                basis[last - c][last - lead] = Fraction(-x, den)
+    for f, vec in basis.items():
         vec[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            vec[p] = -rrows[t][f]
-        basis.append(vec)
-    if not basis:
-        return ()
-    canon, _ = rref(basis, ncols)
-    return canon
+    return tuple(tuple(vec) for vec in basis.values())
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,8 @@ from .families import (
     ConstructionError,
     catalan_number,
     f1s_alphas,
+    graded_alpha_count,
+    graded_products,
     make_A_algebra,
     make_B_algebra,
     make_F1,
@@ -65,8 +67,9 @@ from .families import (
     make_L3,
     make_SolvA,
     make_SolvB,
+    solvable_products,
 )
-from .linalg import binomial, nullspace, scale_to_integers
+from .linalg import nullspace, scale_to_integers
 from .poly import Poly, PolyRing
 
 MAX_N = 12
@@ -281,44 +284,9 @@ def _assignment_lines(outcome, limit: int = 400):
 # -- graded-family parameter sampling -------------------------------------------------
 
 
-def _graded_symbolic_products(variant: str, n: int, r: int, ring: PolyRing, t: int):
-    """Sparse product table of the A/B nilradicals with alpha indeterminates."""
-    one = ring.const(1)
-
-    def coeff(i, j):
-        acc = ring.zero
-        for k in range(i, t + 1):
-            c = binomial(j - k - 1, k - i) * Fraction((-1) ** (k - i))
-            if c:
-                acc = acc + ring.var(f"al{k:02d}") * c
-        return acc
-
-    prods: dict = {}
-
-    def put(i, j, k, c):
-        prods.setdefault((i, j), []).append((k, c))
-
-    if variant == "A":
-        for i in range(1, n):
-            put(0, i, i + 1, one)
-            put(i, 0, i + 1, -one)
-        graded = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1) if i + j + r <= n]
-    else:
-        for i in range(1, n - 1):
-            put(0, i, i + 1, one)
-            put(i, 0, i + 1, -one)
-        for i in range(1, n):
-            put(i, n - i, n, ring.const(Fraction((-1) ** i)))
-        graded = [(i, j) for i in range(1, n) for j in range(i + 1, n) if i + j + r <= n - 1]
-    for i, j in graded:
-        c = coeff(i, j)
-        put(i, j, i + j + r, c)
-        put(j, i, i + j + r, -c)
-    return product_table(prods, n + 1)
-
-
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int):
-    prods = _graded_symbolic_products(variant, n, r, ring, t)
+    alphas = {k: ring.var(f"al{k:02d}") for k in range(1, t + 1)}
+    prods = product_table(graded_products(variant, n, r, alphas), n + 1)
     seen = set()
     rels = []
     for _, defect in leibniz_defects(prods):
@@ -383,7 +351,7 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
     leading alpha to 1, draw or solve the rest (free directions get random
     rationals, discrete directions get exact rational roots of the univariate
     residuals), and let the elimination propagate the forced ones."""
-    t = (n - r - 1) // 2 if variant == "A" else (n - r - 2) // 2
+    t = graded_alpha_count(variant, n, r)
     if t <= 0:
         return {}
     names, ring, rels = _jacobi_setup(variant, n, r, t)
@@ -440,22 +408,20 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
 def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
                    rng: random.Random) -> dict:
     """The displayed solvable families overstate freedom: depending on alpha,
-    some b_k are forced to zero by the Leibniz identity. Probe coordinates
-    individually, then sample on the admissible set."""
-    if variant == "A":
-        top, make = n + 1, (lambda b: make_SolvA(n, r, alphas, 0, b))
-    else:
-        top, make = n, (lambda b: make_SolvB(n, r, alphas, b))
-    allowed = []
-    for k in range(2, top):
-        try:
-            make({k: Fraction(1)})
-            allowed.append(k)
-        except ConstructionError:
-            continue
-    b = {k: small_rational(rng, 8) for k in allowed}
-    make(b)  # raises if the probe missed a coupled relation
-    return b
+    some b_k are forced to zero by the Leibniz identity. Evaluate the identity
+    once on the SolvA/SolvB table with b_k indeterminates (a_1 = 0) and sample
+    on the b_k that occur in no defect. Every defect is linear in b (the
+    terms of a triple with two x's cancel by antisymmetry), so these are
+    exactly the b_k that may be nonzero one at a time. A constant defect
+    (alphas off the Jacobi variety) is left to the caller's construction,
+    which validates the sample."""
+    top = n + 1 if variant == "A" else n
+    ring = PolyRing(tuple(f"b{k}" for k in range(2, top)))
+    bs = {k: ring.var(f"b{k}") for k in range(2, top)}
+    table = product_table(solvable_products(variant, n, r, alphas, bs), n + 2)
+    coupled = {name for _, defect in leibniz_defects(table) for c in defect.values()
+               if isinstance(c, Poly) for name in c.variables()}
+    return {k: small_rational(rng, 8) for k in range(2, top) if f"b{k}" not in coupled}
 
 
 # -- derivation-shape transcriptions ----------------------------------------------

@@ -9,6 +9,7 @@ from leibnizalg.algebra import (
     is_solvable,
     leibniz_check,
     nilradical_equals,
+    product_table,
     subalgebra_on_indices,
 )
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
@@ -19,6 +20,8 @@ from leibnizalg.families import (
     catalan_number,
     f1s_alphas,
     family_catalog,
+    graded_alpha_count,
+    graded_products,
     make_A_algebra,
     make_B_algebra,
     make_F1,
@@ -37,7 +40,8 @@ from leibnizalg.families import (
     make_family,
 )
 from leibnizalg.linalg import Matrix
-from leibnizalg.poly import PolyRing
+from leibnizalg.poly import Poly, PolyRing
+from leibnizalg.verify import sample_graded_alphas
 
 from dense_algebra import dense, mat_scaled
 
@@ -212,6 +216,37 @@ def test_b_family_jacobi_relation_enforced():
 def test_b_family_wide_r_range_degenerates_to_qn():
     b = make_B_algebra(7, 4, {})  # t = 0: no alpha parameters
     assert dense(b) == dense(make_Qn(7))
+
+
+def _graded_cases(lo=5, hi=9):
+    """(variant, n, r) for every admissible r of A and B at lo <= n <= hi."""
+    for n in range(lo, hi + 1):
+        for r in range(1, n - 2):
+            yield "A", n, r
+            if n % 2 == 1:
+                yield "B", n, r
+
+
+def test_graded_builder_over_poly_alphas_evaluates_to_the_rational_table():
+    """One builder serves both scalar types: the table built with alpha
+    indeterminates, evaluated at a sampled point of the Jacobi variety, is
+    the table of the constructed algebra."""
+    import random
+
+    make = {"A": make_A_algebra, "B": make_B_algebra}
+    for variant, n, r in _graded_cases():
+        t = graded_alpha_count(variant, n, r)
+        ring = PolyRing(tuple(f"al{k}" for k in range(1, t + 1)))
+        symbolic = product_table(
+            graded_products(variant, n, r, {k: ring.var(f"al{k}") for k in range(1, t + 1)}), n + 1)
+        for seed in range(2):
+            alphas = sample_graded_alphas(variant, n, r, random.Random(f"{variant}{n}{r}{seed}"))
+            point = {f"al{k}": alphas.get(k, Fraction(0)) for k in range(1, t + 1)}
+            evaluated = tuple(tuple(
+                tuple((k, v) for k, c in cell
+                      for v in [c.evaluate(point) if isinstance(c, Poly) else Fraction(c)] if v)
+                for cell in plane) for plane in symbolic)
+            assert evaluated == make[variant](n, r, alphas).table, (variant, n, r, seed)
 
 
 def test_b_family_parity():

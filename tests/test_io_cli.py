@@ -161,6 +161,18 @@ def test_cli_family_non_integral_parameter_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("family, n, params, message", [
+    ("SolvA", "6", "r=0", "SolvA needs n >= 4 and 1 <= r <= n - 3"),
+    ("SolvB", "6", "r=1", "SolvB needs odd n >= 5"),
+    ("SolvB", "7", "r=1", "SolvB: at least one alpha must be nonzero"),
+])
+def test_cli_solvable_graded_errors_name_the_family(family, n, params, message, capsys):
+    assert main(["family", family, "--n", n, "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_metadata_survives_family_dispatch():
     alg = make_family(FamilySpec("L3", 5, {"j0": 3}))
     data = algio.algebra_to_dict(alg)

@@ -198,6 +198,12 @@ def test_rref_matches_sympy_on_sparse_integer_matrices(case):
     assert got_piv == tuple(want_piv)
     assert got_rows == tuple(tuple(Fraction(int(x.p), int(x.q)) for x in want.row(t))
                              for t in range(len(want_piv)))
+    # nullspace reduces once, with the columns reversed: its basis must be
+    # the RREF of sympy's kernel basis
+    kernel = sympy.Matrix(rows).nullspace()
+    want_ns = sympy.Matrix.hstack(*kernel).T.rref()[0] if kernel else sympy.zeros(0, ncols)
+    assert nullspace(frac_rows(rows), ncols) == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in want_ns.row(t)) for t in range(want_ns.rows))
 
 
 def test_inverse_singular_raises():

@@ -1,6 +1,17 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from leibnizalg.verify import MAX_N, SCENARIOS, run_all, run_scenario
+from leibnizalg.families import ConstructionError, make_SolvA, make_SolvB
+from leibnizalg.verify import (
+    MAX_N,
+    SCENARIOS,
+    run_all,
+    run_scenario,
+    sample_graded_alphas,
+    sample_solv_bs,
+)
 
 
 def test_registry_covers_every_result():
@@ -62,3 +73,42 @@ def test_failing_scenarios_carry_witnesses():
     r = run_scenario("prop32-nonexist", 5, 0)
     assert any("witness" in line for line in r.details)
     assert r.transcript
+
+
+def _probed_bs(variant, n, r, alphas):
+    """The b_k for which SolvA/SolvB with that one b_k = 1 is a valid algebra."""
+    top = n + 1 if variant == "A" else n
+    allowed = []
+    for k in range(2, top):
+        try:
+            if variant == "A":
+                make_SolvA(n, r, alphas, 0, {k: Fraction(1)})
+            else:
+                make_SolvB(n, r, alphas, {k: Fraction(1)})
+        except ConstructionError:
+            continue
+        allowed.append(k)
+    return allowed
+
+
+def test_symbolic_admissible_bs_match_the_per_coordinate_probe():
+    """sample_solv_bs reads the admissible b_k off one symbolic Leibniz
+    evaluation; it must admit exactly the coordinates that pass a
+    construction one at a time, and the sample must construct."""
+    cases = 0
+    for n in range(5, 10):
+        for variant in ("A", "B"):
+            if variant == "B" and n % 2 == 0:
+                continue
+            for r in range(1, n - 2 if variant == "A" else n - 3):
+                for seed in range(2):
+                    rng = random.Random(f"probe:{variant}:{n}:{r}:{seed}")
+                    alphas = sample_graded_alphas(variant, n, r, rng)
+                    b = sample_solv_bs(variant, n, r, alphas, rng)
+                    assert sorted(b) == _probed_bs(variant, n, r, alphas), (variant, n, r, alphas)
+                    if variant == "A":
+                        make_SolvA(n, r, alphas, 0, b)
+                    else:
+                        make_SolvB(n, r, alphas, b)
+                    cases += 1
+    assert cases == 58  # (20 A + 9 B) (variant, n, r) x 2 seeds
