@@ -70,7 +70,7 @@ from .linalg import (
     rref,
     solve_linear_system,
 )
-from .poly import Poly, PolyRing, poly_substitute
+from .poly import Poly, PolyRing
 from .verify import Report, SCENARIOS, run_all, run_scenario
 
 __version__ = "0.1.0"

@@ -19,6 +19,10 @@ from .algebra import Algebra
 from .linalg import Matrix, int_is_nilpotent, nullspace, rank, rref, scale_to_integers
 from .poly import PolyRing
 
+# the randomized nil-independence cross-check: combinations drawn, fixed seed
+NIL_CHECK_TRIALS = 32
+NIL_CHECK_SEED = 7
+
 
 def derivation_equations(alg: Algebra):
     """The derivation equation d([e_i,e_j]) = [d(e_i),e_j] + [e_i,d(e_j)], one
@@ -144,7 +148,7 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
 
 
-def max_nil_independent(space: DerivationSpace, trials: int = 32, seed: int = 7) -> int:
+def max_nil_independent(space: DerivationSpace) -> int:
     """Maximal number of nil-independent derivations.
 
     Primary method: rank of the map sending a derivation to its diagonal,
@@ -170,8 +174,8 @@ def max_nil_independent(space: DerivationSpace, trials: int = 32, seed: int = 7)
     size = d * d
     flat, _ = scale_to_integers([e for m in space.basis for e in m.flat()])
     basis = [flat[k * size:(k + 1) * size] for k in range(len(space.basis))]
-    rng = random.Random(seed)
-    for _ in range(trials):
+    rng = random.Random(NIL_CHECK_SEED)
+    for _ in range(NIL_CHECK_TRIALS):
         coeffs = [_random_rational(rng) for _ in space.basis]
         den = lcm(*(c.denominator for c in coeffs))
         combo = [0] * size

@@ -331,8 +331,7 @@ def replay(system: ConstraintSystem, outcome) -> tuple:
     return tuple(sorted(out, key=_poly_sort_key))
 
 
-def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fraction],
-                validate: bool = True) -> Algebra:
+def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fraction]) -> Algebra:
     """Concrete extension algebra from a Family outcome at rational values of
     the free indeterminates (unlisted free names default to 0)."""
     if outcome.kind != "family":
@@ -357,10 +356,9 @@ def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fr
     products[d, d] = values(problem.square_row)
     alg = algebra_from_products(N.labels + ("x",), products,
                                 {"family": "extension", "n": d - 1, "params": dict(free_values)})
-    if validate:
-        rep = leibniz_check(alg)
-        if not rep.ok:
-            raise ValueError(f"instantiated extension violates the Leibniz identity: {rep.failures[0]}")
+    rep = leibniz_check(alg)
+    if not rep.ok:
+        raise ValueError(f"instantiated extension violates the Leibniz identity: {rep.failures[0]}")
     return alg
 
 

@@ -384,8 +384,3 @@ class Poly:
         return " ".join(chunks)
 
     __repr__ = __str__
-
-
-def poly_substitute(p: Poly, name: str, value) -> Poly:
-    """Functional alias for :meth:`Poly.substitute`."""
-    return p.substitute(name, value)

@@ -5,6 +5,12 @@ a non-existence deduction (Contradiction with replayable witness), a
 classification (solver Family + scripted basis changes = table, entry for
 entry), the nil-independence bound, or a conjecture sampling run.
 
+One pipeline runs them all: ``run_scenario`` hands a runner n and a factory
+of fresh ``scenario_rng(id, n, seed)`` streams, and the runner returns only
+its ``Verdict`` (verdict, details, findings, params, transcript);
+``run_scenario`` stamps it with the scenario id, n, seed and wall time into
+a ``Report``, and ``run_all`` goes through ``run_scenario``.
+
 Reports are deterministic for a fixed (scenario, n, seed); wall time is kept
 out of the canonical serialization. Documented divergences between computed
 facts and the source tables (parity labels, overstated parameter freedom,
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (
     Algebra,
@@ -126,11 +133,23 @@ class Report:
         }
 
 
-def _report(scenario, n, seed, verdict, t0, details=(), findings=(), params=(), transcript=()):
-    return Report(scenario=scenario, n=n, seed=seed, verdict=verdict,
-                  details=tuple(details), findings=tuple(findings),
-                  params=tuple((str(k), str(v)) for k, v in params),
-                  transcript=tuple(transcript), wall_time=time.monotonic() - t0)
+@dataclass(frozen=True)
+class Verdict:
+    """What a runner decides; ``run_scenario`` stamps it into a ``Report``."""
+    verdict: str                      # pass | fail | finding
+    details: Sequence = ()
+    findings: Sequence = ()
+    params: Sequence = ()             # ((key, value), ...), stringified in the Report
+    transcript: Sequence = ()
+
+
+RngFactory = Callable[[], random.Random]
+
+
+def _within(case: str, body: Verdict, **context) -> Verdict:
+    """A nested case's failure: its detail lines prefixed by the case, with
+    the enclosing runner's findings or params."""
+    return replace(body, details=[f"{case}: {d}" for d in body.details], **context)
 
 
 # -- scripted basis changes (numeric, read from the current table) ------------------
@@ -189,15 +208,18 @@ def xx_tail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
                                 if (v := alg.coefficient(x, x, m))])
 
 
+NORMALIZE_ROUNDS = 14
+
+
 def normalize_f2_extension(alg: Algebra, n: int, target: Algebra,
-                           mix_j0: Optional[int] = None, keep_xe1: int = -1,
-                           rounds: int = 14):
+                           mix_j0: Optional[int] = None, keep_xe1: int = -1):
     """Iterate the cleanup steps until the table equals the target; each pass
     strictly pushes residue to higher filtration degree, so the loop settles in
-    a bounded number of rounds. ``keep_xe1`` names the one [x,e_1] tail index
-    the target retains (-1: none). Returns (algebra, matched, step_count)."""
+    at most ``NORMALIZE_ROUNDS`` rounds. ``keep_xe1`` names the one [x,e_1]
+    tail index the target retains (-1: none). Returns (algebra, matched,
+    step_count)."""
     steps = 0
-    for _ in range(rounds):
+    for _ in range(NORMALIZE_ROUNDS):
         if alg.table == target.table:
             return alg, True, steps
         for maker in (
@@ -222,20 +244,38 @@ def x_left_tail_change(alg: Algebra, n: int, top: int) -> Optional[BasisChange]:
     return shear_change(n + 2, [(x, i, -alg.coefficient(0, x, i + 1)) for i in range(1, top)])
 
 
+def _changed(alg: Algebra, change: Optional[BasisChange]) -> Algebra:
+    """The algebra after a scripted change; unchanged when there is none."""
+    return alg if change is None else apply_basis_change(alg, change)
+
+
 # -- solver pipeline helpers ---------------------------------------------------------
 
 
-def solve_extension(nilradical: Algebra, extra_hypotheses=(), extra_names=()):
+def solve_extension(nilradical: Algebra):
     """Build, generate, and eliminate over each non-nilpotency branch.
 
-    Returns a list of (hypotheses, outcome) pairs; an empty list means every
-    derivation is nilpotent (characteristically nilpotent nilradical)."""
-    problem = build_extension_problem(nilradical, extra_names=tuple(extra_names))
-    results = []
-    for hyp in diagonal_branches(problem):
-        system = generate_constraints(problem, hypotheses=list(hyp) + list(extra_hypotheses))
-        results.append((tuple(hyp), eliminate(system)))
-    return problem, results
+    Returns the problem and a list of (hypotheses, outcome) pairs; an empty
+    list means every derivation is nilpotent (characteristically nilpotent
+    nilradical)."""
+    problem = build_extension_problem(nilradical)
+    return problem, [(tuple(hyp), eliminate(generate_constraints(problem, hypotheses=list(hyp))))
+                     for hyp in diagonal_branches(problem)]
+
+
+def _sole_family(nilradical: Algebra):
+    """Solve and expect exactly one branch, ending in a residual-free Family.
+    Returns (problem, outcome, failure); failure is None or a fail Verdict."""
+    problem, results = solve_extension(nilradical)
+    if len(results) != 1:
+        return problem, None, Verdict("fail", [f"expected 1 branch, got {len(results)}"])
+    _, outcome = results[0]
+    if outcome.kind != "family" or outcome.residual:
+        return problem, outcome, Verdict(
+            "fail", [f"expected residual-free Family, got {outcome.kind} "
+                     f"with {len(getattr(outcome, 'residual', ()))} residuals"],
+            transcript=_assignment_lines(outcome))
+    return problem, outcome, None
 
 
 def annihilator_zeroing_emerged(problem, outcome) -> bool:
@@ -282,6 +322,10 @@ def _assignment_lines(outcome, limit: int = 400):
 
 
 # -- graded-family parameter sampling -------------------------------------------------
+
+
+def _graded_algebra(variant: str, n: int, r: int, alphas) -> Algebra:
+    return (make_A_algebra if variant == "A" else make_B_algebra)(n, r, alphas)
 
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int):
@@ -355,7 +399,6 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
     if t <= 0:
         return {}
     names, ring, rels = _jacobi_setup(variant, n, r, t)
-    maker = make_A_algebra if variant == "A" else make_B_algebra
 
     for lead in range(1, t + 1):
         for _ in range(8):
@@ -398,7 +441,7 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
             if not any(alphas.values()):
                 continue
             try:
-                maker(n, r, alphas)
+                _graded_algebra(variant, n, r, alphas)
                 return alphas
             except ConstructionError:
                 continue
@@ -615,17 +658,11 @@ def _shape_graded(alg: Algebra, r: int, variant: str):
     return errs
 
 
-# -- scenario runners -----------------------------------------------------------------
+# -- scenario runners: (n, rng factory) -> Verdict -------------------------------------
 
 
-def _fail(scenario, n, seed, t0, details, params=(), transcript=(), findings=()):
-    return _report(scenario, n, seed, "fail", t0, details=details, params=params,
-                   transcript=transcript, findings=findings)
-
-
-def _run_prop31_shape(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("prop31-shape", n, seed)
+def _run_prop31_shape(n: int, rng: RngFactory) -> Verdict:
+    rng = rng()
     cases = [("unit-top", {}, Fraction(1))]
     for s in (3, 4):
         if s <= n:
@@ -639,9 +676,7 @@ def _run_prop31_shape(n: int, seed: int) -> Report:
         errs = _shape_f1(alg, alphas, theta)
         if errs:
             errors.append(f"{label}: {', '.join(errs)}")
-    verdict = "pass" if not errors else "fail"
-    return _report("prop31-shape", n, seed, verdict, t0,
-                   details=[f"{len(cases)} instances checked"] + errors,
+    return Verdict("fail" if errors else "pass", [f"{len(cases)} instances checked"] + errors,
                    findings=("first-family derivation matrix rows normalized to the uniform "
                              "pattern d(e_i)_j = a_{j-i+1} + (i-1)a_1*alpha_{j-i+2}; the displayed "
                              "fourth row's alpha subscripts are off by one",
@@ -650,9 +685,8 @@ def _run_prop31_shape(n: int, seed: int) -> Report:
                              "a_1(theta - alpha_n) = 0",))
 
 
-def _run_prop34_shape(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("prop34-shape", n, seed)
+def _run_prop34_shape(n: int, rng: RngFactory) -> Verdict:
+    rng = rng()
     cases = [("unit-gamma", {}, Fraction(1)), ("single-j3", {3: Fraction(1)}, Fraction(0))]
     if n % 2 == 0:
         cases.append(("mid-beta", {(n + 2) // 2: nonzero_rational(rng, 4)}, Fraction(1)))
@@ -663,16 +697,13 @@ def _run_prop34_shape(n: int, seed: int) -> Report:
         errs = _shape_f2(make_F2(n, betas, gamma), betas, gamma)
         if errs:
             errors.append(f"{label}: {', '.join(errs)}")
-    verdict = "pass" if not errors else "fail"
-    return _report("prop34-shape", n, seed, verdict, t0,
-                   details=[f"{len(cases)} instances checked"] + errors,
+    return Verdict("fail" if errors else "pass", [f"{len(cases)} instances checked"] + errors,
                    findings=("second-family table displays no gamma parameter; it is the "
                              "top square [e_1,e_1] = gamma e_n, forced by the relation "
                              "gamma(2b_1 - n a_0) = 0",))
 
 
-def _run_prop38_shape(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
+def _run_prop38_shape(n: int, rng: RngFactory) -> Verdict:
     errors = []
     findings = []
     for thetas in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
@@ -687,73 +718,48 @@ def _run_prop38_shape(n: int, seed: int) -> Report:
                 findings.append(
                     f"theta={thetas} alpha={alpha}: derivation space dim {dim} != stated-form "
                     f"count {stated}; the displayed form is not sharp at the alternating instance")
-    verdict = "pass" if not errors else "fail"
-    return _report("prop38-shape", n, seed, verdict, t0, details=errors or ["all instances match"],
+    return Verdict("fail" if errors else "pass", errors or ["all instances match"],
                    findings=findings)
 
 
-def _run_prop41_shape(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("prop41-shape", n, seed)
+def _run_graded_shape(variant: str, n: int, rng: RngFactory) -> Verdict:
+    rng = rng()
     errors = []
     params = []
-    for r in sorted({1, max(1, (n - 3) // 2)}):
-        alphas = sample_graded_alphas("A", n, r, rng)
+    for r in sorted({1, max(1, (n - 3) // 2 if variant == "A" else n - 4)}):
+        alphas = sample_graded_alphas(variant, n, r, rng)
         params.append((f"alpha(r={r})", alphas))
-        errs = _shape_graded(make_A_algebra(n, r, alphas), r, "A")
+        errs = _shape_graded(_graded_algebra(variant, n, r, alphas), r, variant)
         if errs:
             errors.append(f"r={r}: {', '.join(errs)}")
-    verdict = "pass" if not errors else "fail"
-    return _report("prop41-shape", n, seed, verdict, t0,
-                   details=errors or ["triangular with diagonal (i+r)a_0"], params=params)
+    stated = ("triangular with diagonal (i+r)a_0" if variant == "A" else
+              "triangular, diagonal (i+r)a_0 and (n+2r)a_0, no (0,1) entry")
+    return Verdict("fail" if errors else "pass", errors or [stated], params=params)
 
 
-def _run_prop44_shape(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("prop44-shape", n, seed)
-    errors = []
-    params = []
-    for r in sorted({1, max(1, n - 4)}):
-        alphas = sample_graded_alphas("B", n, r, rng)
-        params.append((f"alpha(r={r})", alphas))
-        errs = _shape_graded(make_B_algebra(n, r, alphas), r, "B")
-        if errs:
-            errors.append(f"r={r}: {', '.join(errs)}")
-    verdict = "pass" if not errors else "fail"
-    return _report("prop44-shape", n, seed, verdict, t0,
-                   details=errors or ["triangular, diagonal (i+r)a_0 and (n+2r)a_0, no (0,1) entry"],
-                   params=params)
-
-
-def _nonexist_report(scenario: str, n: int, seed: int, nilradical: Algebra, t0,
-                     findings=()) -> Report:
-    problem, results = solve_extension(nilradical)
+def _nonexist(nilradical: Algebra) -> Verdict:
+    _, results = solve_extension(nilradical)
+    if not results:
+        return Verdict("pass", ["all derivations nilpotent: no non-nilpotent action exists"])
     details = []
     transcript = []
-    if not results:
-        details.append("all derivations nilpotent: no non-nilpotent action exists")
-        return _report(scenario, n, seed, "pass", t0, details=details, findings=findings)
     for hyp, outcome in results:
         hyp_s = "; ".join(str(h) + " = 0" for h in hyp)
         if outcome.kind != "contradiction":
-            return _fail(scenario, n, seed, t0,
-                         [f"branch [{hyp_s}]: expected Contradiction, got {outcome.kind}"],
-                         transcript=_assignment_lines(outcome), findings=findings)
+            return Verdict("fail", [f"branch [{hyp_s}]: expected Contradiction, got {outcome.kind}"],
+                           transcript=_assignment_lines(outcome))
         details.append(f"branch [{hyp_s}]: contradiction, witness {outcome.witness}, "
                        f"{len(outcome.assignments)} substitutions")
         transcript.extend(_assignment_lines(outcome, limit=60))
         transcript.append(f"witness: {outcome.witness} = 0")
-    return _report(scenario, n, seed, "pass", t0, details=details,
-                   transcript=transcript, findings=findings)
+    return Verdict("pass", details, transcript=transcript)
 
 
-def _run_prop32_nonexist(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    return _nonexist_report("prop32-nonexist", n, seed, make_F1(n, {}, 1), t0)
+def _run_prop32_nonexist(n: int, rng: RngFactory) -> Verdict:
+    return _nonexist(make_F1(n, {}, 1))
 
 
-def _run_prop33_nonexist(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
+def _run_prop33_nonexist(n: int, rng: RngFactory) -> Verdict:
     findings = []
     for s in (3, 4):
         if s > n:
@@ -772,49 +778,36 @@ def _run_prop33_nonexist(n: int, seed: int) -> Report:
     for s in (3, 4):
         if s > n:
             continue
-        rep = _nonexist_report("prop33-nonexist", n, seed, make_F1s(n, s), time.monotonic())
-        if rep.verdict != "pass":
-            return _fail("prop33-nonexist", n, seed, t0, [f"s={s}: " + d for d in rep.details],
-                         transcript=rep.transcript, findings=findings)
-    return _report("prop33-nonexist", n, seed, "pass", t0,
-                   details=[f"s in (3, 4) capped at n={n}: all branches contradict"],
+        body = _nonexist(make_F1s(n, s))
+        if body.verdict != "pass":
+            return _within(f"s={s}", body, findings=findings)
+    return Verdict("pass", [f"s in (3, 4) capped at n={n}: all branches contradict"],
                    findings=findings)
 
 
-def _run_thm39_nonexist(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
+def _run_thm39_nonexist(n: int, rng: RngFactory) -> Verdict:
     details = []
     for thetas in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         for alpha in (0, 1) if n % 2 == 1 else (0,):
-            rep = _nonexist_report("thm39-nonexist", n, seed, make_F3(n, *thetas, alpha),
-                                   time.monotonic())
-            if rep.verdict != "pass":
-                return _fail("thm39-nonexist", n, seed, t0,
-                             [f"theta={thetas} alpha={alpha}: " + d for d in rep.details],
-                             transcript=rep.transcript)
-            details.append(f"theta={thetas} alpha={alpha}: " + rep.details[0])
-    return _report("thm39-nonexist", n, seed, "pass", t0, details=details)
+            case = f"theta={thetas} alpha={alpha}"
+            body = _nonexist(make_F3(n, *thetas, alpha))
+            if body.verdict != "pass":
+                return _within(case, body)
+            details.append(f"{case}: {body.details[0]}")
+    return Verdict("pass", details)
 
 
-def _classification_core(scenario, n, seed, nilradical, target, t0, mix_j0=None,
-                         keep_xe1=-1, findings=(), params=()):
+def _classification_core(nilradical: Algebra, target: Algebra, rng: random.Random,
+                         mix_j0=None, keep_xe1=-1, findings=(), params=()) -> Verdict:
     """Shared pipeline: solve, instantiate at random rationals, apply the
     scripted changes, compare tables entry for entry, check invariants."""
-    rng = scenario_rng(scenario, n, seed)
-    problem, results = solve_extension(nilradical)
-    if len(results) != 1:
-        return _fail(scenario, n, seed, t0, [f"expected 1 branch, got {len(results)}"],
-                     findings=findings, params=params)
-    hyp, outcome = results[0]
-    if outcome.kind != "family" or outcome.residual:
-        return _fail(scenario, n, seed, t0,
-                     [f"expected residual-free Family, got {outcome.kind} "
-                      f"with {len(getattr(outcome, 'residual', ()))} residuals"],
-                     transcript=_assignment_lines(outcome), findings=findings, params=params)
+    n = nilradical.dim - 1
+    problem, outcome, failure = _sole_family(nilradical)
+    if failure:
+        return replace(failure, findings=findings, params=params)
     if not annihilator_zeroing_emerged(problem, outcome):
-        return _fail(scenario, n, seed, t0,
-                     ["[x,e_i] = 0 did not emerge from the annihilator equations"],
-                     findings=findings, params=params)
+        return Verdict("fail", ["[x,e_i] = 0 did not emerge from the annihilator equations"],
+                       findings=findings, params=params)
     alg = instantiate_family(problem, outcome, rng)
     checks = []
     if alg.dim != n + 2:
@@ -823,45 +816,39 @@ def _classification_core(scenario, n, seed, nilradical, target, t0, mix_j0=None,
         checks.append("not solvable non-nilpotent")
     if not nilradical_equals(alg, n + 1):
         checks.append("nilradical mismatch")
-    normalized, matched, steps = normalize_f2_extension(alg, n, target, mix_j0=mix_j0,
-                                                        keep_xe1=keep_xe1)
+    _, matched, steps = normalize_f2_extension(alg, n, target, mix_j0=mix_j0, keep_xe1=keep_xe1)
     if not matched:
         checks.append("scripted changes did not reach the classified table")
     if checks:
-        return _fail(scenario, n, seed, t0, checks, findings=findings, params=params)
-    return _report(scenario, n, seed, "pass", t0,
-                   details=[f"family matched after {steps} scripted changes; "
+        return Verdict("fail", checks, findings=findings, params=params)
+    return Verdict("pass", [f"family matched after {steps} scripted changes; "
                             f"{len(outcome.assignments)} substitutions, free: {len(outcome.free)}"],
                    findings=findings, params=params)
 
 
-def _run_thm35_class(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
+def _run_thm35_class(n: int, rng: RngFactory) -> Verdict:
     return _classification_core(
-        "thm35-class", n, seed, make_F2(n, {}, 1), make_L1(n), t0,
+        make_F2(n, {}, 1), make_L1(n), rng(),
         findings=("classified table omits [e_i,x]=i e_i and [x,e_0]=-e_0, both derived in "
                   "its construction and required by the identity",
                   "the odd-n header here and the even-n label in the family list are swapped "
                   "relative to each other; odd n is the consistent reading"))
 
 
-def _run_thm36_class(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("thm36-class", n, seed)
+def _run_thm36_class(n: int, rng: RngFactory) -> Verdict:
+    beta_rng = rng()
     while True:
-        beta = nonzero_rational(rng, 6)
+        beta = nonzero_rational(beta_rng, 6)
         if beta * beta != Fraction(2, n):
             break
     return _classification_core(
-        "thm36-class", n, seed, make_F2j1(n, beta), make_L2(n, beta), t0,
-        keep_xe1=n // 2,
+        make_F2j1(n, beta), make_L2(n, beta), rng(), keep_xe1=n // 2,
         findings=("beta sampled away from beta^2 = 2/n, where the derivation space jumps "
                   "and the family degenerates",),
         params=(("beta", beta),))
 
 
-def _run_thm37_class(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
+def _run_thm37_class(n: int, rng: RngFactory) -> Verdict:
     findings = ["nilradical products [e_i,e_1]=e_{j0+i-1} run to i = n+1-j0 (the displayed "
                 "n-1-j0 contradicts the nilradical and the identity)"]
     for j0 in (3, 4, 5):
@@ -870,43 +857,31 @@ def _run_thm37_class(n: int, seed: int) -> Report:
         if 2 * j0 - 2 > n:
             findings.append(f"j0={j0}: the extra derivation parameter at (0,1) is removed by a "
                             f"nilradical automorphism e_0 -> e_0 + kappa e_1")
-        rep = _classification_core("thm37-class", n, seed, make_F2j(n, j0), make_L3(n, j0),
-                                   time.monotonic(), mix_j0=j0, keep_xe1=j0 - 1)
-        if rep.verdict != "pass":
-            return _fail("thm37-class", n, seed, t0, [f"j0={j0}: " + d for d in rep.details],
-                         findings=findings)
-    return _report("thm37-class", n, seed, "pass", t0,
-                   details=[f"j0 in (3,4,5) capped at n={n}: tables match entry for entry"],
+        body = _classification_core(make_F2j(n, j0), make_L3(n, j0), rng(),
+                                    mix_j0=j0, keep_xe1=j0 - 1)
+        if body.verdict != "pass":
+            return _within(f"j0={j0}", body, findings=findings)
+    return Verdict("pass", [f"j0 in (3,4,5) capped at n={n}: tables match entry for entry"],
                    findings=findings)
 
 
-def _graded_classification(scenario, n, seed, variant, t0):
-    rng = scenario_rng(scenario, n, seed)
+def _run_graded_class(variant: str, n: int, rng: RngFactory) -> Verdict:
+    rng = rng()
     rs = sorted({1, max(1, (n - 3) // 2)}) if variant == "A" else sorted({1, max(1, n - 5)})
     findings = []
     params = []
     for r in rs:
-        if variant == "B" and r > n - 4:
-            continue
         alphas = sample_graded_alphas(variant, n, r, rng)
         params.append((f"alpha(r={r})", alphas))
-        nil = make_A_algebra(n, r, alphas) if variant == "A" else make_B_algebra(n, r, alphas)
-        problem, results = solve_extension(nil)
-        if len(results) != 1:
-            return _fail(scenario, n, seed, t0, [f"r={r}: expected 1 branch"], params=params)
-        _, outcome = results[0]
-        if outcome.kind != "family" or outcome.residual:
-            return _fail(scenario, n, seed, t0, [f"r={r}: expected residual-free Family"],
-                         transcript=_assignment_lines(outcome), params=params)
+        problem, outcome, failure = _sole_family(_graded_algebra(variant, n, r, alphas))
+        if failure:
+            return _within(f"r={r}", failure, params=params)
         alg = instantiate_family(problem, outcome, rng)
         if alg.dim != n + 2 or not is_solvable(alg) or is_nilpotent(alg) or not nilradical_equals(alg, n + 1):
-            return _fail(scenario, n, seed, t0, [f"r={r}: solvable-structure checks failed"],
-                         params=params)
+            return Verdict("fail", [f"r={r}: solvable-structure checks failed"], params=params)
         x = n + 1
         if variant == "A":
-            change = x_left_tail_change(alg, n, n)
-            if change is not None:
-                alg = apply_basis_change(alg, change)
+            alg = _changed(alg, x_left_tail_change(alg, n, n))
             a1 = alg.coefficient(0, x, 1)
             b = {k: alg.coefficient(1, x, k) for k in range(2, n + 1)}
             target = make_SolvA(n, r, alphas, a1, b)
@@ -915,15 +890,10 @@ def _graded_classification(scenario, n, seed, variant, t0):
                                 f"(the displayed family lists it as free)")
             params.append((f"a1(r={r})", a1))
         else:
-            change = x_left_tail_change(alg, n, n - 1)
-            if change is not None:
-                alg = apply_basis_change(alg, change)
-            change = shear_change(n + 2, [(0, n, -alg.coefficient(0, x, n) / Fraction(n + 2 * r - 1))])
-            if change is not None:
-                alg = apply_basis_change(alg, change)
-            change = shear_change(n + 2, [(x, n - 1, alg.coefficient(1, x, n))])
-            if change is not None:
-                alg = apply_basis_change(alg, change)
+            alg = _changed(alg, x_left_tail_change(alg, n, n - 1))
+            alg = _changed(alg, shear_change(
+                n + 2, [(0, n, -alg.coefficient(0, x, n) / Fraction(n + 2 * r - 1))]))
+            alg = _changed(alg, shear_change(n + 2, [(x, n - 1, alg.coefficient(1, x, n))]))
             b = {k: alg.coefficient(1, x, k) for k in range(2, n)}
             zeroed = [k for k in range(3, n, 2) if not b.get(k)]
             if zeroed:
@@ -931,38 +901,29 @@ def _graded_classification(scenario, n, seed, variant, t0):
                                 f"(the displayed family lists b_2..b_(n-1) as free)")
             target = make_SolvB(n, r, alphas, b)
         if not is_lie(alg):
-            return _fail(scenario, n, seed, t0, [f"r={r}: extension is not Lie"], params=params)
+            return Verdict("fail", [f"r={r}: extension is not Lie"], params=params)
         if alg.table != target.table:
-            return _fail(scenario, n, seed, t0,
-                         [f"r={r}: scripted changes did not reach the classified table"],
-                         params=params)
-    return _report(scenario, n, seed, "pass", t0,
-                   details=[f"r values {rs}: tables match entry for entry"],
+            return Verdict("fail", [f"r={r}: scripted changes did not reach the classified table"],
+                           params=params)
+    return Verdict("pass", [f"r values {rs}: tables match entry for entry"],
                    findings=findings, params=params)
 
 
-def _run_thm42_class(n: int, seed: int) -> Report:
-    return _graded_classification("thm42-class", n, seed, "A", time.monotonic())
-
-
-def _run_thm45_class(n: int, seed: int) -> Report:
-    return _graded_classification("thm45-class", n, seed, "B", time.monotonic())
-
-
-def _nolie_report(scenario, n, seed, nilradical, t0, params=()):
+def _run_graded_nolie(variant: str, n: int, rng: RngFactory) -> Verdict:
     """Every solvable extension is Lie: (a) the symmetric coordinates vanish
     identically under the assignment log, (b) the Rabinowitsch certificate
     lam*(sum tag_k sym_k) - 1 = 0 produces a genuine Contradiction witness."""
-    problem, results = solve_extension(nilradical)
-    if len(results) != 1:
-        return _fail(scenario, n, seed, t0, [f"expected 1 branch, got {len(results)}"], params=params)
-    hyp, outcome = results[0]
-    if outcome.kind != "family" or outcome.residual:
-        return _fail(scenario, n, seed, t0, ["expected residual-free Family"],
-                     transcript=_assignment_lines(outcome), params=params)
+    rng = rng()
+    r = 1 if n <= (6 if variant == "A" else 7) else rng.choice((1, 2))
+    alphas = sample_graded_alphas(variant, n, r, rng)
+    params = (("r", r), ("alpha", alphas))
+    nilradical = _graded_algebra(variant, n, r, alphas)
+    problem, outcome, failure = _sole_family(nilradical)
+    if failure:
+        return replace(failure, params=params)
     if not lie_forced(problem, outcome):
-        return _fail(scenario, n, seed, t0, ["a symmetric coordinate survives: non-Lie extension"],
-                     transcript=_assignment_lines(outcome), params=params)
+        return Verdict("fail", ["a symmetric coordinate survives: non-Lie extension"],
+                       transcript=_assignment_lines(outcome), params=params)
     ncoords = len(problem.symmetric_coordinates())
     tags = [f"tag{k:03d}" for k in range(ncoords)] + ["lam"]
     cert_problem = build_extension_problem(nilradical, extra_names=tags)
@@ -974,35 +935,15 @@ def _nolie_report(scenario, n, seed, nilradical, t0, params=()):
     cert_hyp = list(diagonal_branches(cert_problem)[0]) + [cert]
     cert_out = eliminate(generate_constraints(cert_problem, hypotheses=cert_hyp))
     if cert_out.kind != "contradiction":
-        return _fail(scenario, n, seed, t0, ["certificate run did not contradict"],
-                     transcript=_assignment_lines(cert_out), params=params)
-    return _report(scenario, n, seed, "pass", t0,
-                   details=[f"{ncoords} symmetric coordinates all forced to zero",
+        return Verdict("fail", ["certificate run did not contradict"],
+                       transcript=_assignment_lines(cert_out), params=params)
+    return Verdict("pass", [f"{ncoords} symmetric coordinates all forced to zero",
                             f"certificate witness: {cert_out.witness} = 0"],
                    transcript=_assignment_lines(cert_out, limit=40), params=params)
 
 
-def _run_prop43_nolie(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("prop43-nolie", n, seed)
-    r = 1 if n <= 6 else rng.choice((1, 2))
-    alphas = sample_graded_alphas("A", n, r, rng)
-    return _nolie_report("prop43-nolie", n, seed, make_A_algebra(n, r, alphas), t0,
-                         params=(("r", r), ("alpha", alphas)))
-
-
-def _run_prop46_nolie(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("prop46-nolie", n, seed)
-    r = 1 if n <= 7 else rng.choice((1, 2))
-    alphas = sample_graded_alphas("B", n, r, rng)
-    return _nolie_report("prop46-nolie", n, seed, make_B_algebra(n, r, alphas), t0,
-                         params=(("r", r), ("alpha", alphas)))
-
-
-def _run_thm26_bound(n: int, seed: int) -> Report:
-    t0 = time.monotonic()
-    rng = scenario_rng("thm26-bound", n, seed)
+def _run_thm26_bound(n: int, rng: RngFactory) -> Verdict:
+    rng = rng()
     solvables = []
     if n % 2 == 1:
         solvables.append(("L1", make_L1(n)))
@@ -1021,53 +962,34 @@ def _run_thm26_bound(n: int, seed: int) -> Report:
         nil = subalgebra_on_indices(alg, n + 1)
         bound = max_nil_independent(derivation_space(nil))
         if bound < 1:
-            return _fail("thm26-bound", n, seed, t0,
-                         [f"{label}: codim 1 > max nil-independent {bound}"])
+            return Verdict("fail", [f"{label}: codim 1 > max nil-independent {bound}"])
         details.append(f"{label}: codim 1 <= {bound}")
-    return _report("thm26-bound", n, seed, "pass", t0, details=details)
+    return Verdict("pass", details)
 
 
-def _run_conj(variant: str):
-    scenario = "conj-i" if variant == "A" else "conj-ii"
-
-    def run(n: int, seed: int, trials: int = 50) -> Report:
-        t0 = time.monotonic()
-        rng = scenario_rng(scenario, n, seed)
-        checked = 0
-        for _ in range(trials):
-            if variant == "A":
-                r = rng.randint(1, n - 3)
-            else:
-                r = rng.randint(1, n - 4)
-            alphas = sample_graded_alphas(variant, n, r, rng)
-            b = sample_solv_bs(variant, n, r, alphas, rng)
-            res = conjecture_check(n, variant, r, alphas, 0, b)
-            if not res.eliminated:
-                return _report(scenario, n, seed, "finding", t0,
-                               details=[f"counterexample at r={r}: residual tail "
-                                        f"{dict((k, str(v)) for k, v in res.residual_b.items())}"],
-                               params=(("r", r), ("alpha", alphas), ("b", b)),
-                               transcript=[f"b coefficients after transform: "
-                                           f"{dict((k, str(v)) for k, v in res.residual_b.items())}"],
-                               findings=("unexpected: transformation failed to eliminate the tails",))
-            checked += 1
-        findings = (("tail elimination verified with the e_1 row extended through A_n; the "
-                     "displayed transformation stops at A_{n-1} and leaves an e_n residue",)
-                    if variant == "A" else
-                    ("after the transformation the basis is re-adapted through the chain "
-                     "products before comparing; the raw image does not carry the table shape",))
-        findings = findings + (
-            "b sampled on the admissible sub-variety (alpha-dependent coordinates are forced "
-            "to zero by the identity); a_1 = 0 throughout, the transformation does not "
-            "account for the a_1 correction terms",)
-        return _report(scenario, n, seed, "pass", t0,
-                       details=[f"{checked} random tuples eliminated"], findings=findings)
-
-    return run
-
-
-_run_conj_i = _run_conj("A")
-_run_conj_ii = _run_conj("B")
+def _run_conj(variant: str, n: int, rng: RngFactory, trials: int = 50) -> Verdict:
+    rng = rng()
+    for _ in range(trials):
+        r = rng.randint(1, n - 3 if variant == "A" else n - 4)
+        alphas = sample_graded_alphas(variant, n, r, rng)
+        b = sample_solv_bs(variant, n, r, alphas, rng)
+        res = conjecture_check(n, variant, r, alphas, 0, b)
+        if not res.eliminated:
+            tail = {k: str(v) for k, v in res.residual_b.items()}
+            return Verdict("finding", [f"counterexample at r={r}: residual tail {tail}"],
+                           params=(("r", r), ("alpha", alphas), ("b", b)),
+                           transcript=[f"b coefficients after transform: {tail}"],
+                           findings=("unexpected: transformation failed to eliminate the tails",))
+    findings = (("tail elimination verified with the e_1 row extended through A_n; the "
+                 "displayed transformation stops at A_{n-1} and leaves an e_n residue",)
+                if variant == "A" else
+                ("after the transformation the basis is re-adapted through the chain "
+                 "products before comparing; the raw image does not carry the table shape",))
+    findings = findings + (
+        "b sampled on the admissible sub-variety (alpha-dependent coordinates are forced "
+        "to zero by the identity); a_1 = 0 throughout, the transformation does not "
+        "account for the a_1 correction terms",)
+    return Verdict("pass", [f"{trials} random tuples eliminated"], findings=findings)
 
 
 # -- registry --------------------------------------------------------------------------
@@ -1078,7 +1000,7 @@ class Scenario:
     id: str
     description: str
     expected: str               # DerivationShape | Contradiction | FamilyMatch | BoundHolds | Eliminated
-    runner: Callable
+    runner: Callable            # (n, rng factory, **options) -> Verdict
     parity: Optional[str] = None     # "odd" | "even" | None
     min_n: int = 5
 
@@ -1116,27 +1038,30 @@ SCENARIOS = {s.id: s for s in (
     Scenario("thm39-nonexist", "no solvable extension over the non-Lie third-family instances",
              "Contradiction", _run_thm39_nonexist),
     Scenario("prop41-shape", "derivation form of the first graded Lie family",
-             "DerivationShape", _run_prop41_shape),
+             "DerivationShape", partial(_run_graded_shape, "A")),
     Scenario("thm42-class", "solvable extensions over A nilradicals match the classified table",
-             "FamilyMatch", _run_thm42_class),
+             "FamilyMatch", partial(_run_graded_class, "A")),
     Scenario("prop43-nolie", "every solvable extension over an A nilradical is Lie",
-             "Contradiction", _run_prop43_nolie),
+             "Contradiction", partial(_run_graded_nolie, "A")),
     Scenario("prop44-shape", "derivation form of the second graded Lie family",
-             "DerivationShape", _run_prop44_shape, parity="odd"),
+             "DerivationShape", partial(_run_graded_shape, "B"), parity="odd"),
     Scenario("thm45-class", "solvable extensions over B nilradicals match the classified table",
-             "FamilyMatch", _run_thm45_class, parity="odd"),
+             "FamilyMatch", partial(_run_graded_class, "B"), parity="odd"),
     Scenario("prop46-nolie", "every solvable extension over a B nilradical is Lie",
-             "Contradiction", _run_prop46_nolie, parity="odd"),
+             "Contradiction", partial(_run_graded_nolie, "B"), parity="odd"),
     Scenario("thm26-bound", "codimension of the nilradical bounded by nil-independent derivations",
              "BoundHolds", _run_thm26_bound),
     Scenario("conj-i", "tail parameters eliminated by the star transformation (first variant)",
-             "Eliminated", _run_conj_i),
+             "Eliminated", partial(_run_conj, "A")),
     Scenario("conj-ii", "tail parameters eliminated by the star transformation (second variant)",
-             "Eliminated", _run_conj_ii, parity="odd"),
+             "Eliminated", partial(_run_conj, "B"), parity="odd"),
 )}
 
 
 def run_scenario(scenario_id: str, n: int, seed: int = 0, **kwargs) -> Report:
+    """Run one scenario and stamp its verdict with the id, n, seed and wall
+    time. The runner gets n and a factory that returns a fresh
+    ``scenario_rng(scenario_id, n, seed)`` on every call."""
     if scenario_id not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
@@ -1145,15 +1070,16 @@ def run_scenario(scenario_id: str, n: int, seed: int = 0, **kwargs) -> Report:
         raise ValueError(f"n={n} rejected: constraint systems grow as (n+2)^3; limit is {MAX_N}")
     if not sc.admissible(n):
         raise ValueError(f"scenario {scenario_id} requires {sc.rule()}, got n={n}")
-    return sc.runner(n, seed, **kwargs)
+    t0 = time.monotonic()
+    body = sc.runner(n, lambda: scenario_rng(scenario_id, n, seed), **kwargs)
+    return Report(scenario=scenario_id, n=n, seed=seed, verdict=body.verdict,
+                  details=tuple(body.details), findings=tuple(body.findings),
+                  params=tuple((str(k), str(v)) for k, v in body.params),
+                  transcript=tuple(body.transcript), wall_time=time.monotonic() - t0)
 
 
 def run_all(n_values, seed: int = 0) -> list:
     """Every scenario over its admissible subset of the given n values."""
-    reports = []
-    for scenario_id in sorted(SCENARIOS):
-        sc = SCENARIOS[scenario_id]
-        for n in n_values:
-            if sc.admissible(n):
-                reports.append(sc.runner(n, seed))
-    return reports
+    return [run_scenario(scenario_id, n, seed)
+            for scenario_id in sorted(SCENARIOS) for n in n_values
+            if SCENARIOS[scenario_id].admissible(n)]

@@ -235,7 +235,7 @@ def test_family_points_satisfy_dense_leibniz_identity(case):
         families += 1
         for _ in range(3):
             point = {name: Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for name in outcome.free}
-            alg = instantiate(problem, outcome, point, validate=False)
+            alg = instantiate(problem, outcome, point)
             assert alg.dim == problem.dim
             assert dense_leibniz_failures(alg) == ()
     assert families >= 1

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg.families import ConstructionError, make_SolvA, make_SolvB
+from leibnizalg import verify
+from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB
 from leibnizalg.verify import (
     MAX_N,
     SCENARIOS,
+    Scenario,
     run_all,
     run_scenario,
     sample_graded_alphas,
     sample_solv_bs,
+    scenario_rng,
 )
 
 
@@ -67,12 +70,37 @@ def test_single_n_runs_only_parity_admissible():
     assert "thm35-class" in ids and "thm36-class" not in ids
     assert all(r.verdict == "pass" for r in reports)
     assert len(reports) >= 16
+    for r in reports:  # run_all goes through the one registry pipeline
+        assert r.canonical() == run_scenario(r.scenario, 5, 0).canonical()
 
 
 def test_failing_scenarios_carry_witnesses():
     r = run_scenario("prop32-nonexist", 5, 0)
     assert any("witness" in line for line in r.details)
     assert r.transcript
+
+
+def test_failing_runner_is_stamped_by_the_registry(monkeypatch):
+    """F2(0,...,0,1) has a solvable extension, so the non-existence check
+    fails on it; the registry stamps the failure like any other verdict and
+    hands the runner fresh streams of the scenario's rng."""
+    draws = []
+
+    def runner(n, rng):
+        draws.append((rng().random(), rng().random()))
+        return verify._nonexist(make_F2(n, {}, 1))
+
+    monkeypatch.setitem(SCENARIOS, "throwaway-nonexist",
+                        Scenario("throwaway-nonexist", "F2 has no solvable extension (false)",
+                                 "Contradiction", runner))
+    r = run_scenario("throwaway-nonexist", 5, 4)
+    assert r.verdict == "fail" and not r.ok
+    assert (r.scenario, r.n, r.seed) == ("throwaway-nonexist", 5, 4)
+    assert r.details and "expected Contradiction, got family" in r.details[0]
+    assert r.transcript
+    assert r.wall_time >= 0
+    first = scenario_rng("throwaway-nonexist", 5, 4).random()
+    assert draws == [(first, first)]
 
 
 def _probed_bs(variant, n, r, alphas):
