@@ -2,9 +2,12 @@
 
 The derivation equation d([u,v]) = [d(u),v] + [u,d(v)] over all basis pairs is
 a linear system in the dim^2 matrix entries; its canonical nullspace basis is
-the derivation space. Nil-independence is computed from the diagonal rank,
-which is exact for spaces of upper-triangular matrices (every family handled
-here), with a randomized cross-check guarding the triangularity assumption.
+the derivation space. :func:`is_derivation` checks one matrix (rational or
+Poly entries) by a walk over the nonzero cells of the integer-scaled product
+table and the nonzero entries of the matrix. Nil-independence is computed
+from the diagonal rank, which is exact for spaces of upper-triangular
+matrices (every family handled here), with a randomized cross-check guarding
+the triangularity assumption.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, int_table
 from .linalg import Matrix, int_is_nilpotent, nullspace, rank, rref, scale_to_integers
-from .poly import PolyRing
+from .poly import Poly, PolyRing
 
 # the randomized nil-independence cross-check: combinations drawn, fixed seed
 NIL_CHECK_TRIALS = 32
@@ -105,23 +108,63 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
 
 
 def is_derivation(alg: Algebra, mat: Matrix) -> bool:
-    """Check d([u,v]) = [d(u),v] + [u,d(v)] on all basis pairs.
+    """Check d([b_i,b_j]) = [d(b_i),b_j] + [b_i,d(b_j)] on all basis pairs,
+    where row r of ``mat`` is d(b_r).
 
-    Works for rational and for polynomial entries alike.
+    One walk over the nonzero cells of the integer-scaled table and the
+    nonzero entries of ``mat``, one i-slab at a time, as in
+    :func:`~leibnizalg.algebra.leibniz_defects`: ``cells`` lists the nonzero
+    products of each b_i, ``images`` the nonzero entries of each d(b_i),
+    ``preimages`` the (j, v) with v b_p in d(b_j). Every term is one table
+    coefficient times one matrix entry, so scaling the table or the matrix
+    scales every defect and keeps the verdict. A rational ``mat`` is scaled
+    to integers too; Poly entries, as in the symbolic template of
+    :func:`~leibnizalg.extensions.build_extension_problem`, are used as they
+    are. Returns False at the first slab with a nonzero defect.
     """
     d = alg.dim
     if mat.nrows != d or mat.ncols != d:
         raise ValueError(f"matrix must be {d}x{d}")
-    flat = mat.flat()
-    for lhs, rhs in derivation_equations(alg):
-        acc = 0
-        for idx, c in lhs:
-            if flat[idx]:
-                acc = acc + c * flat[idx]
-        for idx, c in rhs:
-            if flat[idx]:
-                acc = acc - c * flat[idx]
-        if acc:
+    prods, _ = int_table(alg.table)
+    entries = [(idx, e) for idx, e in enumerate(mat.flat()) if e]
+    values = [e for _, e in entries]
+    if not any(isinstance(e, Poly) for e in values):
+        values, _ = scale_to_integers(values)
+    cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
+    images = [[] for _ in range(d)]
+    for (idx, _), v in zip(entries, values):
+        i, m = divmod(idx, d)
+        images[i].append((m, v))
+    preimages = [[] for _ in range(d)]
+    for j, image in enumerate(images):
+        for p, v in image:
+            preimages[p].append((j, v))
+    for i in range(d):
+        acc = {}  # acc[j * d + m]: coordinate m of the defect at (b_i, b_j)
+        for j, cell in cells[i]:  # d([bi,bj])
+            base = j * d
+            for k, c in cell:
+                for m, v in images[k]:
+                    key = base + m
+                    w = c * v
+                    acc[key] = acc[key] + w if key in acc else w
+        for p, v in images[i]:  # -[d(bi),bj]
+            nv = -v
+            for j, cell in cells[p]:
+                base = j * d
+                for m, c in cell:
+                    key = base + m
+                    w = nv * c
+                    acc[key] = acc[key] + w if key in acc else w
+        for p, cell in cells[i]:  # -[bi,d(bj)]
+            for j, v in preimages[p]:
+                nv = -v
+                base = j * d
+                for m, c in cell:
+                    key = base + m
+                    w = nv * c
+                    acc[key] = acc[key] + w if key in acc else w
+        if any(acc.values()):
             return False
     return True
 

@@ -17,7 +17,10 @@ Lie are additionally checked for antisymmetry.
 The graded tables A, B, SolvA and SolvB each have one product-map builder,
 :func:`graded_products` and :func:`solvable_products`, generic in the scalar
 type of the alphas and b's: the constructors call them with Fractions, the
-sampling in ``verify`` with Poly indeterminates.
+alpha Jacobi relations in ``verify`` with Poly indeterminates. The action of
+x on the nilradical is propagated along the chain in one place,
+:func:`solvable_x_rows`, which serves :func:`solvable_products` and the
+admissible-b solve in ``verify``.
 """
 
 from __future__ import annotations
@@ -354,13 +357,36 @@ def make_L3(n: int, j0: int) -> Algebra:
     return _validated(prods, _e_labels(n, with_x=True), meta)
 
 
+def solvable_x_rows(variant: str, n: int, table, row0, row1) -> list:
+    """The rows [e_0, x], ..., [e_n, x] of x acting on the graded nilradical N
+    of SolvA (``variant`` "A") or SolvB, from [e_0, x] = ``row0`` and
+    [e_1, x] = ``row1``: the other rows follow from
+    [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] along the chain products;
+    in B, e_n is not in the e_0-chain and is reached through
+    [e_1, e_{n-1}] = -e_n. ``table`` is a product table holding N's products
+    on its first n + 1 basis vectors; the rows are coordinate vectors over
+    its basis. The rows are linear in (row0, row1); scalars are as in
+    :func:`graded_products`.
+    """
+    d = len(table)
+    basis = lambda i: [int(j == i) for j in range(d)]
+    rows = [row0, row1]
+    for i in range(1, n if variant == "A" else n - 1):
+        lhs = table_bracket(table, row0, basis(i), 0)
+        rhs = table_bracket(table, basis(0), rows[i], 0)
+        rows.append([a + b for a, b in zip(lhs, rhs)])
+    if variant == "B":
+        lhs = table_bracket(table, row1, basis(n - 1), 0)
+        rhs = table_bracket(table, basis(1), rows[n - 1], 0)
+        rows.append([-(a + b) for a, b in zip(lhs, rhs)])
+    return rows
+
+
 def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping, a1=0) -> dict:
     """{(i, j): [(k, c)]} product map of SolvA (``variant`` "A") or SolvB:
     the graded nilradical N plus x acting by [e_0, x] = e_0 + a1 e_1 and
-    [e_1, x] = (1 + r) e_1 + sum_k b_k e_k. The other rows follow from
-    [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] along the chain products;
-    in B, e_n is not in the e_0-chain and is reached through
-    [e_1, e_{n-1}] = -e_n. [x, e_i] = -[e_i, x].
+    [e_1, x] = (1 + r) e_1 + sum_k b_k e_k, the other rows by
+    :func:`solvable_x_rows`. [x, e_i] = -[e_i, x].
 
     Scalars are as in :func:`graded_products`: ``bs[k]`` may be Polys, which
     makes the map linear in the b_k. No identity check is made here.
@@ -368,24 +394,15 @@ def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping
     dim = n + 2
     x = n + 1
     prods = graded_products(variant, n, r, alphas)
-    table = product_table(prods, dim)
-    basis = lambda i: [int(j == i) for j in range(dim)]
-    rows = {0: [0] * dim, 1: [0] * dim}
-    rows[0][0], rows[0][1] = 1, a1
-    rows[1][1] = 1 + r
+    row0 = [0] * dim
+    row1 = [0] * dim
+    row0[0], row0[1] = 1, a1
+    row1[1] = 1 + r
     for k, c in bs.items():
-        rows[1][k] = c
-    for i in range(1, n if variant == "A" else n - 1):
-        lhs = table_bracket(table, rows[0], basis(i), 0)
-        rhs = table_bracket(table, basis(0), rows[i], 0)
-        rows[i + 1] = [a + b for a, b in zip(lhs, rhs)]
-    if variant == "B":
-        lhs = table_bracket(table, rows[1], basis(n - 1), 0)
-        rhs = table_bracket(table, basis(1), rows[n - 1], 0)
-        rows[n] = [-(a + b) for a, b in zip(lhs, rhs)]
-    for i in range(n + 1):
-        prods[(i, x)] = [(k, c) for k, c in enumerate(rows[i]) if c]
-        prods[(x, i)] = [(k, -c) for k, c in enumerate(rows[i]) if c]
+        row1[k] = c
+    for i, row in enumerate(solvable_x_rows(variant, n, product_table(prods, dim), row0, row1)):
+        prods[(i, x)] = [(k, c) for k, c in enumerate(row) if c]
+        prods[(x, i)] = [(k, -c) for k, c in enumerate(row) if c]
     return prods
 
 

@@ -31,6 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .algebra import (
     Algebra,
     Subspace,
+    algebra_from_products,
     is_lie,
     is_nilpotent,
     is_solvable,
@@ -39,7 +40,7 @@ from .algebra import (
     product_table,
     subalgebra_on_indices,
 )
-from .derivations import derivation_space, max_nil_independent
+from .derivations import derivation_space, is_derivation, max_nil_independent
 from .extensions import (
     BasisChange,
     ConstraintSystem,
@@ -74,9 +75,9 @@ from .families import (
     make_L3,
     make_SolvA,
     make_SolvB,
-    solvable_products,
+    solvable_x_rows,
 )
-from .linalg import nullspace, scale_to_integers
+from .linalg import Matrix, nullspace, scale_to_integers
 from .poly import Poly, PolyRing
 
 MAX_N = 12
@@ -451,20 +452,27 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
 def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
                    rng: random.Random) -> dict:
     """The displayed solvable families overstate freedom: depending on alpha,
-    some b_k are forced to zero by the Leibniz identity. Evaluate the identity
-    once on the SolvA/SolvB table with b_k indeterminates (a_1 = 0) and sample
-    on the b_k that occur in no defect. Every defect is linear in b (the
-    terms of a triple with two x's cancel by antisymmetry), so these are
-    exactly the b_k that may be nonzero one at a time. A constant defect
-    (alphas off the Jacobi variety) is left to the caller's construction,
-    which validates the sample."""
+    some b_k are forced to zero by the Leibniz identity. With a_1 = 0, x acts
+    on the nilradical N by R_x|N = R + sum_k b_k D_k, where D_k is the
+    x-row propagation (``solvable_x_rows``) started from [e_0, x] = 0 and
+    [e_1, x] = e_k. In the Leibniz identity of SolvA/SolvB the terms of a
+    triple with two x's cancel by antisymmetry, those of a triple without x
+    are free of b, and those of a triple with one x are the derivation
+    equation of R_x|N on N. So the identity is linear in b, and b_k may be
+    nonzero exactly when D_k is a derivation of N: build N once, run
+    ``is_derivation`` on each D_k and sample on the admitted b_k. A defect
+    free of b (alphas off the Jacobi variety, or R not a derivation) is left
+    to the caller's construction, which validates the sample."""
     top = n + 1 if variant == "A" else n
-    ring = PolyRing(tuple(f"b{k}" for k in range(2, top)))
-    bs = {k: ring.var(f"b{k}") for k in range(2, top)}
-    table = product_table(solvable_products(variant, n, r, alphas, bs), n + 2)
-    coupled = {name for _, defect in leibniz_defects(table) for c in defect.values()
-               if isinstance(c, Poly) for name in c.variables()}
-    return {k: small_rational(rng, 8) for k in range(2, top) if f"b{k}" not in coupled}
+    nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)), graded_products(variant, n, r, alphas))
+    zero = [0] * (n + 1)
+    admitted = []
+    for k in range(2, top):
+        row1 = list(zero)
+        row1[k] = 1
+        if is_derivation(nil, Matrix(solvable_x_rows(variant, n, nil.table, zero, row1))):
+            admitted.append(k)
+    return {k: small_rational(rng, 8) for k in admitted}
 
 
 # -- derivation-shape transcriptions ----------------------------------------------

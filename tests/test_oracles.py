@@ -26,13 +26,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from leibnizalg.algebra import Algebra, bracket, is_lie, leibniz_check
+from leibnizalg.algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
 from leibnizalg.extensions import (BasisChange, apply_basis_change, build_extension_problem, diagonal_branches,
                                    eliminate, generate_constraints, instantiate)
 from leibnizalg.families import (FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn)
 from leibnizalg.linalg import Matrix, mat_inverse, matrix_is_nilpotent
+from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas
 
 from dense_algebra import dense, from_dense, mat_apply, mat_is_zero, mat_mul, mat_zeros
@@ -163,6 +164,67 @@ def test_symbolic_is_derivation_matches_brute_force():
         assert got == brute_force_is_derivation(alg, off)
         verdicts.add(got)
     assert False in verdicts
+
+
+small_entries = st.one_of(st.just(0), st.integers(-3, 3), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12)))
+
+
+@st.composite
+def sparse_tables(draw, max_dim=6):
+    """Sparse random products over d <= 6 basis vectors, with int and
+    Fraction coefficients: arbitrary (most fail the Leibniz identity) or
+    two-step nilpotent (products of e_0..e_{s-1} land in span(e_s..e_{d-1}),
+    every other product is zero; always Leibniz, with many derivations)."""
+    d = draw(st.integers(1, max_dim))
+    s = draw(st.one_of(st.none(), st.integers(0, d)))
+    products = {}
+    for i in range(d if s is None else s):
+        for j in range(d if s is None else s):
+            for k in range(0 if s is None else s, d):
+                if draw(st.integers(0, 3)) == 0:
+                    products.setdefault((i, j), []).append((k, draw(nonzero_rationals)))
+    return algebra_from_products(tuple(f"e{i}" for i in range(d)), products)
+
+
+@st.composite
+def candidate_matrices(draw, alg: Algebra) -> Matrix:
+    """A d x d matrix to test as a derivation of ``alg``: sparse with int and
+    Fraction entries and zero rows, a random element of the derivation space
+    with int and Fraction weights, or the generic derivation with Poly
+    entries; the last two optionally perturbed in one entry."""
+    d = alg.dim
+    kind = draw(st.sampled_from(("sparse", "derivation", "symbolic")))
+    if kind == "sparse":
+        return Matrix(tuple(tuple(draw(small_entries) for _ in range(d)) if draw(st.booleans()) else (0,) * d
+                            for _ in range(d)))
+    space = derivation_space(alg)
+    if kind == "derivation":
+        rows = [[0] * d for _ in range(d)]
+        for mat in space.basis:
+            w = draw(small_entries)
+            for i in range(d):
+                for j in range(d):
+                    rows[i][j] += w * mat.rows[i][j]
+        bump = draw(nonzero_rationals)
+    else:
+        ring = PolyRing(space.param_names + ("s",))
+        rows = [list(r) for r in space.generic_matrix(ring).rows]
+        bump = ring.var("s") * draw(small_entries) + draw(nonzero_rationals)
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if draw(st.booleans()):
+        rows[i][j] = rows[i][j] + bump
+    return Matrix(tuple(tuple(r) for r in rows))
+
+
+@given(sparse_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_is_derivation_matches_brute_force(alg, data):
+    mat = data.draw(candidate_matrices(alg))
+    assert is_derivation(alg, mat) == brute_force_is_derivation(alg, mat)
+    d = alg.dim
+    for rows, cols in ((d + 1, d), (d, d + 1), (d - 1, d - 1)):
+        with pytest.raises(ValueError):
+            is_derivation(alg, Matrix(tuple((0,) * cols for _ in range(rows))))
 
 
 # -- the elimination ------------------------------------------------------------------------

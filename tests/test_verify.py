@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg import verify
-from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB
+from leibnizalg.algebra import leibniz_defects, product_table
+from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_products
+from leibnizalg.poly import Poly, PolyRing
 from leibnizalg.verify import (
     MAX_N,
     SCENARIOS,
@@ -14,6 +16,7 @@ from leibnizalg.verify import (
     sample_graded_alphas,
     sample_solv_bs,
     scenario_rng,
+    small_rational,
 )
 
 
@@ -140,3 +143,57 @@ def test_symbolic_admissible_bs_match_the_per_coordinate_probe():
                         make_SolvB(n, r, alphas, b)
                     cases += 1
     assert cases == 58  # (20 A + 9 B) (variant, n, r) x 2 seeds
+
+
+def _walked_bs(variant, n, r, alphas):
+    """The b_k that occur in no Leibniz defect of the SolvA/SolvB table with
+    b_k indeterminates (a_1 = 0), from one walk over Poly entries."""
+    top = n + 1 if variant == "A" else n
+    ring = PolyRing(tuple(f"b{k}" for k in range(2, top)))
+    bs = {k: ring.var(f"b{k}") for k in range(2, top)}
+    table = product_table(solvable_products(variant, n, r, alphas, bs), n + 2)
+    coupled = {name for _, defect in leibniz_defects(table) for c in defect.values()
+               if isinstance(c, Poly) for name in c.variables()}
+    return [k for k in range(2, top) if f"b{k}" not in coupled]
+
+
+def test_derivation_solve_matches_the_symbolic_leibniz_walk():
+    """sample_solv_bs admits b_k when D_k is a derivation of the nilradical;
+    the symbolic Leibniz walk over the whole SolvA/SolvB table must admit the
+    same b_k, and the sample must be the one drawn on them, leaving the rng
+    in the same state."""
+    cases = 0
+    for variant, ns in (("A", range(5, 13)), ("B", (5, 7, 9))):
+        for n in ns:
+            for r in range(1, n - 2 if variant == "A" else n - 3):
+                for seed in range(2):
+                    rng = random.Random(f"walk:{variant}:{n}:{r}:{seed}")
+                    alphas = sample_graded_alphas(variant, n, r, rng)
+                    want_rng = random.Random()
+                    want_rng.setstate(rng.getstate())
+                    want = {k: small_rational(want_rng, 8) for k in _walked_bs(variant, n, r, alphas)}
+                    assert sample_solv_bs(variant, n, r, alphas, rng) == want, (variant, n, r, alphas)
+                    assert rng.getstate() == want_rng.getstate()
+                    cases += 1
+    assert cases == 106  # (44 A + 9 B) (variant, n, r) x 2 seeds
+
+
+def test_sample_solv_bs_multiplies_no_poly(monkeypatch):
+    """The admissible-b solve is exact arithmetic on the nilradical: it
+    builds no PolyRing and multiplies no Poly."""
+    cases = []
+    for variant, n in (("A", 7), ("A", 10), ("B", 7), ("B", 9)):
+        for r in range(1, n - 2 if variant == "A" else n - 3):
+            rng = random.Random(f"nopoly:{variant}:{n}:{r}")
+            cases.append((variant, n, r, sample_graded_alphas(variant, n, r, rng), rng))
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic in sample_solv_bs")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "__rmul__", refuse)
+    monkeypatch.setattr(PolyRing, "__init__", refuse)
+    admitted = 0
+    for variant, n, r, alphas, rng in cases:
+        admitted += len(sample_solv_bs(variant, n, r, alphas, rng))
+    assert admitted
