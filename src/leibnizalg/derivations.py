@@ -107,7 +107,7 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
     return DerivationSpace(alg, mats, _names_for(vecs, d))
 
 
-def is_derivation(alg: Algebra, mat: Matrix) -> bool:
+def is_derivation(alg: Algebra, mat: Matrix, scaled: Optional[tuple] = None) -> bool:
     """Check d([b_i,b_j]) = [d(b_i),b_j] + [b_i,d(b_j)] on all basis pairs,
     where row r of ``mat`` is d(b_r).
 
@@ -120,12 +120,15 @@ def is_derivation(alg: Algebra, mat: Matrix) -> bool:
     scales every defect and keeps the verdict. A rational ``mat`` is scaled
     to integers too; Poly entries, as in the symbolic template of
     :func:`~leibnizalg.extensions.build_extension_problem`, are used as they
-    are. Returns False at the first slab with a nonzero defect.
+    are. Returns False at the first slab with a nonzero defect. A caller that
+    checks many matrices on one algebra passes ``scaled``, the
+    integer-scaled table ``int_table(alg.table)[0]``, so that the table is
+    scaled once.
     """
     d = alg.dim
     if mat.nrows != d or mat.ncols != d:
         raise ValueError(f"matrix must be {d}x{d}")
-    prods, _ = int_table(alg.table)
+    prods = int_table(alg.table)[0] if scaled is None else scaled
     entries = [(idx, e) for idx, e in enumerate(mat.flat()) if e]
     values = [e for _, e in entries]
     if not any(isinstance(e, Poly) for e in values):

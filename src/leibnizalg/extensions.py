@@ -236,17 +236,27 @@ def eliminate(system: ConstraintSystem):
     then canonical term order. Each substitution removes an indeterminate, so
     termination is immediate; the outcome is deterministic.
 
-    Live equations are numbered, and two indexes over the numbers keep a step
-    local: ``index`` maps each variable to the equations that contain it, so
-    a substitution touches only those; ``solvable`` maps each variable to the
-    equations linear in it, with their ``(coefficient, rest)``, so the best
-    candidate is found without a scan.
+    Live equations are numbered, and a number is never reused. Two indexes
+    over the numbers keep a step local, both keyed by ring index: ``index``
+    maps each variable to the equations that contain it, so a substitution
+    touches only those; ``solvable`` maps each variable to the equations in
+    which its only occurrence is a degree-1 term, so the candidates are found
+    without a scan. ``rank`` orders the ring indices as their names sort, so
+    the smallest rank is the lexicographically smallest name. A rewritten
+    equation retires lazily: its number stays in the indexes and is skipped
+    when popped, because it is no longer ``live``. The pivot's coefficient
+    (``linear_coefficient``) is computed once per step, on the chosen
+    equation only.
     """
     ring = system.ring
+    names = ring.names
+    rank = [0] * len(names)
+    for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+        rank[i] = r
     numbers: dict = {}    # live equation -> its number
-    live: dict = {}       # number -> (equation, its variables)
-    index = defaultdict(set)
-    solvable: dict = {}
+    live: dict = {}       # number -> live equation
+    index = defaultdict(list)
+    solvable = defaultdict(list)
     constants: list = []
     log: list = []
     counter = count()
@@ -255,32 +265,19 @@ def eliminate(system: ConstraintSystem):
         if e in numbers:
             return
         k = numbers[e] = next(counter)
-        names = e.variables()
-        live[k] = (e, names)
-        if not names:
+        live[k] = e
+        indices = e._indices()
+        if not indices:
             constants.append(e)
             return
-        for v in names:
-            index[v].add(k)
-        # only a variable with a degree-1 term can have a linear coefficient
-        for mono in e._terms:
-            if len(mono) == 1:
-                v = e.ring.names[mono[0]]
-                lc = e.linear_coefficient(v)
-                if lc is not None:
-                    solvable.setdefault(v, {})[k] = lc
-
-    def drop(k: int, var: str) -> Poly:
-        e, names = live.pop(k)
-        del numbers[e]
-        for v in names:
-            if v == var:
-                continue
-            index[v].discard(k)
-            cands = solvable.get(v)
-            if cands is not None and cands.pop(k, None) is not None and not cands:
-                del solvable[v]
-        return e
+        for i in indices:
+            index[i].append(k)
+        linear = [mono[0] for mono in e._terms if len(mono) == 1]
+        if linear:
+            nonlinear = {i for mono in e._terms if len(mono) > 1 for i in mono}
+            for i in linear:
+                if i not in nonlinear:
+                    solvable[i].append(k)
 
     for e in system.equations:
         if e:
@@ -289,21 +286,28 @@ def eliminate(system: ConstraintSystem):
         if constants:
             witness = min(constants, key=_poly_sort_key)
             return Contradiction(witness=witness, assignments=tuple(log))
-        if not solvable:
+        best = None
+        while best is None and solvable:
+            var = min(solvable, key=rank.__getitem__)
+            cands = [live[k] for k in solvable.pop(var) if k in live]
+            if cands:
+                best = min(cands, key=_poly_sort_key)
+        if best is None:
             assigned = {name for name, _, _ in log}
-            free = tuple(n for n in ring.names if n not in assigned)
+            free = tuple(n for n in names if n not in assigned)
             residual = tuple(sorted(numbers, key=_poly_sort_key))
             return Family(residual=residual, assignments=tuple(log), free=free)
-        var = min(solvable)
-        cands = solvable.pop(var)
-        best = min(cands, key=lambda k: _poly_sort_key(live[k][0]))
-        coeff, rest = cands[best]
+        name = names[var]
+        coeff, rest = best.linear_coefficient(name)
         value = rest * (Fraction(-1) / coeff)
-        log.append((var, value, live[best][0]))
-        for e in [drop(k, var) for k in index.pop(var)]:
-            e2 = e.substitute(var, value)
-            if e2:
-                add(e2.content_normalized())
+        log.append((name, value, best))
+        for k in index.pop(var):
+            e = live.pop(k, None)
+            if e is not None:
+                del numbers[e]
+                e = e.substitute(name, value)
+                if e:
+                    add(e.content_normalized())
 
 
 def resolved_assignments(outcome) -> dict:

@@ -49,8 +49,10 @@ def _scalar(value) -> Scalar:
     """``value`` as an int when it is integral, else as a Fraction; any type
     other than int or Fraction raises the TypeError of
     :func:`~leibnizalg.linalg.scale_to_integers`."""
-    if isinstance(value, Fraction) and value.denominator != 1:
+    if type(value) is int:
         return value
+    if type(value) is Fraction:
+        return value if value.denominator != 1 else value.numerator
     (coeff,), _ = scale_to_integers((value,))
     return coeff
 
@@ -260,12 +262,16 @@ class Poly:
     def substitute(self, name: str, value) -> "Poly":
         """Exact substitution of ``value`` (Poly or scalar) for ``name``.
 
-        Only the terms that contain ``name`` are rewritten."""
+        Only the terms that contain ``name`` are rewritten. A zero value only
+        deletes them; a term linear in ``name`` takes the value's terms as
+        they are, and ``value**k`` is built once per higher power k. A Poly
+        from another ring raises ValueError, and a value that is not a Poly,
+        an int or a Fraction raises TypeError."""
         ring = self.ring
         if name not in ring.index:
             raise KeyError(f"unknown indeterminate {name!r}")
         i = ring.index[name]
-        scalar = isinstance(value, (int, Fraction))
+        scalar = not isinstance(value, Poly)
         if scalar:
             value = _scalar(value)
         elif value.ring is not ring:
@@ -277,19 +283,21 @@ class Poly:
         out = dict(terms)
         for m in hits:
             del out[m]
+        if not value:
+            return Poly._raw(ring, out)
         get = out.get
         powers: dict = {}
         for m in hits:
             c = terms[m]
             k = m.count(i)
-            rest = tuple(j for j in m if j != i)
+            rest = tuple(j for j in m if j != i) if k < len(m) else ()
             if scalar:
                 s = get(rest)
-                t = c * value**k
+                t = c * value if k == 1 else c * value**k
                 out[rest] = t if s is None else s + t
                 continue
             if k not in powers:
-                powers[k] = (value**k)._terms.items()
+                powers[k] = (value if k == 1 else value**k)._terms.items()
             for m2, c2 in powers[k]:
                 mm = tuple(sorted(rest + m2)) if rest and m2 else rest or m2
                 s = get(mm)
@@ -330,14 +338,20 @@ class Poly:
 
     def content_normalized(self) -> "Poly":
         """Canonical scalar multiple: coprime ``int`` coefficients, leading
-        (graded-lex greatest) coefficient positive."""
+        (graded-lex greatest) coefficient positive.
+
+        The content is the ``gcd`` of the coefficients when they are all
+        ``int``; a ``Fraction`` among them (``gcd`` raises TypeError) sends
+        the coefficients through ``scale_to_integers`` first. An ``int``
+        polynomial that is already canonical is returned as it is."""
         terms = self._terms
         if not terms:
             return self
-        ints = all(type(c) is int for c in terms.values())
-        if not ints:
+        try:
+            content = gcd(*terms.values())
+        except TypeError:
             terms = dict(zip(terms, scale_to_integers(list(terms.values()))[0]))
-        content = gcd(*terms.values())
+            content = gcd(*terms.values())
         # the leading monomial: the smallest index tuple of the top degree
         deg = max(map(len, terms))
         lead = None
@@ -346,7 +360,7 @@ class Poly:
                 lead = m
         if terms[lead] < 0:
             content = -content
-        elif content == 1 and ints:
+        elif content == 1 and terms is self._terms:
             return self
         return Poly._raw(self.ring, {m: c // content for m, c in terms.items()})
 

@@ -209,17 +209,21 @@ class Poly:
             value = self.ring.const(value)
         elif value.ring is not self.ring:
             raise ValueError("substitution value from a different ring")
-        out = self.ring.zero
-        powers = {0: self.ring.one}
+        out: dict = {}
+        powers: dict = {}
         for e, c in self._terms.items():
             k = e[i]
+            if k == 0:
+                out[e] = out.get(e, 0) + c
+                continue
+            if k not in powers:
+                powers[k] = (value if k == 1 else value**k)._terms.items()
             reste = list(e)
             reste[i] = 0
-            base = Poly(self.ring, {tuple(reste): c})
-            if k not in powers:
-                powers[k] = value**k
-            out = out + base * powers[k]
-        return out
+            for e2, c2 in powers[k]:
+                ee = tuple(a + b for a, b in zip(reste, e2))
+                out[ee] = out.get(ee, 0) + c * c2
+        return Poly(self.ring, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation; every occurring indeterminate must be assigned."""
@@ -305,3 +309,17 @@ class Poly:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+def dense_exp(mono, width):
+    """The dense exponent tuple a sparse monomial (sorted indices) stands for."""
+    exp = [0] * width
+    for i in mono:
+        exp[i] += 1
+    return tuple(exp)
+
+
+def dense_sort_key(p):
+    """Fewest terms first, then the terms in descending graded-lex order: the
+    tie-break of the library's elimination, on dense exponent vectors."""
+    return (p.num_terms, tuple(p.terms()))

@@ -38,7 +38,7 @@ from leibnizalg.families import (
     make_SolvB,
 )
 from leibnizalg.linalg import Matrix, mat_inverse
-from leibnizalg.poly import PolyRing
+from leibnizalg.poly import Poly, PolyRing
 
 from dense_algebra import dense, from_dense
 
@@ -262,6 +262,27 @@ def test_elimination_keeps_integer_coefficients(nilradical):
         assert value == rest * (Fraction(-1) / coeff)
         if coeff in (1, -1):
             assert all_int(value)
+
+
+@pytest.mark.parametrize("nilradical", [make_F1s(6, 3), make_F2(5, {}, 1)], ids=["contradiction", "family"])
+def test_elimination_reads_one_pivot_per_step_and_no_variable_names(nilradical, monkeypatch):
+    prob = build_extension_problem(nilradical)
+    system = generate_constraints(prob, hypotheses=diagonal_branches(prob)[0])
+    calls = {"linear_coefficient": 0, "variables": 0}
+
+    def counted(name):
+        method = getattr(Poly, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Poly, name, counted(name))
+    out = eliminate(system)
+    assert out.assignments
+    assert calls == {"linear_coefficient": len(out.assignments), "variables": 0}
 
 
 @pytest.mark.parametrize("value", [0.1, 0.5, "3/4", PolyRing(("p",)).var("p")],

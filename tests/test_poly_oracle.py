@@ -10,13 +10,21 @@ the sparse supports the constraint systems have (a few variables per term).
 The sparse ``Poly`` also keeps integral coefficients as ``int``: polynomials
 built from ``int`` inputs keep ``int`` coefficients through every operation,
 and ``content_normalized`` always returns ``int`` coefficients.
+
+The shortcuts of ``substitute`` (a zero, constant, one-term or multi-term
+value, into terms linear and quadratic in the name) and of
+``content_normalized`` (``int``, ``Fraction`` and integral ``Fraction``
+coefficients) are checked against the oracle too; floats and strings raise
+``TypeError`` through ``const``, ``*`` and ``substitute``.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_poly
+from dense_poly import dense_exp, dense_sort_key
 from leibnizalg.extensions import _poly_sort_key
 from leibnizalg.poly import Poly, PolyRing
 
@@ -49,14 +57,6 @@ def pair(names, spec):
     return build(sparse, names, spec), build(dense, names, spec)
 
 
-def dense_exp(mono, width):
-    """The dense exponent tuple a sparse monomial stands for."""
-    exp = [0] * width
-    for i in mono:
-        exp[i] += 1
-    return tuple(exp)
-
-
 def agree(sp, dp):
     width = len(sp.ring.names)
     assert {dense_exp(m, width): c for m, c in sp._terms.items()} == dp._terms
@@ -66,10 +66,6 @@ def agree(sp, dp):
     assert sp.degree() == dp.degree()
     assert sp.is_constant() == dp.is_constant()
     assert sp.num_terms == dp.num_terms
-
-
-def dense_sort_key(p):
-    return (p.num_terms, tuple(p.terms()))
 
 
 def sign(a, b):
@@ -198,3 +194,80 @@ def test_integral_fraction_and_int_coefficients_are_one_poly(case):
     assert str(p) == str(q) and p.terms() == q.terms()
     assert _poly_sort_key(p) == _poly_sort_key(q)
     assert len({p, q}) == 1
+
+
+# -- the substitution and normalization fast paths ---------------------------------------
+
+VALUE_KINDS = ("zero", "zero-poly", "constant", "constant-poly", "one-term", "multi-term")
+
+
+def draw_value(data, kind, names, sparse, dense):
+    """A substitution value of the given kind, for both implementations."""
+    if kind == "zero":
+        return (data.draw(st.sampled_from((0, Fraction(0)))),) * 2
+    if kind == "zero-poly":
+        return sparse.zero, dense.zero
+    c = data.draw(coeffs.filter(bool))
+    if kind == "constant":
+        return c, c
+    if kind == "constant-poly":
+        return sparse.const(c), dense.const(c)
+    if kind == "one-term":
+        mono = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=2))
+        return pair(names, [(mono, c)])
+    spec = data.draw(term_lists(names, 2, 4).filter(lambda spec: len(build(sparse, names, spec)._terms) >= 2))
+    return pair(names, spec)
+
+
+@given(CASES, st.sampled_from(VALUE_KINDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_substitute_fast_paths_agree(case, kind, data):
+    """Every kind of value, into terms linear and quadratic in the name."""
+    names, a, _ = case
+    sparse, dense = RINGS[names]
+    name = data.draw(st.sampled_from(names))
+    i = names.index(name)
+    # a*(1 + name + name^2): every term of a hit with k = 0, 1 and 2 (more
+    # where a holds the name already)
+    spec = [(m + extra, c) for m, c in a for extra in ([], [i], [i, i])]
+    sp, dp = pair(names, spec)
+    sv, dv = draw_value(data, kind, names, sparse, dense)
+    agree(sp.substitute(name, sv), dp.substitute(name, dv))
+
+
+COEFF_KINDS = {"int": int_coeffs, "fraction": coeffs, "integral-fraction": int_coeffs.map(Fraction)}
+
+
+@given(st.sampled_from((SMALL, WIDE)), st.sampled_from(sorted(COEFF_KINDS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_content_normalized_on_each_coefficient_type(names, kind, data):
+    """The terms are stored with the drawn coefficient type as they are."""
+    sparse, dense = RINGS[names]
+    spec = data.draw(term_lists(names, 3, 6, COEFF_KINDS[kind]))
+    terms = {}
+    for m, c in spec:
+        mono = tuple(sorted(m))
+        terms[mono] = terms.get(mono, 0) + c
+    sp = Poly(sparse, terms)
+    dp = dense_poly.Poly(dense, {dense_exp(m, len(names)): Fraction(c) for m, c in sp._terms.items()})
+    normal = sp.content_normalized()
+    agree(normal, dp.content_normalized())
+    assert all_int(normal)
+    assert normal.content_normalized() is normal
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, "3/4"], ids=["float", "float-exact", "str"])
+def test_floats_and_strings_raise_type_error(value):
+    ring = RINGS[SMALL][0]
+    p = ring.var("x") * ring.var("y") + ring.var("x") + 1
+    message = f"expected int or Fraction entries, got {type(value).__name__}"
+    with pytest.raises(TypeError, match=message):
+        ring.const(value)
+    with pytest.raises(TypeError):
+        p * value
+    with pytest.raises(TypeError):
+        value * p
+    with pytest.raises(TypeError, match=message):
+        p.substitute("x", value)
+    with pytest.raises(TypeError, match=message):
+        p.substitute("z", value)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import verify
+from leibnizalg import derivations, verify
 from leibnizalg.algebra import leibniz_defects, product_table
 from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_products
 from leibnizalg.poly import Poly, PolyRing
@@ -123,8 +123,8 @@ def _probed_bs(variant, n, r, alphas):
 
 
 def test_symbolic_admissible_bs_match_the_per_coordinate_probe():
-    """sample_solv_bs reads the admissible b_k off one symbolic Leibniz
-    evaluation; it must admit exactly the coordinates that pass a
+    """sample_solv_bs admits b_k when D_k passes a derivation check on the
+    nilradical; it must admit exactly the coordinates that pass a
     construction one at a time, and the sample must construct."""
     cases = 0
     for n in range(5, 10):
@@ -197,3 +197,22 @@ def test_sample_solv_bs_multiplies_no_poly(monkeypatch):
     for variant, n, r, alphas, rng in cases:
         admitted += len(sample_solv_bs(variant, n, r, alphas, rng))
     assert admitted
+
+
+def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
+    """One integer scaling of N's table serves every D_k check."""
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return scale(table)
+
+    scale = derivations.int_table
+    monkeypatch.setattr(derivations, "int_table", counted)
+    monkeypatch.setattr(verify, "int_table", counted)
+    for variant, n, r in (("A", 9, 1), ("A", 9, 3), ("B", 9, 1)):
+        rng = random.Random(f"scale:{variant}:{n}:{r}")
+        alphas = sample_graded_alphas(variant, n, r, rng)
+        calls.clear()
+        sample_solv_bs(variant, n, r, alphas, rng)
+        assert len(calls) == 1, (variant, n, r)
