@@ -271,21 +271,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 
-def _cmd_conjecture(args) -> int:
-    scenario = "conj-i" if args.variant == "A" else "conj-ii"
-    try:
-        report = run_scenario(scenario, args.n, args.seed, trials=args.trials)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{scenario} n={args.n} trials={args.trials} seed={args.seed}: {report.verdict}")
-    for line in report.details:
-        print(f"  {line}")
-    for line in report.findings:
-        print(f"  finding: {line}")
-    return 0 if report.verdict == "pass" else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leibnizalg",
@@ -330,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("conjecture", help="sample the tail-elimination conjecture")
-    p.add_argument("--variant", choices=("A", "B"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_conjecture)
 
     return parser
 

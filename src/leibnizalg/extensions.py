@@ -27,8 +27,9 @@ from .algebra import (
     table_bracket,
 )
 from .derivations import derivation_space, is_derivation
+from .families import make_SolvA, make_SolvB
 from .linalg import Matrix, int_matrix, mat_inverse, rref, to_fraction
-from .poly import Poly, PolyRing, lex_key
+from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
 
 def _lift(poly: Poly, ring: PolyRing) -> Poly:
@@ -135,10 +136,6 @@ class ConstraintSystem:
     ring: PolyRing
     equations: tuple  # normalized nonzero Polys, deduplicated
     problem: Optional[ExtensionProblem] = field(default=None, compare=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.equations)
 
 
 def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] = ()) -> ConstraintSystem:
@@ -325,9 +322,9 @@ def replay(system: ConstraintSystem, outcome) -> tuple:
     """Apply the assignment log, in order, to the original equations; returns
     the reduced nonzero polynomials (Family: exactly the residual set;
     Contradiction: contains the witness)."""
-    eqs = [e for e in system.equations]
+    eqs = list(system.equations)
     for name, value, _ in outcome.assignments:
-        eqs = [e.substitute(name, value) if name in e.variables() else e for e in eqs]
+        eqs = [e.substitute(name, value) for e in eqs]
     out = set()
     for e in eqs:
         if e:
@@ -380,16 +377,7 @@ def diagonal_branches(problem: ExtensionProblem) -> list:
     ring = problem.ring
     if not params:
         return []
-    pos = {name: k for k, name in enumerate(params)}
-    rows = []
-    for i in range(d):
-        poly = problem.template.rows[i][i]
-        row = [Fraction(0)] * len(params)
-        for mono, c in poly._terms.items():
-            if len(mono) != 1:
-                raise ValueError("template diagonal is not linear homogeneous in the parameters")
-            row[pos[ring.names[mono[0]]]] += c
-        rows.append(row)
+    rows = linear_form_rows((problem.template.rows[i][i] for i in range(d)), params)
     rr, _ = rref(rows, len(params))
     funcs = []
     for row in rr:
@@ -554,8 +542,6 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
     Everything is re-derived through apply_basis_change, so a single
     mismatched entry is caught exactly.
     """
-    from .families import make_SolvA, make_SolvB
-
     if variant == "A":
         alg = make_SolvA(n, r, alphas, a1, b)
         target = make_SolvA(n, r, alphas, a1, {})

@@ -520,32 +520,31 @@ class FamilyInfo:
     params: str
     constraints: str
     parity: Optional[str]
-    min_n: int
 
 
 def family_catalog() -> tuple:
-    """Template catalog for CLI discovery and verify-module iteration."""
+    """Template catalog for CLI discovery."""
     return (
-        FamilyInfo("F1", "first filiform Leibniz family", "alpha3..alpha<n>, theta", "n >= 3", None, 3),
-        FamilyInfo("F2", "second filiform Leibniz family", "beta3..beta<n>, gamma", "n >= 3", None, 3),
+        FamilyInfo("F1", "first filiform Leibniz family", "alpha3..alpha<n>, theta", "n >= 3", None),
+        FamilyInfo("F2", "second filiform Leibniz family", "beta3..beta<n>, gamma", "n >= 3", None),
         FamilyInfo("F3", "third filiform family, concrete representatives",
-                   "theta1, theta2, theta3, alpha", "alpha in {0,1}; alpha=1 needs odd n", None, 3),
+                   "theta1, theta2, theta3, alpha", "alpha in {0,1}; alpha=1 needs odd n", None),
         FamilyInfo("F1s", "first family with non-nilpotent derivation, recursion coefficients",
-                   "s", "3 <= s <= n", None, 3),
-        FamilyInfo("F2j", "second family, single unit parameter", "j", "3 <= j <= n and n >= 4", None, 4),
+                   "s", "3 <= s <= n", None),
+        FamilyInfo("F2j", "second family, single unit parameter", "j", "3 <= j <= n and n >= 4", None),
         FamilyInfo("F2j1", "second family, middle parameter and unit top square",
-                   "beta", "n even", "even", 4),
-        FamilyInfo("Ln", "model filiform Lie algebra", "", "n >= 2", None, 2),
-        FamilyInfo("Qn", "filiform Lie algebra with alternating top product", "", "n odd", "odd", 3),
+                   "beta", "n even", "even"),
+        FamilyInfo("Ln", "model filiform Lie algebra", "", "n >= 2", None),
+        FamilyInfo("Qn", "filiform Lie algebra with alternating top product", "", "n odd", "odd"),
         FamilyInfo("A", "graded filiform Lie family", "r, alpha1..alpha<t>",
-                   "1 <= r <= n-3; t = floor((n-r-1)/2); some alpha nonzero", None, 4),
+                   "1 <= r <= n-3; t = floor((n-r-1)/2); some alpha nonzero", None),
         FamilyInfo("B", "graded filiform Lie family with alternating top product",
-                   "r, alpha1..alpha<t>", "1 <= r <= n-3; t = floor((n-r-2)/2); n odd", "odd", 5),
-        FamilyInfo("L1", "solvable extension of F2(0,...,0,1)", "", "n odd", "odd", 3),
-        FamilyInfo("L2", "solvable extensions of F2j1", "beta", "n even", "even", 4),
-        FamilyInfo("L3", "solvable extensions of F2j", "j0", "3 <= j0 <= n", None, 4),
+                   "r, alpha1..alpha<t>", "1 <= r <= n-3; t = floor((n-r-2)/2); n odd", "odd"),
+        FamilyInfo("L1", "solvable extension of F2(0,...,0,1)", "", "n odd", "odd"),
+        FamilyInfo("L2", "solvable extensions of F2j1", "beta", "n even", "even"),
+        FamilyInfo("L3", "solvable extensions of F2j", "j0", "3 <= j0 <= n", None),
         FamilyInfo("SolvA", "solvable Lie extensions over A nilradicals",
-                   "r, alpha1..alpha<t>, a1, b2..b<n>", "1 <= r <= n-3", None, 4),
+                   "r, alpha1..alpha<t>, a1, b2..b<n>", "1 <= r <= n-3", None),
         FamilyInfo("SolvB", "solvable Lie extensions over B nilradicals",
-                   "r, alpha1..alpha<t>, b2..b<n-1>", "1 <= r <= n-4; n odd", "odd", 5),
+                   "r, alpha1..alpha<t>, b2..b<n-1>", "1 <= r <= n-4; n odd", "odd"),
     )

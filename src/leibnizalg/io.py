@@ -20,13 +20,9 @@ class AlgebraFileError(ValueError):
     """Malformed algebra file (bad index, duplicate entry, parse failure)."""
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 def algebra_to_dict(alg: Algebra) -> dict:
     d = alg.dim
-    entries = [[i, j, k, _fmt(c)] for i in range(d) for j in range(d) for k, c in alg.table[i][j]]
+    entries = [[i, j, k, str(c)] for i in range(d) for j in range(d) for k, c in alg.table[i][j]]
     out = {
         "format": FORMAT,
         "dim": d,
@@ -41,7 +37,7 @@ def algebra_to_dict(alg: Algebra) -> dict:
         if "n" in meta:
             clean["n"] = int(meta["n"])
         if "params" in meta:
-            clean["params"] = {str(k): _fmt(Fraction(v)) for k, v in meta["params"].items()}
+            clean["params"] = {str(k): str(Fraction(v)) for k, v in meta["params"].items()}
         if clean:
             out["metadata"] = clean
     return out

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd
 from operator import neg
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .linalg import scale_to_integers
 
@@ -398,3 +398,20 @@ class Poly:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+def linear_form_rows(polys: Iterable[Poly], names: Sequence[str]) -> list:
+    """Coefficient rows of linear forms: row k holds at column j the
+    coefficient of ``names[j]`` in the k-th polynomial. A term whose degree
+    is not 1 (a constant, a product) raises ValueError."""
+    pos = {name: j for j, name in enumerate(names)}
+    rows = []
+    for poly in polys:
+        row = [Fraction(0)] * len(names)
+        ring_names = poly.ring.names
+        for mono, c in poly._terms.items():
+            if len(mono) != 1:
+                raise ValueError(f"not a linear form: {poly}")
+            row[pos[ring_names[mono[0]]]] += c
+        rows.append(row)
+    return rows

@@ -79,7 +79,7 @@ from .families import (
     solvable_x_rows,
 )
 from .linalg import Matrix, nullspace, scale_to_integers
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, linear_form_rows
 
 MAX_N = 12
 
@@ -481,101 +481,95 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
 # -- derivation-shape transcriptions ----------------------------------------------
 
 
-def _poly_zero(p) -> bool:
-    return (not p) if isinstance(p, Poly) else p == 0
+def _derivation_form(alg: Algebra):
+    """The derivation space of ``alg``, the rows of its generic element, and
+    the errors in the opening every stated form shares: upper triangular
+    with a zero (1,0) entry."""
+    space = derivation_space(alg)
+    T = space.generic_matrix()
+    errs = []
+    if not T.is_upper_triangular():
+        errs.append("not upper triangular")
+    if T.rows[1][0]:
+        errs.append("entry (1,0)")
+    return space, T.rows, errs
+
+
+def _stated_count(names: Sequence[str], relations: Callable) -> int:
+    """How many of the stated unknowns ``names`` the stated relations leave
+    free: ``relations`` evaluated on the indeterminates of a ring of the
+    unknowns, then the columns less the rank of their coefficient rows (the
+    kernel dimension)."""
+    ring = PolyRing(names)
+    rows = linear_form_rows(relations([ring.var(name) for name in names]), names)
+    return len(nullspace(rows, len(names)))
+
+
+def _f1_relations(a, b_n1, al_of, theta, n: int) -> list:
+    """The stated relations of the first family's derivations, in the row-0
+    entries a_0..a_n and the entry b_{n-1}, of any scalar type."""
+    rels = [a[0] * (theta - al_of(n)),
+            a[1] * (al_of(n) - theta) - (a[n - 1] - b_n1),
+            al_of(3) * (a[1] - a[0])]
+    for k in range(4, n + 1):
+        conv = sum((al_of(j - 1) * al_of(k - j + 3) for j in range(4, k + 1)), Fraction(0))
+        rels.append(al_of(k) * (a[1] - a[0] * (k - 2)) - a[1] * Fraction(k, 2) * conv)
+    return rels
 
 
 def _shape_f1(alg: Algebra, alphas: Mapping[int, Fraction], theta: Fraction):
     """Stated derivation form of the first family: entry formulas, relations,
     and parameter count (a_0..a_n, b_{n-1}, b_n modulo the stated relations)."""
     n = alg.dim - 1
-    space = derivation_space(alg)
-    T = space.generic_matrix()
-    a = {j: T.rows[0][j] for j in range(n + 1)}
-    b_n1, b_n = T.rows[1][n - 1], T.rows[1][n]
+    space, T, errs = _derivation_form(alg)
+    a = T[0]
+    b_n1 = T[1][n - 1]
     al = {k: Fraction(alphas.get(k, 0)) for k in range(3, n + 1)}
     al_of = lambda m: al.get(m, Fraction(0))
-    errs = []
-    if not T.is_upper_triangular():
-        errs.append("not upper triangular")
-    if not _poly_zero(T.rows[1][0]):
-        errs.append("entry (1,0)")
-    if T.rows[1][1] != a[0] + a[1]:
+    if T[1][1] != a[0] + a[1]:
         errs.append("diag (1,1)")
     for j in range(2, n - 1):
-        if T.rows[1][j] != a[j]:
+        if T[1][j] != a[j]:
             errs.append(f"entry (1,{j})")
     for i in range(2, n + 1):
-        if T.rows[i][i] != a[0] * i + a[1]:
+        if T[i][i] != a[0] * i + a[1]:
             errs.append(f"diag ({i},{i})")
         for j in range(i + 1, n + 1):
             if i == 2 and j == n:
                 # the chain propagates b_{n-1}, not a_{n-1}: the displayed
                 # a_{n-1}+a_1*alpha_n agrees only when a_1(theta-alpha_n)=0
-                if T.rows[2][n] != b_n1 + a[1] * al_of(n):
+                if T[2][n] != b_n1 + a[1] * al_of(n):
                     errs.append("entry (2,n)")
                 continue
-            if T.rows[i][j] != a[j - i + 1] + a[1] * ((i - 1) * al_of(j - i + 2)):
+            if T[i][j] != a[j - i + 1] + a[1] * ((i - 1) * al_of(j - i + 2)):
                 errs.append(f"entry ({i},{j})")
-    rel_rows = []
-    rel_rows.append(a[0] * (theta - al_of(n)))
-    rel_rows.append(a[1] * (al_of(n) - theta) - (a[n - 1] - b_n1))
-    rel_rows.append(al_of(3) * (a[1] - a[0]))
-    for k in range(4, n + 1):
-        conv = sum((al_of(j - 1) * al_of(k - j + 3) for j in range(4, k + 1)), Fraction(0))
-        rel_rows.append(al_of(k) * (a[1] - a[0] * (k - 2)) - a[1] * Fraction(k, 2) * conv)
-    for idx, rel in enumerate(rel_rows):
-        if not _poly_zero(rel):
+    for idx, rel in enumerate(_f1_relations(a, b_n1, al_of, theta, n)):
+        if rel:
             errs.append(f"relation {idx}")
-    expected = _stated_dimension_f1(n, al, theta)
+    names = [f"a{j}" for j in range(n + 1)] + [f"b{n - 1}", f"b{n}"]
+    expected = _stated_count(names, lambda u: _f1_relations(u, u[n + 1], al_of, theta, n))
     if space.dimension != expected:
         errs.append(f"dimension {space.dimension} != stated {expected}")
     return errs
 
 
-def _stated_dimension_f1(n, al, theta) -> int:
-    cols = n + 3  # a_0..a_n, b_{n-1}, b_n
-    rows = []
-
-    def row(pairs):
-        out = [Fraction(0)] * cols
-        for idx, c in pairs:
-            out[idx] += c
-        return out
-
-    al_of = lambda m: al.get(m, Fraction(0))
-    rows.append(row([(0, theta - al_of(n))]))
-    rows.append(row([(1, al_of(n) - theta), (n - 1, Fraction(-1)), (n + 1, Fraction(1))]))
-    rows.append(row([(1, al_of(3)), (0, -al_of(3))]))
-    for k in range(4, n + 1):
-        conv = sum((al_of(j - 1) * al_of(k - j + 3) for j in range(4, k + 1)), Fraction(0))
-        rows.append(row([(1, al_of(k) - Fraction(k, 2) * conv), (0, -al_of(k) * (k - 2))]))
-    return len(nullspace(rows, cols))
-
-
 def _shape_f2(alg: Algebra, betas: Mapping[int, Fraction], gamma: Fraction):
     n = alg.dim - 1
-    space = derivation_space(alg)
-    T = space.generic_matrix()
-    a = {j: T.rows[0][j] for j in range(n + 1)}
-    b1 = T.rows[1][1]
+    _, T, errs = _derivation_form(alg)
+    a = T[0]
+    b1 = T[1][1]
     be = {k: Fraction(betas.get(k, 0)) for k in range(3, n + 1)}
     be_of = lambda m: be.get(m, Fraction(0))
-    errs = []
-    if not T.is_upper_triangular():
-        errs.append("not upper triangular")
-    if not _poly_zero(T.rows[1][0]):
-        errs.append("entry (1,0)")
     for j in range(2, n - 1):
-        if not _poly_zero(T.rows[1][j]):
+        if T[1][j]:
             errs.append(f"entry (1,{j})")
-    if T.rows[1][n - 1] != a[1] * (-gamma):
+    if T[1][n - 1] != a[1] * (-gamma):
         errs.append("entry (1,n-1)")
     for i in range(2, n + 1):
-        if T.rows[i][i] != a[0] * i:
+        if T[i][i] != a[0] * i:
             errs.append(f"diag ({i},{i})")
         for j in range(i + 1, n + 1):
-            if T.rows[i][j] != a[j - i + 1] + a[1] * ((i - 1) * be_of(j - i + 2)):
+            if T[i][j] != a[j - i + 1] + a[1] * ((i - 1) * be_of(j - i + 2)):
                 errs.append(f"entry ({i},{j})")
     rels = [gamma * (b1 * 2 - a[0] * n), be_of(3) * (b1 - a[0] * 2)]
     for k in range(4, n):
@@ -584,9 +578,18 @@ def _shape_f2(alg: Algebra, betas: Mapping[int, Fraction], gamma: Fraction):
     conv_n = sum((be_of(j - 1) * be_of(n - j + 3) for j in range(4, n + 1)), Fraction(0))
     rels.append(be_of(n) * (b1 - a[0] * (n - 1)) + a[1] * gamma - a[1] * Fraction(n, 2) * conv_n)
     for idx, rel in enumerate(rels):
-        if not _poly_zero(rel):
+        if rel:
             errs.append(f"relation {idx}")
     return errs
+
+
+def _f3_relations(a0, a1, b1, thetas, n: int) -> list:
+    """The stated relations of the third family's derivations, in a_0, a_1
+    and b_1, of any scalar type."""
+    t1, t2, t3 = thetas
+    return [t1 * (a0 * (n - 3) + b1) - a1 * t2,
+            a1 * t3 * 2 - a0 * t2 * (n - 2),
+            t3 * (a0 * (n - 1) - b1)]
 
 
 def _shape_f3(alg: Algebra, thetas, alpha: Fraction):
@@ -595,50 +598,31 @@ def _shape_f3(alg: Algebra, thetas, alpha: Fraction):
     space is strictly smaller and even violates the displayed relations), so
     divergences there are returned separately as findings."""
     n = alg.dim - 1
-    t1, t2, t3 = (Fraction(v) for v in thetas)
-    space = derivation_space(alg)
-    T = space.generic_matrix()
-    a = {j: T.rows[0][j] for j in range(n + 1)}
-    b = {j: T.rows[1][j] for j in range(1, n + 1)}
-    errs = []
+    thetas = tuple(Fraction(v) for v in thetas)
+    space, T, errs = _derivation_form(alg)
+    a = T[0]
+    b = T[1]
     notes = []
-    if not T.is_upper_triangular():
-        errs.append("not upper triangular")
-    if not _poly_zero(T.rows[1][0]):
-        errs.append("entry (1,0)")
     for i in range(2, n):
-        if T.rows[i][i] != a[0] * (i - 1) + b[1]:
+        if T[i][i] != a[0] * (i - 1) + b[1]:
             errs.append(f"diag ({i},{i})")
         for j in range(i + 1, n):
-            if T.rows[i][j] != b[j - i + 1]:
+            if T[i][j] != b[j - i + 1]:
                 errs.append(f"entry ({i},{j})")
-        if T.rows[i][n] != b[n - i + 1] + a[n - i + 1] * (alpha * Fraction((-1) ** (i - 1))):
+        if T[i][n] != b[n - i + 1] + a[n - i + 1] * (alpha * Fraction((-1) ** (i - 1))):
             errs.append(f"entry ({i},n)")
-    if T.rows[n][n] != a[0] * (n - 1) + b[1] + a[1] * alpha:
+    if T[n][n] != a[0] * (n - 1) + b[1] + a[1] * alpha:
         errs.append("diag (n,n)")
-    rels = [
-        t1 * (a[0] * (n - 3) + b[1]) - a[1] * t2,
-        a[1] * t3 * 2 - a[0] * t2 * (n - 2),
-        t3 * (a[0] * (n - 1) - b[1]),
-    ]
-    for idx, rel in enumerate(rels):
-        if not _poly_zero(rel):
+    for idx, rel in enumerate(_f3_relations(a[0], a[1], b[1], thetas, n)):
+        if rel:
             if alpha:
                 notes.append(f"displayed relation {idx} fails on the actual space")
             else:
                 errs.append(f"relation {idx}")
-    stated_dim = 2 * n + 1 - _f3_relation_rank(n, t1, t2, t3)
+    # a_0..a_n and b_1..b_n, of which the relations tie a_0, a_1 and b_1
+    stated_dim = 2 * n - 2 + _stated_count(("a0", "a1", "b1"),
+                                           lambda u: _f3_relations(*u, thetas, n))
     return errs, notes, space.dimension, stated_dim
-
-
-def _f3_relation_rank(n, t1, t2, t3) -> int:
-    # unknowns in the relations: a_0, a_1, b_1
-    rows = [
-        [t1 * (n - 3), -t2, t1],
-        [-t2 * (n - 2), 2 * t3, Fraction(0)],
-        [t3 * (n - 1), Fraction(0), -t3],
-    ]
-    return 3 - len(nullspace(rows, 3))
 
 
 def _shape_graded(alg: Algebra, r: int, variant: str):
@@ -646,25 +630,19 @@ def _shape_graded(alg: Algebra, r: int, variant: str):
     (i+r)a_0 (plus the (n+2r) top diagonal and missing (0,1) entry for B).
     The unlabeled tail entries are not asserted."""
     n = alg.dim - 1
-    space = derivation_space(alg)
-    T = space.generic_matrix()
-    a0 = T.rows[0][0]
-    errs = []
-    if not T.is_upper_triangular():
-        errs.append("not upper triangular")
-    if not _poly_zero(T.rows[1][0]):
-        errs.append("entry (1,0)")
+    _, T, errs = _derivation_form(alg)
+    a0 = T[0][0]
     top = n if variant == "A" else n - 1
     for i in range(1, top + 1):
-        if T.rows[i][i] != a0 * (i + r):
+        if T[i][i] != a0 * (i + r):
             errs.append(f"diag ({i},{i})")
     if variant == "B":
-        if T.rows[n][n] != a0 * (n + 2 * r):
+        if T[n][n] != a0 * (n + 2 * r):
             errs.append("diag (n,n)")
-        if not _poly_zero(T.rows[0][1]):
+        if T[0][1]:
             errs.append("entry (0,1)")
         for j in range(n):
-            if not _poly_zero(T.rows[n][j]):
+            if T[n][j]:
                 errs.append(f"entry (n,{j})")
     return errs
 
@@ -714,21 +692,25 @@ def _run_prop34_shape(n: int, rng: RngFactory) -> Verdict:
                              "gamma(2b_1 - n a_0) = 0",))
 
 
+def _f3_instances(n: int):
+    """The third-family representatives: each theta triple at alpha = 0 and,
+    for odd n, alpha = 1, as (case label, thetas, alpha, algebra)."""
+    for thetas in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        for alpha in (0, 1) if n % 2 == 1 else (0,):
+            yield f"theta={thetas} alpha={alpha}", thetas, alpha, make_F3(n, *thetas, alpha)
+
+
 def _run_prop38_shape(n: int, rng: RngFactory) -> Verdict:
     errors = []
     findings = []
-    for thetas in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        for alpha in (0, 1) if n % 2 == 1 else (0,):
-            alg = make_F3(n, *thetas, alpha)
-            errs, notes, dim, stated = _shape_f3(alg, thetas, Fraction(alpha))
-            if errs:
-                errors.append(f"theta={thetas} alpha={alpha}: {', '.join(errs)}")
-            for note in notes:
-                findings.append(f"theta={thetas} alpha={alpha}: {note}")
-            if dim != stated:
-                findings.append(
-                    f"theta={thetas} alpha={alpha}: derivation space dim {dim} != stated-form "
-                    f"count {stated}; the displayed form is not sharp at the alternating instance")
+    for case, thetas, alpha, alg in _f3_instances(n):
+        errs, notes, dim, stated = _shape_f3(alg, thetas, Fraction(alpha))
+        if errs:
+            errors.append(f"{case}: {', '.join(errs)}")
+        findings.extend(f"{case}: {note}" for note in notes)
+        if dim != stated:
+            findings.append(f"{case}: derivation space dim {dim} != stated-form count {stated}; "
+                            f"the displayed form is not sharp at the alternating instance")
     return Verdict("fail" if errors else "pass", errors or ["all instances match"],
                    findings=findings)
 
@@ -798,14 +780,25 @@ def _run_prop33_nonexist(n: int, rng: RngFactory) -> Verdict:
 
 def _run_thm39_nonexist(n: int, rng: RngFactory) -> Verdict:
     details = []
-    for thetas in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        for alpha in (0, 1) if n % 2 == 1 else (0,):
-            case = f"theta={thetas} alpha={alpha}"
-            body = _nonexist(make_F3(n, *thetas, alpha))
-            if body.verdict != "pass":
-                return _within(case, body)
-            details.append(f"{case}: {body.details[0]}")
+    for case, _, _, alg in _f3_instances(n):
+        body = _nonexist(alg)
+        if body.verdict != "pass":
+            return _within(case, body)
+        details.append(f"{case}: {body.details[0]}")
     return Verdict("pass", details)
+
+
+def _structure_errors(alg: Algebra, n: int) -> list:
+    """The invariants of a solvable extension of an n-index nilradical:
+    dimension n + 2, solvable and not nilpotent, nilradical e_0..e_n."""
+    errs = []
+    if alg.dim != n + 2:
+        errs.append(f"dimension {alg.dim} != {n + 2}")
+    if not is_solvable(alg) or is_nilpotent(alg):
+        errs.append("not solvable non-nilpotent")
+    if not nilradical_equals(alg, n + 1):
+        errs.append("nilradical mismatch")
+    return errs
 
 
 def _classification_core(nilradical: Algebra, target: Algebra, rng: random.Random,
@@ -820,13 +813,7 @@ def _classification_core(nilradical: Algebra, target: Algebra, rng: random.Rando
         return Verdict("fail", ["[x,e_i] = 0 did not emerge from the annihilator equations"],
                        findings=findings, params=params)
     alg = instantiate_family(problem, outcome, rng)
-    checks = []
-    if alg.dim != n + 2:
-        checks.append(f"dimension {alg.dim} != {n + 2}")
-    if not is_solvable(alg) or is_nilpotent(alg):
-        checks.append("not solvable non-nilpotent")
-    if not nilradical_equals(alg, n + 1):
-        checks.append("nilradical mismatch")
+    checks = _structure_errors(alg, n)
     _, matched, steps = normalize_f2_extension(alg, n, target, mix_j0=mix_j0, keep_xe1=keep_xe1)
     if not matched:
         checks.append("scripted changes did not reach the classified table")
@@ -888,8 +875,9 @@ def _run_graded_class(variant: str, n: int, rng: RngFactory) -> Verdict:
         if failure:
             return _within(f"r={r}", failure, params=params)
         alg = instantiate_family(problem, outcome, rng)
-        if alg.dim != n + 2 or not is_solvable(alg) or is_nilpotent(alg) or not nilradical_equals(alg, n + 1):
-            return Verdict("fail", [f"r={r}: solvable-structure checks failed"], params=params)
+        errs = _structure_errors(alg, n)
+        if errs:
+            return Verdict("fail", [f"r={r}: {e}" for e in errs], params=params)
         x = n + 1
         if variant == "A":
             alg = _changed(alg, x_left_tail_change(alg, n, n))
@@ -978,9 +966,12 @@ def _run_thm26_bound(n: int, rng: RngFactory) -> Verdict:
     return Verdict("pass", details)
 
 
-def _run_conj(variant: str, n: int, rng: RngFactory, trials: int = 50) -> Verdict:
+CONJ_TRIALS = 50
+
+
+def _run_conj(variant: str, n: int, rng: RngFactory) -> Verdict:
     rng = rng()
-    for _ in range(trials):
+    for _ in range(CONJ_TRIALS):
         r = rng.randint(1, n - 3 if variant == "A" else n - 4)
         alphas = sample_graded_alphas(variant, n, r, rng)
         b = sample_solv_bs(variant, n, r, alphas, rng)
@@ -1000,7 +991,7 @@ def _run_conj(variant: str, n: int, rng: RngFactory, trials: int = 50) -> Verdic
         "b sampled on the admissible sub-variety (alpha-dependent coordinates are forced "
         "to zero by the identity); a_1 = 0 throughout, the transformation does not "
         "account for the a_1 correction terms",)
-    return Verdict("pass", [f"{trials} random tuples eliminated"], findings=findings)
+    return Verdict("pass", [f"{CONJ_TRIALS} random tuples eliminated"], findings=findings)
 
 
 # -- registry --------------------------------------------------------------------------
@@ -1011,7 +1002,7 @@ class Scenario:
     id: str
     description: str
     expected: str               # DerivationShape | Contradiction | FamilyMatch | BoundHolds | Eliminated
-    runner: Callable            # (n, rng factory, **options) -> Verdict
+    runner: Callable            # (n, rng factory) -> Verdict
     parity: Optional[str] = None     # "odd" | "even" | None
     min_n: int = 5
 
@@ -1069,7 +1060,7 @@ SCENARIOS = {s.id: s for s in (
 )}
 
 
-def run_scenario(scenario_id: str, n: int, seed: int = 0, **kwargs) -> Report:
+def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
     """Run one scenario and stamp its verdict with the id, n, seed and wall
     time. The runner gets n and a factory that returns a fresh
     ``scenario_rng(scenario_id, n, seed)`` on every call."""
@@ -1082,7 +1073,7 @@ def run_scenario(scenario_id: str, n: int, seed: int = 0, **kwargs) -> Report:
     if not sc.admissible(n):
         raise ValueError(f"scenario {scenario_id} requires {sc.rule()}, got n={n}")
     t0 = time.monotonic()
-    body = sc.runner(n, lambda: scenario_rng(scenario_id, n, seed), **kwargs)
+    body = sc.runner(n, lambda: scenario_rng(scenario_id, n, seed))
     return Report(scenario=scenario_id, n=n, seed=seed, verdict=body.verdict,
                   details=tuple(body.details), findings=tuple(body.findings),
                   params=tuple((str(k), str(v)) for k, v in body.params),

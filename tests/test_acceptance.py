@@ -200,12 +200,12 @@ def test_criterion_7_solvable_structure_suite():
 
 def test_criterion_8_conjecture_suite():
     for n in (5, 6, 7, 8, 9):
-        rep = run_scenario("conj-i", n, 0, trials=50)
+        rep = run_scenario("conj-i", n, 0)
         if rep.verdict != "pass":
             _line("8 (conjecture)", False,
                   f"counterexample at variant A n={n}: {rep.details} transcript={rep.transcript}")
     for n in (5, 7, 9):
-        rep = run_scenario("conj-ii", n, 0, trials=50)
+        rep = run_scenario("conj-ii", n, 0)
         if rep.verdict != "pass":
             _line("8 (conjecture)", False,
                   f"counterexample at variant B n={n}: {rep.details} transcript={rep.transcript}")

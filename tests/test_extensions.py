@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,20 @@ def test_family_replay_matches_residual():
     assert replay(system, out) == ()
 
 
+def test_replay_substitutes_without_scanning_variables(monkeypatch):
+    # Poly.substitute returns an equation without the name as it is, so
+    # replay needs no per-equation variable scan
+    prob = build_extension_problem(make_F2(9, {}, 1))
+    system = generate_constraints(prob, hypotheses=diagonal_branches(prob)[0])
+    out = eliminate(system)
+    assert out.kind == "family" and out.residual == ()
+    calls = []
+    variables = Poly.variables
+    monkeypatch.setattr(Poly, "variables", lambda self: calls.append(1) or variables(self))
+    assert replay(system, out) == ()
+    assert not calls
+
+
 def test_resolved_assignments_contain_only_free_names():
     prob = build_extension_problem(make_F2(5, {}, 1))
     out = eliminate(generate_constraints(prob, hypotheses=diagonal_branches(prob)[0]))
@@ -142,6 +157,16 @@ def test_diagonal_branches_cover_non_nilpotency():
     assert len(diagonal_branches(prob)) == 1
     prob2 = build_extension_problem(make_F1(5, {3: 1, 4: 1}, 0))
     assert diagonal_branches(prob2) == []
+
+
+def test_diagonal_branches_reject_a_nonlinear_diagonal():
+    prob = build_extension_problem(make_F2(5, {}, 1))
+    rows = [list(row) for row in prob.template.rows]
+    a = prob.ring.var(prob.template_params[0])
+    rows[2][2] = rows[2][2] + a * a
+    bent = replace(prob, template=Matrix(tuple(tuple(row) for row in rows)))
+    with pytest.raises(ValueError):
+        diagonal_branches(bent)
 
 
 def test_f3_contradictions_all_branches():

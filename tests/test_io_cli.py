@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from leibnizalg import io as algio
-from leibnizalg.cli import main
+from leibnizalg.cli import build_parser, main
 from leibnizalg.families import FamilySpec, make_F1, make_L2, make_family
 
 from dense_algebra import dense
@@ -139,9 +142,15 @@ def test_cli_extend_with_explicit_hypothesis(tmp_path, capsys):
     assert payload[0]["outcome"] == "family"
 
 
-def test_cli_conjecture(capsys):
-    assert main(["conjecture", "--variant", "A", "--n", "5", "--trials", "3"]) == 0
-    assert "pass" in capsys.readouterr().out
+def test_cli_verify_conj_i(capsys):
+    assert main(["verify", "conj-i", "--n", "5"]) == 0
+    assert "50 random tuples eliminated" in capsys.readouterr().out
+
+
+def test_cli_conjecture_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "--variant", "A", "--n", "5"])
+    assert exc.value.code == 2
 
 
 def test_cli_family_list(capsys):
@@ -178,3 +187,11 @@ def test_metadata_survives_family_dispatch():
     data = algio.algebra_to_dict(alg)
     assert data["metadata"]["family"] == "L3"
     assert data["metadata"]["params"]["j0"] == "3"
+
+
+def test_readme_command_line_block_names_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r"(?:^|\|)\s*leibnizalg\s+([a-z][\w-]*)", block, re.MULTILINE))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg.poly import PolyRing
+from leibnizalg.poly import PolyRing, linear_form_rows
 
 RING = PolyRing(("x", "y", "z"))
 
@@ -138,3 +138,17 @@ def test_non_rational_scalars_raise_type_error(value):
         RING.const(value)
     with pytest.raises(TypeError, match=f"expected int or Fraction entries, got {name}"):
         (RING.var("x") + 1).evaluate({"x": value})
+
+
+def test_linear_form_rows_follow_the_given_name_order():
+    x, y, z = (RING.var(name) for name in RING.names)
+    rows = linear_form_rows([x * 2 - z, y * Fraction(1, 3), RING.zero], ("z", "y", "x"))
+    assert rows == [[-1, 0, 2], [0, Fraction(1, 3), 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("kind", ["const", "square", "product"])
+def test_linear_form_rows_reject_terms_of_degree_other_than_one(kind):
+    x, y, _ = (RING.var(name) for name in RING.names)
+    bad = {"const": x + 1, "square": x * x - y, "product": x * y}[kind]
+    with pytest.raises(ValueError):
+        linear_form_rows([x, bad], RING.names)
