@@ -11,15 +11,18 @@ bracket uses only ``+``, ``*`` and a caller-supplied zero, and
 :func:`leibniz_defects`, one walk over the nonzero products that yields
 every nonzero Leibniz defect, only ``+``, ``*`` and ``-``; so the symbolic
 extension problem and the graded alpha relations evaluate the same identity
-as the exact check. The exact check runs on the integer-scaled table
+as the exact check. The exact checks run on the integer-scaled table
 (:func:`int_table`: every coefficient times the common denominator of the
-table, built on demand) and turns only a failing defect back into Fractions.
+table), which each :class:`Algebra` computes once, on first use, and keeps as
+:attr:`Algebra.scaled`; a check turns only a failing defect back into
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .linalg import nullspace, rref, scale_to_integers, to_fraction, vec_is_zero
@@ -146,6 +149,13 @@ class Algebra:
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """``int_table(self.table)``, computed on first use and kept: the
+        integer-scaled table that the exact checks read. It is not a field,
+        so equality, hashing and ``repr`` ignore it."""
+        return int_table(self.table)
+
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
@@ -198,7 +208,7 @@ def leibniz_check(alg: Algebra) -> LeibnizReport:
     multiplied by den^2.
     """
     d = alg.dim
-    prods, den = int_table(alg.table)
+    prods, den = alg.scaled
     den2 = den * den
     failures = []
     for (i, j, k), defect in leibniz_defects(prods):

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 a check or scenario failed,
-2 usage, file, or construction error. '-' stands for stdin/stdout.
+2 usage, file, or construction error, 3 a ``verify`` scenario raised an
+error at some n (named on stderr; the finished reports still print).
+'-' stands for stdin/stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .algebra import (
 from .derivations import derivation_space, max_nil_independent
 from .extensions import build_extension_problem, diagonal_branches, eliminate, generate_constraints
 from .families import ConstructionError, FAMILY_IDS, FamilySpec, family_catalog, make_family
-from .verify import MAX_N, SCENARIOS, run_all, run_scenario
+from .verify import MAX_N, SCENARIOS, run_scenario
 
 
 def _read_text(path: str) -> str:
@@ -239,26 +241,27 @@ def _cmd_verify(args) -> int:
         print(f"error: cannot parse --n {args.n!r} (use N or A..B)", file=sys.stderr)
         return 2
     if args.scenario == "all":
-        if not any(sc.admissible(n) for sc in SCENARIOS.values() for n in n_values):
-            low = min(sc.min_n for sc in SCENARIOS.values())
-            print(f"error: no admissible n in {args.n} for any scenario "
-                  f"(requires {low} <= n <= {MAX_N})", file=sys.stderr)
-            return 2
-        reports = run_all(n_values, seed=args.seed)
+        ids, target = sorted(SCENARIOS), "any scenario"
+        rule = f"{min(sc.min_n for sc in SCENARIOS.values())} <= n <= {MAX_N}"
     elif args.scenario in SCENARIOS:
-        sc = SCENARIOS[args.scenario]
-        admissible = [n for n in n_values if sc.admissible(n)]
-        if not admissible:
-            print(f"error: no admissible n in {args.n} for {args.scenario} "
-                  f"(requires {sc.rule()})", file=sys.stderr)
-            return 2
-        reports = [run_scenario(args.scenario, n, args.seed) for n in admissible]
+        ids, target, rule = [args.scenario], args.scenario, SCENARIOS[args.scenario].rule()
     else:
         known = "\n  ".join(f"{s.id}: {s.description}" for s in
                             sorted(SCENARIOS.values(), key=lambda s: s.id))
         print(f"error: unknown scenario {args.scenario!r}; known scenarios:\n  {known}",
               file=sys.stderr)
         return 2
+    calls = [(scenario_id, n) for scenario_id in ids for n in n_values if SCENARIOS[scenario_id].admissible(n)]
+    if not calls:
+        print(f"error: no admissible n in {args.n} for {target} (requires {rule})", file=sys.stderr)
+        return 2
+    reports, errors = [], 0
+    for scenario_id, n in calls:
+        try:
+            reports.append(run_scenario(scenario_id, n, args.seed))
+        except (RuntimeError, ValueError) as exc:  # one (scenario, n) is lost, not the range
+            print(f"error: {scenario_id} n={n}: {exc}", file=sys.stderr)
+            errors += 1
     if args.format == "machine":
         print(json.dumps([r.canonical() for r in reports], indent=1, sort_keys=True))
     else:
@@ -268,6 +271,8 @@ def _cmd_verify(args) -> int:
                 print(f"    {line}")
             for line in r.findings:
                 print(f"    finding: {line}")
+    if errors:
+        return 3
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .algebra import Algebra, int_table
+from .algebra import Algebra
 from .linalg import Matrix, int_is_nilpotent, nullspace, rank, rref, scale_to_integers
 from .poly import Poly, PolyRing
 
@@ -107,12 +107,14 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
     return DerivationSpace(alg, mats, _names_for(vecs, d))
 
 
-def is_derivation(alg: Algebra, mat: Matrix, scaled: Optional[tuple] = None) -> bool:
+def is_derivation(alg: Algebra, mat: Matrix) -> bool:
     """Check d([b_i,b_j]) = [d(b_i),b_j] + [b_i,d(b_j)] on all basis pairs,
     where row r of ``mat`` is d(b_r).
 
-    One walk over the nonzero cells of the integer-scaled table and the
-    nonzero entries of ``mat``, one i-slab at a time, as in
+    One walk over the nonzero cells of the integer-scaled table
+    (:attr:`~leibnizalg.algebra.Algebra.scaled`, computed once per algebra,
+    so many checks on one algebra scale its table once) and the nonzero
+    entries of ``mat``, one i-slab at a time, as in
     :func:`~leibnizalg.algebra.leibniz_defects`: ``cells`` lists the nonzero
     products of each b_i, ``images`` the nonzero entries of each d(b_i),
     ``preimages`` the (j, v) with v b_p in d(b_j). Every term is one table
@@ -120,15 +122,12 @@ def is_derivation(alg: Algebra, mat: Matrix, scaled: Optional[tuple] = None) -> 
     scales every defect and keeps the verdict. A rational ``mat`` is scaled
     to integers too; Poly entries, as in the symbolic template of
     :func:`~leibnizalg.extensions.build_extension_problem`, are used as they
-    are. Returns False at the first slab with a nonzero defect. A caller that
-    checks many matrices on one algebra passes ``scaled``, the
-    integer-scaled table ``int_table(alg.table)[0]``, so that the table is
-    scaled once.
+    are. Returns False at the first slab with a nonzero defect.
     """
     d = alg.dim
     if mat.nrows != d or mat.ncols != d:
         raise ValueError(f"matrix must be {d}x{d}")
-    prods = int_table(alg.table)[0] if scaled is None else scaled
+    prods = alg.scaled[0]
     entries = [(idx, e) for idx, e in enumerate(mat.flat()) if e]
     values = [e for _, e in entries]
     if not any(isinstance(e, Poly) for e in values):

@@ -20,7 +20,6 @@ from .algebra import (
     Algebra,
     algebra_from_products,
     bracket,
-    int_table,
     leibniz_check,
     leibniz_defects,
     product_table,
@@ -445,24 +444,46 @@ def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
     """Transform the product table; the Leibniz verdict is preserved and
     asserted.
 
-    The entry of [u, v] (u, v rows of T) on new basis vector k is
-    (bracket(u, v) @ T^-1)[k]. T, T^-1 and the product table are scaled to
-    integers, so each entry is one integer sum divided once by the product
-    of the three common denominators (twice T's, for the two rows)."""
+    The entry of [u_a, u_b] (u_a, u_b rows of T) on new basis vector k is
+    (bracket(u_a, u_b) @ T^-1)[k]. It is built over nonzero entries only:
+    for each u_a the half-transform [u_a, b_j] sums T[a,i] [b_i, b_j] over
+    the nonzero T[a,i] and the nonzero cells of row i; [u_a, u_b] combines
+    those with the nonzero entries of u_b; each nonzero coordinate m is then
+    pushed through the nonzero entries of row m of T^-1. T, T^-1 and the
+    product table (``alg.scaled``) are integers, so each entry is one integer
+    sum divided once by the product of the three common denominators (twice
+    T's, for the two rows)."""
     T = change.matrix
     d = alg.dim
     if T.nrows != d:
         raise ValueError("basis change has wrong dimension")
     rows, den_t = int_matrix(T)
     inv, den_inv = int_matrix(change.inverse)
-    prods, den_p = int_table(alg.table)
+    prods, den_p = alg.scaled
     den = den_t * den_t * den_p * den_inv
+    t_rows = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+    inv_rows = [[(k, c) for k, c in enumerate(row) if c] for row in inv]
+    cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
     products = {}
-    for a, u in enumerate(rows):
-        for b, v in enumerate(rows):
-            w = [(m, c) for m, c in enumerate(table_bracket(prods, u, v, 0)) if c]
-            cell = [sum(c * inv[m][k] for m, c in w) for k in range(d)]
-            products[a, b] = [(k, Fraction(c, den)) for k, c in enumerate(cell) if c]
+    for a, u in enumerate(t_rows):
+        half = [{} for _ in range(d)]  # half[j]: the nonzero {m: c} of [u_a, b_j]
+        for i, ti in u:
+            for j, cell in cells[i]:
+                acc = half[j]
+                for m, c in cell:
+                    acc[m] = acc.get(m, 0) + ti * c
+        half = [[(m, c) for m, c in acc.items() if c] for acc in half]
+        for b, v in enumerate(t_rows):
+            w = {}  # [u_a, u_b] in old coordinates
+            for j, vj in v:
+                for m, c in half[j]:
+                    w[m] = w.get(m, 0) + vj * c
+            new = {}  # [u_a, u_b] in new coordinates
+            for m, c in w.items():
+                if c:
+                    for k, e in inv_rows[m]:
+                        new[k] = new.get(k, 0) + c * e
+            products[a, b] = [(k, Fraction(new[k], den)) for k in sorted(new) if new[k]]
     out = algebra_from_products(alg.labels, products, alg.metadata)
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")

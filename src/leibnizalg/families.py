@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import Algebra, algebra_from_products, is_lie, leibniz_check, product_table, table_bracket
+from .algebra import Algebra, algebra_from_products, is_lie, leibniz_check, product_table
 from .linalg import binomial, to_fraction
 
 FAMILY_IDS = (
@@ -365,20 +365,31 @@ def solvable_x_rows(variant: str, n: int, table, row0, row1) -> list:
     in B, e_n is not in the e_0-chain and is reached through
     [e_1, e_{n-1}] = -e_n. ``table`` is a product table holding N's products
     on its first n + 1 basis vectors; the rows are coordinate vectors over
-    its basis. The rows are linear in (row0, row1); scalars are as in
-    :func:`graded_products`.
+    its basis. Each step reads one column of the table for [u, e_j] and one
+    row for [e_i, v], over the nonzero coordinates of u and v only. The rows
+    are linear in (row0, row1); scalars are as in :func:`graded_products`.
     """
     d = len(table)
-    basis = lambda i: [int(j == i) for j in range(d)]
+
+    def step(u, j, i, v):
+        """[u, e_j] + [e_i, v]."""
+        out = [0] * d
+        for m, c in enumerate(u):
+            if c:
+                for k, t in table[m][j]:
+                    out[k] = out[k] + c * t
+        cells = table[i]
+        for m, c in enumerate(v):
+            if c:
+                for k, t in cells[m]:
+                    out[k] = out[k] + c * t
+        return out
+
     rows = [row0, row1]
     for i in range(1, n if variant == "A" else n - 1):
-        lhs = table_bracket(table, row0, basis(i), 0)
-        rhs = table_bracket(table, basis(0), rows[i], 0)
-        rows.append([a + b for a, b in zip(lhs, rhs)])
+        rows.append(step(row0, i, 0, rows[i]))
     if variant == "B":
-        lhs = table_bracket(table, row1, basis(n - 1), 0)
-        rhs = table_bracket(table, basis(1), rows[n - 1], 0)
-        rows.append([-(a + b) for a, b in zip(lhs, rhs)])
+        rows.append([-c for c in step(row1, n - 1, 1, rows[n - 1])])
     return rows
 
 

@@ -32,7 +32,6 @@ from .algebra import (
     Algebra,
     Subspace,
     algebra_from_products,
-    int_table,
     is_lie,
     is_nilpotent,
     is_solvable,
@@ -463,17 +462,17 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     nonzero exactly when D_k is a derivation of N: build N once, run
     ``is_derivation`` on each D_k and sample on the admitted b_k. A defect
     free of b (alphas off the Jacobi variety, or R not a derivation) is left
-    to the caller's construction, which validates the sample. N's table is
-    scaled to integers once, for all the checks."""
+    to the caller's construction, which validates the sample. N keeps its
+    integer-scaled table (``Algebra.scaled``), so it is scaled once for all
+    the checks."""
     top = n + 1 if variant == "A" else n
     nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)), graded_products(variant, n, r, alphas))
-    scaled, _ = int_table(nil.table)
     zero = [0] * (n + 1)
     admitted = []
     for k in range(2, top):
         row1 = list(zero)
         row1[k] = 1
-        if is_derivation(nil, Matrix(solvable_x_rows(variant, n, nil.table, zero, row1)), scaled):
+        if is_derivation(nil, Matrix(solvable_x_rows(variant, n, nil.table, zero, row1))):
             admitted.append(k)
     return {k: small_rational(rng, 8) for k in admitted}
 

@@ -9,6 +9,7 @@ from leibnizalg.algebra import (
     algebra_from_products,
     bracket,
     derived_series,
+    int_table,
     is_filiform,
     is_lie,
     is_nilpotent,
@@ -98,6 +99,16 @@ def test_leibniz_genuine_break_detected_on_concrete_triple():
     report = leibniz_check(broken)
     assert not report.ok
     assert (0, 0, 1) in {(i, j, k) for i, j, k, _ in report.failures}
+
+
+def test_scaled_table_is_the_int_table_and_not_compared():
+    a = make_F1(6, {4: Fraction(2, 3)}, Fraction(-1, 2))
+    twin = algebra_from_products(a.labels, {(i, j): list(cell) for i, plane in enumerate(a.table)
+                                            for j, cell in enumerate(plane)}, a.metadata)
+    assert a.scaled == int_table(a.table)
+    assert a.scaled is a.scaled
+    assert "scaled" in vars(a) and "scaled" not in vars(twin)
+    assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
 
 
 def test_leibniz_collects_all_failures_in_lex_order():

@@ -1,10 +1,13 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from leibnizalg import algebra
 from leibnizalg.algebra import (
+    Algebra,
     is_lie,
     is_nilpotent,
     is_solvable,
@@ -193,6 +196,14 @@ def test_scaling_top_basis_vector():
     assert dense(out)[0][1][5] == Fraction(1, 2)
 
 
+def test_change_of_a_non_leibniz_table_raises():
+    a = make_F1(5, {}, 1)
+    t = [[list(cell) for cell in plane] for plane in dense(a)]
+    t[2][1][4] = Fraction(1)
+    with pytest.raises(RuntimeError, match="Leibniz identity"):
+        apply_basis_change(from_dense(a.labels, t), BasisChange(Matrix.identity(6)))
+
+
 def test_singular_change_rejected():
     rows = tuple(tuple(Fraction(0) for _ in range(6)) for _ in range(6))
     with pytest.raises(ValueError):
@@ -252,6 +263,37 @@ def test_conjecture_random_samples():
     assert res.eliminated
     res = conjecture_check(7, "B", 1, {1: 1, 2: -2}, 0, {2: rnd(), 4: rnd(), 6: rnd()})
     assert res.eliminated
+
+
+@pytest.mark.parametrize("variant,n,alphas,b", [
+    ("A", 7, {1: 1}, {2: Fraction(1, 3), 5: Fraction(-2), 7: Fraction(5, 7)}),
+    ("B", 7, {1: 1, 2: -2}, {2: Fraction(1, 3), 4: Fraction(-2), 6: Fraction(5, 7)}),
+])
+def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alphas, b):
+    """Every algebra keeps its integer-scaled table, so one conjecture_check
+    scales as many tables as it builds algebras (the member, the b = 0
+    target, the star image and the restored table), wherever the package
+    binds int_table."""
+    scale = algebra.int_table
+    calls, built = [], []
+
+    def counted(table):
+        calls.append(table)
+        return scale(table)
+
+    init = Algebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "leibnizalg" and getattr(mod, "int_table", None) is scale:
+            monkeypatch.setattr(mod, "int_table", counted)
+    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    assert conjecture_check(n, variant, 1, alphas, 0, b).eliminated
+    assert len(built) == 4
+    assert len(calls) == len(built)
 
 
 def test_conjecture_reports_residual_when_transformation_cannot_work():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from leibnizalg import io as algio
 from leibnizalg.cli import build_parser, main
 from leibnizalg.families import FamilySpec, make_F1, make_L2, make_family
+from leibnizalg.verify import SCENARIOS
 
 from dense_algebra import dense
 
@@ -145,6 +147,39 @@ def test_cli_extend_with_explicit_hypothesis(tmp_path, capsys):
 def test_cli_verify_conj_i(capsys):
     assert main(["verify", "conj-i", "--n", "5"]) == 0
     assert "50 random tuples eliminated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_cli_verify_error_loses_one_point_and_exits_3(monkeypatch, capsys, fmt):
+    """A scenario that raises at one n is named on stderr; the other reports
+    of the range still print, unchanged, and the exit code is 3."""
+    assert main(["verify", "conj-i", "--n", "5..7", "--format", fmt]) == 0
+    want = capsys.readouterr().out
+    sc = SCENARIOS["conj-i"]
+
+    def runner(n, rng):
+        if n == 6:
+            raise RuntimeError("no valid alpha tuple found for A n=6 r=1")
+        return sc.runner(n, rng)
+
+    monkeypatch.setitem(SCENARIOS, "conj-i", replace(sc, runner=runner))
+    assert main(["verify", "conj-i", "--n", "5..7", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: conj-i n=6: no valid alpha tuple found for A n=6 r=1\n"
+    if fmt == "machine":
+        assert [r["n"] for r in json.loads(captured.out)] == [5, 7]
+        assert json.loads(captured.out) == [r for r in json.loads(want) if r["n"] != 6]
+    else:
+        def blocks(text):  # one list of lines per report, wall time dropped
+            out = []
+            for line in re.sub(r"  \[[0-9.]+s\]", "", text).splitlines():
+                if line.startswith(" "):
+                    out[-1].append(line)
+                else:
+                    out.append([line])
+            return out
+
+        assert blocks(captured.out) == [b for b in blocks(want) if " n=6 " not in b[0]]
 
 
 def test_cli_conjecture_subcommand_is_gone(capsys):

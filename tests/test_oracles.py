@@ -15,9 +15,11 @@ without the library's own Leibniz check.
 The library evaluates ``leibniz_check``, ``is_lie``, ``apply_basis_change``
 and ``matrix_is_nilpotent`` on integers scaled to a common denominator;
 Hypothesis checks each against a test-local ``Fraction`` reference on random
-rational inputs with mixed denominators. ``derivation_space`` is checked
-against sympy's ``Matrix.nullspace`` of the derivation equation written out
-from the structure tensor, for every family.
+rational inputs with mixed denominators. ``apply_basis_change`` walks only
+nonzero entries, so it is also checked on mostly-zero matrices and on the
+star and chain-restore changes of the conjectures. ``derivation_space`` is
+checked against sympy's ``Matrix.nullspace`` of the derivation equation
+written out from the structure tensor, for every family.
 """
 
 import random
@@ -28,13 +30,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg.algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
-from leibnizalg.extensions import (BasisChange, apply_basis_change, build_extension_problem, diagonal_branches,
-                                   eliminate, generate_constraints, instantiate)
+from leibnizalg.extensions import (BasisChange, apply_basis_change, build_extension_problem, chain_restore,
+                                   diagonal_branches, eliminate, generate_constraints, instantiate, star_change)
 from leibnizalg.families import (FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
-                                 make_F3, make_family, make_L1, make_Ln, make_Qn)
+                                 make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
 from leibnizalg.linalg import Matrix, mat_inverse, matrix_is_nilpotent
 from leibnizalg.poly import PolyRing
-from leibnizalg.verify import sample_graded_alphas
+from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import dense, from_dense, mat_apply, mat_is_zero, mat_mul, mat_zeros
 
@@ -388,13 +390,81 @@ def test_is_lie_matches_fraction_reference(alg):
     assert is_lie(alg) == all(t[i][j][k] == -t[j][i][k] for i in range(d) for j in range(d) for k in range(d))
 
 
-@given(st.sampled_from(LEIBNIZ_FAMILIES), st.data())
-@settings(max_examples=30, deadline=None)
-def test_apply_basis_change_matches_fraction_reference(alg, data):
-    mat = data.draw(invertible_matrices(alg.dim))
+@st.composite
+def sparse_invertible_matrices(draw, d: int) -> Matrix:
+    """Mostly zeros: an upper-triangular matrix with a nonzero diagonal and
+    at most d other nonzero entries, its rows permuted; invertible by
+    construction."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = draw(nonzero_rationals)
+    for _ in range(draw(st.integers(0, d))):
+        i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+        rows[i][j] = draw(nonzero_rationals)
+    return Matrix(tuple(tuple(rows[p]) for p in draw(st.permutations(range(d)))))
+
+
+def assert_inverse_by_fraction_product(change: BasisChange) -> None:
+    """T times T^-1 is the identity, multiplied out in Fractions."""
+    assert mat_mul(change.matrix, change.inverse).rows == Matrix.identity(change.dim).rows
+
+
+SOLVABLE_MEMBERS = (
+    make_SolvA(7, 2, {1: 1}, 0, {2: Fraction(2, 3)}),
+    make_SolvB(7, 1, {1: 1, 2: -2}, {2: Fraction(-1, 2), 6: Fraction(3)}),
+)
+
+
+@given(st.sampled_from(LEIBNIZ_FAMILIES + SOLVABLE_MEMBERS), st.booleans(), st.data())
+@settings(max_examples=70, deadline=None)
+def test_apply_basis_change_matches_fraction_reference(alg, sparse, data):
+    """Dense random matrices, and mostly-zero ones (the sparse walk skips
+    every zero entry of T and T^-1)."""
+    mat = data.draw((sparse_invertible_matrices if sparse else invertible_matrices)(alg.dim))
     change = BasisChange(mat)
+    assert_inverse_by_fraction_product(change)
     assert dense(apply_basis_change(alg, change)) == fraction_basis_change(alg, mat)
     assert change.inverse == mat_inverse(mat)
+
+
+def dense_chain_restore_matrix(alg: Algebra, n: int, variant: str) -> Matrix:
+    """The rows chain_restore builds, from the structure tensor: e_0, e_1,
+    the e_0-chain [e_0, u_i], for B -[e_1, u_{n-1}] on top, and x."""
+    t, d = dense(alg), alg.dim
+
+    def left(i, vec):  # [e_i, vec]
+        return tuple(sum((vec[m] * t[i][m][k] for m in range(d)), Fraction(0)) for k in range(d))
+
+    unit = [tuple(Fraction(int(j == i)) for j in range(d)) for i in range(d)]
+    rows = [unit[0], unit[1], t[0][1]]
+    while len(rows) < (n + 1 if variant == "A" else n):
+        rows.append(left(0, rows[-1]))
+    if variant == "B":
+        rows.append(tuple(-c for c in left(1, rows[-1])))
+    return Matrix(tuple(rows) + (unit[n + 1],))
+
+
+STAR_CASES = [("A", n) for n in range(5, 12)] + [("B", n) for n in (5, 7, 9)]
+
+
+@pytest.mark.parametrize("variant,n", STAR_CASES, ids=[f"{v}{n}" for v, n in STAR_CASES])
+def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
+    """The sparse basis change on the conjectures' own inputs: the star change
+    of an admissible SolvA/SolvB member, then the chain restore of its image,
+    each against the dense Fraction transform, with T T^-1 = I multiplied out
+    in Fractions."""
+    rng = random.Random(f"star:{variant}:{n}")
+    r = rng.randint(1, n - 3 if variant == "A" else n - 4)
+    alphas = sample_graded_alphas(variant, n, r, rng)
+    b = sample_solv_bs(variant, n, r, alphas, rng)
+    alg = make_SolvA(n, r, alphas, 0, b) if variant == "A" else make_SolvB(n, r, alphas, b)
+    change = star_change(n, variant, b)
+    assert_inverse_by_fraction_product(change)
+    moved = apply_basis_change(alg, change)
+    assert dense(moved) == fraction_basis_change(alg, change.matrix)
+    restore = BasisChange(dense_chain_restore_matrix(moved, n, variant))
+    assert_inverse_by_fraction_product(restore)
+    assert dense(chain_restore(moved, n, variant)) == fraction_basis_change(moved, restore.matrix)
 
 
 def fraction_is_nilpotent(mat: Matrix) -> bool:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import derivations, verify
+from leibnizalg import algebra, verify
 from leibnizalg.algebra import leibniz_defects, product_table
 from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_products
 from leibnizalg.poly import Poly, PolyRing
@@ -207,9 +207,8 @@ def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
         calls.append(table)
         return scale(table)
 
-    scale = derivations.int_table
-    monkeypatch.setattr(derivations, "int_table", counted)
-    monkeypatch.setattr(verify, "int_table", counted)
+    scale = algebra.int_table
+    monkeypatch.setattr(algebra, "int_table", counted)
     for variant, n, r in (("A", 9, 1), ("A", 9, 3), ("B", 9, 1)):
         rng = random.Random(f"scale:{variant}:{n}:{r}")
         alphas = sample_graded_alphas(variant, n, r, rng)
