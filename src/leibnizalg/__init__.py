@@ -36,7 +36,6 @@ from .derivations import (
     right_multiplication,
 )
 from .extensions import (
-    BasisChange,
     ConjectureResult,
     ConstraintSystem,
     Contradiction,

@@ -272,40 +272,30 @@ class Subspace:
 # -- series and predicates -----------------------------------------------------
 
 
-def lower_central_series(alg: Algebra) -> list[Subspace]:
-    """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization."""
+def _series(alg: Algebra, right_factors) -> list[Subspace]:
+    """S^1 = L, S^{k+1} = [S^k, F_k] with F_k = ``right_factors(S^k)``;
+    stops at zero or at stabilization."""
     d = alg.dim
     series = [Subspace.full(d)]
-    while True:
+    while not series[-1].is_zero():
         prev = series[-1]
-        if prev.is_zero():
-            return series
-        gens = []
-        for u in prev.basis:
-            for j in range(d):
-                gens.append(bracket(alg, u, alg.basis_vector(j)))
-        nxt = Subspace.span(gens, d)
+        factors = right_factors(prev)
+        nxt = Subspace.span([bracket(alg, u, v) for u in prev.basis for v in factors], d)
         if nxt.dim == prev.dim:
-            return series
+            break
         series.append(nxt)
+    return series
+
+
+def lower_central_series(alg: Algebra) -> list[Subspace]:
+    """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization."""
+    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    return _series(alg, lambda prev: basis)
 
 
 def derived_series(alg: Algebra) -> list[Subspace]:
     """D^1 = L, D^{s+1} = [D^s, D^s]; stops at zero or at stabilization."""
-    d = alg.dim
-    series = [Subspace.full(d)]
-    while True:
-        prev = series[-1]
-        if prev.is_zero():
-            return series
-        gens = []
-        for u in prev.basis:
-            for v in prev.basis:
-                gens.append(bracket(alg, u, v))
-        nxt = Subspace.span(gens, d)
-        if nxt.dim == prev.dim:
-            return series
-        series.append(nxt)
+    return _series(alg, lambda prev: prev.basis)
 
 
 def series_dims(series: Sequence[Subspace]) -> tuple:

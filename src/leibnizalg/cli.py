@@ -169,6 +169,9 @@ def _parse_hypotheses(text: str, problem):
             i, j = int(si), int(sj)
         else:
             raise ValueError(f"cannot parse hypothesis name {name!r} (use a<k>, b<k>, or d<i>_<j>)")
+        d = problem.nilradical.dim
+        if not (0 <= i < d and 0 <= j < d):
+            raise ValueError(f"hypothesis {name!r} names entry ({i},{j}), outside the {d} x {d} template")
         hyps.append(problem.template.rows[i][j] - val)
     return hyps
 

@@ -20,6 +20,7 @@ from .algebra import (
     Algebra,
     algebra_from_products,
     bracket,
+    int_table,
     leibniz_check,
     leibniz_defects,
     product_table,
@@ -27,7 +28,7 @@ from .algebra import (
 )
 from .derivations import derivation_space, is_derivation
 from .families import make_SolvA, make_SolvB
-from .linalg import Matrix, int_matrix, mat_inverse, rref, to_fraction
+from .linalg import Matrix, rref, sparse_inverse, to_fraction
 from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
 
@@ -391,33 +392,17 @@ def diagonal_branches(problem: ExtensionProblem) -> list:
 # -- basis changes ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisChange:
-    """Invertible change on the extended basis; rows are the new basis vectors
-    expressed in the old coordinates."""
-
-    matrix: Matrix
-    inverse: Matrix = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "inverse", mat_inverse(self.matrix))  # raises on singular input
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
-
-
-def shear_change(m: int, entries) -> Optional[BasisChange]:
+def shear_change(m: int, entries) -> Optional[tuple]:
     """The identity on m basis vectors plus the listed off-diagonal entries
     ``(row, col, value)``: new basis vector e_row + value*e_col. Entries at
     one position add up; None when no value is nonzero."""
     entries = [(r, c, v) for r, c, v in entries if v]
     if not entries:
         return None
-    rows = [[Fraction(1 if c == r else 0) for c in range(m)] for r in range(m)]
+    rows = [{r: 1} for r in range(m)]
     for r, c, v in entries:
-        rows[r][c] += v
-    return BasisChange(Matrix(tuple(tuple(r) for r in rows)))
+        rows[r][c] = rows[r].get(c, 0) + v
+    return tuple(tuple((c, v) for c, v in sorted(row.items()) if v) for row in rows)
 
 
 def tail_coefficients(b: Mapping[int, Fraction], n: int) -> dict:
@@ -432,7 +417,7 @@ def tail_coefficients(b: Mapping[int, Fraction], n: int) -> dict:
     return A
 
 
-def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction]) -> Optional[BasisChange]:
+def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction]) -> Optional[tuple]:
     """On (e_0..e_n, x): e_head -> e_head + sum_{i=2}^{top} A_i e_i and
     e_i -> e_i + sum_{j>i} A_{j-i+1} e_j for i >= 2."""
     entries = [(head, i, A.get(i, 0)) for i in range(2, top + 1)]
@@ -440,32 +425,31 @@ def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction]) -> Optio
     return shear_change(n + 2, entries)
 
 
-def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
-    """Transform the product table; the Leibniz verdict is preserved and
-    asserted.
+def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
+    """Transform the product table to the basis whose vector u_a has the
+    sparse old coordinates ``rows[a]`` (the nonzero ``(i, c)``, sorted by i);
+    the Leibniz verdict is preserved and asserted. A singular change raises
+    ValueError.
 
-    The entry of [u_a, u_b] (u_a, u_b rows of T) on new basis vector k is
-    (bracket(u_a, u_b) @ T^-1)[k]. It is built over nonzero entries only:
-    for each u_a the half-transform [u_a, b_j] sums T[a,i] [b_i, b_j] over
-    the nonzero T[a,i] and the nonzero cells of row i; [u_a, u_b] combines
-    those with the nonzero entries of u_b; each nonzero coordinate m is then
-    pushed through the nonzero entries of row m of T^-1. T, T^-1 and the
+    The entry of [u_a, u_b] on new basis vector k is
+    (bracket(u_a, u_b) @ T^-1)[k], T the matrix of the rows. It is built over
+    nonzero entries only: for each u_a the half-transform [u_a, b_j] sums
+    T[a,i] [b_i, b_j] over the nonzero T[a,i] and the nonzero cells of row i;
+    [u_a, u_b] combines those with the nonzero entries of u_b; each nonzero
+    coordinate m is then pushed through row m of T^-1. T, T^-1 and the
     product table (``alg.scaled``) are integers, so each entry is one integer
     sum divided once by the product of the three common denominators (twice
     T's, for the two rows)."""
-    T = change.matrix
     d = alg.dim
-    if T.nrows != d:
+    if len(rows) != d:
         raise ValueError("basis change has wrong dimension")
-    rows, den_t = int_matrix(T)
-    inv, den_inv = int_matrix(change.inverse)
+    (inv_rows,), den_inv = int_table((sparse_inverse(rows),))  # raises on singular input
+    (t_rows,), den_t = int_table((rows,))
     prods, den_p = alg.scaled
     den = den_t * den_t * den_p * den_inv
-    t_rows = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
-    inv_rows = [[(k, c) for k, c in enumerate(row) if c] for row in inv]
     cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
-    products = {}
-    for a, u in enumerate(t_rows):
+    table = []
+    for u in t_rows:
         half = [{} for _ in range(d)]  # half[j]: the nonzero {m: c} of [u_a, b_j]
         for i, ti in u:
             for j, cell in cells[i]:
@@ -473,7 +457,8 @@ def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
                 for m, c in cell:
                     acc[m] = acc.get(m, 0) + ti * c
         half = [[(m, c) for m, c in acc.items() if c] for acc in half]
-        for b, v in enumerate(t_rows):
+        plane = []
+        for v in t_rows:
             w = {}  # [u_a, u_b] in old coordinates
             for j, vj in v:
                 for m, c in half[j]:
@@ -483,14 +468,15 @@ def apply_basis_change(alg: Algebra, change: BasisChange) -> Algebra:
                 if c:
                     for k, e in inv_rows[m]:
                         new[k] = new.get(k, 0) + c * e
-            products[a, b] = [(k, Fraction(new[k], den)) for k in sorted(new) if new[k]]
-    out = algebra_from_products(alg.labels, products, alg.metadata)
+            plane.append(tuple((k, Fraction(new[k], den)) for k in sorted(new) if new[k]))
+        table.append(tuple(plane))
+    out = Algebra(alg.labels, tuple(table), alg.metadata)
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out
 
 
-def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> BasisChange:
+def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
     """The conjectured tail-killing transformation on the extended basis
     (e_0..e_n, x): e_0 and x fixed, e_1 and each e_i (i >= 2) shifted by
     A_{j-i+1} e_j. The A-coefficients follow the stated recursions for each
@@ -522,24 +508,20 @@ def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> BasisChange:
     else:
         raise ValueError("variant must be 'A' or 'B'")
     e1_top = n if variant == "A" else n - 1
-    return chain_shift(n, 1, e1_top, A) or BasisChange(Matrix.identity(n + 2))
+    return chain_shift(n, 1, e1_top, A) or tuple(((i, 1),) for i in range(n + 2))
 
 
 def chain_restore(alg: Algebra, n: int, variant: str) -> Algebra:
     """Re-adapt the basis of a transformed solvable extension: keep e_0, e_1
     and x, rebuild e_2..e_n from the chain products (and the alternating top
     product for the second variant). Unitriangular, hence invertible."""
-    rows = [None] * (n + 2)
-    rows[0] = alg.basis_vector(0)
-    rows[1] = alg.basis_vector(1)
-    rows[2] = bracket(alg, rows[0], rows[1])
-    top = n if variant == "A" else n - 1
-    for i in range(2, top):
-        rows[i + 1] = bracket(alg, rows[0], rows[i])
+    rows = [alg.basis_vector(0), alg.basis_vector(1)]
+    for i in range(1, n if variant == "A" else n - 1):
+        rows.append(bracket(alg, rows[0], rows[i]))
     if variant == "B":
-        rows[n] = tuple(-c for c in bracket(alg, rows[1], rows[n - 1]))
-    rows[n + 1] = alg.basis_vector(n + 1)
-    return apply_basis_change(alg, BasisChange(Matrix(tuple(rows))))
+        rows.append(tuple(-c for c in bracket(alg, rows[1], rows[n - 1])))
+    rows.append(alg.basis_vector(n + 1))
+    return apply_basis_change(alg, [tuple((i, c) for i, c in enumerate(u) if c) for u in rows])
 
 
 @dataclass(frozen=True)

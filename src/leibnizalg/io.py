@@ -50,22 +50,30 @@ def algebra_from_dict(data: dict) -> Algebra:
         raise AlgebraFileError(f"unsupported format {data.get('format')!r}; expected {FORMAT!r}")
     try:
         d = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, OverflowError, TypeError, ValueError):
         raise AlgebraFileError("missing or non-integer 'dim'")
     if d < 1:
         raise AlgebraFileError("dim must be >= 1")
     labels = data.get("labels")
     if labels is None:
         labels = [f"e{i}" for i in range(d)]
-    if len(labels) != d:
-        raise AlgebraFileError(f"{len(labels)} labels for dim {d}")
+    try:
+        count = len(labels)
+    except TypeError:
+        raise AlgebraFileError("'labels' must be a list")
+    if count != d:
+        raise AlgebraFileError(f"{count} labels for dim {d}")
+    try:
+        entries = enumerate(data.get("entries", []))
+    except TypeError:
+        raise AlgebraFileError("'entries' must be a list")
     products: dict = {}
     seen = set()
-    for pos, entry in enumerate(data.get("entries", [])):
+    for pos, entry in entries:
         try:
             i, j, k, coeff = entry
             i, j, k = int(i), int(j), int(k)
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise AlgebraFileError(f"entry {pos}: expected [i, j, k, coefficient]")
         if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
             raise AlgebraFileError(f"entry {pos}: index ({i},{j},{k}) out of range for dim {d}")
@@ -80,12 +88,15 @@ def algebra_from_dict(data: dict) -> Algebra:
     raw_meta = data.get("metadata")
     if raw_meta:
         metadata = {}
-        if "family" in raw_meta:
-            metadata["family"] = raw_meta["family"]
-        if "n" in raw_meta:
-            metadata["n"] = int(raw_meta["n"])
-        if "params" in raw_meta:
-            metadata["params"] = {k: Fraction(str(v)) for k, v in raw_meta["params"].items()}
+        try:
+            if "family" in raw_meta:
+                metadata["family"] = raw_meta["family"]
+            if "n" in raw_meta:
+                metadata["n"] = int(raw_meta["n"])
+            if "params" in raw_meta:
+                metadata["params"] = {k: Fraction(str(v)) for k, v in raw_meta["params"].items()}
+        except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError):
+            raise AlgebraFileError("'metadata' must be an object with an integer 'n' and exact rational 'params'")
     return algebra_from_products(labels, products, metadata)
 
 

@@ -5,10 +5,11 @@ The exact checks run on integers: :func:`scale_to_integers` multiplies
 denominators, and the caller builds at most one ``Fraction`` per output
 entry. Row reduction keeps each row's nonzero entries as a ``{col: int}``
 dict scaled to coprime integers and runs the sparse fraction-free kernel in
-``_rref_py``; the nilpotency test powers an integer-scaled copy. Everything returned to callers is in canonical reduced
-row echelon form with leading coefficient 1, so subspace bases and solution
-sets are reproducible across runs.
-"""
+``_rref_py``; the nilpotency test powers an integer-scaled copy. Everything
+returned to callers is in canonical reduced row echelon form with leading
+coefficient 1, so subspace bases and solution sets are reproducible across
+runs. :func:`sparse_inverse` inverts a matrix given as sparse rows, the form
+of a basis change, with one call of the same kernel."""
 
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from . import _rref_py
 _ZERO = Fraction(0)
 _RATIONAL_TYPES = frozenset((int, Fraction))
 
-# rref calls the kernel through this module attribute; the verdict benchmark's
-# tracer wraps linalg._kernel.rref_int by that name.
+# every reduction calls the kernel through this module attribute; the verdict
+# benchmark's tracer wraps linalg._kernel.rref_int by that name.
 _kernel = _rref_py
 
 
@@ -61,15 +62,17 @@ def to_fraction(x) -> Fraction:
     return Fraction(num, den)
 
 
-def int_matrix(mat: "Matrix") -> tuple[list[list[int]], int]:
-    """(rows, den): the rows of ``mat`` times den, the least common multiple
-    of the denominators of its entries."""
-    flat, den = scale_to_integers(mat.flat())
-    n = mat.ncols
-    return [flat[i * n:(i + 1) * n] for i in range(mat.nrows)], den
-
-
 # -- row reduction -----------------------------------------------------------
+
+
+def _primitive(entries) -> dict:
+    """The nonzero ``(col, x)`` pairs, x an int or Fraction, as ``{col: int}``
+    scaled to coprime integers."""
+    ints, _ = scale_to_integers([x for _, x in entries])
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return {c: x for (c, _), x in zip(entries, ints) if x}
 
 
 def _sparse_int_row(row: Sequence) -> dict:
@@ -77,12 +80,7 @@ def _sparse_int_row(row: Sequence) -> dict:
     coprime integers."""
     if not _RATIONAL_TYPES.issuperset(map(type, row)):
         scale_to_integers(row)  # raises TypeError, for a zero entry too
-    cols = [c for c, x in enumerate(row) if x]
-    ints, _ = scale_to_integers([row[c] for c in cols])
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return dict(zip(cols, ints))
+    return _primitive([(c, x) for c, x in enumerate(row) if x])
 
 
 def _int_rows(rows: Sequence[Sequence], last: Optional[int] = None) -> list:
@@ -205,10 +203,6 @@ class Matrix:
             raise ValueError("ragged matrix")
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -237,7 +231,9 @@ def matrix_is_nilpotent(mat: Matrix) -> bool:
         raise ValueError("nilpotency is defined for square matrices only")
     if mat.nrows == 0:
         return True
-    return int_is_nilpotent(int_matrix(mat)[0])
+    flat, _ = scale_to_integers(mat.flat())
+    d = mat.nrows
+    return int_is_nilpotent([flat[i * d:(i + 1) * d] for i in range(d)])
 
 
 def int_is_nilpotent(rows: list[list[int]]) -> bool:
@@ -255,13 +251,23 @@ def int_is_nilpotent(rows: list[list[int]]) -> bool:
         e *= 2
 
 
-def mat_inverse(mat: Matrix) -> Matrix:
-    """Exact inverse of a square rational matrix; raises on singular input."""
-    if not mat.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    n = mat.nrows
-    aug = [list(mat.rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    rrows, pivots = rref(aug, 2 * n)
-    if tuple(pivots) != tuple(range(n)):
+def sparse_inverse(rows: Sequence) -> tuple:
+    """The inverse of an invertible d x d rational matrix, given and returned
+    as its d sparse rows: row a lists the nonzero ``(i, c)`` of row a, sorted
+    by i, c an int or Fraction (a Fraction on return). Raises ValueError on
+    singular input.
+
+    Each row of [T | I] is scaled to integers on its own, and one reduction
+    of their span gives [I | T^-1] when T is invertible, since the pivots
+    then all fall in T's columns."""
+    d = len(rows)
+    if any(row and not (0 <= row[0][0] and row[-1][0] < d) for row in rows):
+        raise ValueError(f"column index out of range for a {d} x {d} matrix")
+    reduced = _kernel.rref_int([_primitive([*row, (d + a, 1)]) for a, row in enumerate(rows)])
+    if reduced and min(reduced[-1]) >= d:
         raise ValueError("singular matrix")
-    return Matrix(tuple(tuple(rrows[i][n:]) for i in range(n)))
+    inverse = []
+    for row in reduced:
+        lead = min(row)
+        inverse.append(tuple((c - d, Fraction(x, row[lead])) for c, x in sorted(row.items()) if c >= d))
+    return tuple(inverse)

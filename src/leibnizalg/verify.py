@@ -42,7 +42,6 @@ from .algebra import (
 )
 from .derivations import derivation_space, is_derivation, max_nil_independent
 from .extensions import (
-    BasisChange,
     ConstraintSystem,
     apply_basis_change,
     build_extension_problem,
@@ -156,14 +155,14 @@ def _within(case: str, body: Verdict, **context) -> Verdict:
 # -- scripted basis changes (numeric, read from the current table) ------------------
 
 
-def chain_tail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
+def chain_tail_change(alg: Algebra, n: int) -> Optional[tuple]:
     """Kill [e_0,x] tails at e_2..e_n by the cascade e_i -> e_i + A_{k-i+1} e_k
     (valid for nilradicals whose products shift indices by a constant)."""
     t = {i: alg.coefficient(0, n + 1, i) for i in range(2, n + 1)}
     return chain_shift(n, 0, n, tail_coefficients(t, n))
 
 
-def e0_mix_change(alg: Algebra, n: int, j0: int) -> Optional[BasisChange]:
+def e0_mix_change(alg: Algebra, n: int, j0: int) -> Optional[tuple]:
     """Kill the e_1 coefficient of [e_0,x] via e_0 -> e_0 + kappa e_1, which
     extends to a nilradical automorphism exactly when 2*j0 - 2 > n (the regime
     where that coefficient is a genuine extra derivation parameter)."""
@@ -175,13 +174,13 @@ def e0_mix_change(alg: Algebra, n: int, j0: int) -> Optional[BasisChange]:
     return shear_change(n + 2, entries)
 
 
-def x_mu_change(alg: Algebra, n: int) -> Optional[BasisChange]:
+def x_mu_change(alg: Algebra, n: int) -> Optional[tuple]:
     """x -> x - sum mu_{i+1} e_i, killing [x,e_0] coefficients at e_3..e_n."""
     x = n + 1
     return shear_change(n + 2, [(x, i, -alg.coefficient(x, 0, i + 1)) for i in range(2, n)])
 
 
-def e1_etail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
+def e1_etail_change(alg: Algebra, n: int) -> Optional[tuple]:
     """Kill [e_1,x] tails at e_m via e_1 -> e_1 - c e_m (diagonal-gap solve)."""
     x = n + 1
     w1 = alg.coefficient(1, x, 1)
@@ -194,7 +193,7 @@ def e1_etail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
     return shear_change(n + 2, entries)
 
 
-def e1_xtail_change(alg: Algebra, n: int, keep: int) -> Optional[BasisChange]:
+def e1_xtail_change(alg: Algebra, n: int, keep: int) -> Optional[tuple]:
     """Kill [x,e_1] coefficients at e_m (m >= 2, m != keep)."""
     x = n + 1
     w1 = alg.coefficient(1, x, 1)
@@ -202,7 +201,7 @@ def e1_xtail_change(alg: Algebra, n: int, keep: int) -> Optional[BasisChange]:
                                 if m != keep and (g := alg.coefficient(x, 1, m))])
 
 
-def xx_tail_change(alg: Algebra, n: int) -> Optional[BasisChange]:
+def xx_tail_change(alg: Algebra, n: int) -> Optional[tuple]:
     """Kill [x,x] coefficients via x -> x - (delta_m / lambda_m) e_m."""
     x = n + 1
     return shear_change(n + 2, [(x, m, -v / alg.coefficient(m, x, m)) for m in range(2, n + 1)
@@ -238,14 +237,14 @@ def normalize_f2_extension(alg: Algebra, n: int, target: Algebra,
     return alg, alg.table == target.table, steps
 
 
-def x_left_tail_change(alg: Algebra, n: int, top: int) -> Optional[BasisChange]:
+def x_left_tail_change(alg: Algebra, n: int, top: int) -> Optional[tuple]:
     """x -> x - sum a_{i+1} e_i for chain products [e_0,e_i]=e_{i+1}: kills
     [e_0,x] coefficients at e_2..e_{top}."""
     x = n + 1
     return shear_change(n + 2, [(x, i, -alg.coefficient(0, x, i + 1)) for i in range(1, top)])
 
 
-def _changed(alg: Algebra, change: Optional[BasisChange]) -> Algebra:
+def _changed(alg: Algebra, change: Optional[tuple]) -> Algebra:
     """The algebra after a scripted change; unchanged when there is none."""
     return alg if change is None else apply_basis_change(alg, change)
 

@@ -5,8 +5,9 @@ give the tests the d x d x d structure tensor ``tensor[i][j][k]`` (the
 coefficient of e_k in [e_i, e_j]) in both directions, the plain ``Fraction``
 matrix action, product and zero test that the oracles compare the
 integer-scaled library routines against, the matrix arithmetic the tests use
-to combine derivations, and the per-triple Leibniz defect that the library's
-sparse walk is compared against.
+to combine derivations, the conversion between a dense ``Matrix`` and the
+sparse rows of a basis change, and the per-triple Leibniz defect that the
+library's sparse walk is compared against.
 """
 
 from fractions import Fraction
@@ -31,6 +32,25 @@ def from_dense(labels, tensor) -> Algebra:
     products = {(i, j): list(enumerate(cell))
                 for i, plane in enumerate(tensor) for j, cell in enumerate(plane)}
     return algebra_from_products(labels, products)
+
+
+def mat_identity(n: int) -> Matrix:
+    return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+
+
+def sparse_rows(mat: Matrix) -> tuple:
+    """The basis-change form of ``mat``: row a lists the nonzero (i, c) of
+    its row a, sorted by i."""
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in mat.rows)
+
+
+def dense_matrix(rows, d: int) -> Matrix:
+    """The d x d matrix of sparse rows."""
+    out = [[Fraction(0)] * d for _ in rows]
+    for a, row in enumerate(rows):
+        for i, c in row:
+            out[a][i] = Fraction(c)
+    return Matrix(tuple(tuple(r) for r in out))
 
 
 def mat_apply(mat: Matrix, vec) -> tuple:

@@ -12,9 +12,9 @@ from leibnizalg.derivations import (
     right_multiplication,
 )
 from leibnizalg.families import make_F1, make_F1s, make_F2, make_F3, make_Qn
-from leibnizalg.linalg import Matrix, matrix_is_nilpotent, rref
+from leibnizalg.linalg import matrix_is_nilpotent, rref
 
-from dense_algebra import dense, from_dense, mat_add, mat_mul, mat_scaled, mat_sub, mat_zeros
+from dense_algebra import dense, from_dense, mat_add, mat_identity, mat_mul, mat_scaled, mat_sub, mat_zeros
 
 
 def abelian(d):
@@ -38,7 +38,7 @@ def test_right_multiplications_are_derivations():
 
 def test_identity_matrix_is_not_a_derivation():
     a = make_F1(5, {}, 1)
-    assert not is_derivation(a, Matrix.identity(a.dim))
+    assert not is_derivation(a, mat_identity(a.dim))
 
 
 def test_prop_template_instance_on_f1s():
@@ -61,7 +61,7 @@ def test_prop_template_instance_on_f1s():
 
 def test_wrong_size_matrix_rejected():
     with pytest.raises(ValueError):
-        is_derivation(make_F1(5, {}, 1), Matrix.identity(3))
+        is_derivation(make_F1(5, {}, 1), mat_identity(3))
 
 
 def test_inner_derivations_f1():

@@ -17,7 +17,6 @@ from leibnizalg.algebra import (
     series_dims,
 )
 from leibnizalg.extensions import (
-    BasisChange,
     ConstraintSystem,
     apply_basis_change,
     build_extension_problem,
@@ -41,10 +40,10 @@ from leibnizalg.families import (
     make_SolvA,
     make_SolvB,
 )
-from leibnizalg.linalg import Matrix, mat_inverse
+from leibnizalg.linalg import Matrix, sparse_inverse
 from leibnizalg.poly import Poly, PolyRing
 
-from dense_algebra import dense, from_dense
+from dense_algebra import dense, dense_matrix, from_dense, mat_identity, mat_mul, sparse_rows
 
 
 def abelian(d):
@@ -182,7 +181,7 @@ def test_f3_contradictions_all_branches():
 
 def test_identity_change_is_noop():
     a = make_F1(5, {}, 1)
-    out = apply_basis_change(a, BasisChange(Matrix.identity(6)))
+    out = apply_basis_change(a, sparse_rows(mat_identity(6)))
     assert dense(out) == dense(a)
 
 
@@ -190,7 +189,7 @@ def test_scaling_top_basis_vector():
     a = make_F1(5, {}, 1)
     rows = [[Fraction(1 if i == j else 0) for j in range(6)] for i in range(6)]
     rows[5][5] = Fraction(2)
-    out = apply_basis_change(a, BasisChange(Matrix(tuple(tuple(r) for r in rows))))
+    out = apply_basis_change(a, sparse_rows(Matrix(tuple(tuple(r) for r in rows))))
     # coefficients into e_5 halve, products of e_5 double (none here)
     assert dense(out)[4][0][5] == Fraction(1, 2)
     assert dense(out)[0][1][5] == Fraction(1, 2)
@@ -201,13 +200,25 @@ def test_change_of_a_non_leibniz_table_raises():
     t = [[list(cell) for cell in plane] for plane in dense(a)]
     t[2][1][4] = Fraction(1)
     with pytest.raises(RuntimeError, match="Leibniz identity"):
-        apply_basis_change(from_dense(a.labels, t), BasisChange(Matrix.identity(6)))
+        apply_basis_change(from_dense(a.labels, t), sparse_rows(mat_identity(6)))
 
 
 def test_singular_change_rejected():
-    rows = tuple(tuple(Fraction(0) for _ in range(6)) for _ in range(6))
-    with pytest.raises(ValueError):
-        BasisChange(Matrix(rows))
+    zero = ((),) * 6
+    proportional = (((0, 1),), ((1, 1),), ((2, 1), (3, 1)), ((2, Fraction(-1, 2)), (3, Fraction(-1, 2))),
+                    ((4, 1),), ((5, 1),))
+    for rows in (zero, proportional):
+        with pytest.raises(ValueError, match="singular"):
+            sparse_inverse(rows)
+        with pytest.raises(ValueError, match="singular"):
+            apply_basis_change(make_F1(5, {}, 1), rows)
+
+
+def test_change_of_wrong_size_rejected():
+    with pytest.raises(ValueError, match="wrong dimension"):
+        apply_basis_change(make_F1(5, {}, 1), sparse_rows(mat_identity(5)))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_basis_change(make_F1(5, {}, 1), sparse_rows(mat_identity(6))[:5] + (((6, 1),),))
 
 
 def test_change_preserves_isomorphism_invariants():
@@ -217,7 +228,7 @@ def test_change_preserves_isomorphism_invariants():
     for i in range(7):
         for j in range(i + 1, 7):
             rows[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    moved = apply_basis_change(a, BasisChange(Matrix(tuple(tuple(r) for r in rows))))
+    moved = apply_basis_change(a, sparse_rows(Matrix(tuple(tuple(r) for r in rows))))
     assert leibniz_check(moved).ok
     assert is_lie(moved) == is_lie(a)
     assert series_dims(lower_central_series(moved)) == series_dims(lower_central_series(a))
@@ -226,26 +237,26 @@ def test_change_preserves_isomorphism_invariants():
 
 def test_star_change_trivial_for_zero_b():
     ch = star_change(6, "A", {})
-    assert ch.matrix.rows == Matrix.identity(8).rows
+    assert dense_matrix(ch, 8).rows == mat_identity(8).rows
 
 
 def test_star_change_recursion_values_variant_a():
-    ch = star_change(5, "A", {2: Fraction(3)})
+    ch = dense_matrix(star_change(5, "A", {2: Fraction(3)}), 7)
     # A_2 = -3, A_3 = (1/(1-3))(0 + A_2 b_2) = 9/2
-    assert ch.matrix.rows[2][3] == Fraction(-3)
-    assert ch.matrix.rows[2][4] == Fraction(9, 2)
+    assert ch.rows[2][3] == Fraction(-3)
+    assert ch.rows[2][4] == Fraction(9, 2)
 
 
 def test_star_change_recursion_values_variant_b():
-    ch = star_change(7, "B", {2: Fraction(1)})
-    assert ch.matrix.rows[2][3] == Fraction(-1)   # A_2
-    assert ch.matrix.rows[2][4] == Fraction(1, 2)  # A_3 = b_2^2/2
+    ch = dense_matrix(star_change(7, "B", {2: Fraction(1)}), 9)
+    assert ch.rows[2][3] == Fraction(-1)   # A_2
+    assert ch.rows[2][4] == Fraction(1, 2)  # A_3 = b_2^2/2
 
 
 def test_star_change_unitriangular_invertible():
     ch = star_change(7, "B", {2: Fraction(2), 4: Fraction(-1, 3)})
-    assert all(ch.matrix.rows[i][i] == 1 for i in range(9))
-    mat_inverse(ch.matrix)
+    assert all(ch[i][0] == (i, 1) for i in range(9))
+    assert mat_mul(dense_matrix(ch, 9), dense_matrix(sparse_inverse(ch), 9)).rows == mat_identity(9).rows
 
 
 def test_conjecture_trivial_and_hand_case():
@@ -271,9 +282,10 @@ def test_conjecture_random_samples():
 ])
 def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alphas, b):
     """Every algebra keeps its integer-scaled table, so one conjecture_check
-    scales as many tables as it builds algebras (the member, the b = 0
-    target, the star image and the restored table), wherever the package
-    binds int_table."""
+    scales as many product tables as it builds algebras (the member, the
+    b = 0 target, the star image and the restored table), wherever the
+    package binds int_table. Each of its two basis changes scales the rows
+    of T and of T^-1 once more, as one-plane tables."""
     scale = algebra.int_table
     calls, built = [], []
 
@@ -293,7 +305,9 @@ def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alph
     monkeypatch.setattr(Algebra, "__init__", counted_init)
     assert conjecture_check(n, variant, 1, alphas, 0, b).eliminated
     assert len(built) == 4
-    assert len(calls) == len(built)
+    tables = [t for t in calls if len(t) == n + 2]
+    assert len(tables) == len(built)
+    assert len(calls) - len(tables) == 4
 
 
 def test_conjecture_reports_residual_when_transformation_cannot_work():

@@ -96,6 +96,30 @@ def test_cli_malformed_file_exits_2(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+MALFORMED_FIELDS = {
+    "labels-number": {"labels": 5},
+    "entries-number": {"entries": 5},
+    "metadata-list": {"metadata": ["family"]},
+    "metadata-n-text": {"metadata": {"n": "x"}},
+    "metadata-n-infinite": {"metadata": {"n": float("inf")}},
+    "params-zero-denominator": {"metadata": {"params": {"a": "1/0"}}},
+    "params-list": {"metadata": {"params": {"a": [1]}}},
+    "dim-infinite": {"dim": float("inf")},
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+def test_cli_check_malformed_field_exits_2_with_one_line(tmp_path, capsys, field):
+    data = algio.algebra_to_dict(make_F1(5, {}, 1))
+    data.update(field)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 def test_cli_unknown_scenario_exits_2(capsys):
     assert main(["verify", "nope", "--n", "5"]) == 2
     assert "known scenarios" in capsys.readouterr().err
@@ -142,6 +166,20 @@ def test_cli_extend_with_explicit_hypothesis(tmp_path, capsys):
     assert main(["extend", str(out), "--hypotheses", "a0=1", "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["outcome"] == "family"
+
+
+@pytest.mark.parametrize("hypothesis", ["a99=1", "d99_0=1", "d-1_0=1", "d5_-1=1"])
+def test_cli_extend_hypothesis_outside_the_template_exits_2(tmp_path, capsys, hypothesis):
+    """Out-of-range and negative indices are rejected, not wrapped around to
+    another template entry."""
+    out = tmp_path / "alg.json"
+    main(["family", "F1", "--n", "5", "--params", "theta=1", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["extend", str(out), "--hypotheses", hypothesis]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(hypothesis.split("=")[0]) in captured.err
 
 
 def test_cli_verify_conj_i(capsys):

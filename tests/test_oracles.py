@@ -17,7 +17,9 @@ and ``matrix_is_nilpotent`` on integers scaled to a common denominator;
 Hypothesis checks each against a test-local ``Fraction`` reference on random
 rational inputs with mixed denominators. ``apply_basis_change`` walks only
 nonzero entries, so it is also checked on mostly-zero matrices and on the
-star and chain-restore changes of the conjectures. ``derivation_space`` is
+star and chain-restore changes of the conjectures; ``sparse_inverse``, which
+it inverts each change with, is checked by multiplying T T^-1 out in
+Fractions on the same matrices, and must raise on singular ones. ``derivation_space`` is
 checked against sympy's ``Matrix.nullspace`` of the derivation equation
 written out from the structure tensor, for every family.
 """
@@ -30,15 +32,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg.algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
-from leibnizalg.extensions import (BasisChange, apply_basis_change, build_extension_problem, chain_restore,
+from leibnizalg.extensions import (apply_basis_change, build_extension_problem, chain_restore,
                                    diagonal_branches, eliminate, generate_constraints, instantiate, star_change)
 from leibnizalg.families import (FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
-from leibnizalg.linalg import Matrix, mat_inverse, matrix_is_nilpotent
+from leibnizalg.linalg import Matrix, matrix_is_nilpotent, sparse_inverse
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
-from dense_algebra import dense, from_dense, mat_apply, mat_is_zero, mat_mul, mat_zeros
+from dense_algebra import (dense, dense_matrix, from_dense, mat_apply, mat_identity, mat_is_zero, mat_mul, mat_zeros,
+                           sparse_rows)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -137,7 +140,7 @@ def test_is_derivation_matches_brute_force():
         candidates = list(space.basis)
         candidates += [perturbed(m, rng) for m in space.basis]
         candidates += [perturbed(mat_zeros(alg.dim, alg.dim), rng) for _ in range(3)]
-        candidates.append(Matrix.identity(alg.dim))
+        candidates.append(mat_identity(alg.dim))
         for mat in candidates:
             got = is_derivation(alg, mat)
             assert got == brute_force_is_derivation(alg, mat)
@@ -347,16 +350,20 @@ def invertible_matrices(draw, d: int) -> Matrix:
                          min_size=d, max_size=d))
     mat = Matrix(tuple(tuple(r) for r in rows))
     try:
-        mat_inverse(mat)
+        sparse_inverse(sparse_rows(mat))
     except ValueError:
         assume(False)
     return mat
 
 
+def inverse(mat: Matrix) -> Matrix:
+    return dense_matrix(sparse_inverse(sparse_rows(mat)), mat.nrows)
+
+
 def fraction_basis_change(alg: Algebra, mat: Matrix) -> tuple:
     """The transformed tensor with Fractions throughout: [u, v] @ T^-1 for
     rows u, v of T."""
-    inv = mat_inverse(mat)
+    inv = inverse(mat)
     return tuple(tuple(mat_apply(inv, bracket(alg, u, v)) for v in mat.rows) for u in mat.rows)
 
 
@@ -404,9 +411,30 @@ def sparse_invertible_matrices(draw, d: int) -> Matrix:
     return Matrix(tuple(tuple(rows[p]) for p in draw(st.permutations(range(d)))))
 
 
-def assert_inverse_by_fraction_product(change: BasisChange) -> None:
-    """T times T^-1 is the identity, multiplied out in Fractions."""
-    assert mat_mul(change.matrix, change.inverse).rows == Matrix.identity(change.dim).rows
+def assert_inverse_by_fraction_product(rows) -> None:
+    """T times T^-1 is the identity, multiplied out in Fractions, for the
+    sparse rows of T; T^-1 comes back in the same canonical row form."""
+    d = len(rows)
+    inv = sparse_inverse(rows)
+    assert mat_mul(dense_matrix(rows, d), dense_matrix(inv, d)).rows == mat_identity(d).rows
+    assert inv == sparse_rows(dense_matrix(inv, d))
+    assert all(type(c) is Fraction for row in inv for _, c in row)
+
+
+@given(st.integers(2, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_inverse_of_permuted_triangular_matrices(d, data):
+    """T T^-1 = I on mostly-zero invertible matrices; replacing one row by a
+    rational combination of two others makes T singular, which raises."""
+    mat = data.draw(sparse_invertible_matrices(d))
+    assert_inverse_by_fraction_product(sparse_rows(mat))
+    rows = [list(r) for r in mat.rows]
+    i, j, k = data.draw(st.lists(st.integers(0, d - 1), min_size=3, max_size=3))
+    assume(j != i and k != i)
+    a, b = data.draw(nonzero_rationals), data.draw(nonzero_rationals)
+    rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    with pytest.raises(ValueError, match="singular"):
+        sparse_inverse(sparse_rows(Matrix(tuple(tuple(r) for r in rows))))
 
 
 SOLVABLE_MEMBERS = (
@@ -421,10 +449,9 @@ def test_apply_basis_change_matches_fraction_reference(alg, sparse, data):
     """Dense random matrices, and mostly-zero ones (the sparse walk skips
     every zero entry of T and T^-1)."""
     mat = data.draw((sparse_invertible_matrices if sparse else invertible_matrices)(alg.dim))
-    change = BasisChange(mat)
-    assert_inverse_by_fraction_product(change)
-    assert dense(apply_basis_change(alg, change)) == fraction_basis_change(alg, mat)
-    assert change.inverse == mat_inverse(mat)
+    rows = sparse_rows(mat)
+    assert_inverse_by_fraction_product(rows)
+    assert dense(apply_basis_change(alg, rows)) == fraction_basis_change(alg, mat)
 
 
 def dense_chain_restore_matrix(alg: Algebra, n: int, variant: str) -> Matrix:
@@ -461,14 +488,14 @@ def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
     change = star_change(n, variant, b)
     assert_inverse_by_fraction_product(change)
     moved = apply_basis_change(alg, change)
-    assert dense(moved) == fraction_basis_change(alg, change.matrix)
-    restore = BasisChange(dense_chain_restore_matrix(moved, n, variant))
-    assert_inverse_by_fraction_product(restore)
-    assert dense(chain_restore(moved, n, variant)) == fraction_basis_change(moved, restore.matrix)
+    assert dense(moved) == fraction_basis_change(alg, dense_matrix(change, alg.dim))
+    restore = dense_chain_restore_matrix(moved, n, variant)
+    assert_inverse_by_fraction_product(sparse_rows(restore))
+    assert dense(chain_restore(moved, n, variant)) == fraction_basis_change(moved, restore)
 
 
 def fraction_is_nilpotent(mat: Matrix) -> bool:
-    power = Matrix.identity(mat.nrows)
+    power = mat_identity(mat.nrows)
     for _ in range(mat.nrows):
         power = mat_mul(power, mat)
     return mat_is_zero(power)
@@ -484,7 +511,7 @@ def test_matrix_is_nilpotent_matches_fraction_reference(d, data):
     if data.draw(st.booleans()):
         nil = Matrix(tuple(tuple(data.draw(entry) if j > i else Fraction(0) for j in range(d)) for i in range(d)))
         p = data.draw(invertible_matrices(d))
-        mat = mat_mul(mat_mul(mat_inverse(p), nil), p)
+        mat = mat_mul(mat_mul(inverse(p), nil), p)
         if data.draw(st.booleans()):
             rows = [list(r) for r in mat.rows]
             rows[data.draw(st.integers(0, d - 1))][data.draw(st.integers(0, d - 1))] += data.draw(nonzero_rationals)
