@@ -6,10 +6,9 @@ coordinates of [b_i, b_j], sorted by k, each c a Fraction. All operations are
 pure; algebras are immutable once built.
 
 :func:`product_table` builds such a table from a ``{(i, j): [(k, c), ...]}``
-map for any scalar type. Its scalars may be Fractions, integers or Polys: the
-bracket uses only ``+``, ``*`` and a caller-supplied zero, and
+map for any scalar type. Its scalars may be Fractions, integers or Polys:
 :func:`leibniz_defects`, one walk over the nonzero products that yields
-every nonzero Leibniz defect, only ``+``, ``*`` and ``-``; so the symbolic
+every nonzero Leibniz defect, uses only ``+``, ``*`` and ``-``; so the symbolic
 extension problem and the graded alpha relations evaluate the same identity
 as the exact check. The exact checks run on the integer-scaled table
 (:func:`int_table`: every coefficient times the common denominator of the
@@ -58,22 +57,6 @@ def int_table(prods: Sequence) -> tuple:
     ints, den = scale_to_integers([c for plane in prods for cell in plane for _, c in cell])
     it = iter(ints)
     return tuple(tuple(tuple((k, next(it)) for k, _ in cell) for cell in plane) for plane in prods), den
-
-
-def table_bracket(prods: Sequence, u: Sequence, v: Sequence, zero=_ZERO) -> list:
-    """Coordinates of [u, v] for coordinate vectors over the table's basis."""
-    out = [zero] * len(prods)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = prods[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            uv = ui * vj
-            for k, c in row[j]:
-                out[k] = out[k] + uv * c
-    return out
 
 
 def leibniz_defects(prods: Sequence):
@@ -188,7 +171,15 @@ def bracket(alg: Algebra, u: Sequence, v: Sequence) -> Vector:
     d = alg.dim
     if len(u) != d or len(v) != d:
         raise ValueError(f"vectors must have length {d}")
-    return tuple(table_bracket(alg.table, u, v))
+    out = [_ZERO] * d
+    for ui, row in zip(u, alg.table):
+        if ui:
+            for vj, cell in zip(v, row):
+                if vj:
+                    uv = ui * vj
+                    for k, c in cell:
+                        out[k] += uv * c
+    return tuple(out)
 
 
 @dataclass(frozen=True)

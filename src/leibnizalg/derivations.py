@@ -1,13 +1,13 @@
 """Derivation algebras of structure-constant algebras.
 
 The derivation equation d([u,v]) = [d(u),v] + [u,d(v)] over all basis pairs is
-a linear system in the dim^2 matrix entries; its canonical nullspace basis is
-the derivation space. :func:`is_derivation` checks one matrix (rational or
-Poly entries) by a walk over the nonzero cells of the integer-scaled product
-table and the nonzero entries of the matrix. Nil-independence is computed
-from the diagonal rank, which is exact for spaces of upper-triangular
-matrices (every family handled here), with a randomized cross-check guarding
-the triangularity assumption.
+a linear system in the dim^2 matrix entries, built as sparse integer rows
+from the integer-scaled product table; its canonical nullspace basis is the
+derivation space. :func:`is_derivation` checks one matrix (rational or Poly
+entries) by a walk over the nonzero cells of the same table and the nonzero
+entries of the matrix. Nil-independence is computed from the diagonal rank,
+which is exact for spaces of upper-triangular matrices (every family handled
+here), with a randomized cross-check guarding the triangularity assumption.
 """
 
 from __future__ import annotations
@@ -15,39 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Matrix, int_is_nilpotent, nullspace, rank, rref, scale_to_integers
+from .linalg import Matrix, int_is_nilpotent, kernel_basis, rank, rref, scale_to_integers
 from .poly import Poly, PolyRing
 
 # the randomized nil-independence cross-check: combinations drawn, fixed seed
 NIL_CHECK_TRIALS = 32
 NIL_CHECK_SEED = 7
-
-
-def derivation_equations(alg: Algebra):
-    """The derivation equation d([e_i,e_j]) = [d(e_i),e_j] + [e_i,d(e_j)], one
-    coordinate m at a time, in the order of (i, j, m). Each equation is a pair
-    (lhs, rhs) of sparse linear terms ((r*dim + s, c), ...) over the flat
-    entries of d, whose row r is the image of e_r; a side may repeat an index
-    or be empty."""
-    d = alg.dim
-    prods = alg.table
-    for i in range(d):
-        for j in range(d):
-            lhs = [[] for _ in range(d)]
-            rhs = [[] for _ in range(d)]
-            for k, c in prods[i][j]:  # d([ei,ej])
-                for m in range(d):
-                    lhs[m].append((k * d + m, c))
-            for p in range(d):
-                for m, c in prods[p][j]:  # [d(ei),ej]
-                    rhs[m].append((i * d + p, c))
-                for m, c in prods[i][p]:  # [ei,d(ej)]
-                    rhs[m].append((j * d + p, c))
-            yield from zip(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -67,44 +44,68 @@ class DerivationSpace:
         """The general element: sum of param_name * basis matrix, entries Poly."""
         if ring is None:
             ring = self.ring()
-        d = self.algebra.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = ring.zero
-                for name, mat in zip(self.param_names, self.basis):
-                    c = mat.rows[i][j]
-                    if c:
-                        acc = acc + ring.var(name) * c
-                row.append(acc)
-            rows.append(tuple(row))
-        return Matrix(tuple(rows))
+        flat = [ring.zero] * (self.algebra.dim ** 2)
+        for name, mat in zip(self.param_names, self.basis):
+            var = ring.var(name)
+            for idx, c in enumerate(mat.flat()):
+                if c:
+                    flat[idx] = flat[idx] + var * c
+        return _matrix(flat, self.algebra.dim)
 
 
-def _names_for(vectors, d: int) -> tuple:
-    names = []
-    for vec in vectors:
-        lead = next(i for i, c in enumerate(vec) if c)
-        names.append(f"t{lead // d:02d}c{lead % d:02d}")
-    return tuple(names)
+def _param_name(flat: int, d: int) -> str:
+    """``tRRcCC``: the name of the basis matrix led by entry (RR, CC)."""
+    return f"t{flat // d:02d}c{flat % d:02d}"
+
+
+def _matrix(vec, d: int) -> Matrix:
+    return Matrix(tuple(tuple(vec[i * d:(i + 1) * d]) for i in range(d)))
 
 
 def derivation_space(alg: Algebra) -> DerivationSpace:
-    """Full derivation algebra as a canonical matrix-space basis."""
+    """Full derivation algebra as a canonical matrix-space basis.
+
+    Flat entry r*d + s of the unknown matrix is the b_s coordinate of d(b_r).
+    The equation of coordinate m at (b_i, b_j) is a sparse ``{col: int}``
+    row read off the nonzero cells of the integer-scaled table, with flat
+    entry t stored as column d^2 - 1 - t (the reversed order of
+    :func:`~leibnizalg.linalg.kernel_basis`), divided by its content and
+    kept once. Each basis matrix is named after its free (leading) entry.
+    """
     d = alg.dim
-    rows = []
-    for lhs, rhs in derivation_equations(alg):
-        row = [0] * (d * d)
-        for idx, c in lhs:
-            row[idx] += c
-        for idx, c in rhs:
-            row[idx] -= c
-        if any(row):
-            rows.append(row)
-    vecs = nullspace(rows, d * d)
-    mats = tuple(Matrix(tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))) for v in vecs)
-    return DerivationSpace(alg, mats, _names_for(vecs, d))
+    last = d * d - 1
+    prods = alg.scaled[0]
+    cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
+    column = [[] for _ in range(d)]  # column[j]: the (p, cell) of the nonzero [b_p, b_j]
+    for p, plane in enumerate(cells):
+        for j, cell in plane:
+            column[j].append((p, cell))
+    work = {}
+    for i in range(d):
+        for j in range(d):
+            eqs = [{} for _ in range(d)]  # eqs[m]: the equation of coordinate m
+            for k, c in prods[i][j]:  # d([bi,bj])
+                base = last - k * d
+                for m, eq in enumerate(eqs):
+                    eq[base - m] = eq.get(base - m, 0) + c
+            for p, cell in column[j]:  # -[d(bi),bj]
+                col = last - i * d - p
+                for m, c in cell:
+                    eqs[m][col] = eqs[m].get(col, 0) - c
+            for p, cell in cells[i]:  # -[bi,d(bj)]
+                col = last - j * d - p
+                for m, c in cell:
+                    eqs[m][col] = eqs[m].get(col, 0) - c
+            for eq in eqs:
+                eq = {col: c for col, c in eq.items() if c}
+                if eq:
+                    g = gcd(*eq.values())
+                    if g > 1:
+                        eq = {col: c // g for col, c in eq.items()}
+                    work[frozenset(eq.items())] = eq
+    basis = kernel_basis(list(work.values()), d * d)
+    return DerivationSpace(alg, tuple(_matrix(vec, d) for vec in basis.values()),
+                           tuple(_param_name(f, d) for f in basis))
 
 
 def is_derivation(alg: Algebra, mat: Matrix) -> bool:
@@ -180,13 +181,9 @@ def right_multiplication(alg: Algebra, j: int) -> Matrix:
 def inner_derivations(alg: Algebra) -> DerivationSpace:
     """Span of the right multiplications."""
     d = alg.dim
-    flats = [right_multiplication(alg, j).flat() for j in range(d)]
-    flats = [f for f in flats if any(f)]
-    if not flats:
-        return DerivationSpace(alg, (), ())
-    vecs, _ = rref(flats, d * d)
-    mats = tuple(Matrix(tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))) for v in vecs)
-    return DerivationSpace(alg, mats, _names_for(vecs, d))
+    vecs, pivots = rref([right_multiplication(alg, j).flat() for j in range(d)], d * d)
+    return DerivationSpace(alg, tuple(_matrix(vec, d) for vec in vecs),
+                           tuple(_param_name(p, d) for p in pivots))
 
 
 def _random_rational(rng: random.Random) -> Fraction:

@@ -6,6 +6,8 @@ general element of the computed derivation space); the products [x, e_i] and
 the right-annihilator equations yield a polynomial constraint system that a
 deterministic linear-substitution elimination reduces to either a
 Contradiction (with a replayable witness) or a residual parametric Family.
+The system is read off the sparse product table of N + <x> (nonzero cells
+only), and the elimination divides by no pivot coefficient.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .algebra import (
     leibniz_check,
     leibniz_defects,
     product_table,
-    table_bracket,
 )
 from .derivations import derivation_space, is_derivation
 from .families import make_SolvA, make_SolvB
@@ -65,18 +66,17 @@ class ExtensionProblem:
 
 
 def _forced_annihilator_span(alg: Algebra):
-    vecs = []
+    """RREF basis of the span of the [b_i, b_j] + [b_j, b_i], two cells added."""
     d = alg.dim
+    prods = alg.scaled[0]
+    vecs = []
     for i in range(d):
         for j in range(i, d):
-            u = bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
-            v = bracket(alg, alg.basis_vector(j), alg.basis_vector(i))
-            vecs.append(tuple(a + b for a, b in zip(u, v)))
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
-        return ()
-    rows, _ = rref(vecs, d)
-    return rows
+            vec = [0] * d
+            for k, c in prods[i][j] + prods[j][i]:
+                vec[k] += c
+            vecs.append(vec)
+    return rref(vecs, d)[0]
 
 
 def build_extension_problem(
@@ -149,7 +149,6 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
     d = N.dim
     m = d + 1
     ring = problem.ring
-    zero = ring.zero
     # product table of N + <x>: the template rows [e_i, x], the unknown rows
     # [x, e_j] and the square row [x, x] join N's products; all lie in N
     products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
@@ -177,15 +176,16 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
         for r in range(q, m):
             if q < d and r < d:
                 continue
-            sym = [zero] * m
+            sym = {}  # the nonzero coordinates of [b_q, b_r] + [b_r, b_q]
             for k, c in table[q][r] + table[r][q]:
-                sym[k] = sym[k] + c
-            if not any(sym):
-                continue
-            for p in range(m):
-                unit = [0] * m
-                unit[p] = 1
-                add(table_bracket(table, unit, sym, zero))
+                sym[k] = sym[k] + c if k in sym else c
+            sym = [(k, s) for k, s in sorted(sym.items()) if s]
+            for row in table:  # [b_p, sym], from row p of the table
+                out = {}
+                for j, s in sym:
+                    for k, c in row[j]:
+                        out[k] = out[k] + s * c if k in out else s * c
+                add(out[k] for k in sorted(out))
     for h in hypotheses:
         if h.ring is not ring:
             h = _lift(h, ring)
@@ -241,9 +241,10 @@ def eliminate(system: ConstraintSystem):
     without a scan. ``rank`` orders the ring indices as their names sort, so
     the smallest rank is the lexicographically smallest name. A rewritten
     equation retires lazily: its number stays in the indexes and is skipped
-    when popped, because it is no longer ``live``. The pivot's coefficient
-    (``linear_coefficient``) is computed once per step, on the chosen
-    equation only.
+    when popped, because it is no longer ``live``. The pivot c*v + rest
+    (``linear_coefficient``, once per step) is logged as v := -rest/c, and
+    each equation e is rewritten in ints as c^K e(v := -rest/c), K the degree
+    of v in e, which content normalization takes to the same equation.
     """
     ring = system.ring
     names = ring.names
@@ -296,13 +297,13 @@ def eliminate(system: ConstraintSystem):
             return Family(residual=residual, assignments=tuple(log), free=free)
         name = names[var]
         coeff, rest = best.linear_coefficient(name)
-        value = rest * (Fraction(-1) / coeff)
-        log.append((name, value, best))
+        num, den = (-rest, coeff) if coeff > 0 else (rest, -coeff)  # name = num / den
+        log.append((name, num if den == 1 else num * Fraction(1, den), best))
         for k in index.pop(var):
             e = live.pop(k, None)
             if e is not None:
                 del numbers[e]
-                e = e.substitute(name, value)
+                e = e.substitute(name, num, den)
                 if e:
                     add(e.content_normalized())
 

@@ -30,51 +30,47 @@ def algebra_to_dict(alg: Algebra) -> dict:
         "entries": entries,
     }
     meta = alg.metadata or {}
-    if meta:
-        clean = {}
-        if "family" in meta:
-            clean["family"] = str(meta["family"])
-        if "n" in meta:
-            clean["n"] = int(meta["n"])
-        if "params" in meta:
-            clean["params"] = {str(k): str(Fraction(v)) for k, v in meta["params"].items()}
-        if clean:
-            out["metadata"] = clean
+    clean = {}
+    if "family" in meta:
+        clean["family"] = str(meta["family"])
+    if "n" in meta:
+        clean["n"] = int(meta["n"])
+    if "params" in meta:
+        clean["params"] = {str(k): str(Fraction(v)) for k, v in meta["params"].items()}
+    if clean:
+        out["metadata"] = clean
     return out
 
 
 def algebra_from_dict(data: dict) -> Algebra:
+    """The algebra of a parsed file. Each field must have the type that
+    :func:`algebra_to_dict` writes (an integer is a JSON integer, not a bool,
+    a float or a string); anything else raises :class:`AlgebraFileError`."""
     if not isinstance(data, dict):
         raise AlgebraFileError("top-level value must be an object")
     if data.get("format") != FORMAT:
         raise AlgebraFileError(f"unsupported format {data.get('format')!r}; expected {FORMAT!r}")
-    try:
-        d = int(data["dim"])
-    except (KeyError, OverflowError, TypeError, ValueError):
+    d = data.get("dim")
+    if type(d) is not int:
         raise AlgebraFileError("missing or non-integer 'dim'")
     if d < 1:
         raise AlgebraFileError("dim must be >= 1")
     labels = data.get("labels")
     if labels is None:
         labels = [f"e{i}" for i in range(d)]
-    try:
-        count = len(labels)
-    except TypeError:
-        raise AlgebraFileError("'labels' must be a list")
-    if count != d:
-        raise AlgebraFileError(f"{count} labels for dim {d}")
-    try:
-        entries = enumerate(data.get("entries", []))
-    except TypeError:
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise AlgebraFileError("'labels' must be a list of strings")
+    if len(labels) != d:
+        raise AlgebraFileError(f"{len(labels)} labels for dim {d}")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
         raise AlgebraFileError("'entries' must be a list")
     products: dict = {}
     seen = set()
-    for pos, entry in entries:
-        try:
-            i, j, k, coeff = entry
-            i, j, k = int(i), int(j), int(k)
-        except (OverflowError, TypeError, ValueError):
-            raise AlgebraFileError(f"entry {pos}: expected [i, j, k, coefficient]")
+    for pos, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 4 and all(type(x) is int for x in entry[:3])):
+            raise AlgebraFileError(f"entry {pos}: expected [i, j, k, coefficient] with integer i, j, k")
+        i, j, k, coeff = entry
         if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
             raise AlgebraFileError(f"entry {pos}: index ({i},{j},{k}) out of range for dim {d}")
         if (i, j, k) in seen:
@@ -84,19 +80,18 @@ def algebra_from_dict(data: dict) -> Algebra:
             products.setdefault((i, j), []).append((k, Fraction(str(coeff))))
         except (ValueError, ZeroDivisionError):
             raise AlgebraFileError(f"entry {pos}: cannot parse coefficient {coeff!r} exactly")
+    raw = data.get("metadata")
     metadata: Optional[dict] = None
-    raw_meta = data.get("metadata")
-    if raw_meta:
-        metadata = {}
+    if raw is not None:
         try:
-            if "family" in raw_meta:
-                metadata["family"] = raw_meta["family"]
-            if "n" in raw_meta:
-                metadata["n"] = int(raw_meta["n"])
-            if "params" in raw_meta:
-                metadata["params"] = {k: Fraction(str(v)) for k, v in raw_meta["params"].items()}
-        except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError):
-            raise AlgebraFileError("'metadata' must be an object with an integer 'n' and exact rational 'params'")
+            if not isinstance(raw.get("family", ""), str) or type(raw.get("n", 0)) is not int:
+                raise TypeError
+            metadata = {k: raw[k] for k in ("family", "n") if k in raw}
+            if "params" in raw:
+                metadata["params"] = {k: Fraction(str(v)) for k, v in raw["params"].items()}
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+            raise AlgebraFileError("'metadata' must be an object with a string 'family', "
+                                   "an integer 'n' and exact rational 'params'")
     return algebra_from_products(labels, products, metadata)
 
 

@@ -9,7 +9,8 @@ dict scaled to coprime integers and runs the sparse fraction-free kernel in
 returned to callers is in canonical reduced row echelon form with leading
 coefficient 1, so subspace bases and solution sets are reproducible across
 runs. :func:`sparse_inverse` inverts a matrix given as sparse rows, the form
-of a basis change, with one call of the same kernel."""
+of a basis change, and :func:`kernel_basis` solves rows already in the
+kernel's form, each with one call of the same kernel."""
 
 from __future__ import annotations
 
@@ -121,16 +122,21 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> int
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Canonical basis (RREF form) of the right kernel of the row matrix.
+    """Canonical basis (RREF form) of the right kernel of the row matrix."""
+    return tuple(map(tuple, kernel_basis(_int_rows(rows, ncols - 1), ncols).values()))
 
-    One reduction with the column order reversed. Each of its pivot rows R_t
-    has its pivot p_t rightmost and zeros in the other pivot columns, so the
-    kernel vector of a free column f, e_f - sum_t (R_t[f] / R_t[p_t]) e_{p_t},
-    has its leading 1 at f and zeros in every other free column: the basis
-    is already in RREF.
+
+def kernel_basis(work: list, ncols: int) -> dict:
+    """``{f: vec}`` over the free columns f, ascending: the canonical kernel
+    basis of the distinct primitive ``{col: int}`` rows ``work``, column c
+    stored as ``ncols - 1 - c``; vec lists ncols Fractions, leading 1 at f.
+
+    One reduction in the reversed order: each pivot row R_t has its pivot
+    p_t rightmost and zeros in the other pivot columns, so the kernel vector
+    e_f - sum_t (R_t[f] / R_t[p_t]) e_{p_t} of f is zero in every other free
+    column, and the basis is already in RREF.
     """
     last = ncols - 1
-    work = _int_rows(rows, last)
     reduced = _kernel.rref_int(work) if work else []
     pivots = {last - min(row) for row in reduced}
     basis = {f: [_ZERO] * ncols for f in range(ncols) if f not in pivots}
@@ -142,7 +148,7 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
                 basis[last - c][last - lead] = Fraction(-x, den)
     for f, vec in basis.items():
         vec[f] = Fraction(1)
-    return tuple(tuple(vec) for vec in basis.values())
+    return basis
 
 
 @dataclass(frozen=True)

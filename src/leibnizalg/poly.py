@@ -259,14 +259,17 @@ class Poly:
 
     # -- substitution / evaluation ----------------------------------------
 
-    def substitute(self, name: str, value) -> "Poly":
-        """Exact substitution of ``value`` (Poly or scalar) for ``name``.
+    def substitute(self, name: str, value, den: int = 1) -> "Poly":
+        """Exact substitution of ``value`` (Poly or scalar) for ``name``; with
+        a nonzero int ``den``, of ``value / den``, times den**K for K the
+        degree of ``name`` here, so integral coefficients stay integral.
 
-        Only the terms that contain ``name`` are rewritten. A zero value only
-        deletes them; a term linear in ``name`` takes the value's terms as
-        they are, and ``value**k`` is built once per higher power k. A Poly
-        from another ring raises ValueError, and a value that is not a Poly,
-        an int or a Fraction raises TypeError."""
+        Only the terms that contain ``name`` are rewritten (the others are
+        scaled by den**K). A zero value only deletes them; a term linear in
+        ``name`` takes the value's terms as they are, and ``value**k`` is
+        built once per higher power k. A Poly from another ring or a bad
+        ``den`` raises ValueError, and a value that is not a Poly, an int or
+        a Fraction raises TypeError."""
         ring = self.ring
         if name not in ring.index:
             raise KeyError(f"unknown indeterminate {name!r}")
@@ -276,6 +279,8 @@ class Poly:
             value = _scalar(value)
         elif value.ring is not ring:
             raise ValueError("substitution value from a different ring")
+        if type(den) is not int or not den:
+            raise ValueError(f"den must be a nonzero int, got {den!r}")
         if i not in self._indices():
             return self
         terms = self._terms
@@ -283,6 +288,9 @@ class Poly:
         out = dict(terms)
         for m in hits:
             del out[m]
+        if den != 1:
+            top = max(m.count(i) for m in hits)
+            out = {m: c * den**top for m, c in out.items()}
         if not value:
             return Poly._raw(ring, out)
         get = out.get
@@ -290,6 +298,8 @@ class Poly:
         for m in hits:
             c = terms[m]
             k = m.count(i)
+            if den != 1:
+                c *= den ** (top - k)
             rest = tuple(j for j in m if j != i) if k < len(m) else ()
             if scalar:
                 s = get(rest)

@@ -7,13 +7,17 @@ matrix action, product and zero test that the oracles compare the
 integer-scaled library routines against, the matrix arithmetic the tests use
 to combine derivations, the conversion between a dense ``Matrix`` and the
 sparse rows of a basis change, and the per-triple Leibniz defect that the
-library's sparse walk is compared against.
+library's sparse walk is compared against. The derivation space from dense
+``Fraction`` rows of the derivation equation, the annihilator span from
+dense brackets, and the constraint equations from dense unit vectors through
+a bracket loop are the references for the sparse constructions of the
+extension problem.
 """
 
 from fractions import Fraction
 
-from leibnizalg.algebra import Algebra, algebra_from_products
-from leibnizalg.linalg import Matrix
+from leibnizalg.algebra import Algebra, algebra_from_products, product_table
+from leibnizalg.linalg import Matrix, nullspace, rref
 
 
 def dense(alg: Algebra) -> tuple:
@@ -116,3 +120,115 @@ def dense_leibniz_defects(prods, zero) -> list:
                 if nonzero:
                     found.append(((i, j, k), nonzero))
     return found
+
+
+def derivation_equations(alg: Algebra):
+    """The derivation equation d([e_i,e_j]) = [d(e_i),e_j] + [e_i,d(e_j)], one
+    coordinate m at a time, in the order of (i, j, m). Each equation is a pair
+    (lhs, rhs) of sparse linear terms ((r*dim + s, c), ...) over the flat
+    entries of d, whose row r is the image of e_r; a side may repeat an index
+    or be empty."""
+    d = alg.dim
+    prods = alg.table
+    for i in range(d):
+        for j in range(d):
+            lhs = [[] for _ in range(d)]
+            rhs = [[] for _ in range(d)]
+            for k, c in prods[i][j]:  # d([ei,ej])
+                for m in range(d):
+                    lhs[m].append((k * d + m, c))
+            for p in range(d):
+                for m, c in prods[p][j]:  # [d(ei),ej]
+                    rhs[m].append((i * d + p, c))
+                for m, c in prods[i][p]:  # [ei,d(ej)]
+                    rhs[m].append((j * d + p, c))
+            yield from zip(lhs, rhs)
+
+
+def dense_derivation_space(alg: Algebra) -> tuple:
+    """(basis, param_names) of the derivation space from dense d^2-entry
+    Fraction rows of the derivation equation and ``linalg.nullspace``; each
+    basis matrix is named ``tRRcCC`` after its leading entry."""
+    d = alg.dim
+    rows = []
+    for lhs, rhs in derivation_equations(alg):
+        row = [0] * (d * d)
+        for idx, c in lhs:
+            row[idx] += c
+        for idx, c in rhs:
+            row[idx] -= c
+        if any(row):
+            rows.append(row)
+    vecs = nullspace(rows, d * d)
+    basis = tuple(Matrix(tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))) for v in vecs)
+    names = []
+    for vec in vecs:
+        lead = next(i for i, c in enumerate(vec) if c)
+        names.append(f"t{lead // d:02d}c{lead % d:02d}")
+    return basis, tuple(names)
+
+
+def dense_annihilator_span(alg: Algebra) -> tuple:
+    """RREF basis of the span of [e_i, e_j] + [e_j, e_i] (i <= j), each
+    bracket read off the structure tensor."""
+    t, d = dense(alg), alg.dim
+    vecs = [[t[i][j][k] + t[j][i][k] for k in range(d)] for i in range(d) for j in range(i, d)]
+    return rref(vecs, d)[0]
+
+
+def table_bracket(prods, u, v, zero) -> list:
+    """Coordinates of [u, v] for dense coordinate vectors over a product
+    table, started at ``zero``."""
+    out = [zero] * len(prods)
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        row = prods[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            uv = ui * vj
+            for k, c in row[j]:
+                out[k] = out[k] + uv * c
+    return out
+
+
+def dense_constraints(problem, hypotheses=()) -> tuple:
+    """The equations of ``generate_constraints(problem, hypotheses)``, in its
+    order, from dense loops: the Leibniz defect of every triple with an x,
+    then [e_p, s] for every unit vector e_p and every nonzero dense
+    s = [u, v] + [v, u] with an x among u, v, then the hypotheses; each
+    content-normalized, zeros and repeats dropped."""
+    N = problem.nilradical
+    d, m, ring = N.dim, N.dim + 1, problem.ring
+    zero = ring.zero
+    products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
+    for i in range(d):
+        products[i, d] = enumerate(problem.template.rows[i])
+        products[d, i] = enumerate(problem.unknown_rows[i])
+    products[d, d] = enumerate(problem.square_row)
+    table = product_table(products, m)
+    equations = {}
+
+    def add(polys):
+        for p in polys:
+            if p:
+                equations.setdefault(p.content_normalized(), None)
+
+    for (p, q, r), defect in dense_leibniz_defects(table, zero):
+        if max(p, q, r) == d:
+            add(defect.values())
+    for q in range(m):
+        for r in range(q, m):
+            if r < d:
+                continue
+            sym = [zero] * m
+            for k, c in table[q][r] + table[r][q]:
+                sym[k] = sym[k] + c
+            if any(sym):
+                for p in range(m):
+                    add(table_bracket(table, [int(i == p) for i in range(m)], sym, zero))
+    for h in hypotheses:
+        assert h.ring is ring
+        add((h,))
+    return tuple(equations)

@@ -120,6 +120,58 @@ def test_cli_check_malformed_field_exits_2_with_one_line(tmp_path, capsys, field
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+# a field of another JSON type than dumps writes; all but the 3- and 5-item
+# entries used to load without an error, read off the wrong type
+WRONGLY_TYPED_FIELDS = {
+    "entries-object": {"entries": {"0001": 1}},
+    "entry-text": {"entries": ["0001"]},
+    "entry-three-items": {"entries": [[0, 1, "1"]]},
+    "entry-five-items": {"entries": [[0, 1, 2, "1", "1"]]},
+    "entry-fractional-index": {"entries": [[0.5, 1, 2, "1"]]},
+    "entry-text-index": {"entries": [["0", 1, 2, "1"]]},
+    "labels-text": {"labels": "abcdef"},
+    "labels-numbers": {"labels": [0, 1, 2, 3, 4, 5]},
+    "metadata-n-fractional": {"metadata": {"n": 2.7}},
+    "metadata-n-bool": {"metadata": {"n": True}},
+    "metadata-family-number": {"metadata": {"family": 1}},
+    "metadata-list-of-text": {"metadata": ["x"]},
+    "dim-fractional": {"dim": 6.5},
+    "dim-text": {"dim": "6"},
+}
+
+
+@pytest.mark.parametrize("field", WRONGLY_TYPED_FIELDS.values(), ids=WRONGLY_TYPED_FIELDS)
+@pytest.mark.parametrize("command", ["check", "series", "derive"])
+def test_wrongly_typed_field_is_rejected_by_loads_and_the_cli(tmp_path, capsys, field, command):
+    data = algio.algebra_to_dict(make_F1(5, {}, 1))
+    data.update(field)
+    text = json.dumps(data)
+    with pytest.raises(algio.AlgebraFileError):
+        algio.loads(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("F1", 5, {"theta": 1}), FamilySpec("F3", 6, {"theta1": Fraction(-2, 3)}),
+    FamilySpec("L2", 6, {"beta": Fraction(7, 3)}), FamilySpec("L3", 7, {"j0": 4}),
+    FamilySpec("SolvA", 6, {"r": 1, "alpha1": 1, "alpha2": Fraction(6, 5), "b2": Fraction(1, 2)}),
+], ids=lambda s: s.family)
+def test_every_written_file_loads_unchanged(spec):
+    alg = make_family(spec)
+    text = algio.dumps(alg)
+    again = algio.loads(text)
+    assert again.table == alg.table and again.labels == alg.labels
+    assert algio.dumps(again) == text
+    data = json.loads(text)
+    del data["metadata"], data["labels"]
+    assert algio.algebra_from_dict(data).table == alg.table
+
+
 def test_cli_unknown_scenario_exits_2(capsys):
     assert main(["verify", "nope", "--n", "5"]) == 2
     assert "known scenarios" in capsys.readouterr().err

@@ -21,7 +21,11 @@ star and chain-restore changes of the conjectures; ``sparse_inverse``, which
 it inverts each change with, is checked by multiplying T T^-1 out in
 Fractions on the same matrices, and must raise on singular ones. ``derivation_space`` is
 checked against sympy's ``Matrix.nullspace`` of the derivation equation
-written out from the structure tensor, for every family.
+written out from the structure tensor, for every family. Its sparse integer
+rows, the annihilator span and the constraint equations of the extension
+problem are checked against dense references in ``dense_algebra``: for every
+family at n = 5..12, on random tables, and for every system that the
+non-existence and classification scenarios generate at n = 5..8.
 """
 
 import random
@@ -30,18 +34,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from leibnizalg import verify
 from leibnizalg.algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
-from leibnizalg.extensions import (apply_basis_change, build_extension_problem, chain_restore,
-                                   diagonal_branches, eliminate, generate_constraints, instantiate, star_change)
-from leibnizalg.families import (FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
-                                 make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
+from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change, build_extension_problem,
+                                   chain_restore, diagonal_branches, eliminate, generate_constraints, instantiate,
+                                   star_change)
+from leibnizalg.families import (ConstructionError, FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s,
+                                 make_F2, make_F2j, make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA,
+                                 make_SolvB)
 from leibnizalg.linalg import Matrix, matrix_is_nilpotent, sparse_inverse
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
-from dense_algebra import (dense, dense_matrix, from_dense, mat_apply, mat_identity, mat_is_zero, mat_mul, mat_zeros,
-                           sparse_rows)
+from dense_algebra import (dense, dense_annihilator_span, dense_constraints, dense_derivation_space, dense_matrix,
+                           from_dense, mat_apply, mat_identity, mat_is_zero, mat_mul, mat_zeros, sparse_rows)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -405,7 +412,7 @@ def sparse_invertible_matrices(draw, d: int) -> Matrix:
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         rows[i][i] = draw(nonzero_rationals)
-    for _ in range(draw(st.integers(0, d))):
+    for _ in range(draw(st.integers(0, d if d > 1 else 0))):  # a 1 x 1 matrix has no off-diagonal entry
         i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
         rows[i][j] = draw(nonzero_rationals)
     return Matrix(tuple(tuple(rows[p]) for p in draw(st.permutations(range(d)))))
@@ -421,18 +428,22 @@ def assert_inverse_by_fraction_product(rows) -> None:
     assert all(type(c) is Fraction for row in inv for _, c in row)
 
 
-@given(st.integers(2, 9), st.data())
+@given(st.integers(1, 9), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sparse_inverse_of_permuted_triangular_matrices(d, data):
     """T T^-1 = I on mostly-zero invertible matrices; replacing one row by a
-    rational combination of two others makes T singular, which raises."""
+    rational combination of two others (for d = 1, by zero) makes T
+    singular, which raises."""
     mat = data.draw(sparse_invertible_matrices(d))
     assert_inverse_by_fraction_product(sparse_rows(mat))
     rows = [list(r) for r in mat.rows]
-    i, j, k = data.draw(st.lists(st.integers(0, d - 1), min_size=3, max_size=3))
-    assume(j != i and k != i)
-    a, b = data.draw(nonzero_rationals), data.draw(nonzero_rationals)
-    rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    if d == 1:
+        rows[0] = [Fraction(0)]
+    else:
+        i, j, k = data.draw(st.lists(st.integers(0, d - 1), min_size=3, max_size=3))
+        assume(j != i and k != i)
+        a, b = data.draw(nonzero_rationals), data.draw(nonzero_rationals)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
     with pytest.raises(ValueError, match="singular"):
         sparse_inverse(sparse_rows(Matrix(tuple(tuple(r) for r in rows))))
 
@@ -572,3 +583,101 @@ def test_derivation_space_matches_sympy_nullspace(spec):
     if want:
         span_want = sympy.Matrix.hstack(*want).T.rref()[0]
         assert sympy.Matrix(got).rref()[0] == span_want
+
+
+# -- the sparse extension path against dense references -----------------------------------
+
+
+def members_for_n_5_to_12(spec: FamilySpec):
+    """The family of ``spec`` at every n in 5..12 where its parameters are
+    admissible. A and B (and SolvA, SolvB) take r = 1 and the alphas of
+    ``sample_graded_alphas``; B exists at odd n only, and at n = 11 with
+    r = 1 it has no rational alpha (the sampler raises RuntimeError)."""
+    for n in range(5, 13):
+        params = dict(spec.params)
+        variant = spec.family[-1]
+        if spec.family in ("A", "B", "SolvA", "SolvB"):
+            if variant == "B" and n % 2 == 0:
+                continue
+            try:
+                alphas = sample_graded_alphas(variant, n, 1, random.Random(n))
+            except RuntimeError:
+                continue
+            params.update({f"alpha{k}": v for k, v in alphas.items()})
+        try:
+            yield make_family(FamilySpec(spec.family, n, params))
+        except ConstructionError:
+            continue
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+def test_derivation_space_and_annihilator_span_match_dense_references(spec):
+    """The sparse integer rows give the basis and names of the dense
+    Fraction rows, and two added table cells the annihilator span of dense
+    brackets."""
+    members = list(members_for_n_5_to_12(spec))
+    assert len(members) >= 3
+    for alg in members:
+        space = derivation_space(alg)
+        assert (space.basis, space.param_names) == dense_derivation_space(alg)
+        assert _forced_annihilator_span(alg) == dense_annihilator_span(alg)
+
+
+@given(sparse_tables())
+@settings(max_examples=150, deadline=None)
+def test_derivation_space_and_annihilator_span_match_dense_on_random_tables(alg):
+    space = derivation_space(alg)
+    assert (space.basis, space.param_names) == dense_derivation_space(alg)
+    assert _forced_annihilator_span(alg) == dense_annihilator_span(alg)
+
+
+EXTENSION_SCENARIOS = ("prop32-nonexist", "prop33-nonexist", "thm39-nonexist", "thm35-class", "thm36-class",
+                       "thm37-class", "thm42-class", "thm45-class", "prop43-nolie", "prop46-nolie")
+
+
+@pytest.fixture(scope="module")
+def scenario_systems():
+    """(scenario, n, hypotheses, system, outcome) for every constraint system
+    that the non-existence and classification scenarios generate and
+    eliminate at n = 5..8 (seed 0), in call order."""
+    records = []
+    with pytest.MonkeyPatch.context() as mp:
+        def generate(problem, hypotheses=()):
+            system = generate_constraints(problem, hypotheses)
+            records.append([scenario, n, tuple(hypotheses), system, None])
+            return system
+
+        def eliminated(system):
+            outcome = eliminate(system)
+            for record in records:
+                if record[3] is system:
+                    record[4] = outcome
+            return outcome
+
+        mp.setattr(verify, "generate_constraints", generate)
+        mp.setattr(verify, "eliminate", eliminated)
+        for n in range(5, 9):
+            for scenario in EXTENSION_SCENARIOS:
+                if verify.SCENARIOS[scenario].admissible(n):
+                    assert verify.run_scenario(scenario, n).verdict == "pass"
+    return [tuple(record) for record in records]
+
+
+def test_constraints_match_the_dense_bracket_loop(scenario_systems):
+    """The equations come out equal and in the same order as from dense unit
+    vectors through the table_bracket loop."""
+    assert len(scenario_systems) > 50
+    for _, _, hypotheses, system, _ in scenario_systems:
+        assert system.equations == dense_constraints(system.problem, hypotheses)
+
+
+def test_nonexist_systems_keep_the_elimination_order(scenario_systems):
+    """The exact counts the benchmark traces for the non-existence workload
+    at n = 7: seven systems, 2243 equations, 393 substitutions, and a widest
+    ring of 86 indeterminates."""
+    systems = [(s, out) for scenario, n, _, s, out in scenario_systems if n == 7 and scenario.endswith("nonexist")]
+    assert len(systems) == 7
+    assert all(out.kind == "contradiction" for _, out in systems)
+    assert sum(len(s.equations) for s, _ in systems) == 2243
+    assert sum(len(out.assignments) for _, out in systems) == 393
+    assert max(len(s.ring.names) for s, _ in systems) == 86
