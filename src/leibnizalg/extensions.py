@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -224,88 +223,127 @@ def _poly_sort_key(p: Poly):
     return (p.num_terms, tuple((lex_key(mono), c) for mono, c in p.terms()))
 
 
+def _tally(counts: dict, mono: tuple, step: int) -> None:
+    for u in mono:
+        counts[u] = counts.get(u, 0) + step
+
+
 def eliminate(system: ConstraintSystem):
-    """Fixpoint loop: drop zeros, stop on a nonzero constant (Contradiction),
-    otherwise solve one equation that is linear in a single indeterminate with
-    a constant nonzero coefficient and substitute everywhere.
+    """Fixpoint loop: stop on a nonzero constant (Contradiction), otherwise
+    solve one equation that is linear in a single indeterminate with a
+    constant nonzero coefficient and substitute everywhere.
 
     Tie-break: lexicographically smallest variable name, then fewest terms,
     then canonical term order. Each substitution removes an indeterminate, so
     termination is immediate; the outcome is deterministic.
 
-    Live equations are numbered, and a number is never reused. Two indexes
-    over the numbers keep a step local, both keyed by ring index: ``index``
-    maps each variable to the equations that contain it, so a substitution
-    touches only those; ``solvable`` maps each variable to the equations in
-    which its only occurrence is a degree-1 term, so the candidates are found
-    without a scan. ``rank`` orders the ring indices as their names sort, so
-    the smallest rank is the lexicographically smallest name. A rewritten
-    equation retires lazily: its number stays in the indexes and is skipped
-    when popped, because it is no longer ``live``. The pivot c*v + rest
-    (``linear_coefficient``, once per step) is logged as v := -rest/c, and
-    each equation e is rewritten in ints as c^K e(v := -rest/c), K the degree
-    of v in e, which content normalization takes to the same equation.
+    Each live equation keeps a slot: a working ``{monomial: int}`` dict, the
+    equation up to a nonzero integer factor, and each variable's exponent
+    sum over its terms. ``index`` maps a variable to the slots that hold it,
+    ``solvable`` to those in which its only occurrence is a degree-1 term;
+    both are keyed by ring index, grow only for the variables of changed
+    terms, and skip a stale slot when popped. ``rank`` orders the ring
+    indices as their names sort. A step rewrites only the terms that hold the
+    pivot v, in the slots that hold it: the pivot c*v + rest
+    (``linear_coefficient``, once per step) is logged as v := -rest/c, and a
+    slot e becomes c^K e(v := -rest/c) in ints, K the degree of v in e. Scale
+    and duplicates change neither solvability nor constancy, so a slot is
+    content-normalized only where it is read (the candidates with the fewest
+    terms, the witness, the residual, each on a copy) and, in place, after a
+    non-unit pivot.
     """
     ring = system.ring
     names = ring.names
     rank = [0] * len(names)
     for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
         rank[i] = r
-    numbers: dict = {}    # live equation -> its number
-    live: dict = {}       # number -> live equation
-    index = defaultdict(list)
-    solvable = defaultdict(list)
+    slots: dict = {}      # slot -> working terms
+    occ: dict = {}        # slot -> {variable: exponent sum over the terms}
+    index = defaultdict(set)
+    solvable = defaultdict(set)
     constants: list = []
     log: list = []
-    counter = count()
 
-    def add(e: Poly):
-        if e in numbers:
-            return
-        k = numbers[e] = next(counter)
-        live[k] = e
-        indices = e._indices()
-        if not indices:
-            constants.append(e)
-            return
-        for i in indices:
-            index[i].append(k)
-        linear = [mono[0] for mono in e._terms if len(mono) == 1]
-        if linear:
-            nonlinear = {i for mono in e._terms if len(mono) > 1 for i in mono}
-            for i in linear:
-                if i not in nonlinear:
-                    solvable[i].append(k)
+    def read(s) -> Poly:
+        return Poly._raw(ring, dict(slots[s])).content_normalized()
 
-    for e in system.equations:
-        if e:
-            add(e.content_normalized())
+    def register(s, variables):
+        terms, counts = slots[s], occ[s]
+        for u in variables:
+            if not counts[u]:
+                del counts[u]
+                continue
+            index[u].add(s)
+            if counts[u] == 1 and (u,) in terms:
+                solvable[u].add(s)
+
+    for s, e in enumerate(dict.fromkeys(e.content_normalized() for e in system.equations if e)):
+        slots[s], occ[s] = dict(e._terms), {}
+        for mono in e._terms:
+            _tally(occ[s], mono, 1)
+        register(s, tuple(occ[s]))
+        if not occ[s]:
+            constants.append(s)
     while True:
         if constants:
-            witness = min(constants, key=_poly_sort_key)
+            witness = min(map(read, constants), key=_poly_sort_key)
             return Contradiction(witness=witness, assignments=tuple(log))
         best = None
         while best is None and solvable:
             var = min(solvable, key=rank.__getitem__)
-            cands = [live[k] for k in solvable.pop(var) if k in live]
-            if cands:
-                best = min(cands, key=_poly_sort_key)
+            cands = [s for s in solvable.pop(var)
+                     if s in slots and occ[s].get(var) == 1 and (var,) in slots[s]]
+            if cands:  # the sort key starts with the term count: read only the fewest
+                fewest = min(len(slots[s]) for s in cands)
+                best = min((read(s) for s in cands if len(slots[s]) == fewest), key=_poly_sort_key)
         if best is None:
             assigned = {name for name, _, _ in log}
             free = tuple(n for n in names if n not in assigned)
-            residual = tuple(sorted(numbers, key=_poly_sort_key))
+            residual = tuple(sorted(set(map(read, slots)), key=_poly_sort_key))
             return Family(residual=residual, assignments=tuple(log), free=free)
         name = names[var]
         coeff, rest = best.linear_coefficient(name)
         num, den = (-rest, coeff) if coeff > 0 else (rest, -coeff)  # name = num / den
         log.append((name, num if den == 1 else num * Fraction(1, den), best))
-        for k in index.pop(var):
-            e = live.pop(k, None)
-            if e is not None:
-                del numbers[e]
-                e = e.substitute(name, num, den)
-                if e:
-                    add(e.content_normalized())
+        powers = {1: num._terms.items()}
+        for s in index.pop(var):
+            counts = occ.get(s)
+            if counts is None or var not in counts:
+                continue
+            terms = slots[s]
+            hits = [mono for mono in terms if var in mono]
+            if den != 1:
+                scale = den ** max(mono.count(var) for mono in hits)
+                for mono in terms:
+                    terms[mono] *= scale
+            touched = set()
+            for mono in hits:
+                c = terms.pop(mono)
+                touched.update(mono)
+                _tally(counts, mono, -1)
+                k = mono.count(var)
+                if k not in powers:
+                    powers[k] = (num**k)._terms.items()
+                p = mono.index(var)
+                left = mono[:p] + mono[p + k:]
+                c //= den**k  # exact: the scale holds den**k
+                for m2, c2 in powers[k]:
+                    mm = tuple(sorted(left + m2)) if left and m2 else left or m2
+                    old = terms.pop(mm, 0)
+                    t = old + c * c2
+                    if t:
+                        terms[mm] = t
+                    if not (old and t):  # the term appeared or vanished
+                        touched.update(mm)
+                        _tally(counts, mm, 1 if t else -1)
+            if not terms:
+                del slots[s], occ[s]
+                continue
+            if den != 1:
+                terms = slots[s] = Poly._raw(ring, terms).content_normalized()._terms
+            register(s, touched)
+            if not counts:
+                constants.append(s)
 
 
 def resolved_assignments(outcome) -> dict:

@@ -256,14 +256,19 @@ def graded_products(variant: str, n: int, r: int, alphas: Mapping) -> dict:
     return prods
 
 
-def _graded_alphas(family: str, n: int, r: int, alphas: Mapping) -> dict:
+def check_graded_range(family: str, n: int, r: int) -> None:
     """The range checks of ``family`` (A, B, SolvA or SolvB, named in the
-    error) and its alpha_1..alpha_t as Fractions."""
+    error)."""
     if family.endswith("A"):
         _require(n >= 4 and 1 <= r <= n - 3, f"{family} needs n >= 4 and 1 <= r <= n - 3")
     else:
         _require(n >= 5 and n % 2 == 1, f"{family} needs odd n >= 5")
         _require(1 <= r <= n - 3, f"{family} needs 1 <= r <= n - 3")
+
+
+def _graded_alphas(family: str, n: int, r: int, alphas: Mapping) -> dict:
+    """The range checks of ``family`` and its alpha_1..alpha_t as Fractions."""
+    check_graded_range(family, n, r)
     t = graded_alpha_count(family[-1], n, r)
     full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
     _require(t == 0 or any(full.values()), f"{family}: at least one alpha must be nonzero")

@@ -227,9 +227,15 @@ class Poly:
             for m2, c2 in right:
                 # the product of two monomials merges their sorted indices
                 m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                t = c1 * c2
                 s = get(m)
-                out[m] = c1 * c2 if s is None else s + c1 * c2
-        return Poly(self.ring, out)
+                if s is not None:
+                    t += s
+                    if not t:  # only merged terms can cancel
+                        del out[m]
+                        continue
+                out[m] = t
+        return Poly._raw(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -259,28 +265,22 @@ class Poly:
 
     # -- substitution / evaluation ----------------------------------------
 
-    def substitute(self, name: str, value, den: int = 1) -> "Poly":
-        """Exact substitution of ``value`` (Poly or scalar) for ``name``; with
-        a nonzero int ``den``, of ``value / den``, times den**K for K the
-        degree of ``name`` here, so integral coefficients stay integral.
+    def substitute(self, name: str, value) -> "Poly":
+        """Exact substitution of ``value`` (Poly or scalar) for ``name``.
 
-        Only the terms that contain ``name`` are rewritten (the others are
-        scaled by den**K). A zero value only deletes them; a term linear in
-        ``name`` takes the value's terms as they are, and ``value**k`` is
-        built once per higher power k. A Poly from another ring or a bad
-        ``den`` raises ValueError, and a value that is not a Poly, an int or
-        a Fraction raises TypeError."""
+        Only the terms that contain ``name`` are rewritten: a term holding
+        ``name**k`` takes the terms of ``value**k``, built once per k, so a
+        zero value only deletes them. A Poly from another ring raises
+        ValueError, and a value that is not a Poly, an int or a Fraction
+        raises TypeError."""
         ring = self.ring
         if name not in ring.index:
             raise KeyError(f"unknown indeterminate {name!r}")
         i = ring.index[name]
-        scalar = not isinstance(value, Poly)
-        if scalar:
-            value = _scalar(value)
+        if not isinstance(value, Poly):
+            value = ring.const(value)
         elif value.ring is not ring:
             raise ValueError("substitution value from a different ring")
-        if type(den) is not int or not den:
-            raise ValueError(f"den must be a nonzero int, got {den!r}")
         if i not in self._indices():
             return self
         terms = self._terms
@@ -288,31 +288,25 @@ class Poly:
         out = dict(terms)
         for m in hits:
             del out[m]
-        if den != 1:
-            top = max(m.count(i) for m in hits)
-            out = {m: c * den**top for m, c in out.items()}
-        if not value:
-            return Poly._raw(ring, out)
         get = out.get
         powers: dict = {}
         for m in hits:
             c = terms[m]
             k = m.count(i)
-            if den != 1:
-                c *= den ** (top - k)
             rest = tuple(j for j in m if j != i) if k < len(m) else ()
-            if scalar:
-                s = get(rest)
-                t = c * value if k == 1 else c * value**k
-                out[rest] = t if s is None else s + t
-                continue
             if k not in powers:
                 powers[k] = (value if k == 1 else value**k)._terms.items()
             for m2, c2 in powers[k]:
                 mm = tuple(sorted(rest + m2)) if rest and m2 else rest or m2
+                t = c * c2
                 s = get(mm)
-                out[mm] = c * c2 if s is None else s + c * c2
-        return Poly(ring, out)
+                if s is not None:
+                    t += s
+                    if not t:  # only merged terms can cancel
+                        del out[mm]
+                        continue
+                out[mm] = t
+        return Poly._raw(ring, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation; every occurring indeterminate must be assigned an

@@ -58,6 +58,7 @@ from .extensions import (
 from .families import (
     ConstructionError,
     catalan_number,
+    check_graded_range,
     f1s_alphas,
     graded_alpha_count,
     graded_products,
@@ -394,7 +395,9 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
     """Deterministically sample alpha parameters on the Jacobi variety: fix a
     leading alpha to 1, draw or solve the rest (free directions get random
     rationals, discrete directions get exact rational roots of the univariate
-    residuals), and let the elimination propagate the forced ones."""
+    residuals), and let the elimination propagate the forced ones. An (n, r)
+    outside the family's range raises its ConstructionError."""
+    check_graded_range(variant, n, r)
     t = graded_alpha_count(variant, n, r)
     if t <= 0:
         return {}

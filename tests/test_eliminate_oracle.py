@@ -10,9 +10,10 @@ name. Both must give the same outcome: kind, assignment log (name, value and
 source equation, compared by display), witness, residual and free names.
 
 Checked on every system ``generate_constraints`` builds for the non-existence
-and classification scenarios at n = 5..7, and on random systems of degree at
-most 2 with duplicates, constants and equations that a substitution makes
-equal.
+and classification scenarios at n = 5..7 (and ``thm39-nonexist`` at n = 8), on
+two small systems in which a substitution cancels a term and makes two
+equations equal, and on random systems of degree at most 3 with duplicates,
+constants and equations that a substitution makes equal.
 """
 
 from fractions import Fraction
@@ -101,6 +102,7 @@ SCENARIOS = ("prop32-nonexist", "prop33-nonexist", "thm39-nonexist",
              "thm35-class", "thm36-class", "thm37-class", "thm42-class", "thm45-class",
              "prop43-nolie", "prop46-nolie")
 CASES = [(sid, n) for sid in SCENARIOS for n in (5, 6, 7) if verify.SCENARIOS[sid].admissible(n)]
+CASES.append(("thm39-nonexist", 8))
 
 
 @pytest.mark.parametrize("sid,n", CASES, ids=[f"{sid}@{n}" for sid, n in CASES])
@@ -130,7 +132,7 @@ def test_scenario_systems_match_the_textbook_elimination(sid, n, monkeypatch):
 NAMES = ("a", "b", "c", "d", "e", "f")
 SPARSE = PolyRing(NAMES)
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
-terms = st.lists(st.tuples(st.lists(st.integers(0, len(NAMES) - 1), min_size=1, max_size=2), coeffs),
+terms = st.lists(st.tuples(st.lists(st.integers(0, len(NAMES) - 1), min_size=1, max_size=3), coeffs),
                  min_size=1, max_size=4)
 
 
@@ -146,7 +148,7 @@ def build(spec) -> Poly:
 
 @st.composite
 def equations(draw):
-    """Up to four terms of degree 1 or 2 and a constant; half of them made
+    """Up to four terms of degree 1 to 3 and a constant; half of them made
     solvable for one variable."""
     p = build(draw(terms)) + draw(st.one_of(st.just(0), coeffs))
     if draw(st.booleans()):
@@ -171,6 +173,20 @@ def systems(draw):
         eqs += [a - b, a * c + tail, b * c + tail]
     draw(st.randoms()).shuffle(eqs)
     return ConstraintSystem(SPARSE, tuple(eqs))
+
+
+def made_system(name: str) -> ConstraintSystem:
+    a, b, c, d, e = (SPARSE.var(x) for x in "abcde")
+    if name == "cancel":  # a := b cancels a*c - b*c, so the second equation loses two terms
+        return ConstraintSystem(SPARSE, (a - b, a * c - b * c + 2 * d - 1, c * d + e))
+    # a := b makes the second and third equations equal; one of them then
+    # gives d := -b*c*e - 1, which the last one takes squared
+    return ConstraintSystem(SPARSE, (2 * a - 2 * b, a * c * e + d + 1, b * c * e + d + 1, a * a * e - 3 * d * d * c))
+
+
+@pytest.mark.parametrize("name", ["cancel", "merge"])
+def test_made_systems_match_the_textbook_elimination(name):
+    assert_agrees(made_system(name))
 
 
 @given(systems())

@@ -145,6 +145,15 @@ def test_symbolic_admissible_bs_match_the_per_coordinate_probe():
     assert cases == 58  # (20 A + 9 B) (variant, n, r) x 2 seeds
 
 
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_graded_alphas_of_b_at_even_n_raise_the_range_error(n, monkeypatch):
+    """B exists at odd n only: the sampler says so before it sets up the
+    Jacobi relations, as make_B_algebra does."""
+    monkeypatch.setattr(verify, "_jacobi_setup", None)
+    with pytest.raises(ConstructionError, match="B needs odd n >= 5"):
+        sample_graded_alphas("B", n, 1, random.Random(n))
+
+
 def _walked_bs(variant, n, r, alphas):
     """The b_k that occur in no Leibniz defect of the SolvA/SolvB table with
     b_k indeterminates (a_1 = 0), from one walk over Poly entries."""
