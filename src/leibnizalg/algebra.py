@@ -6,15 +6,15 @@ coordinates of [b_i, b_j], sorted by k, each c a Fraction. All operations are
 pure; algebras are immutable once built.
 
 :func:`product_table` builds such a table from a ``{(i, j): [(k, c), ...]}``
-map for any scalar type. Its scalars may be Fractions, integers or Polys:
-:func:`leibniz_defects`, one walk over the nonzero products that yields
-every nonzero Leibniz defect, uses only ``+``, ``*`` and ``-``; so the symbolic
-extension problem and the graded alpha relations evaluate the same identity
-as the exact check. The exact checks run on the integer-scaled table
+map for any scalar type. :func:`leibniz_defects` is one walk over the
+nonzero products that yields every nonzero Leibniz defect; the exact checks
+(:func:`leibniz_check`) run it on the integer-scaled table
 (:func:`int_table`: every coefficient times the common denominator of the
 table), which each :class:`Algebra` computes once, on first use, and keeps as
 :attr:`Algebra.scaled`; a check turns only a failing defect back into
-Fractions.
+Fractions. The polynomial systems of the symbolic extension problem and of
+the graded alpha relations evaluate the same identity through
+``extensions.leibniz_equations``, the same walk on integer terms.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def leibniz_defects(prods: Sequence):
     product has a b_m component. The terms of one i-slab are summed in a dict
     keyed by (j * d + k) * d + t, so sorting its keys gives the output order,
     before the next slab starts. Scalars need only ``+``, ``*``, unary ``-``
-    and a truth value.
+    and a truth value; :func:`leibniz_check` runs it on integers. A table
+    with Poly entries is better served by ``extensions.leibniz_equations``,
+    which sums integer terms instead of multiplying Polys.
     """
     d = len(prods)
     rows = [[(k, cell) for k, cell in enumerate(plane) if cell] for plane in prods]

@@ -6,8 +6,12 @@ general element of the computed derivation space); the products [x, e_i] and
 the right-annihilator equations yield a polynomial constraint system that a
 deterministic linear-substitution elimination reduces to either a
 Contradiction (with a replayable witness) or a residual parametric Family.
-The system is read off the sparse product table of N + <x> (nonzero cells
-only), and the elimination divides by no pivot coefficient.
+:func:`leibniz_equations` reads the system off the sparse product table of
+N + <x> (nonzero cells only) as integer terms: every cell scaled by one
+common denominator, each equation summed term by term in a dict and turned
+into a :class:`~leibnizalg.poly.Poly` once, content-normalized. The graded
+alpha relations of ``verify`` come from the same function. The elimination
+divides by no pivot coefficient.
 """
 
 from __future__ import annotations
@@ -23,12 +27,10 @@ from .algebra import (
     bracket,
     int_table,
     leibniz_check,
-    leibniz_defects,
-    product_table,
 )
 from .derivations import derivation_space, is_derivation
 from .families import make_SolvA, make_SolvB
-from .linalg import Matrix, rref, sparse_inverse, to_fraction
+from .linalg import Matrix, rref, scale_to_integers, sparse_inverse, to_fraction
 from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
 
@@ -133,20 +135,131 @@ def _template_param_names(template: Matrix) -> tuple:
 @dataclass(frozen=True)
 class ConstraintSystem:
     ring: PolyRing
-    equations: tuple  # normalized nonzero Polys, deduplicated
+    # Polys of ``ring`` that must vanish. ``generate_constraints`` gives them
+    # content-normalized, nonzero and without repeats, but a caller may pass
+    # any: ``eliminate`` normalizes its input, drops zeros and repeats.
+    equations: tuple
     problem: Optional[ExtensionProblem] = field(default=None, compare=False, repr=False)
+
+
+def _int_cells(products: Mapping, m: int) -> list:
+    """cells[i][j]: the ``(k, monomial, c)`` terms of [b_i, b_j] for a
+    ``{(i, j): [(k, scalar), ...]}`` map over m basis vectors, a scalar a Poly
+    or a rational (monomial ``()``); each c is a coefficient times the common
+    denominator of all of them."""
+    cells = [[[] for _ in range(m)] for _ in range(m)]
+    for (i, j), entries in products.items():
+        cell = cells[i][j]
+        for k, c in entries:
+            if isinstance(c, Poly):
+                cell.extend((k, mono, v) for mono, v in c._terms.items())
+            elif c:
+                cell.append((k, (), c))
+    it = iter(scale_to_integers([c for row in cells for cell in row for _, _, c in cell])[0])
+    return [[[(k, mono, next(it)) for k, mono, _ in cell] for cell in row] for row in cells]
+
+
+def leibniz_equations(ring: PolyRing, products: Mapping, m: int, known: int = 0,
+                      annihilator: bool = False, hypotheses: Sequence[Poly] = ()) -> tuple:
+    """The polynomial system that the Leibniz identity puts on a product
+    table with Poly entries: ``products`` maps (i, j) to the ``(k, c)`` of
+    [b_i, b_j] over m basis vectors, each c a Poly of ``ring`` or a rational.
+
+    The equations are the nonzero coordinates of the Leibniz defects in
+    (i, j, k, t) order, skipping the triples inside the first ``known`` basis
+    vectors (an algebra, validated elsewhere); with ``annihilator``, the
+    coordinates of [b_p, [b_q, b_r] + [b_r, b_q]] for the pairs q <= r not
+    both inside, in (q, r, p, t) order; then the ``hypotheses``. Each is
+    content-normalized, and a repeat is dropped.
+
+    The cells are expanded into ``(k, monomial, int)`` terms, all scaled by
+    one common denominator L. The defects are walked over the nonzero cells
+    one i-slab at a time, as :func:`~leibnizalg.algebra.leibniz_defects`
+    walks them, and each coordinate sums its terms in a ``{monomial: int}``
+    dict. Every term is the product of two cells, so an equation comes out
+    times L^2, which the content normalization removes; the hypotheses are
+    taken as they are.
+    """
+    cells = _int_cells(products, m)
+    equations: dict = {}
+
+    def add(acc):
+        for key in sorted(acc):
+            terms = {mono: v for mono, v in acc[key].items() if v}
+            if terms:
+                equations.setdefault(Poly._raw(ring, terms).content_normalized())
+
+    rows = [[(j, cell) for j, cell in enumerate(row) if cell] for row in cells]
+    # by_coord[s]: (j * m + k, whether j and k are inside, mono, c) for each term c b_s of [b_j, b_k]
+    by_coord = [[] for _ in range(m)]
+    for j, row in enumerate(rows):
+        for k, cell in row:
+            inside = j < known and k < known
+            for s, mono, c in cell:
+                by_coord[s].append((j * m + k, inside, mono, c))
+    for i in range(m):
+        acc = defaultdict(dict)  # coordinate key -> {monomial: int}
+        for j, cell in rows[i]:
+            inside = i < known and j < known
+            for s, mono1, c in cell:
+                for k, cell2 in rows[s]:
+                    if inside and k < known:
+                        continue
+                    # c [b_s, b_k] is [[bi,bj],bk] in (i, j, k) and -[[bi,bj],bk] in (i, k, j)
+                    plus = (j * m + k) * m
+                    minus = (k * m + j) * m
+                    for t, mono2, c2 in cell2:
+                        mono = tuple(sorted(mono1 + mono2)) if mono1 and mono2 else mono1 or mono2
+                        v = c * c2
+                        e = acc[plus + t]
+                        e[mono] = e.get(mono, 0) + v
+                        e = acc[minus + t]
+                        e[mono] = e.get(mono, 0) - v
+        for s, cell in rows[i]:  # -[bi,[bj,bk]]
+            inside = i < known and s < known
+            for jk, inner, mono1, c in by_coord[s]:
+                if inside and inner:
+                    continue
+                base = jk * m
+                for t, mono2, c2 in cell:
+                    mono = tuple(sorted(mono1 + mono2)) if mono1 and mono2 else mono1 or mono2
+                    e = acc[base + t]
+                    e[mono] = e.get(mono, 0) - c * c2
+        add(acc)
+    if annihilator:
+        for q in range(m):
+            for r in range(max(q, known), m):
+                sym: dict = {}  # the (k, monomial) terms of [b_q, b_r] + [b_r, b_q]
+                for k, mono, c in cells[q][r] + cells[r][q]:
+                    sym[k, mono] = sym.get((k, mono), 0) + c
+                sym = [(k, mono, c) for (k, mono), c in sym.items() if c]
+                if not sym:
+                    continue
+                for row in cells:  # [b_p, sym], from row p of the table
+                    acc = defaultdict(dict)
+                    for j, mono1, c in sym:
+                        for k, mono2, c2 in row[j]:
+                            mono = tuple(sorted(mono1 + mono2)) if mono1 and mono2 else mono1 or mono2
+                            e = acc[k]
+                            e[mono] = e.get(mono, 0) + c * c2
+                    add(acc)
+    for h in hypotheses:
+        if h:
+            equations.setdefault(h.content_normalized())
+    return tuple(equations)
 
 
 def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] = ()) -> ConstraintSystem:
     """Leibniz identity over every extended-basis triple involving x, plus the
-    right-annihilator equations [u, [v,w]+[w,v]] = 0 for pairs involving x.
+    right-annihilator equations [u, [v,w]+[w,v]] = 0 for pairs involving x,
+    plus the hypotheses (:func:`leibniz_equations` on the product table of
+    N + <x>).
 
     Triples lying entirely inside the nilradical are skipped: the nilradical
     is validated at construction, so those equations hold identically.
     """
     N = problem.nilradical
     d = N.dim
-    m = d + 1
     ring = problem.ring
     # product table of N + <x>: the template rows [e_i, x], the unknown rows
     # [x, e_j] and the square row [x, x] join N's products; all lie in N
@@ -155,41 +268,9 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
         products[i, d] = enumerate(problem.template.rows[i])
         products[d, i] = enumerate(problem.unknown_rows[i])
     products[d, d] = enumerate(problem.square_row)
-    table = product_table(products, m)
-    seen = set()
-    equations = []
-
-    def add(polyvec):
-        for pv in polyvec:
-            if pv:
-                pv = pv.content_normalized()
-                if pv not in seen:
-                    seen.add(pv)
-                    equations.append(pv)
-
-    for (p, q, r), defect in leibniz_defects(table):
-        if p < d and q < d and r < d:
-            continue
-        add(defect.values())
-    for q in range(m):
-        for r in range(q, m):
-            if q < d and r < d:
-                continue
-            sym = {}  # the nonzero coordinates of [b_q, b_r] + [b_r, b_q]
-            for k, c in table[q][r] + table[r][q]:
-                sym[k] = sym[k] + c if k in sym else c
-            sym = [(k, s) for k, s in sorted(sym.items()) if s]
-            for row in table:  # [b_p, sym], from row p of the table
-                out = {}
-                for j, s in sym:
-                    for k, c in row[j]:
-                        out[k] = out[k] + s * c if k in out else s * c
-                add(out[k] for k in sorted(out))
-    for h in hypotheses:
-        if h.ring is not ring:
-            h = _lift(h, ring)
-        add((h,))
-    return ConstraintSystem(ring=ring, equations=tuple(equations), problem=problem)
+    hypotheses = [h if h.ring is ring else _lift(h, ring) for h in hypotheses]
+    equations = leibniz_equations(ring, products, d + 1, known=d, annihilator=True, hypotheses=hypotheses)
+    return ConstraintSystem(ring=ring, equations=equations, problem=problem)
 
 
 # -- elimination ----------------------------------------------------------------

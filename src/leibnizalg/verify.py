@@ -35,9 +35,7 @@ from .algebra import (
     is_lie,
     is_nilpotent,
     is_solvable,
-    leibniz_defects,
     nilradical_equals,
-    product_table,
     subalgebra_on_indices,
 )
 from .derivations import derivation_space, is_derivation, max_nil_independent
@@ -51,6 +49,7 @@ from .extensions import (
     eliminate,
     generate_constraints,
     instantiate,
+    leibniz_equations,
     resolved_assignments,
     shear_change,
     tail_coefficients,
@@ -329,18 +328,11 @@ def _graded_algebra(variant: str, n: int, r: int, alphas) -> Algebra:
     return (make_A_algebra if variant == "A" else make_B_algebra)(n, r, alphas)
 
 
-def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int):
+def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int) -> tuple:
+    """The Leibniz identity of the graded family with alpha_k the ring
+    variable al<k>: polynomial relations in the alphas."""
     alphas = {k: ring.var(f"al{k:02d}") for k in range(1, t + 1)}
-    prods = product_table(graded_products(variant, n, r, alphas), n + 1)
-    seen = set()
-    rels = []
-    for _, defect in leibniz_defects(prods):
-        for acc in defect.values():
-            acc = acc.content_normalized()
-            if acc not in seen:
-                seen.add(acc)
-                rels.append(acc)
-    return rels
+    return leibniz_equations(ring, graded_products(variant, n, r, alphas), n + 1)
 
 
 _jacobi_cache: dict = {}
@@ -407,7 +399,7 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
         for _ in range(8):
             hyps = [ring.var(names[k]) for k in range(lead - 1)]
             hyps.append(ring.var(names[lead - 1]) - 1)
-            outcome = eliminate(ConstraintSystem(ring, tuple(list(rels) + hyps)))
+            outcome = eliminate(ConstraintSystem(ring, rels + tuple(hyps)))
             dead = False
             while outcome.kind == "family" and not dead:
                 pinned = False
@@ -431,7 +423,7 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
                             dead = True
                         break
                     hyps.append(ring.var(undecided[0]) - small_rational(rng, 6))
-                outcome = eliminate(ConstraintSystem(ring, tuple(list(rels) + hyps)))
+                outcome = eliminate(ConstraintSystem(ring, rels + tuple(hyps)))
                 if outcome.kind == "contradiction":
                     dead = True
             if dead or outcome.kind == "contradiction" or outcome.residual:
@@ -926,7 +918,7 @@ def _run_graded_nolie(variant: str, n: int, rng: RngFactory) -> Verdict:
                        transcript=_assignment_lines(outcome), params=params)
     ncoords = len(problem.symmetric_coordinates())
     tags = [f"tag{k:03d}" for k in range(ncoords)] + ["lam"]
-    cert_problem = build_extension_problem(nilradical, extra_names=tags)
+    cert_problem = build_extension_problem(nilradical, template=problem.template, extra_names=tags)
     ring = cert_problem.ring
     combo = ring.zero
     for k, coord in enumerate(cert_problem.symmetric_coordinates()):

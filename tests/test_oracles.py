@@ -25,7 +25,12 @@ written out from the structure tensor, for every family. Its sparse integer
 rows, the annihilator span and the constraint equations of the extension
 problem are checked against dense references in ``dense_algebra``: for every
 family at n = 5..12, on random tables, and for every system that the
-non-existence and classification scenarios generate at n = 5..8.
+non-existence and classification scenarios generate at n = 5..8. The
+constraint equations are built from integer terms scaled to one common
+denominator, so the random tables also draw non-integral templates and
+``Fraction`` hypotheses; the graded alpha relations, built the same way, are
+checked against the ``Poly`` walk of ``leibniz_defects`` for every admissible
+(n, r) up to 12.
 """
 
 import random
@@ -35,14 +40,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg import verify
-from leibnizalg.algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
+from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, is_lie, leibniz_check, leibniz_defects,
+                                product_table)
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
 from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change, build_extension_problem,
                                    chain_restore, diagonal_branches, eliminate, generate_constraints, instantiate,
                                    star_change)
-from leibnizalg.families import (ConstructionError, FamilySpec, make_A_algebra, make_B_algebra, make_F1, make_F1s,
-                                 make_F2, make_F2j, make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA,
-                                 make_SolvB)
+from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
+                                 graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
+                                 make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
 from leibnizalg.linalg import Matrix, matrix_is_nilpotent, sparse_inverse
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
@@ -636,11 +642,13 @@ EXTENSION_SCENARIOS = ("prop32-nonexist", "prop33-nonexist", "thm39-nonexist", "
 
 
 @pytest.fixture(scope="module")
-def scenario_systems():
-    """(scenario, n, hypotheses, system, outcome) for every constraint system
-    that the non-existence and classification scenarios generate and
-    eliminate at n = 5..8 (seed 0), in call order."""
-    records = []
+def scenario_runs():
+    """The extension scenarios at n = 5..8 (seed 0): (records, eliminations).
+    A record is (scenario, n, hypotheses, system, outcome) for every
+    constraint system they generate and eliminate, in call order; an
+    elimination is (scenario, n, system, outcome) for every system they
+    eliminate, their own alpha-sampling systems included."""
+    records, eliminations = [], []
     with pytest.MonkeyPatch.context() as mp:
         def generate(problem, hypotheses=()):
             system = generate_constraints(problem, hypotheses)
@@ -649,6 +657,7 @@ def scenario_systems():
 
         def eliminated(system):
             outcome = eliminate(system)
+            eliminations.append((scenario, n, system, outcome))
             for record in records:
                 if record[3] is system:
                     record[4] = outcome
@@ -660,7 +669,15 @@ def scenario_systems():
             for scenario in EXTENSION_SCENARIOS:
                 if verify.SCENARIOS[scenario].admissible(n):
                     assert verify.run_scenario(scenario, n).verdict == "pass"
-    return [tuple(record) for record in records]
+    return [tuple(record) for record in records], eliminations
+
+
+@pytest.fixture(scope="module")
+def scenario_systems(scenario_runs):
+    """(scenario, n, hypotheses, system, outcome) for every constraint system
+    that the non-existence and classification scenarios generate and
+    eliminate at n = 5..8 (seed 0), in call order."""
+    return scenario_runs[0]
 
 
 def test_constraints_match_the_dense_bracket_loop(scenario_systems):
@@ -681,3 +698,105 @@ def test_nonexist_systems_keep_the_elimination_order(scenario_systems):
     assert sum(len(s.equations) for s, _ in systems) == 2243
     assert sum(len(out.assignments) for _, out in systems) == 393
     assert max(len(s.ring.names) for s, _ in systems) == 86
+
+
+def test_classify_systems_keep_the_elimination_order(scenario_runs):
+    """The exact counts the benchmark traces for the classification workload
+    at seed 0 (n = 5, thm36-class at n = 6): 1940 generated equations, 470
+    substitutions and a widest ring of 94 indeterminates, over every system
+    eliminated, the alpha-sampling ones included."""
+    records, eliminations = scenario_runs
+    at = {scenario: (6 if scenario == "thm36-class" else 5) for scenario in EXTENSION_SCENARIOS
+          if not scenario.endswith("nonexist")}
+    systems = [s for scenario, n, _, s, _ in records if at.get(scenario) == n]
+    runs = [(s, out) for scenario, n, s, out in eliminations if at.get(scenario) == n]
+    assert {scenario for scenario, n, _, _, _ in records if at.get(scenario) == n} == set(at)
+    assert sum(len(s.equations) for s in systems) == 1940
+    assert sum(len(out.assignments) for _, out in runs) == 470
+    assert max(len(s.ring.names) for s, _ in runs) == 94
+
+
+non_integral = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 12)).filter(
+    lambda q: q.denominator != 1)
+
+
+@st.composite
+def extension_cases(draw, case):
+    """(problem, hypotheses) over a random sparse table: the default template
+    (``default``); a template whose parameters, and a constant derivation
+    added to it, carry non-integral weights (``template``); or the default
+    template with hypotheses that have Fraction coefficients
+    (``hypotheses``)."""
+    alg = draw(sparse_tables())
+    if case != "template":
+        problem = build_extension_problem(alg)
+    else:
+        space = derivation_space(alg)
+        ring = space.ring()
+        d = alg.dim
+        rows = [[ring.zero] * d for _ in range(d)]
+        weights = [ring.var(name) * draw(non_integral) for name in space.param_names]
+        if space.basis:
+            weights[0] = weights[0] + draw(non_integral)
+        for w, mat in zip(weights, space.basis):
+            for i in range(d):
+                for j in range(d):
+                    if mat.rows[i][j]:
+                        rows[i][j] = rows[i][j] + w * mat.rows[i][j]
+        problem = build_extension_problem(alg, template=Matrix(tuple(tuple(r) for r in rows)))
+    hypotheses = []
+    if case == "hypotheses":
+        ring = problem.ring
+        names = st.sampled_from(ring.names)
+        for _ in range(draw(st.integers(1, 4))):
+            h = ring.const(draw(non_integral))
+            for _ in range(draw(st.integers(1, 3))):
+                term = ring.var(draw(names)) * draw(non_integral)
+                if draw(st.booleans()):
+                    term = term * ring.var(draw(names))
+                h = h + term
+            hypotheses.append(h)
+        hypotheses.append(hypotheses[0] * draw(non_integral))  # a repeat up to scale
+    return problem, hypotheses
+
+
+@pytest.mark.parametrize("case", ["default", "template", "hypotheses"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_constraints_match_the_dense_bracket_loop_on_random_tables(case, data):
+    """The integer-term builder against the dense Poly bracket loop, on
+    tables whose Fraction structure constants, template weights and
+    hypotheses exercise the scaling to integers."""
+    problem, hypotheses = data.draw(extension_cases(case))
+    assert generate_constraints(problem, hypotheses).equations == dense_constraints(problem, hypotheses)
+
+
+def reference_jacobi_relations(variant, n, r, ring, t):
+    """The graded alpha relations from the Poly walk: every nonzero
+    coordinate of the Leibniz defects of the Poly product table, in
+    (i, j, k, t) order, content-normalized, repeats dropped."""
+    alphas = {k: ring.var(f"al{k:02d}") for k in range(1, t + 1)}
+    table = product_table(graded_products(variant, n, r, alphas), n + 1)
+    return tuple(dict.fromkeys(c.content_normalized() for _, defect in leibniz_defects(table)
+                               for c in defect.values()))
+
+
+def test_jacobi_relations_match_the_poly_walk():
+    """The relations that sample_graded_alphas eliminates, for A and B at every
+    admissible (n, r) up to n = 12 with alphas."""
+    checked = 0
+    for variant in ("A", "B"):
+        for n in range(4, verify.MAX_N + 1):
+            for r in range(1, n - 2):
+                try:
+                    check_graded_range(variant, n, r)
+                except ConstructionError:
+                    continue
+                t = graded_alpha_count(variant, n, r)
+                if t <= 0:
+                    continue
+                ring = PolyRing(tuple(f"al{k:02d}" for k in range(1, t + 1)))
+                got = verify._symbolic_jacobi_relations(variant, n, r, ring, t)
+                assert got == reference_jacobi_relations(variant, n, r, ring, t)
+                checked += 1
+    assert checked > 40
