@@ -60,15 +60,7 @@ from .families import (
     family_catalog,
     make_family,
 )
-from .linalg import (
-    LinearSolution,
-    Matrix,
-    binomial,
-    matrix_is_nilpotent,
-    nullspace,
-    rref,
-    solve_linear_system,
-)
+from .linalg import binomial, nullspace, rref
 from .poly import Poly, PolyRing
 from .verify import Report, SCENARIOS, run_all, run_scenario
 

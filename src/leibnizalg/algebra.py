@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .linalg import nullspace, rref, scale_to_integers, to_fraction, vec_is_zero
+from .linalg import dense_row, nullspace, rref, scale_to_integers, to_fraction
 
 Vector = tuple
 
@@ -225,18 +225,26 @@ def is_lie(alg: Algebra) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of the coordinate space, stored with a canonical RREF basis."""
+    """Subspace of the coordinate space, stored with a canonical RREF basis
+    of dense coordinate vectors: the one place where dense vectors turn into
+    the sparse rows of :mod:`~leibnizalg.linalg` (every entry passed, so a
+    non-rational zero still raises TypeError) and back."""
 
     ambient: int
-    basis: tuple  # rows in RREF, leading coefficient 1
+    basis: tuple  # dense rows in RREF, leading coefficient 1
+
+    @classmethod
+    def from_rows(cls, rows: Sequence, ambient: int) -> "Subspace":
+        """The subspace with the canonical RREF basis ``rows``, given as
+        sparse rows."""
+        return cls(ambient, tuple(dense_row(row, ambient) for row in rows))
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient: int) -> "Subspace":
-        vecs = [v for v in vectors if not vec_is_zero(v)]
+        vecs = [tuple(enumerate(v)) for v in vectors if any(v)]
         if not vecs:
             return cls(ambient, ())
-        rows, _ = rref(vecs, ambient)
-        return cls(ambient, rows)
+        return cls.from_rows(rref(vecs)[0], ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -253,9 +261,9 @@ class Subspace:
         return not self.basis
 
     def contains(self, vec: Sequence) -> bool:
-        if vec_is_zero(vec):
+        if not any(vec):
             return True
-        rows, _ = rref(list(self.basis) + [list(vec)], self.ambient)
+        rows, _ = rref([tuple(enumerate(v)) for v in (*self.basis, vec)])
         return len(rows) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -322,12 +330,12 @@ def is_filiform(alg: Algebra) -> bool:
 def right_annihilator(alg: Algebra) -> Subspace:
     """All v with [u, v] = 0 for every u (exact kernel computation)."""
     d = alg.dim
-    rows = [[_ZERO] * d for _ in range(d * d)]  # row i*d + k: coordinate k of [b_i, v]
-    for i in range(d):
-        for j in range(d):
-            for k, c in alg.table[i][j]:
-                rows[i * d + k][j] = c
-    return Subspace(d, nullspace(rows, d))
+    rows = [[] for _ in range(d * d)]  # row i*d + k: coordinate k of [b_i, v]
+    for i, plane in enumerate(alg.table):
+        for j, cell in enumerate(plane):
+            for k, c in cell:
+                rows[i * d + k].append((j, c))
+    return Subspace.from_rows(nullspace(rows, d), d)
 
 
 def subalgebra_on_indices(alg: Algebra, count: int) -> Algebra:

@@ -27,6 +27,7 @@ from .algebra import (
 from .derivations import derivation_space, max_nil_independent
 from .extensions import build_extension_problem, diagonal_branches, eliminate, generate_constraints
 from .families import ConstructionError, FAMILY_IDS, FamilySpec, family_catalog, make_family
+from .linalg import dense_row
 from .verify import MAX_N, SCENARIOS, run_scenario
 
 
@@ -111,8 +112,8 @@ def _cmd_derive(args) -> int:
     if not args.no_basis:
         for name, mat in zip(space.param_names, space.basis):
             print(f"basis derivation {name}:")
-            for row in mat.rows:
-                print("  [" + ", ".join(str(c) for c in row) + "]")
+            for row in mat:
+                print("  [" + ", ".join(str(c) for c in dense_row(row, alg.dim)) + "]")
     return 0
 
 
@@ -172,7 +173,7 @@ def _parse_hypotheses(text: str, problem):
         d = problem.nilradical.dim
         if not (0 <= i < d and 0 <= j < d):
             raise ValueError(f"hypothesis {name!r} names entry ({i},{j}), outside the {d} x {d} template")
-        hyps.append(problem.template.rows[i][j] - val)
+        hyps.append(dict(problem.template[i]).get(j, problem.ring.zero) - val)
     return hyps
 
 
@@ -230,11 +231,10 @@ def _cmd_extend(args) -> int:
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """The n of ``N`` or ``A..B``, clipped at MAX_N: no larger n is
+    admissible, so a huge B costs nothing."""
+    lo, dots, hi = text.partition("..")
+    return range(int(lo), min(int(hi if dots else lo), MAX_N) + 1)
 
 
 def _cmd_verify(args) -> int:

@@ -1,17 +1,21 @@
 """Symbolic codimension-one solvable extensions N + <x>.
 
-The action of x on the nilradical is a symbolic derivation template (the
-general element of the computed derivation space); the products [x, e_i] and
-[x, x] get fresh unknowns. The Leibniz identity over the extended basis plus
-the right-annihilator equations yield a polynomial constraint system that a
-deterministic linear-substitution elimination reduces to either a
-Contradiction (with a replayable witness) or a residual parametric Family.
-:func:`leibniz_equations` reads the system off the sparse product table of
-N + <x> (nonzero cells only) as integer terms: every cell scaled by one
-common denominator, each equation summed term by term in a dict and turned
-into a :class:`~leibnizalg.poly.Poly` once, content-normalized. The graded
-alpha relations of ``verify`` come from the same function. The elimination
-divides by no pivot coefficient.
+The action of x on the nilradical is a symbolic derivation template: the
+general element of the computed derivation space, as d sparse rows of Poly
+entries, so row i lists the nonzero coordinates of [e_i, x] in the cell form
+of the product table, the form of every linear map in the package. The
+products [x, e_i] and [x, x] get fresh unknowns. The Leibniz identity over
+the extended basis plus the right-annihilator equations yield a polynomial
+constraint system that a deterministic linear-substitution elimination
+reduces to either a Contradiction (with a replayable witness) or a residual
+parametric Family. :func:`leibniz_equations` reads the system off the
+sparse product table of N + <x> (nonzero cells only, the template rows
+joined as they are) as integer terms: every cell scaled by one common
+denominator, each equation summed term by term in a dict and turned into a
+:class:`~leibnizalg.poly.Poly` once, content-normalized. The graded alpha
+relations of ``verify`` come from the same function. The elimination
+divides by no pivot coefficient. A basis change is a map too: the sparse
+rows of the new basis vectors in old coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .algebra import (
 )
 from .derivations import derivation_space, is_derivation
 from .families import make_SolvA, make_SolvB
-from .linalg import Matrix, rref, scale_to_integers, sparse_inverse, to_fraction
+from .linalg import rref, scale_to_integers, sparse_inverse, to_fraction
 from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
 
@@ -45,12 +49,12 @@ def _lift(poly: Poly, ring: PolyRing) -> Poly:
 class ExtensionProblem:
     nilradical: Algebra
     ring: PolyRing
-    template: Matrix          # [e_i, x] rows, Poly entries, linear in the template params
+    template: tuple           # [e_i, x] as d sparse rows of Poly entries, linear in the template params
     unknown_rows: tuple       # unknown_rows[i] = vector of [x, e_i], Poly entries
     square_row: tuple         # vector of [x, x]
     template_params: tuple
     unknown_names: tuple
-    annihilator_span: tuple   # RREF basis of span{[u,v]+[v,u], [u,u]} inside N
+    annihilator_span: tuple   # RREF basis of span{[u,v]+[v,u], [u,u]} inside N, sparse rows
 
     @property
     def dim(self) -> int:
@@ -60,29 +64,30 @@ class ExtensionProblem:
         """Coordinates of [x,x] and of [x,e_i]+[e_i,x]: all must vanish for a
         Lie (antisymmetric) extension."""
         coords = list(self.square_row)
-        for i in range(self.nilradical.dim):
-            for j in range(self.nilradical.dim):
-                coords.append(self.unknown_rows[i][j] + self.template.rows[i][j])
+        for unknown, row in zip(self.unknown_rows, self.template):
+            cell = dict(row)
+            coords.extend(u + cell[j] if j in cell else u for j, u in enumerate(unknown))
         return tuple(c for c in coords if c)
 
 
-def _forced_annihilator_span(alg: Algebra):
-    """RREF basis of the span of the [b_i, b_j] + [b_j, b_i], two cells added."""
+def _forced_annihilator_span(alg: Algebra) -> tuple:
+    """Sparse RREF rows of the span of the [b_i, b_j] + [b_j, b_i], two
+    cells added."""
     d = alg.dim
     prods = alg.scaled[0]
-    vecs = []
+    rows = []
     for i in range(d):
         for j in range(i, d):
-            vec = [0] * d
+            row = {}
             for k, c in prods[i][j] + prods[j][i]:
-                vec[k] += c
-            vecs.append(vec)
-    return rref(vecs, d)[0]
+                row[k] = row.get(k, 0) + c
+            rows.append(tuple(row.items()))
+    return rref(rows)[0]
 
 
 def build_extension_problem(
     nilradical: Algebra,
-    template: Optional[Matrix] = None,
+    template: Optional[Sequence] = None,
     extra_names: Sequence[str] = (),
 ) -> ExtensionProblem:
     """Set up the symbolic extension. ``template`` defaults to the generic
@@ -98,8 +103,8 @@ def build_extension_problem(
     w = tuple(tuple(f"w{i:02d}c{j:02d}" for j in range(d)) for i in range(2, d))
     unknown_names = beta + gamma + delta + tuple(n for row in w for n in row)
     ring = PolyRing(tuple(params) + unknown_names + tuple(extra_names))
-    lifted = Matrix(tuple(tuple(_lift(e, ring) if isinstance(e, Poly) else ring.const(e) for e in row)
-                          for row in template.rows))
+    lifted = tuple(tuple((j, _lift(e, ring) if isinstance(e, Poly) else ring.const(e)) for j, e in row if e)
+                   for row in template)
     if not is_derivation(nilradical, lifted):
         raise ValueError("template is not symbolically a derivation of the nilradical")
     rows = [tuple(ring.var(n) for n in beta), tuple(ring.var(n) for n in gamma)]
@@ -117,18 +122,13 @@ def build_extension_problem(
     )
 
 
-def _template_param_names(template: Matrix) -> tuple:
-    names = []
-    seen = set()
-    for row in template.rows:
-        for e in row:
+def _template_param_names(template: Sequence) -> tuple:
+    """The sorted names that occur in the Poly entries of the template."""
+    names = set()
+    for row in template:
+        for _, e in row:
             if isinstance(e, Poly):
-                for n in e.variables():
-                    if n not in seen:
-                        seen.add(n)
-                        names.append(n)
-    if not names and template.rows and isinstance(template.rows[0][0], Poly):
-        names = list(template.rows[0][0].ring.names)
+                names.update(e.variables())
     return tuple(sorted(names))
 
 
@@ -265,7 +265,7 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
     # [x, e_j] and the square row [x, x] join N's products; all lie in N
     products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
     for i in range(d):
-        products[i, d] = enumerate(problem.template.rows[i])
+        products[i, d] = problem.template[i]
         products[d, i] = enumerate(problem.unknown_rows[i])
     products[d, d] = enumerate(problem.square_row)
     hypotheses = [h if h.ring is ring else _lift(h, ring) for h in hypotheses]
@@ -468,13 +468,13 @@ def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fr
     d = N.dim
 
     def values(row):
-        return [(k, c.evaluate(env)) for k, c in enumerate(row)]
+        return [(k, c.evaluate(env)) for k, c in row]
 
     products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
     for i in range(d):
-        products[i, d] = values(problem.template.rows[i])
-        products[d, i] = values(problem.unknown_rows[i])
-    products[d, d] = values(problem.square_row)
+        products[i, d] = values(problem.template[i])
+        products[d, i] = values(enumerate(problem.unknown_rows[i]))
+    products[d, d] = values(enumerate(problem.square_row))
     alg = algebra_from_products(N.labels + ("x",), products,
                                 {"family": "extension", "n": d - 1, "params": dict(free_values)})
     rep = leibniz_check(alg)
@@ -492,19 +492,16 @@ def diagonal_branches(problem: ExtensionProblem) -> list:
     normalizes the first nonzero one to 1, giving the exhaustive branches
     {f_1=1}, {f_1=0, f_2=1}, ..., returned as hypothesis lists.
     """
-    d = problem.nilradical.dim
     params = problem.template_params
     ring = problem.ring
     if not params:
         return []
-    rows = linear_form_rows((problem.template.rows[i][i] for i in range(d)), params)
-    rr, _ = rref(rows, len(params))
+    diagonal = (c for i, row in enumerate(problem.template) for j, c in row if j == i)
     funcs = []
-    for row in rr:
+    for row in rref(linear_form_rows(diagonal, params))[0]:
         f = ring.zero
-        for k, c in enumerate(row):
-            if c:
-                f = f + ring.var(params[k]) * c
+        for k, c in row:
+            f = f + ring.var(params[k]) * c
         funcs.append(f)
     return [[funcs[s] for s in range(t)] + [funcs[t] - 1] for t in range(len(funcs))]
 

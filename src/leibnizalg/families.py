@@ -362,17 +362,19 @@ def make_L3(n: int, j0: int) -> Algebra:
     return _validated(prods, _e_labels(n, with_x=True), meta)
 
 
-def solvable_x_rows(variant: str, n: int, table, row0, row1) -> list:
+def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
     """The rows [e_0, x], ..., [e_n, x] of x acting on the graded nilradical N
     of SolvA (``variant`` "A") or SolvB, from [e_0, x] = ``row0`` and
     [e_1, x] = ``row1``: the other rows follow from
     [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] along the chain products;
     in B, e_n is not in the e_0-chain and is reached through
     [e_1, e_{n-1}] = -e_n. ``table`` is a product table holding N's products
-    on its first n + 1 basis vectors; the rows are coordinate vectors over
-    its basis. Each step reads one column of the table for [u, e_j] and one
-    row for [e_i, v], over the nonzero coordinates of u and v only. The rows
-    are linear in (row0, row1); scalars are as in :func:`graded_products`.
+    on its first n + 1 basis vectors; ``row0`` and ``row1`` are coordinate
+    vectors over its basis, and the rows come back as a map in sparse rows
+    (:mod:`~leibnizalg.linalg`). Each step reads one column of the table for
+    [u, e_j] and one row for [e_i, v], over the nonzero coordinates of u and
+    v only. The rows are linear in (row0, row1); scalars are as in
+    :func:`graded_products`.
     """
     d = len(table)
 
@@ -395,7 +397,7 @@ def solvable_x_rows(variant: str, n: int, table, row0, row1) -> list:
         rows.append(step(row0, i, 0, rows[i]))
     if variant == "B":
         rows.append([-c for c in step(row1, n - 1, 1, rows[n - 1])])
-    return rows
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
 
 
 def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping, a1=0) -> dict:
@@ -417,8 +419,8 @@ def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping
     for k, c in bs.items():
         row1[k] = c
     for i, row in enumerate(solvable_x_rows(variant, n, product_table(prods, dim), row0, row1)):
-        prods[(i, x)] = [(k, c) for k, c in enumerate(row) if c]
-        prods[(x, i)] = [(k, -c) for k, c in enumerate(row) if c]
+        prods[(i, x)] = row
+        prods[(x, i)] = [(k, -c) for k, c in row]
     return prods
 
 

@@ -1,29 +1,34 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
+
+A row has one form throughout the package: its nonzero ``(col, c)`` pairs,
+sorted by col, the form of a product-table cell. A d x d linear map is the
+tuple of its d rows (row i lists the nonzero coordinates of the image of
+b_i), whatever the scalar: a basis change, a derivation, the symbolic
+extension template. :func:`rref`, :func:`rank`, :func:`nullspace` and
+:func:`sparse_inverse` take ``int``/``Fraction`` rows in that form (a zero
+entry is allowed and dropped) and return them with ``Fraction`` entries;
+:func:`dense_row` expands a row for code that indexes entries by position.
 
 The exact checks run on integers: :func:`scale_to_integers` multiplies
 ``int``/``Fraction`` entries by the least common multiple of their
 denominators, and the caller builds at most one ``Fraction`` per output
 entry. Row reduction keeps each row's nonzero entries as a ``{col: int}``
 dict scaled to coprime integers and runs the sparse fraction-free kernel in
-``_rref_py``; the nilpotency test powers an integer-scaled copy. Everything
-returned to callers is in canonical reduced row echelon form with leading
-coefficient 1, so subspace bases and solution sets are reproducible across
-runs. :func:`sparse_inverse` inverts a matrix given as sparse rows, the form
-of a basis change, and :func:`kernel_basis` solves rows already in the
-kernel's form, each with one call of the same kernel."""
+``_rref_py``; :func:`kernel_basis` solves rows already in the kernel's form,
+and the nilpotency test powers an integer matrix. Everything returned to
+callers is in canonical reduced row echelon form with leading coefficient 1,
+so subspace bases and solution sets are reproducible across runs."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import _rref_py
 
 _ZERO = Fraction(0)
-_RATIONAL_TYPES = frozenset((int, Fraction))
 
 # every reduction calls the kernel through this module attribute; the verdict
 # benchmark's tracer wraps linalg._kernel.rref_int by that name.
@@ -63,6 +68,22 @@ def to_fraction(x) -> Fraction:
     return Fraction(num, den)
 
 
+# -- rows --------------------------------------------------------------------
+
+
+def dense_row(row: Sequence, width: int, zero=_ZERO) -> tuple:
+    """The ``width`` entries of a sparse row, ``zero`` in the gaps."""
+    vec = [zero] * width
+    for c, x in row:
+        vec[c] = x
+    return tuple(vec)
+
+
+def is_upper_triangular(rows: Sequence) -> bool:
+    """True iff no row i of a map lists a column left of i."""
+    return all(c >= i for i, row in enumerate(rows) for c, _ in row)
+
+
 # -- row reduction -----------------------------------------------------------
 
 
@@ -76,60 +97,35 @@ def _primitive(entries) -> dict:
     return {c: x for (c, _), x in zip(entries, ints) if x}
 
 
-def _sparse_int_row(row: Sequence) -> dict:
-    """The nonzero entries of a rational row as ``{col: int}``, scaled to
-    coprime integers."""
-    if not _RATIONAL_TYPES.issuperset(map(type, row)):
-        scale_to_integers(row)  # raises TypeError, for a zero entry too
-    return _primitive([(c, x) for c, x in enumerate(row) if x])
-
-
-def _int_rows(rows: Sequence[Sequence], last: Optional[int] = None) -> list:
-    """The distinct nonzero rows as primitive ``{col: int}`` dicts; with
-    ``last``, column c is stored as ``last - c`` (columns reversed)."""
-    work = {}
-    for row in rows:
-        sparse = _sparse_int_row(row)
-        if sparse:
-            if last is not None:
-                sparse = {last - c: x for c, x in sparse.items()}
-            work[tuple(sparse.items())] = sparse
-    return list(work.values())
-
-
-def rref(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
-    """Canonical RREF. Returns (rows, pivots); rows have leading entry 1."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    work = _int_rows(rows)
+def rref(rows: Sequence[Sequence]) -> tuple:
+    """Canonical RREF of the span of sparse rows. Returns (rows, pivots);
+    each row has leading entry 1 at its pivot."""
+    work = {frozenset(row.items()): row for row in map(_primitive, rows) if row}
     if not work:
         return (), ()
-    out = []
-    pivots = []
-    for row in _kernel.rref_int(work):
-        lead = min(row)
-        den = row[lead]
-        vec = [_ZERO] * ncols
-        for c, x in row.items():
-            vec[c] = Fraction(x, den)
-        out.append(tuple(vec))
-        pivots.append(lead)
-    return tuple(out), tuple(pivots)
+    reduced = _kernel.rref_int(list(work.values()))
+    pivots = tuple(min(row) for row in reduced)
+    return tuple(tuple((c, Fraction(row[c], row[lead])) for c in sorted(row))
+                 for row, lead in zip(reduced, pivots)), pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> int:
-    return len(rref(rows, ncols)[1])
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Canonical basis (RREF form) of the right kernel of the row matrix."""
-    return tuple(map(tuple, kernel_basis(_int_rows(rows, ncols - 1), ncols).values()))
+def nullspace(rows: Sequence[Sequence], ncols: int) -> tuple:
+    """Canonical basis (RREF, sparse rows) of the right kernel of the rows
+    over ``ncols`` columns."""
+    last = ncols - 1
+    work = {frozenset(row.items()): row for row in map(_primitive, rows) if row}
+    reversed_rows = [{last - c: x for c, x in row.items()} for row in work.values()]
+    return tuple(kernel_basis(reversed_rows, ncols).values())
 
 
 def kernel_basis(work: list, ncols: int) -> dict:
-    """``{f: vec}`` over the free columns f, ascending: the canonical kernel
+    """``{f: row}`` over the free columns f, ascending: the canonical kernel
     basis of the distinct primitive ``{col: int}`` rows ``work``, column c
-    stored as ``ncols - 1 - c``; vec lists ncols Fractions, leading 1 at f.
+    stored as ``ncols - 1 - c``; each basis row is sparse with leading 1 at f.
 
     One reduction in the reversed order: each pivot row R_t has its pivot
     p_t rightmost and zeros in the other pivot columns, so the kernel vector
@@ -139,112 +135,25 @@ def kernel_basis(work: list, ncols: int) -> dict:
     last = ncols - 1
     reduced = _kernel.rref_int(work) if work else []
     pivots = {last - min(row) for row in reduced}
-    basis = {f: [_ZERO] * ncols for f in range(ncols) if f not in pivots}
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
     for row in reduced:
         lead = min(row)
         den = row[lead]
         for c, x in row.items():
             if c != lead:
                 basis[last - c][last - lead] = Fraction(-x, den)
-    for f, vec in basis.items():
-        vec[f] = Fraction(1)
-    return basis
+    return {f: tuple(sorted(vec.items())) for f, vec in basis.items()}
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Exact solution set of A x = b: a particular solution (or None when the
-    system is inconsistent) plus a canonical nullspace basis."""
-
-    particular: Optional[tuple]
-    nullspace: tuple
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.nullspace)
-
-
-def solve_linear_system(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> LinearSolution:
-    a_rows = [list(r) for r in a_rows]
-    if len(a_rows) != len(b):
-        raise ValueError(f"matrix has {len(a_rows)} rows but rhs has {len(b)} entries")
-    widths = {len(r) for r in a_rows}
-    if len(widths) > 1:
-        raise ValueError("ragged matrix")
-    ncols = widths.pop() if widths else 0
-    aug = [row + [Fraction(rhs)] for row, rhs in zip(a_rows, b)]
-    rrows, pivots = rref(aug, ncols + 1)
-    ns = nullspace(a_rows, ncols)
-    if ncols in pivots:
-        return LinearSolution(None, ns)
-    particular = [Fraction(0)] * ncols
-    for t, p in enumerate(pivots):
-        particular[p] = rrows[t][ncols]
-    return LinearSolution(tuple(particular), ns)
-
-
-# -- vectors -----------------------------------------------------------------
-
-
-def vec_is_zero(u) -> bool:
-    return all(not a for a in u)
-
-
-# -- matrices ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable rectangular matrix; entries are Fractions or Polys."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        if rows and len({len(r) for r in rows}) != 1:
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def is_upper_triangular(self) -> bool:
-        return all(not self.rows[i][j] for i in range(self.nrows) for j in range(min(i, self.ncols)))
-
-    def diagonal(self) -> tuple:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def flat(self) -> tuple:
-        return tuple(e for row in self.rows for e in row)
-
-
-def matrix_is_nilpotent(mat: Matrix) -> bool:
-    """True iff M^d = 0 for a d x d rational matrix (exact powering of the
-    integer-scaled matrix, which is nilpotent iff M is)."""
-    if not mat.is_square():
-        raise ValueError("nilpotency is defined for square matrices only")
-    if mat.nrows == 0:
-        return True
-    flat, _ = scale_to_integers(mat.flat())
-    d = mat.nrows
-    return int_is_nilpotent([flat[i * d:(i + 1) * d] for i in range(d)])
+# -- maps --------------------------------------------------------------------
 
 
 def int_is_nilpotent(rows: list[list[int]]) -> bool:
-    """True iff M^d = 0 for a nonempty d x d integer matrix, by repeated squaring."""
+    """True iff M^d = 0 for a nonempty d x d dense integer matrix, by
+    repeated squaring. A matrix that is not square raises ValueError."""
     d = len(rows)
+    if any(len(row) != d for row in rows):
+        raise ValueError("nilpotency is defined for square matrices only")
     power = rows
     e = 1
     while True:
@@ -258,10 +167,9 @@ def int_is_nilpotent(rows: list[list[int]]) -> bool:
 
 
 def sparse_inverse(rows: Sequence) -> tuple:
-    """The inverse of an invertible d x d rational matrix, given and returned
-    as its d sparse rows: row a lists the nonzero ``(i, c)`` of row a, sorted
-    by i, c an int or Fraction (a Fraction on return). Raises ValueError on
-    singular input.
+    """The inverse of an invertible d x d rational map, given and returned
+    as its d sparse rows (``Fraction`` entries on return). Raises ValueError
+    on singular input.
 
     Each row of [T | I] is scaled to integers on its own, and one reduction
     of their span gives [I | T^-1] when T is invertible, since the pivots

@@ -405,17 +405,18 @@ class Poly:
 
 
 def linear_form_rows(polys: Iterable[Poly], names: Sequence[str]) -> list:
-    """Coefficient rows of linear forms: row k holds at column j the
-    coefficient of ``names[j]`` in the k-th polynomial. A term whose degree
-    is not 1 (a constant, a product) raises ValueError."""
+    """Coefficient rows of linear forms, sparse: row k lists the ``(j, c)``
+    with c the nonzero coefficient of ``names[j]`` in the k-th polynomial,
+    sorted by j. A term whose degree is not 1 (a constant, a product) raises
+    ValueError."""
     pos = {name: j for j, name in enumerate(names)}
     rows = []
     for poly in polys:
-        row = [Fraction(0)] * len(names)
         ring_names = poly.ring.names
+        row = []
         for mono, c in poly._terms.items():
             if len(mono) != 1:
                 raise ValueError(f"not a linear form: {poly}")
-            row[pos[ring_names[mono[0]]]] += c
-        rows.append(row)
+            row.append((pos[ring_names[mono[0]]], c))
+        rows.append(tuple(sorted(row)))
     return rows

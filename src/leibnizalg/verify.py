@@ -76,7 +76,7 @@ from .families import (
     make_SolvB,
     solvable_x_rows,
 )
-from .linalg import Matrix, nullspace, scale_to_integers
+from .linalg import dense_row, is_upper_triangular, nullspace, scale_to_integers
 from .poly import Poly, PolyRing, linear_form_rows
 
 MAX_N = 12
@@ -282,7 +282,7 @@ def annihilator_zeroing_emerged(problem, outcome) -> bool:
     """The right-annihilator facts must force [x,e_i] = 0 for every basis
     vector of the structural span: the solver has to derive it, not assume."""
     d = problem.nilradical.dim
-    span = Subspace(d, problem.annihilator_span)
+    span = Subspace.from_rows(problem.annihilator_span, d)
     res = resolved_assignments(outcome)
     for i in range(2, d):
         if not span.contains(problem.nilradical.basis_vector(i)):
@@ -466,7 +466,7 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     for k in range(2, top):
         row1 = list(zero)
         row1[k] = 1
-        if is_derivation(nil, Matrix(solvable_x_rows(variant, n, nil.table, zero, row1))):
+        if is_derivation(nil, solvable_x_rows(variant, n, nil.table, zero, row1)):
             admitted.append(k)
     return {k: small_rational(rng, 8) for k in admitted}
 
@@ -479,13 +479,15 @@ def _derivation_form(alg: Algebra):
     the errors in the opening every stated form shares: upper triangular
     with a zero (1,0) entry."""
     space = derivation_space(alg)
-    T = space.generic_matrix()
+    ring = space.ring()
+    rows = space.generic_matrix(ring)
     errs = []
-    if not T.is_upper_triangular():
+    if not is_upper_triangular(rows):
         errs.append("not upper triangular")
-    if T.rows[1][0]:
+    T = tuple(dense_row(row, alg.dim, ring.zero) for row in rows)  # the transcriptions index T[i][j]
+    if T[1][0]:
         errs.append("entry (1,0)")
-    return space, T.rows, errs
+    return space, T, errs
 
 
 def _stated_count(names: Sequence[str], relations: Callable) -> int:

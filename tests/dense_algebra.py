@@ -1,23 +1,41 @@
 """Dense references for the tests.
 
-The library stores an algebra only as its sparse product table. These helpers
-give the tests the d x d x d structure tensor ``tensor[i][j][k]`` (the
-coefficient of e_k in [e_i, e_j]) in both directions, the plain ``Fraction``
-matrix action, product and zero test that the oracles compare the
-integer-scaled library routines against, the matrix arithmetic the tests use
-to combine derivations, the conversion between a dense ``Matrix`` and the
-sparse rows of a basis change, and the per-triple Leibniz defect that the
-library's sparse walk is compared against. The derivation space from dense
-``Fraction`` rows of the derivation equation, the annihilator span from
-dense brackets, and the constraint equations from dense unit vectors through
-a bracket loop are the references for the sparse constructions of the
-extension problem.
+The library stores an algebra only as its sparse product table, and a linear
+map only as the tuple of its sparse rows. These helpers give the tests the
+d x d x d structure tensor ``tensor[i][j][k]`` (the coefficient of e_k in
+[e_i, e_j]) in both directions, a dense ``Matrix`` with the plain
+``Fraction`` (or ``Poly``) action, product, zero test and nilpotency test
+that the oracles compare the integer-scaled library routines against, the
+matrix arithmetic the tests use to combine derivations, the conversion
+between dense vectors or matrices and sparse rows, and the per-triple
+Leibniz defect that the library's sparse walk is compared against. The
+derivation space from dense ``Fraction`` rows of the derivation equation,
+the annihilator span from dense brackets, and the constraint equations from
+dense unit vectors through a bracket loop are the references for the sparse
+constructions of the extension problem.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from leibnizalg.algebra import Algebra, algebra_from_products, product_table
-from leibnizalg.linalg import Matrix, nullspace, rref
+from leibnizalg.linalg import nullspace, rref, scale_to_integers
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """A dense rectangular matrix: a tuple of equal-length rows of
+    Fractions or Polys."""
+
+    rows: tuple
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.rows[0]) if self.rows else 0
 
 
 def dense(alg: Algebra) -> tuple:
@@ -42,18 +60,23 @@ def mat_identity(n: int) -> Matrix:
     return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
 
-def sparse_rows(mat: Matrix) -> tuple:
-    """The basis-change form of ``mat``: row a lists the nonzero (i, c) of
-    its row a, sorted by i."""
-    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in mat.rows)
+def sparse(vec) -> tuple:
+    """The sparse row of a dense vector: its nonzero (i, c), sorted by i."""
+    return tuple((i, c) for i, c in enumerate(vec) if c)
 
 
-def dense_matrix(rows, d: int) -> Matrix:
-    """The d x d matrix of sparse rows."""
-    out = [[Fraction(0)] * d for _ in rows]
+def sparse_rows(mat) -> tuple:
+    """The library's form of a dense matrix (a ``Matrix`` or a sequence of
+    rows): row a lists the nonzero (i, c) of its row a, sorted by i."""
+    return tuple(map(sparse, mat.rows if isinstance(mat, Matrix) else mat))
+
+
+def dense_matrix(rows, d: int, zero=Fraction(0)) -> Matrix:
+    """The d-column matrix of sparse rows, ``zero`` in the gaps."""
+    out = [[zero] * d for _ in rows]
     for a, row in enumerate(rows):
         for i, c in row:
-            out[a][i] = Fraction(c)
+            out[a][i] = c
     return Matrix(tuple(tuple(r) for r in out))
 
 
@@ -89,6 +112,21 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)))
+
+
+def mat_is_nilpotent(mat: Matrix) -> bool:
+    """M^d == 0 for a d x d Fraction matrix, by powering in Fractions."""
+    power = mat_identity(mat.nrows)
+    for _ in range(mat.nrows):
+        power = mat_mul(power, mat)
+    return mat_is_zero(power)
+
+
+def mat_int_rows(mat: Matrix) -> list:
+    """The rows of a Fraction matrix times the common denominator of its
+    entries, as lists of ints."""
+    ints, _ = scale_to_integers([e for row in mat.rows for e in row])
+    return [ints[a * mat.ncols:(a + 1) * mat.ncols] for a in range(mat.nrows)]
 
 
 def leibniz_defect(prods, i: int, j: int, k: int, zero) -> list:
@@ -147,8 +185,8 @@ def derivation_equations(alg: Algebra):
 
 def dense_derivation_space(alg: Algebra) -> tuple:
     """(basis, param_names) of the derivation space from dense d^2-entry
-    Fraction rows of the derivation equation and ``linalg.nullspace``; each
-    basis matrix is named ``tRRcCC`` after its leading entry."""
+    Fraction rows of the derivation equation and ``linalg.nullspace``, each
+    basis map in sparse rows and named ``tRRcCC`` after its leading entry."""
     d = alg.dim
     rows = []
     for lhs, rhs in derivation_equations(alg):
@@ -159,8 +197,8 @@ def dense_derivation_space(alg: Algebra) -> tuple:
             row[idx] -= c
         if any(row):
             rows.append(row)
-    vecs = nullspace(rows, d * d)
-    basis = tuple(Matrix(tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))) for v in vecs)
+    vecs = dense_matrix(nullspace(map(sparse, rows), d * d), d * d).rows
+    basis = tuple(tuple(sparse(v[i * d:(i + 1) * d]) for i in range(d)) for v in vecs)
     names = []
     for vec in vecs:
         lead = next(i for i, c in enumerate(vec) if c)
@@ -173,7 +211,7 @@ def dense_annihilator_span(alg: Algebra) -> tuple:
     bracket read off the structure tensor."""
     t, d = dense(alg), alg.dim
     vecs = [[t[i][j][k] + t[j][i][k] for k in range(d)] for i in range(d) for j in range(i, d)]
-    return rref(vecs, d)[0]
+    return rref(map(sparse, vecs))[0]
 
 
 def table_bracket(prods, u, v, zero) -> list:
@@ -204,7 +242,7 @@ def dense_constraints(problem, hypotheses=()) -> tuple:
     zero = ring.zero
     products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
     for i in range(d):
-        products[i, d] = enumerate(problem.template.rows[i])
+        products[i, d] = problem.template[i]
         products[d, i] = enumerate(problem.unknown_rows[i])
     products[d, d] = enumerate(problem.square_row)
     table = product_table(products, m)

@@ -8,13 +8,13 @@ from leibnizalg.derivations import (
     inner_derivations,
     is_derivation,
     max_nil_independent,
-    outer_dimension,
     right_multiplication,
 )
 from leibnizalg.families import make_F1, make_F1s, make_F2, make_F3, make_Qn
-from leibnizalg.linalg import matrix_is_nilpotent, rref
+from leibnizalg.linalg import rref
 
-from dense_algebra import dense, from_dense, mat_add, mat_identity, mat_mul, mat_scaled, mat_sub, mat_zeros
+from dense_algebra import (dense, dense_matrix, from_dense, mat_add, mat_identity, mat_is_nilpotent, mat_mul,
+                           mat_scaled, mat_sub, mat_zeros, sparse_rows)
 
 
 def abelian(d):
@@ -38,7 +38,7 @@ def test_right_multiplications_are_derivations():
 
 def test_identity_matrix_is_not_a_derivation():
     a = make_F1(5, {}, 1)
-    assert not is_derivation(a, mat_identity(a.dim))
+    assert not is_derivation(a, sparse_rows(mat_identity(a.dim)))
 
 
 def test_prop_template_instance_on_f1s():
@@ -49,26 +49,35 @@ def test_prop_template_instance_on_f1s():
     # solve for the basis combination with entry (0,0) = 1, (0,1) = 1,
     # remaining free coordinates zero: use the canonical basis directly
     combo = None
-    for mat in space.basis:
+    for mat in (dense_matrix(m, a.dim) for m in space.basis):
         if mat.rows[0][0]:
             combo = mat_scaled(mat, Fraction(1) / mat.rows[0][0])
             break
     assert combo is not None
     assert combo.rows[0][1] == 1  # a_1 = (s-2) a_0 forced
-    assert is_derivation(a, combo)
-    assert not matrix_is_nilpotent(combo)
+    assert is_derivation(a, sparse_rows(combo))
+    assert not mat_is_nilpotent(combo)
 
 
 def test_wrong_size_matrix_rejected():
-    with pytest.raises(ValueError):
-        is_derivation(make_F1(5, {}, 1), mat_identity(3))
+    with pytest.raises(ValueError, match="rows"):
+        is_derivation(make_F1(5, {}, 1), sparse_rows(mat_identity(3)))
+
+
+@pytest.mark.parametrize("column", [6, 7, -1, -6])
+def test_column_outside_the_map_rejected(column):
+    """A negative column would otherwise index from the end."""
+    rows = list(sparse_rows(mat_identity(6)))
+    rows[2] = ((column, 1),)
+    with pytest.raises(ValueError, match="out of range"):
+        is_derivation(make_F1(5, {}, 1), tuple(rows))
 
 
 def test_inner_derivations_f1():
     a = make_F1(5, {}, 1)
     inner = inner_derivations(a)
     assert inner.dimension == 2  # dim - dim Ann_r = 6 - 4
-    assert outer_dimension(a) == 4
+    assert derivation_space(a).dimension - inner.dimension == 4
 
 
 def test_inner_derivations_abelian_zero():
@@ -84,19 +93,24 @@ def test_inner_contained_in_derivation_space():
         space = derivation_space(alg)
         inner = inner_derivations(alg)
         d = alg.dim
-        span = [m.flat() for m in space.basis]
-        base_rank = len(rref(span, d * d)[1])
+
+        def flat(m):
+            return tuple((i * d + k, c) for i, row in enumerate(m) for k, c in row)
+
+        span = [flat(m) for m in space.basis]
+        base_rank = len(rref(span)[1])
         for m in inner.basis:
-            assert len(rref(span + [m.flat()], d * d)[1]) == base_rank
+            assert len(rref(span + [flat(m)])[1]) == base_rank
 
 
 def test_derivation_space_closed_under_commutator():
     for alg in (make_F1s(6, 3), make_F2(5, {}, 1), make_F3(5, 1, 0, 0, 1)):
         space = derivation_space(alg)
-        for m1 in space.basis[:4]:
-            for m2 in space.basis[:4]:
+        basis = [dense_matrix(m, alg.dim) for m in space.basis[:4]]
+        for m1 in basis:
+            for m2 in basis:
                 comm = mat_sub(mat_mul(m1, m2), mat_mul(m2, m1))
-                assert is_derivation(alg, comm)
+                assert is_derivation(alg, sparse_rows(comm))
 
 
 def test_right_multiplication_anti_homomorphism():
@@ -109,7 +123,7 @@ def test_right_multiplication_anti_homomorphism():
         t = dense(alg)
         for i in range(d):
             for j in range(d):
-                rx, ry = right_multiplication(alg, i), right_multiplication(alg, j)
+                rx, ry = (dense_matrix(right_multiplication(alg, k), d) for k in (i, j))
                 lhs = mat_sub(mat_mul(rx, ry), mat_mul(ry, rx))
                 w = bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
                 rows = []
@@ -148,14 +162,15 @@ def test_characteristically_nilpotent_detector():
     for _ in range(16):
         combo = mat_zeros(a.dim, a.dim)
         for mat in space.basis:
-            combo = mat_add(combo, mat_scaled(mat, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
-        assert matrix_is_nilpotent(combo)
+            weight = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            combo = mat_add(combo, mat_scaled(dense_matrix(mat, a.dim), weight))
+        assert mat_is_nilpotent(combo)
 
 
 def test_nonzero_count_iff_some_non_nilpotent():
     space = derivation_space(make_F1(5, {}, 1))
     assert max_nil_independent(space) > 0
-    assert any(not matrix_is_nilpotent(m) for m in space.basis)
+    assert any(not mat_is_nilpotent(dense_matrix(m, 6)) for m in space.basis)
 
 
 def test_naive_brute_force_oracle_matches():

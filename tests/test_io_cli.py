@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,8 @@ from leibnizalg.families import FamilySpec, make_F1, make_L2, make_family
 from leibnizalg.verify import SCENARIOS
 
 from dense_algebra import dense
+
+GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 
 
 def test_round_trip_identity():
@@ -184,6 +187,36 @@ def test_cli_verify_all_without_admissible_n_exits_2(capsys, n, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no admissible n" in captured.err
+
+
+def test_cli_verify_range_is_clipped_at_max_n(capsys):
+    """No n above MAX_N is admissible, so the upper end of a range costs
+    nothing: the range stops at MAX_N before any scenario is consulted."""
+    started = time.perf_counter()
+    assert main(["verify", "all", "--n", f"13..{10**12}"]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no admissible n" in captured.err
+    assert main(["verify", "prop34-shape", "--n", f"11..{10**12}", "--format", "machine"]) == 0
+    clipped = capsys.readouterr().out
+    assert main(["verify", "prop34-shape", "--n", "11..12", "--format", "machine"]) == 0
+    assert clipped == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, params, command, golden", [
+    ("F2", "gamma=1", ["derive", "--nil-independent"], "derive-F2-n5-gamma1-nil-independent.txt"),
+    ("F1", "theta=1", ["extend", "--format", "machine"], "extend-F1-n5-theta1-machine.txt"),
+    ("F2", "gamma=1", ["extend", "--hypotheses", "a0=1", "--format", "machine"],
+     "extend-F2-n5-gamma1-a0-machine.txt"),
+])
+def test_cli_stdout_matches_the_pinned_output(tmp_path, capsys, family, params, command, golden):
+    """The exact stdout of ``derive`` (the basis maps printed in full) and
+    ``extend`` on a family member at n = 5, as recorded in ``golden_cli/``
+    while the derivation basis and the template were still dense matrices."""
+    out = tmp_path / "alg.json"
+    assert main(["family", family, "--n", "5", "--params", params, "--out", str(out)]) == 0
+    assert main([command[0], str(out), *command[1:]]) == 0
+    assert capsys.readouterr().out == (GOLDEN_CLI / golden).read_text(encoding="utf-8")
 
 
 def test_cli_verify_machine_format_deterministic(capsys):

@@ -6,19 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from leibnizalg.algebra import Subspace
 from leibnizalg.linalg import (
-    Matrix,
     binomial,
-    matrix_is_nilpotent,
+    dense_row,
+    int_is_nilpotent,
     nullspace,
     rank,
     rref,
     scale_to_integers,
-    solve_linear_system,
     sparse_inverse,
 )
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import dense_matrix, mat_identity, mat_mul, mat_scaled, sparse_rows
+from dense_algebra import Matrix, dense_matrix, mat_identity, mat_int_rows, mat_mul, mat_scaled, sparse_rows
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -54,32 +53,18 @@ def oracle_rref(rows, ncols):
 def test_rref_matches_textbook_oracle(rows):
     rows = frac_rows(rows)
     ncols = len(rows[0])
-    got_rows, got_piv = rref(rows, ncols)
+    got_rows, got_piv = rref(sparse_rows(rows))
     want_rows, want_piv = oracle_rref([r for r in rows if any(r)], ncols)
     assert got_piv == want_piv
-    assert got_rows == want_rows
+    assert got_rows == sparse_rows(want_rows)
 
 
 def test_solve_identity_case():
-    sol = solve_linear_system(frac_rows([[1, 0], [0, 1]]), [Fraction(0), Fraction(0)])
-    assert sol.particular == (0, 0)
-    assert sol.nullspace == ()
+    assert nullspace(sparse_rows(frac_rows([[1, 0], [0, 1]])), 2) == ()
 
 
 def test_solve_one_equation_two_unknowns():
-    sol = solve_linear_system(frac_rows([[1, 1]]), [Fraction(0)])
-    assert sol.particular == (0, 0)
-    assert sol.nullspace == ((Fraction(1), Fraction(-1)),)
-
-
-def test_solve_inconsistent():
-    sol = solve_linear_system(frac_rows([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)])
-    assert sol.particular is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_linear_system(frac_rows([[1, 0]]), [Fraction(1), Fraction(2)])
+    assert nullspace(sparse_rows(frac_rows([[1, 1]])), 2) == (((0, Fraction(1)), (1, Fraction(-1))),)
 
 
 def test_derivation_system_solution_count_matches_hand_count():
@@ -92,48 +77,73 @@ def test_derivation_system_solution_count_matches_hand_count():
 
 
 @given(st.lists(st.lists(rationals, min_size=1, max_size=5), min_size=1, max_size=6)
-       .filter(lambda rows: len({len(r) for r in rows}) == 1),
-       st.lists(rationals, min_size=1, max_size=6))
+       .filter(lambda rows: len({len(r) for r in rows}) == 1))
 @settings(max_examples=80, deadline=None)
-def test_solution_invariants(rows, b):
+def test_solution_invariants(rows):
+    """Every nullspace vector solves the homogeneous system, and there are
+    ncols - rank of them."""
     rows = frac_rows(rows)
-    b = [Fraction(x) for x in b[: len(rows)]]
-    if len(b) != len(rows):
-        b = b + [Fraction(0)] * (len(rows) - len(b))
-    sol = solve_linear_system(rows, b)
     ncols = len(rows[0])
-    for v in sol.nullspace:
-        assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in rows)
-    if sol.particular is not None:
-        for row, rhs in zip(rows, b):
-            assert sum(row[j] * sol.particular[j] for j in range(ncols)) == rhs
+    ns = nullspace(sparse_rows(rows), ncols)
+    for v in ns:
+        assert all(sum(row[j] * c for j, c in v) == 0 for row in rows)
+    assert len(ns) == ncols - rank(sparse_rows(rows))
 
 
 def test_nullspace_basis_is_linearly_independent():
     rows = frac_rows([[1, 2, 3, 4], [2, 4, 6, 8]])
-    ns = nullspace(rows, 4)
+    ns = nullspace(sparse_rows(rows), 4)
     assert len(ns) == 3
-    assert len(rref(list(ns), 4)[1]) == 3
+    assert len(rref(ns)[1]) == 3
+
+
+@st.composite
+def sparse_rational_rows(draw):
+    """Sparse rows given directly, unsorted: Fraction and int entries with
+    mixed denominators, empty rows, and repeated rows."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-9, 9), rationals).filter(bool)
+    rows = [tuple(draw(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=3)).items())
+            for _ in range(draw(st.integers(0, 6)))]
+    rows += [()] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), ncols
+
+
+@given(sparse_rational_rows())
+@example(([], 3))
+@example(([(), ()], 2))
+@settings(max_examples=200, deadline=None)
+def test_sparse_rows_reduce_like_their_dense_matrix(case):
+    rows, ncols = case
+    dense_rows = [[Fraction(x) for x in dense_row(r, ncols)] for r in rows]
+    want_rows, want_piv = oracle_rref([r for r in dense_rows if any(r)], ncols)
+    got_rows, got_piv = rref(rows)
+    assert (got_rows, got_piv) == (sparse_rows(want_rows), want_piv)
+    assert rank(rows) == len(want_piv)
+    ns = nullspace(rows, ncols)
+    assert len(ns) == ncols - len(want_piv)
+    for v in ns:
+        assert all(sum(row[j] * c for j, c in v) == 0 for row in dense_rows)
+    assert rref(ns) == (ns, tuple(v[0][0] for v in ns))
 
 
 def test_nilpotent_strictly_upper_triangular():
-    m = Matrix(tuple(tuple(Fraction(1 if j > i else 0) for j in range(4)) for i in range(4)))
-    assert matrix_is_nilpotent(m)
+    assert int_is_nilpotent([[1 if j > i else 0 for j in range(4)] for i in range(4)])
 
 
 def test_nilpotent_identity_false():
-    assert not matrix_is_nilpotent(mat_identity(3))
+    assert not int_is_nilpotent(mat_int_rows(mat_identity(3)))
 
 
 def test_nilpotent_nonzero_diagonal_false():
-    d = [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
-    m = Matrix(tuple(tuple(d[i] if i == j else Fraction(0) for j in range(4)) for i in range(4)))
-    assert not matrix_is_nilpotent(m)
+    assert not int_is_nilpotent([[int(i == j and i > 0) for j in range(4)] for i in range(4)])
 
 
 def test_nilpotent_requires_square():
     with pytest.raises(ValueError):
-        matrix_is_nilpotent(Matrix(((Fraction(1), Fraction(0)),)))
+        int_is_nilpotent([[1, 0]])
 
 
 @given(st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=7))
@@ -143,7 +153,7 @@ def test_nilpotency_scale_invariance(num, den):
     m = Matrix(((Fraction(0), Fraction(2), Fraction(-3)),
                 (Fraction(0), Fraction(0), Fraction(5)),
                 (Fraction(0), Fraction(0), Fraction(0))))
-    assert matrix_is_nilpotent(mat_scaled(m, c))
+    assert int_is_nilpotent(mat_int_rows(mat_scaled(m, c)))
 
 
 def test_binomial_values():
@@ -194,16 +204,16 @@ def test_rref_matches_sympy_on_sparse_integer_matrices(case):
     sympy = pytest.importorskip("sympy")
     rows, ncols = case
     want, want_piv = sympy.Matrix(rows).rref()
-    got_rows, got_piv = rref(frac_rows(rows), ncols)
+    got_rows, got_piv = rref(sparse_rows(rows))
     assert got_piv == tuple(want_piv)
-    assert got_rows == tuple(tuple(Fraction(int(x.p), int(x.q)) for x in want.row(t))
-                             for t in range(len(want_piv)))
+    assert got_rows == sparse_rows([[Fraction(int(x.p), int(x.q)) for x in want.row(t)]
+                                    for t in range(len(want_piv))])
     # nullspace reduces once, with the columns reversed: its basis must be
     # the RREF of sympy's kernel basis
     kernel = sympy.Matrix(rows).nullspace()
     want_ns = sympy.Matrix.hstack(*kernel).T.rref()[0] if kernel else sympy.zeros(0, ncols)
-    assert nullspace(frac_rows(rows), ncols) == tuple(
-        tuple(Fraction(int(x.p), int(x.q)) for x in want_ns.row(t)) for t in range(want_ns.rows))
+    assert nullspace(sparse_rows(rows), ncols) == sparse_rows(
+        [[Fraction(int(x.p), int(x.q)) for x in want_ns.row(t)] for t in range(want_ns.rows)])
 
 
 def test_inverse_singular_raises():
@@ -219,12 +229,13 @@ def test_non_rational_entries_raise_type_error(bad):
     silently."""
     name = type(bad).__name__
     rows = [[Fraction(1, 2), bad], [Fraction(1), Fraction(0)]]
+    entries = [tuple(enumerate(r)) for r in rows]  # a zero entry is checked too
     calls = [
-        lambda: rref(rows, 2),
-        lambda: rank(rows, 2),
-        lambda: nullspace(rows, 2),
+        lambda: rref(entries),
+        lambda: rank(entries),
+        lambda: nullspace(entries, 2),
+        lambda: sparse_inverse(entries),
         lambda: Subspace.span(rows, 2),
-        lambda: matrix_is_nilpotent(Matrix(tuple(tuple(r) for r in rows))),
     ]
     for call in calls:
         with pytest.raises(TypeError, match=name):

@@ -13,7 +13,7 @@ with the dense triple loop, which covers elimination and back-substitution
 without the library's own Leibniz check.
 
 The library evaluates ``leibniz_check``, ``is_lie``, ``apply_basis_change``
-and ``matrix_is_nilpotent`` on integers scaled to a common denominator;
+and ``int_is_nilpotent`` on integers scaled to a common denominator;
 Hypothesis checks each against a test-local ``Fraction`` reference on random
 rational inputs with mixed denominators. ``apply_basis_change`` walks only
 nonzero entries, so it is also checked on mostly-zero matrices and on the
@@ -49,12 +49,13 @@ from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change,
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
-from leibnizalg.linalg import Matrix, matrix_is_nilpotent, sparse_inverse
+from leibnizalg.linalg import int_is_nilpotent, sparse_inverse
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
-from dense_algebra import (dense, dense_annihilator_span, dense_constraints, dense_derivation_space, dense_matrix,
-                           from_dense, mat_apply, mat_identity, mat_is_zero, mat_mul, mat_zeros, sparse_rows)
+from dense_algebra import (Matrix, dense, dense_annihilator_span, dense_constraints, dense_derivation_space,
+                           dense_matrix, from_dense, mat_apply, mat_identity, mat_int_rows, mat_is_nilpotent, mat_mul,
+                           mat_zeros, sparse_rows)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -150,12 +151,12 @@ def test_is_derivation_matches_brute_force():
     verdicts = set()
     for alg in sample_algebras():
         space = derivation_space(alg)
-        candidates = list(space.basis)
-        candidates += [perturbed(m, rng) for m in space.basis]
+        candidates = [dense_matrix(m, alg.dim) for m in space.basis]
+        candidates += [perturbed(m, rng) for m in candidates]
         candidates += [perturbed(mat_zeros(alg.dim, alg.dim), rng) for _ in range(3)]
         candidates.append(mat_identity(alg.dim))
         for mat in candidates:
-            got = is_derivation(alg, mat)
+            got = is_derivation(alg, sparse_rows(mat))
             assert got == brute_force_is_derivation(alg, mat)
             verdicts.add(got)
         for mat in space.basis:
@@ -173,12 +174,13 @@ def test_symbolic_is_derivation_matches_brute_force():
         ring = space.ring()
         generic = space.generic_matrix(ring)
         assert is_derivation(alg, generic)
-        assert brute_force_is_derivation(alg, generic)
-        rows = [list(r) for r in generic.rows]
+        dense_generic = dense_matrix(generic, alg.dim, ring.zero)
+        assert brute_force_is_derivation(alg, dense_generic)
+        rows = [list(r) for r in dense_generic.rows]
         i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
         rows[i][j] = rows[i][j] + ring.var(space.param_names[0]) * Fraction(1, 2) + 1
         off = Matrix(tuple(tuple(r) for r in rows))
-        got = is_derivation(alg, off)
+        got = is_derivation(alg, sparse_rows(off))
         assert got == brute_force_is_derivation(alg, off)
         verdicts.add(got)
     assert False in verdicts
@@ -220,13 +222,13 @@ def candidate_matrices(draw, alg: Algebra) -> Matrix:
         rows = [[0] * d for _ in range(d)]
         for mat in space.basis:
             w = draw(small_entries)
-            for i in range(d):
-                for j in range(d):
-                    rows[i][j] += w * mat.rows[i][j]
+            for i, row in enumerate(mat):
+                for j, c in row:
+                    rows[i][j] += w * c
         bump = draw(nonzero_rationals)
     else:
         ring = PolyRing(space.param_names + ("s",))
-        rows = [list(r) for r in space.generic_matrix(ring).rows]
+        rows = [list(r) for r in dense_matrix(space.generic_matrix(ring), d, ring.zero).rows]
         bump = ring.var("s") * draw(small_entries) + draw(nonzero_rationals)
     i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
     if draw(st.booleans()):
@@ -238,11 +240,13 @@ def candidate_matrices(draw, alg: Algebra) -> Matrix:
 @settings(max_examples=200, deadline=None)
 def test_sparse_is_derivation_matches_brute_force(alg, data):
     mat = data.draw(candidate_matrices(alg))
-    assert is_derivation(alg, mat) == brute_force_is_derivation(alg, mat)
+    assert is_derivation(alg, sparse_rows(mat)) == brute_force_is_derivation(alg, mat)
     d = alg.dim
-    for rows, cols in ((d + 1, d), (d, d + 1), (d - 1, d - 1)):
+    # a wrong row count; a column past the end or negative in the last row
+    for rows in (((),) * (d + 1), ((),) * (d - 1), ((),) * (d - 1) + (((d, 1),),),
+                 ((),) * (d - 1) + (((-1, 1),),)):
         with pytest.raises(ValueError):
-            is_derivation(alg, Matrix(tuple((0,) * cols for _ in range(rows))))
+            is_derivation(alg, rows)
 
 
 # -- the elimination ------------------------------------------------------------------------
@@ -451,7 +455,7 @@ def test_sparse_inverse_of_permuted_triangular_matrices(d, data):
         a, b = data.draw(nonzero_rationals), data.draw(nonzero_rationals)
         rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
     with pytest.raises(ValueError, match="singular"):
-        sparse_inverse(sparse_rows(Matrix(tuple(tuple(r) for r in rows))))
+        sparse_inverse(sparse_rows(rows))
 
 
 SOLVABLE_MEMBERS = (
@@ -511,13 +515,6 @@ def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
     assert dense(chain_restore(moved, n, variant)) == fraction_basis_change(moved, restore)
 
 
-def fraction_is_nilpotent(mat: Matrix) -> bool:
-    power = mat_identity(mat.nrows)
-    for _ in range(mat.nrows):
-        power = mat_mul(power, mat)
-    return mat_is_zero(power)
-
-
 @given(st.integers(1, 5), st.data())
 @settings(max_examples=120, deadline=None)
 def test_matrix_is_nilpotent_matches_fraction_reference(d, data):
@@ -535,7 +532,7 @@ def test_matrix_is_nilpotent_matches_fraction_reference(d, data):
             mat = Matrix(tuple(tuple(r) for r in rows))
     else:
         mat = Matrix(tuple(tuple(data.draw(entry) for _ in range(d)) for _ in range(d)))
-    assert matrix_is_nilpotent(mat) == fraction_is_nilpotent(mat)
+    assert int_is_nilpotent(mat_int_rows(mat)) == mat_is_nilpotent(mat)
 
 
 # -- the derivation space against sympy ---------------------------------------------------
@@ -584,7 +581,7 @@ def test_derivation_space_matches_sympy_nullspace(spec):
                     row[j * d + k] -= t[i][k][m]
                 rows.append([q(Fraction(c)) for c in row])
     want = sympy.Matrix(rows).nullspace()
-    got = [[q(c) for c in mat.flat()] for mat in derivation_space(alg).basis]
+    got = [[q(c) for row in dense_matrix(mat, d).rows for c in row] for mat in derivation_space(alg).basis]
     assert len(got) == len(want)
     if want:
         span_want = sympy.Matrix.hstack(*want).T.rref()[0]
@@ -739,11 +736,10 @@ def extension_cases(draw, case):
         if space.basis:
             weights[0] = weights[0] + draw(non_integral)
         for w, mat in zip(weights, space.basis):
-            for i in range(d):
-                for j in range(d):
-                    if mat.rows[i][j]:
-                        rows[i][j] = rows[i][j] + w * mat.rows[i][j]
-        problem = build_extension_problem(alg, template=Matrix(tuple(tuple(r) for r in rows)))
+            for i, row in enumerate(mat):
+                for j, c in row:
+                    rows[i][j] = rows[i][j] + w * c
+        problem = build_extension_problem(alg, template=sparse_rows(rows))
     hypotheses = []
     if case == "hypotheses":
         ring = problem.ring
