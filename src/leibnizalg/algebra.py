@@ -2,8 +2,11 @@
 
 An :class:`Algebra` over exact rationals on a fixed ordered basis is stored
 as its sparse product table ``table[i][j] = ((k, c), ...)``: the nonzero
-coordinates of [b_i, b_j], sorted by k, each c a Fraction. All operations are
-pure; algebras are immutable once built.
+coordinates of [b_i, b_j], sorted by k, each c a Fraction. A vector has the
+same sparse-row form as a table cell, its nonzero ``(k, c)`` sorted by k:
+:func:`bracket` takes and returns it for any scalar, and a :class:`Subspace`
+holds the canonical RREF rows of :func:`~leibnizalg.linalg.rref`. All
+operations are pure; algebras are immutable once built.
 
 :func:`product_table` builds such a table from a ``{(i, j): [(k, c), ...]}``
 map for any scalar type. :func:`leibniz_defects` is one walk over the
@@ -24,9 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .linalg import dense_row, nullspace, rref, scale_to_integers, to_fraction
-
-Vector = tuple
+from .linalg import nullspace, rref, scale_to_integers, to_fraction
 
 _ZERO = Fraction(0)
 
@@ -141,9 +142,6 @@ class Algebra:
         so equality, hashing and ``repr`` ignore it."""
         return int_table(self.table)
 
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         """Coefficient of b_k in [b_i, b_j]."""
         for m, c in self.table[i][j]:
@@ -168,20 +166,25 @@ def algebra_from_products(
     return Algebra(tuple(labels), product_table(rational, len(labels)), metadata)
 
 
-def bracket(alg: Algebra, u: Sequence, v: Sequence) -> Vector:
-    """Bilinear product of coordinate vectors."""
-    d = alg.dim
-    if len(u) != d or len(v) != d:
-        raise ValueError(f"vectors must have length {d}")
-    out = [_ZERO] * d
-    for ui, row in zip(u, alg.table):
-        if ui:
-            for vj, cell in zip(v, row):
-                if vj:
-                    uv = ui * vj
-                    for k, c in cell:
-                        out[k] += uv * c
-    return tuple(out)
+def bracket(prods: Sequence, u: Sequence, v: Sequence) -> tuple:
+    """The sparse row of [u, v] for sparse rows u and v (sorted by
+    coordinate) over the product table ``prods``: an :attr:`Algebra.table`,
+    or a :func:`product_table` of any scalar with ``+``, ``*`` and a truth
+    value. A coordinate outside range(d) raises ValueError."""
+    d = len(prods)
+    if u and not (0 <= u[0][0] and u[-1][0] < d) or v and not (0 <= v[0][0] and v[-1][0] < d):
+        raise ValueError(f"coordinate outside range({d})")
+    out = {}
+    for i, ui in u:
+        plane = prods[i]
+        for j, vj in v:
+            cell = plane[j]
+            if cell:
+                uv = ui * vj
+                for k, c in cell:
+                    t = uv * c
+                    out[k] = out[k] + t if k in out else t
+    return tuple((k, c) for k, c in sorted(out.items()) if c)
 
 
 @dataclass(frozen=True)
@@ -225,33 +228,20 @@ def is_lie(alg: Algebra) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of the coordinate space, stored with a canonical RREF basis
-    of dense coordinate vectors: the one place where dense vectors turn into
-    the sparse rows of :mod:`~leibnizalg.linalg` (every entry passed, so a
-    non-rational zero still raises TypeError) and back."""
+    """Subspace of the coordinate space, stored with a canonical RREF basis:
+    sparse rows, each with leading coefficient 1, as :func:`~leibnizalg.linalg.rref`
+    returns them."""
 
     ambient: int
-    basis: tuple  # dense rows in RREF, leading coefficient 1
-
-    @classmethod
-    def from_rows(cls, rows: Sequence, ambient: int) -> "Subspace":
-        """The subspace with the canonical RREF basis ``rows``, given as
-        sparse rows."""
-        return cls(ambient, tuple(dense_row(row, ambient) for row in rows))
+    basis: tuple  # sparse rows in RREF, leading coefficient 1
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient: int) -> "Subspace":
-        vecs = [tuple(enumerate(v)) for v in vectors if any(v)]
-        if not vecs:
-            return cls(ambient, ())
-        return cls.from_rows(rref(vecs)[0], ambient)
+        return cls(ambient, rref(vectors)[0])
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        rows = tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(ambient)) for i in range(ambient)
-        )
-        return cls(ambient, rows)
+        return cls(ambient, tuple(((i, Fraction(1)),) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -261,13 +251,7 @@ class Subspace:
         return not self.basis
 
     def contains(self, vec: Sequence) -> bool:
-        if not any(vec):
-            return True
-        rows, _ = rref([tuple(enumerate(v)) for v in (*self.basis, vec)])
-        return len(rows) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return len(rref((*self.basis, vec))[0]) == self.dim
 
 
 # -- series and predicates -----------------------------------------------------
@@ -281,7 +265,7 @@ def _series(alg: Algebra, right_factors) -> list[Subspace]:
     while not series[-1].is_zero():
         prev = series[-1]
         factors = right_factors(prev)
-        nxt = Subspace.span([bracket(alg, u, v) for u in prev.basis for v in factors], d)
+        nxt = Subspace.span([bracket(alg.table, u, v) for u in prev.basis for v in factors], d)
         if nxt.dim == prev.dim:
             break
         series.append(nxt)
@@ -290,7 +274,7 @@ def _series(alg: Algebra, right_factors) -> list[Subspace]:
 
 def lower_central_series(alg: Algebra) -> list[Subspace]:
     """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization."""
-    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    basis = Subspace.full(alg.dim).basis
     return _series(alg, lambda prev: basis)
 
 
@@ -335,7 +319,7 @@ def right_annihilator(alg: Algebra) -> Subspace:
         for j, cell in enumerate(plane):
             for k, c in cell:
                 rows[i * d + k].append((j, c))
-    return Subspace.from_rows(nullspace(rows, d), d)
+    return Subspace(d, nullspace(rows, d))
 
 
 def subalgebra_on_indices(alg: Algebra, count: int) -> Algebra:

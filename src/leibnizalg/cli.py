@@ -279,6 +279,17 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leibnizalg",
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify the Leibniz identity on an algebra file")
     p.add_argument("file", help="algebra file ('-' for stdin)")
-    p.add_argument("--limit", type=int, default=10, help="max failing triples to print")
+    p.add_argument("--limit", type=_count, default=10, help="max failing triples to print")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("series", help="lower central and derived series, structural flags")

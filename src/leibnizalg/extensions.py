@@ -3,19 +3,22 @@
 The action of x on the nilradical is a symbolic derivation template: the
 general element of the computed derivation space, as d sparse rows of Poly
 entries, so row i lists the nonzero coordinates of [e_i, x] in the cell form
-of the product table, the form of every linear map in the package. The
-products [x, e_i] and [x, x] get fresh unknowns. The Leibniz identity over
-the extended basis plus the right-annihilator equations yield a polynomial
-constraint system that a deterministic linear-substitution elimination
-reduces to either a Contradiction (with a replayable witness) or a residual
-parametric Family. :func:`leibniz_equations` reads the system off the
-sparse product table of N + <x> (nonzero cells only, the template rows
-joined as they are) as integer terms: every cell scaled by one common
-denominator, each equation summed term by term in a dict and turned into a
-:class:`~leibnizalg.poly.Poly` once, content-normalized. The graded alpha
-relations of ``verify`` come from the same function. The elimination
-divides by no pivot coefficient. A basis change is a map too: the sparse
-rows of the new basis vectors in old coordinates.
+of the product table, the form of every vector and every linear map in the
+package. The products [x, e_i] and [x, x] get fresh unknowns, in sparse rows
+too. The Leibniz identity over the extended basis plus the right-annihilator
+equations yield a polynomial constraint system that a deterministic
+linear-substitution elimination reduces to either a Contradiction (with a
+replayable witness) or a residual parametric Family.
+:meth:`ExtensionProblem.products` is the one product map of N + <x>:
+:func:`generate_constraints` reads the system off it, and
+:func:`instantiate` evaluates its x cells at a solution.
+:func:`leibniz_equations` reads the system as integer terms off the nonzero
+cells: every cell scaled by one common denominator, each equation summed
+term by term in a dict and turned into a :class:`~leibnizalg.poly.Poly`
+once, content-normalized. The graded alpha relations of ``verify`` come from
+the same function. The elimination divides by no pivot coefficient. A basis
+change is a map too: the sparse rows of the new basis vectors in old
+coordinates.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ class ExtensionProblem:
     nilradical: Algebra
     ring: PolyRing
     template: tuple           # [e_i, x] as d sparse rows of Poly entries, linear in the template params
-    unknown_rows: tuple       # unknown_rows[i] = vector of [x, e_i], Poly entries
-    square_row: tuple         # vector of [x, x]
+    unknown_rows: tuple       # unknown_rows[i]: [x, e_i] as a sparse row, one unknown per coordinate
+    square_row: tuple         # [x, x] as a sparse row, one unknown per coordinate
     template_params: tuple
     unknown_names: tuple
     annihilator_span: tuple   # RREF basis of span{[u,v]+[v,u], [u,u]} inside N, sparse rows
@@ -60,13 +63,26 @@ class ExtensionProblem:
     def dim(self) -> int:
         return self.nilradical.dim + 1
 
+    def products(self) -> dict:
+        """{(i, j): [(k, c), ...]}: the product map of N + <x>, x the last
+        basis vector. The template rows [e_i, x], the unknown rows [x, e_i]
+        and the square row [x, x] join N's products; all lie in N."""
+        N = self.nilradical
+        d = N.dim
+        products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
+        for i in range(d):
+            products[i, d] = self.template[i]
+            products[d, i] = self.unknown_rows[i]
+        products[d, d] = self.square_row
+        return products
+
     def symmetric_coordinates(self) -> tuple:
         """Coordinates of [x,x] and of [x,e_i]+[e_i,x]: all must vanish for a
         Lie (antisymmetric) extension."""
-        coords = list(self.square_row)
+        coords = [c for _, c in self.square_row]
         for unknown, row in zip(self.unknown_rows, self.template):
             cell = dict(row)
-            coords.extend(u + cell[j] if j in cell else u for j, u in enumerate(unknown))
+            coords.extend(u + cell[j] if j in cell else u for j, u in unknown)
         return tuple(c for c in coords if c)
 
 
@@ -107,15 +123,13 @@ def build_extension_problem(
                    for row in template)
     if not is_derivation(nilradical, lifted):
         raise ValueError("template is not symbolically a derivation of the nilradical")
-    rows = [tuple(ring.var(n) for n in beta), tuple(ring.var(n) for n in gamma)]
-    for i in range(2, d):
-        rows.append(tuple(ring.var(n) for n in w[i - 2]))
+    rows = [tuple((j, ring.var(n)) for j, n in enumerate(names)) for names in (beta, gamma, *w, delta)]
     return ExtensionProblem(
         nilradical=nilradical,
         ring=ring,
         template=lifted,
-        unknown_rows=tuple(rows),
-        square_row=tuple(ring.var(n) for n in delta),
+        unknown_rows=tuple(rows[:-1]),
+        square_row=rows[-1],
         template_params=tuple(params),
         unknown_names=unknown_names,
         annihilator_span=_forced_annihilator_span(nilradical),
@@ -258,18 +272,11 @@ def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] =
     Triples lying entirely inside the nilradical are skipped: the nilradical
     is validated at construction, so those equations hold identically.
     """
-    N = problem.nilradical
-    d = N.dim
+    d = problem.nilradical.dim
     ring = problem.ring
-    # product table of N + <x>: the template rows [e_i, x], the unknown rows
-    # [x, e_j] and the square row [x, x] join N's products; all lie in N
-    products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
-    for i in range(d):
-        products[i, d] = problem.template[i]
-        products[d, i] = enumerate(problem.unknown_rows[i])
-    products[d, d] = enumerate(problem.square_row)
     hypotheses = [h if h.ring is ring else _lift(h, ring) for h in hypotheses]
-    equations = leibniz_equations(ring, products, d + 1, known=d, annihilator=True, hypotheses=hypotheses)
+    equations = leibniz_equations(ring, problem.products(), d + 1, known=d, annihilator=True,
+                                  hypotheses=hypotheses)
     return ConstraintSystem(ring=ring, equations=equations, problem=problem)
 
 
@@ -466,15 +473,10 @@ def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fr
             raise ValueError(f"instantiation violates residual constraint {res}")
     N = problem.nilradical
     d = N.dim
-
-    def values(row):
-        return [(k, c.evaluate(env)) for k, c in row]
-
-    products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
-    for i in range(d):
-        products[i, d] = values(problem.template[i])
-        products[d, i] = values(enumerate(problem.unknown_rows[i]))
-    products[d, d] = values(enumerate(problem.square_row))
+    products = problem.products()
+    for key, row in products.items():
+        if d in key:  # an x cell: Poly entries
+            products[key] = [(k, c.evaluate(env)) for k, c in row]
     alg = algebra_from_products(N.labels + ("x",), products,
                                 {"family": "extension", "n": d - 1, "params": dict(free_values)})
     rep = leibniz_check(alg)
@@ -632,13 +634,13 @@ def chain_restore(alg: Algebra, n: int, variant: str) -> Algebra:
     """Re-adapt the basis of a transformed solvable extension: keep e_0, e_1
     and x, rebuild e_2..e_n from the chain products (and the alternating top
     product for the second variant). Unitriangular, hence invertible."""
-    rows = [alg.basis_vector(0), alg.basis_vector(1)]
+    rows = [((0, 1),), ((1, 1),)]
     for i in range(1, n if variant == "A" else n - 1):
-        rows.append(bracket(alg, rows[0], rows[i]))
+        rows.append(bracket(alg.table, rows[0], rows[i]))
     if variant == "B":
-        rows.append(tuple(-c for c in bracket(alg, rows[1], rows[n - 1])))
-    rows.append(alg.basis_vector(n + 1))
-    return apply_basis_change(alg, [tuple((i, c) for i, c in enumerate(u) if c) for u in rows])
+        rows.append(tuple((k, -c) for k, c in bracket(alg.table, rows[1], rows[n - 1])))
+    rows.append(((n + 1, 1),))
+    return apply_basis_change(alg, rows)
 
 
 @dataclass(frozen=True)

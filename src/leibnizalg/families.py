@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import Algebra, algebra_from_products, is_lie, leibniz_check, product_table
+from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check, product_table
 from .linalg import binomial, to_fraction
 
 FAMILY_IDS = (
@@ -369,35 +369,28 @@ def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
     [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] along the chain products;
     in B, e_n is not in the e_0-chain and is reached through
     [e_1, e_{n-1}] = -e_n. ``table`` is a product table holding N's products
-    on its first n + 1 basis vectors; ``row0`` and ``row1`` are coordinate
-    vectors over its basis, and the rows come back as a map in sparse rows
-    (:mod:`~leibnizalg.linalg`). Each step reads one column of the table for
-    [u, e_j] and one row for [e_i, v], over the nonzero coordinates of u and
-    v only. The rows are linear in (row0, row1); scalars are as in
-    :func:`graded_products`.
+    on its first n + 1 basis vectors; ``row0``, ``row1`` and the rows that
+    come back (a map, :mod:`~leibnizalg.linalg`) are sparse rows over its
+    basis, each product one :func:`~leibnizalg.algebra.bracket`. The rows are
+    linear in (row0, row1); scalars are as in :func:`graded_products`.
     """
-    d = len(table)
 
-    def step(u, j, i, v):
+    def chain(u, j, i, v):
         """[u, e_j] + [e_i, v]."""
-        out = [0] * d
-        for m, c in enumerate(u):
-            if c:
-                for k, t in table[m][j]:
-                    out[k] = out[k] + c * t
-        cells = table[i]
-        for m, c in enumerate(v):
-            if c:
-                for k, t in cells[m]:
-                    out[k] = out[k] + c * t
-        return out
+        left, right = bracket(table, u, ((j, 1),)), bracket(table, ((i, 1),), v)
+        if not (left and right):
+            return left or right
+        out = dict(left)
+        for k, c in right:
+            out[k] = out[k] + c if k in out else c
+        return tuple((k, c) for k, c in sorted(out.items()) if c)
 
     rows = [row0, row1]
     for i in range(1, n if variant == "A" else n - 1):
-        rows.append(step(row0, i, 0, rows[i]))
+        rows.append(chain(row0, i, 0, rows[i]))
     if variant == "B":
-        rows.append([-c for c in step(row1, n - 1, 1, rows[n - 1])])
-    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
+        rows.append(tuple((k, -c) for k, c in chain(row1, n - 1, 1, rows[n - 1])))
+    return tuple(rows)
 
 
 def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping, a1=0) -> dict:
@@ -409,16 +402,11 @@ def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping
     Scalars are as in :func:`graded_products`: ``bs[k]`` may be Polys, which
     makes the map linear in the b_k. No identity check is made here.
     """
-    dim = n + 2
     x = n + 1
     prods = graded_products(variant, n, r, alphas)
-    row0 = [0] * dim
-    row1 = [0] * dim
-    row0[0], row0[1] = 1, a1
-    row1[1] = 1 + r
-    for k, c in bs.items():
-        row1[k] = c
-    for i, row in enumerate(solvable_x_rows(variant, n, product_table(prods, dim), row0, row1)):
+    row0 = ((0, 1), (1, a1)) if a1 else ((0, 1),)
+    row1 = tuple((k, c) for k, c in sorted({1: 1 + r, **bs}.items()) if c)
+    for i, row in enumerate(solvable_x_rows(variant, n, product_table(prods, n + 2), row0, row1)):
         prods[(i, x)] = row
         prods[(x, i)] = [(k, -c) for k, c in row]
     return prods

@@ -30,7 +30,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (
     Algebra,
-    Subspace,
     algebra_from_products,
     is_lie,
     is_nilpotent,
@@ -282,10 +281,10 @@ def annihilator_zeroing_emerged(problem, outcome) -> bool:
     """The right-annihilator facts must force [x,e_i] = 0 for every basis
     vector of the structural span: the solver has to derive it, not assume."""
     d = problem.nilradical.dim
-    span = Subspace.from_rows(problem.annihilator_span, d)
+    rows = set(problem.annihilator_span)  # an RREF basis holds e_i iff it has the row e_i
     res = resolved_assignments(outcome)
     for i in range(2, d):
-        if not span.contains(problem.nilradical.basis_vector(i)):
+        if ((i, 1),) not in rows:
             continue
         for j in range(d):
             name = f"w{i:02d}c{j:02d}"
@@ -461,12 +460,9 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     the checks."""
     top = n + 1 if variant == "A" else n
     nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)), graded_products(variant, n, r, alphas))
-    zero = [0] * (n + 1)
     admitted = []
     for k in range(2, top):
-        row1 = list(zero)
-        row1[k] = 1
-        if is_derivation(nil, solvable_x_rows(variant, n, nil.table, zero, row1)):
+        if is_derivation(nil, solvable_x_rows(variant, n, nil.table, (), ((k, 1),))):
             admitted.append(k)
     return {k: small_rational(rng, 8) for k in admitted}
 

@@ -1,13 +1,15 @@
 """Dense references for the tests.
 
-The library stores an algebra only as its sparse product table, and a linear
-map only as the tuple of its sparse rows. These helpers give the tests the
+The library stores an algebra only as its sparse product table, and a vector
+or a linear map only in sparse rows. These helpers give the tests the
 d x d x d structure tensor ``tensor[i][j][k]`` (the coefficient of e_k in
 [e_i, e_j]) in both directions, a dense ``Matrix`` with the plain
 ``Fraction`` (or ``Poly``) action, product, zero test and nilpotency test
 that the oracles compare the integer-scaled library routines against, the
 matrix arithmetic the tests use to combine derivations, the conversion
-between dense vectors or matrices and sparse rows, and the per-triple
+between dense vectors or matrices and sparse rows, the dense bracket
+``table_bracket`` that ``algebra.bracket`` is compared against, subspace
+containment for the series tests, and the per-triple
 Leibniz defect that the library's sparse walk is compared against. The
 derivation space from dense ``Fraction`` rows of the derivation equation,
 the annihilator span from dense brackets, and the constraint equations from
@@ -214,6 +216,11 @@ def dense_annihilator_span(alg: Algebra) -> tuple:
     return rref(map(sparse, vecs))[0]
 
 
+def subspace_contains(big, small) -> bool:
+    """Whether the ``Subspace`` ``small`` lies inside ``big``."""
+    return all(big.contains(v) for v in small.basis)
+
+
 def table_bracket(prods, u, v, zero) -> list:
     """Coordinates of [u, v] for dense coordinate vectors over a product
     table, started at ``zero``."""
@@ -243,8 +250,8 @@ def dense_constraints(problem, hypotheses=()) -> tuple:
     products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
     for i in range(d):
         products[i, d] = problem.template[i]
-        products[d, i] = enumerate(problem.unknown_rows[i])
-    products[d, d] = enumerate(problem.square_row)
+        products[d, i] = problem.unknown_rows[i]
+    products[d, d] = problem.square_row
     table = product_table(products, m)
     equations = {}
 

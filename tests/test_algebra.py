@@ -36,7 +36,7 @@ from leibnizalg.families import (
 )
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import dense, dense_leibniz_defects, from_dense
+from dense_algebra import dense, dense_leibniz_defects, from_dense, sparse, subspace_contains, table_bracket
 
 
 def abelian(d):
@@ -45,30 +45,39 @@ def abelian(d):
 
 
 def unit(alg, i):
-    return alg.basis_vector(i)
+    """e_i as a sparse row."""
+    return sparse(Fraction(int(j == i)) for j in range(alg.dim))
 
 
 def test_bracket_f1_table():
     a = make_F1(5, {}, 1)
-    assert bracket(a, unit(a, 1), unit(a, 0)) == unit(a, 2)
-    assert bracket(a, unit(a, 0), unit(a, 1)) == unit(a, 5)
+    assert bracket(a.table, unit(a, 1), unit(a, 0)) == unit(a, 2)
+    assert bracket(a.table, unit(a, 0), unit(a, 1)) == unit(a, 5)
 
 
 def test_bracket_bilinear_zero():
     a = make_F1(5, {}, 1)
-    zero = tuple(Fraction(0) for _ in range(6))
-    assert bracket(a, zero, unit(a, 0)) == zero
+    zero = sparse(Fraction(0) for _ in range(6))
+    assert zero == ()
+    assert bracket(a.table, zero, unit(a, 0)) == zero
+    assert bracket(a.table, unit(a, 0), zero) == zero
 
 
 def test_bracket_ln_table():
     a = make_Ln(4)
-    assert bracket(a, unit(a, 0), unit(a, 3)) == unit(a, 4)
+    assert bracket(a.table, unit(a, 0), unit(a, 3)) == unit(a, 4)
 
 
-def test_bracket_length_mismatch():
+@pytest.mark.parametrize("bad", [5, 6, -1, -5])
+def test_bracket_coordinate_out_of_range(bad):
+    """Ln(4) has coordinates 0..4; a column past the end or a negative one
+    raises, in either argument and at either end of a longer row (a negative
+    one would otherwise index from the end of the table)."""
     a = make_Ln(4)
-    with pytest.raises(ValueError):
-        bracket(a, (Fraction(1),), unit(a, 0))
+    wide = tuple(sorted({1: Fraction(1), bad: Fraction(2), 3: Fraction(-1)}.items()))
+    for u, v in ((((bad, Fraction(1)),), unit(a, 0)), (unit(a, 0), wide), (wide, ()), ((), wide)):
+        with pytest.raises(ValueError):
+            bracket(a.table, u, v)
 
 
 def test_leibniz_f2_passes():
@@ -152,7 +161,7 @@ def test_derived_series_lands_in_nilradical():
     a = make_L1(5)
     second = derived_series(a)[1]
     for v in second.basis:
-        assert not v[a.dim - 1]  # no x component
+        assert all(k != a.dim - 1 for k, _ in v)  # no x component
 
 
 def test_predicates_f1():
@@ -205,9 +214,11 @@ def test_squares_and_symmetrized_products_annihilate_on_the_right():
         for i in range(d):
             for j in range(d):
                 u, v = unit(alg, i), unit(alg, j)
-                sym = tuple(a + b for a, b in zip(bracket(alg, u, v), bracket(alg, v, u)))
-                assert ann.contains(sym)
-                assert ann.contains(bracket(alg, u, u))
+                uv = dict(bracket(alg.table, u, v))
+                for k, c in bracket(alg.table, v, u):
+                    uv[k] = uv.get(k, 0) + c
+                assert ann.contains(tuple(sorted(uv.items())))
+                assert ann.contains(bracket(alg.table, u, u))
 
 
 def test_series_monotone_and_derived_dominated():
@@ -215,14 +226,14 @@ def test_series_monotone_and_derived_dominated():
         lcs = lower_central_series(alg)
         ds = derived_series(alg)
         for a, b in zip(lcs, lcs[1:]):
-            assert a.contains_subspace(b)
+            assert subspace_contains(a, b)
         for a, b in zip(ds, ds[1:]):
-            assert a.contains_subspace(b)
+            assert subspace_contains(a, b)
         # derived term s sits inside lower-central term 2^(s-1)
         for s in range(1, min(len(ds), 3) + 1):
             idx = 2 ** (s - 1)
             if idx <= len(lcs):
-                assert lcs[idx - 1].contains_subspace(ds[s - 1])
+                assert subspace_contains(lcs[idx - 1], ds[s - 1])
 
 
 def test_antisymmetric_leibniz_iff_jacobi():
@@ -261,9 +272,26 @@ def test_nilradical_not_an_ideal_reported():
 
 
 def test_subspace_membership():
-    s = Subspace.span([(Fraction(1), Fraction(1), Fraction(0))], 3)
-    assert s.contains((Fraction(2), Fraction(2), Fraction(0)))
-    assert not s.contains((Fraction(1), Fraction(0), Fraction(0)))
+    s = Subspace.span([sparse((Fraction(1), Fraction(1), Fraction(0)))], 3)
+    assert s.basis == (((0, 1), (1, 1)),)
+    assert s.contains(sparse((Fraction(2), Fraction(2), Fraction(0))))
+    assert not s.contains(sparse((Fraction(1), Fraction(0), Fraction(0))))
+    assert s.contains(())
+
+
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.lists(st.tuples(st.integers(0, d - 1), st.integers(-3, 3)), max_size=d), max_size=5))))
+@settings(max_examples=200, deadline=None)
+def test_unit_vector_in_span_iff_it_is_a_basis_row(case):
+    """In the canonical RREF basis of a span, e_i lies in the span exactly
+    when ``((i, 1),)`` is one of the rows: the lookup of
+    ``verify.annihilator_zeroing_emerged``, checked against ``contains``."""
+    d, raw = case
+    span = Subspace.span([tuple(sorted(dict(row).items())) for row in raw], d)
+    rows = set(span.basis)
+    for i in range(d):
+        assert (((i, 1),) in rows) == span.contains(((i, Fraction(1)),))
 
 
 def test_brute_force_oracles_on_random_small_algebras():
@@ -294,13 +322,14 @@ def test_brute_force_oracles_on_random_small_algebras():
         d = rng.randint(1, 4)
         alg = small(d)
         # lower central by naive closure
-        current = [list(alg.basis_vector(i)) for i in range(d)]
+        units = [[Fraction(int(j == i)) for j in range(d)] for i in range(d)]
+        current = units
         dims = [d]
         while True:
             nxt = []
             for u in current:
                 for j in range(d):
-                    nxt.append(list(bracket(alg, u, alg.basis_vector(j))))
+                    nxt.append(table_bracket(alg.table, u, units[j], Fraction(0)))
             rank = oracle_span(nxt, d)
             if rank == dims[-1] or rank == 0:
                 dims.append(rank)
@@ -317,9 +346,9 @@ def test_brute_force_oracles_on_random_small_algebras():
         # right annihilator by naive kernel test over a spanning probe set
         ann = right_annihilator(alg)
         for i in range(d):
-            v = alg.basis_vector(i)
-            in_kernel = all(not any(bracket(alg, alg.basis_vector(u), v)) for u in range(d))
-            assert ann.contains(v) == in_kernel
+            v = units[i]
+            in_kernel = all(not any(table_bracket(alg.table, units[u], v, Fraction(0))) for u in range(d))
+            assert ann.contains(sparse(v)) == in_kernel
 
 
 # -- the product-table builder against a dense reference ---------------------------------

@@ -125,14 +125,13 @@ def test_right_multiplication_anti_homomorphism():
             for j in range(d):
                 rx, ry = (dense_matrix(right_multiplication(alg, k), d) for k in (i, j))
                 lhs = mat_sub(mat_mul(rx, ry), mat_mul(ry, rx))
-                w = bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
+                w = bracket(alg.table, ((i, Fraction(1)),), ((j, Fraction(1)),))
                 rows = []
                 for p in range(d):
                     acc = [Fraction(0)] * d
-                    for k, c in enumerate(w):
-                        if c:
-                            for m, cc in enumerate(t[p][k]):
-                                acc[m] += c * cc
+                    for k, c in w:
+                        for m, cc in enumerate(t[p][k]):
+                            acc[m] += c * cc
                     rows.append(tuple(acc))
                 assert lhs.rows == tuple(rows)
 

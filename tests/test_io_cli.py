@@ -79,6 +79,29 @@ def test_cli_check_fails_on_broken_algebra(tmp_path, capsys):
     assert "fail" in capsys.readouterr().out
 
 
+def test_cli_check_limit_must_be_nonnegative(tmp_path, capsys):
+    """A negative --limit is a usage error (exit 2); it used to slice the
+    failures from the end and print a count larger than the rest."""
+    alg = make_F1(5, {}, 1)
+    data = algio.algebra_to_dict(alg)
+    data["entries"].append([2, 1, 4, "1"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", str(bad)]) == 1
+    total = int(capsys.readouterr().out.split()[1])
+    assert total > 2
+    for limit in ("-1", "-5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(bad), "--limit", limit])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+    assert main(["check", str(bad), "--limit", "0"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [f"  ... {total} more"]
+    assert main(["check", str(bad), "--limit", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[-1] == f"  ... {total - 2} more"
+
+
 def test_cli_series(tmp_path, capsys):
     out = tmp_path / "alg.json"
     main(["family", "Ln", "--n", "4", "--out", str(out)])

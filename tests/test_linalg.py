@@ -235,7 +235,7 @@ def test_non_rational_entries_raise_type_error(bad):
         lambda: rank(entries),
         lambda: nullspace(entries, 2),
         lambda: sparse_inverse(entries),
-        lambda: Subspace.span(rows, 2),
+        lambda: Subspace.span(entries, 2),
     ]
     for call in calls:
         with pytest.raises(TypeError, match=name):

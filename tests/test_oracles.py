@@ -2,8 +2,10 @@
 
 The bracket, the Leibniz defect and the derivation equation are each written
 once in the library. These tests check them against test-local dense loops
-over the structure tensor (``dense_algebra.dense``) and against a brute-force
-derivation check built from ``bracket`` and ``mat_apply``; the non-existence
+over the structure tensor (``dense_algebra.dense``), the bracket also against
+the dense ``table_bracket`` on random sparse tables with ``Fraction`` and
+``Poly`` scalars, and the derivation equation against a brute-force
+derivation check built from ``table_bracket`` and ``mat_apply``; the non-existence
 verdicts are checked against reduced Groebner bases computed by sympy
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 4: a
 system has no solution over the algebraic closure iff its reduced Groebner
@@ -55,7 +57,7 @@ from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import (Matrix, dense, dense_annihilator_span, dense_constraints, dense_derivation_space,
                            dense_matrix, from_dense, mat_apply, mat_identity, mat_int_rows, mat_is_nilpotent, mat_mul,
-                           mat_zeros, sparse_rows)
+                           mat_zeros, sparse, sparse_rows, table_bracket)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -118,7 +120,29 @@ def test_bracket_matches_dense_bilinear_sum():
             v = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(d)]
             want = tuple(sum((u[i] * v[j] * t[i][j][k] for i in range(d) for j in range(d)),
                              Fraction(0)) for k in range(d))
-            assert bracket(alg, u, v) == want
+            assert bracket(alg.table, sparse(u), sparse(v)) == sparse(want)
+
+
+def poly_scalars(ring):
+    """s, t-linear Polys with int and Fraction coefficients, zero included."""
+    return st.builds(lambda a, b, c: ring.var("s") * a + ring.var("t") * b + c,
+                     small_entries, small_entries, small_entries)
+
+
+@pytest.mark.parametrize("kind", ["Fraction", "Poly"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bracket_matches_table_bracket_on_random_sparse_tables(kind, data):
+    """The sparse bracket against the dense loop, on random sparse tables and
+    dense vectors whose entries are rationals or Polys."""
+    ring = PolyRing(("s", "t"))
+    scalars, zero = (small_entries, Fraction(0)) if kind == "Fraction" else (poly_scalars(ring), ring.zero)
+    d = data.draw(st.integers(1, 5))
+    products = {(i, j): data.draw(st.lists(st.tuples(st.integers(0, d - 1), scalars), max_size=3))
+                for i in range(d) for j in range(d)}
+    table = product_table(products, d)
+    u, v = (data.draw(st.lists(scalars, min_size=d, max_size=d)) for _ in range(2))
+    assert bracket(table, sparse(u), sparse(v)) == sparse(table_bracket(table, u, v, zero))
 
 
 # -- the derivation equation -------------------------------------------------------------
@@ -126,14 +150,13 @@ def test_bracket_matches_dense_bilinear_sum():
 
 def brute_force_is_derivation(alg: Algebra, mat: Matrix) -> bool:
     """d([e_i,e_j]) == [d(e_i),e_j] + [e_i,d(e_j)] for every basis pair."""
-    d = alg.dim
-    for i in range(d):
-        ei = alg.basis_vector(i)
-        for j in range(d):
-            ej = alg.basis_vector(j)
-            lhs = mat_apply(mat, bracket(alg, ei, ej))
-            left = bracket(alg, mat_apply(mat, ei), ej)
-            right = bracket(alg, ei, mat_apply(mat, ej))
+    d, zero = alg.dim, Fraction(0)
+    units = [tuple(Fraction(int(j == i)) for j in range(d)) for i in range(d)]
+    for ei in units:
+        for ej in units:
+            lhs = mat_apply(mat, table_bracket(alg.table, ei, ej, zero))
+            left = table_bracket(alg.table, mat_apply(mat, ei), ej, zero)
+            right = table_bracket(alg.table, ei, mat_apply(mat, ej), zero)
             if any(a - b - c for a, b, c in zip(lhs, left, right)):
                 return False
     return True
@@ -381,7 +404,8 @@ def fraction_basis_change(alg: Algebra, mat: Matrix) -> tuple:
     """The transformed tensor with Fractions throughout: [u, v] @ T^-1 for
     rows u, v of T."""
     inv = inverse(mat)
-    return tuple(tuple(mat_apply(inv, bracket(alg, u, v)) for v in mat.rows) for u in mat.rows)
+    return tuple(tuple(mat_apply(inv, table_bracket(alg.table, u, v, Fraction(0))) for v in mat.rows)
+                 for u in mat.rows)
 
 
 @given(rational_algebras())
