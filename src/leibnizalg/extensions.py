@@ -18,7 +18,9 @@ term by term in a dict and turned into a :class:`~leibnizalg.poly.Poly`
 once, content-normalized. The graded alpha relations of ``verify`` come from
 the same function. The elimination divides by no pivot coefficient. A basis
 change is a map too: the sparse rows of the new basis vectors in old
-coordinates.
+coordinates. A conjecture trial makes one basis change of its member, and
+what does not depend on the trial's b (the frame: variant, n, r, alphas,
+a1) is kept in :data:`frame_memo`.
 """
 
 from __future__ import annotations
@@ -630,17 +632,45 @@ def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
     return chain_shift(n, 1, e1_top, A) or tuple(((i, 1),) for i in range(n + 2))
 
 
-def chain_restore(alg: Algebra, n: int, variant: str) -> Algebra:
-    """Re-adapt the basis of a transformed solvable extension: keep e_0, e_1
-    and x, rebuild e_2..e_n from the chain products (and the alternating top
-    product for the second variant). Unitriangular, hence invertible."""
-    rows = [((0, 1),), ((1, 1),)]
+def chain_restore(alg: Algebra, n: int, variant: str, start: Optional[Sequence] = None) -> Algebra:
+    """Re-adapt the basis of a solvable extension through its chain
+    products: keep u_0, u_1 and u_x, and rebuild the rest as
+    w_{i+1} = [u_0, w_i] from w_1 = u_1 (for the second variant the top
+    vector is -[u_1, w_{n-1}]). The u's are rows 0, 1 and n + 1 of the
+    basis change ``start`` in the coordinates of ``alg`` (the identity when
+    None). Brackets do not depend on the basis, so this one change of
+    ``alg`` is its change to ``start`` followed by the re-adaptation of the
+    image. Unitriangular on a unitriangular ``start``, hence invertible."""
+    x = n + 1
+    start = start or tuple(((i, 1),) for i in range(x + 1))
+    rows = [start[0], start[1]]
     for i in range(1, n if variant == "A" else n - 1):
         rows.append(bracket(alg.table, rows[0], rows[i]))
     if variant == "B":
         rows.append(tuple((k, -c) for k, c in bracket(alg.table, rows[1], rows[n - 1])))
-    rows.append(((n + 1, 1),))
+    rows.append(start[x])
     return apply_basis_change(alg, rows)
+
+
+# -- conjecture frames ----------------------------------------------------------------
+
+# The memo of the conjecture frames: frame_key(...) -> {fact: value}. The facts,
+# each the same for every b of the frame:
+#   "graded"   the graded nilradical validated (verify.sample_graded_alphas);
+#   "admitted" the b_k whose x-row propagation is a derivation of the
+#              nilradical (verify.sample_solv_bs);
+#   "target"   the product table of the validated b = 0 member
+#              (conjecture_check).
+# An entry is made only by a validation that passed, so an alpha that fails
+# its construction is never stored. verify.run_scenario clears the memo
+# first, so it holds one scenario's frames.
+frame_memo: dict = {}
+
+
+def frame_key(variant: str, n: int, r: int, alphas: Mapping, a1=0) -> tuple:
+    """The exact frame (variant, n, r, alphas, a1) of a SolvA/SolvB member,
+    everything that fixes it but b; alphas are keyed as given, as Fractions."""
+    return variant, n, r, tuple(sorted((k, to_fraction(v)) for k, v in alphas.items())), to_fraction(a1)
 
 
 @dataclass(frozen=True)
@@ -656,25 +686,37 @@ class ConjectureResult:
 
 def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction],
                      a1, b: Mapping[int, Fraction]) -> ConjectureResult:
-    """Build the solvable family member, apply the star transformation, read
-    the residual tail coefficients off the transformed [e_1, x] row, then
+    """Build the solvable family member, apply the star transformation T,
+    read the residual tail coefficients off the transformed [e_1, x] row,
     re-adapt the basis through the chain products and compare the whole
     product table against the member with all b = 0.
 
-    Everything is re-derived through apply_basis_change, so a single
-    mismatched entry is caught exactly.
+    The image under T is never built: its [e_1, x] row is the bracket of
+    rows 1 and x of T pushed through T^-1, and the re-adapted basis is one
+    change of the member (``chain_restore`` started from T), made through
+    apply_basis_change, so a single mismatched entry is caught exactly. The
+    b = 0 member is built and validated once per frame (``frame_memo``).
     """
-    if variant == "A":
-        alg = make_SolvA(n, r, alphas, a1, b)
-        target = make_SolvA(n, r, alphas, a1, {})
-    elif variant == "B":
-        alg = make_SolvB(n, r, alphas, b)
-        target = make_SolvB(n, r, alphas, {})
-    else:
+    if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
-    moved = apply_basis_change(alg, star_change(n, variant, b))
+
+    def member(bs):
+        return make_SolvA(n, r, alphas, a1, bs) if variant == "A" else make_SolvB(n, r, alphas, bs)
+
+    alg = member(b)
+    key = frame_key(variant, n, r, alphas, a1)
+    target = frame_memo.get(key, {}).get("target")
+    if target is None:
+        target = member({}).table
+        frame_memo.setdefault(key, {})["target"] = target
+    change = star_change(n, variant, b)
     x = n + 1
-    residual = {k: c for k, c in moved.table[1][x] if 2 <= k <= n}
-    restored = chain_restore(moved, n, variant)
-    return ConjectureResult(eliminated=(not residual and restored.table == target.table),
+    inv = sparse_inverse(change)  # raises on singular input
+    tail = {}
+    for m, c in bracket(alg.table, change[1], change[x]):
+        for k, e in inv[m]:
+            tail[k] = tail.get(k, 0) + c * e
+    residual = {k: tail[k] for k in sorted(tail) if tail[k] and 2 <= k <= n}
+    restored = chain_restore(alg, n, variant, change)
+    return ConjectureResult(eliminated=(not residual and restored.table == target),
                             residual_b=residual, variant=variant, n=n)

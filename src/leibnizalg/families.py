@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check, product_table
+from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
 from .linalg import binomial, to_fraction
 
 FAMILY_IDS = (
@@ -235,7 +235,9 @@ def graded_products(variant: str, n: int, r: int, alphas: Mapping) -> dict:
 
     ``alphas[k]`` (k = 1..t) may be any scalar with ``+``, ``*`` and a truth
     value: Fractions for an algebra, Polys for the Jacobi relations in the
-    alphas. No range or identity check is made here.
+    alphas. Each cell of the map holds one (k, c) with c nonzero, so it is
+    already a cell of the product table. No range or identity check is made
+    here.
     """
     t = graded_alpha_count(variant, n, r)
     top = n if variant == "A" else n - 1  # the chain and the graded products end at e_top
@@ -404,9 +406,12 @@ def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping
     """
     x = n + 1
     prods = graded_products(variant, n, r, alphas)
+    table = [[()] * x for _ in range(x)]  # N's table: each map cell is already one nonzero (k, c)
+    for (i, j), cell in prods.items():
+        table[i][j] = cell
     row0 = ((0, 1), (1, a1)) if a1 else ((0, 1),)
     row1 = tuple((k, c) for k, c in sorted({1: 1 + r, **bs}.items()) if c)
-    for i, row in enumerate(solvable_x_rows(variant, n, product_table(prods, n + 2), row0, row1)):
+    for i, row in enumerate(solvable_x_rows(variant, n, table, row0, row1)):
         prods[(i, x)] = row
         prods[(x, i)] = [(k, -c) for k, c in row]
     return prods

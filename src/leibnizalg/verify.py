@@ -46,6 +46,8 @@ from .extensions import (
     conjecture_check,
     diagonal_branches,
     eliminate,
+    frame_key,
+    frame_memo,
     generate_constraints,
     instantiate,
     leibniz_equations,
@@ -387,7 +389,9 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
     leading alpha to 1, draw or solve the rest (free directions get random
     rationals, discrete directions get exact rational roots of the univariate
     residuals), and let the elimination propagate the forced ones. An (n, r)
-    outside the family's range raises its ConstructionError."""
+    outside the family's range raises its ConstructionError. A candidate
+    whose graded algebra validated before (``extensions.frame_memo``) is
+    not built again."""
     check_graded_range(variant, n, r)
     t = graded_alpha_count(variant, n, r)
     if t <= 0:
@@ -434,11 +438,14 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
                 alphas[k] = val.evaluate({}) if val is not None else Fraction(0)
             if not any(alphas.values()):
                 continue
-            try:
-                _graded_algebra(variant, n, r, alphas)
-                return alphas
-            except ConstructionError:
-                continue
+            key = frame_key(variant, n, r, alphas)
+            if "graded" not in frame_memo.get(key, {}):
+                try:
+                    _graded_algebra(variant, n, r, alphas)
+                except ConstructionError:
+                    continue
+                frame_memo.setdefault(key, {})["graded"] = True
+            return alphas
     raise RuntimeError(f"no valid alpha tuple found for {variant} n={n} r={r}")
 
 
@@ -457,13 +464,18 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     free of b (alphas off the Jacobi variety, or R not a derivation) is left
     to the caller's construction, which validates the sample. N keeps its
     integer-scaled table (``Algebra.scaled``), so it is scaled once for all
-    the checks."""
-    top = n + 1 if variant == "A" else n
-    nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)), graded_products(variant, n, r, alphas))
-    admitted = []
-    for k in range(2, top):
-        if is_derivation(nil, solvable_x_rows(variant, n, nil.table, (), ((k, 1),))):
-            admitted.append(k)
+    the checks. The admitted b_k are the same for every b of the frame, so
+    a frame that already validated (``frame_memo``) keeps them, and its next
+    sample only draws the b_k."""
+    key = frame_key(variant, n, r, alphas)
+    admitted = frame_memo.get(key, {}).get("admitted")
+    if admitted is None:
+        top = n + 1 if variant == "A" else n
+        nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)), graded_products(variant, n, r, alphas))
+        admitted = tuple(k for k in range(2, top)
+                         if is_derivation(nil, solvable_x_rows(variant, n, nil.table, (), ((k, 1),))))
+        if key in frame_memo:
+            frame_memo[key]["admitted"] = admitted
     return {k: small_rational(rng, 8) for k in admitted}
 
 
@@ -1054,7 +1066,8 @@ SCENARIOS = {s.id: s for s in (
 def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
     """Run one scenario and stamp its verdict with the id, n, seed and wall
     time. The runner gets n and a factory that returns a fresh
-    ``scenario_rng(scenario_id, n, seed)`` on every call."""
+    ``scenario_rng(scenario_id, n, seed)`` on every call. The memo of
+    conjecture frames (``extensions.frame_memo``) starts empty."""
     if scenario_id not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
@@ -1063,6 +1076,7 @@ def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
         raise ValueError(f"n={n} rejected: constraint systems grow as (n+2)^3; limit is {MAX_N}")
     if not sc.admissible(n):
         raise ValueError(f"scenario {scenario_id} requires {sc.rule()}, got n={n}")
+    frame_memo.clear()
     t0 = time.monotonic()
     body = sc.runner(n, lambda: scenario_rng(scenario_id, n, seed))
     return Report(scenario=scenario_id, n=n, seed=seed, verdict=body.verdict,

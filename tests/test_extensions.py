@@ -24,6 +24,7 @@ from leibnizalg.extensions import (
     conjecture_check,
     diagonal_branches,
     eliminate,
+    frame_memo,
     generate_constraints,
     instantiate,
     replay,
@@ -283,10 +284,13 @@ def test_conjecture_random_samples():
 ])
 def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alphas, b):
     """Every algebra keeps its integer-scaled table, so one conjecture_check
-    scales as many product tables as it builds algebras (the member, the
-    b = 0 target, the star image and the restored table), wherever the
-    package binds int_table. Each of its two basis changes scales the rows
-    of T and of T^-1 once more, as one-plane tables."""
+    scales as many product tables as it builds algebras, wherever the
+    package binds int_table: on a cold frame the member, the b = 0 target
+    and the restored table; on a warm frame the target's table is kept and
+    only the member and the restored table are built. The image under the
+    star change is never built. The one basis change, W = chain_restore
+    started from the star change, scales the rows of W and of W^-1 once
+    more, as one-plane tables."""
     scale = algebra.int_table
     calls, built = [], []
 
@@ -304,11 +308,15 @@ def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alph
         if name.partition(".")[0] == "leibnizalg" and getattr(mod, "int_table", None) is scale:
             monkeypatch.setattr(mod, "int_table", counted)
     monkeypatch.setattr(Algebra, "__init__", counted_init)
-    assert conjecture_check(n, variant, 1, alphas, 0, b).eliminated
-    assert len(built) == 4
-    tables = [t for t in calls if len(t) == n + 2]
-    assert len(tables) == len(built)
-    assert len(calls) - len(tables) == 4
+    frame_memo.clear()
+    for want in (3, 2):  # cold, then warm
+        calls.clear()
+        built.clear()
+        assert conjecture_check(n, variant, 1, alphas, 0, b).eliminated
+        assert len(built) == want
+        tables = [t for t in calls if len(t) == n + 2]
+        assert len(tables) == len(built)
+        assert len(calls) - len(tables) == 2
 
 
 def test_conjecture_reports_residual_when_transformation_cannot_work():
@@ -325,6 +333,7 @@ def test_chain_restore_fixes_adapted_basis():
     target = make_SolvB(5, 1, {1: 1}, {})
     assert dense(moved) != dense(target)
     assert dense(chain_restore(moved, 5, "B")) == dense(target)
+    assert dense(chain_restore(alg, 5, "B", star_change(5, "B", b))) == dense(target)
 
 
 @pytest.mark.parametrize("nilradical", [make_F1s(6, 3), make_F2(5, {}, 1)], ids=["contradiction", "family"])

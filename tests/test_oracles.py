@@ -19,7 +19,10 @@ and ``int_is_nilpotent`` on integers scaled to a common denominator;
 Hypothesis checks each against a test-local ``Fraction`` reference on random
 rational inputs with mixed denominators. ``apply_basis_change`` walks only
 nonzero entries, so it is also checked on mostly-zero matrices and on the
-star and chain-restore changes of the conjectures; ``sparse_inverse``, which
+star and chain-restore changes of the conjectures, and the one change a
+conjecture trial makes is checked against the two-step Fraction path (the
+star change, then the chain restore of its image) on random admissible
+SolvA/SolvB members at n = 5..9, a_1 != 0 included; ``sparse_inverse``, which
 it inverts each change with, is checked by multiplying T T^-1 out in
 Fractions on the same matrices, and must raise on singular ones. ``derivation_space`` is
 checked against sympy's ``Matrix.nullspace`` of the derivation equation
@@ -35,6 +38,7 @@ checked against the ``Poly`` walk of ``leibniz_defects`` for every admissible
 (n, r) up to 12.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -46,8 +50,8 @@ from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, is_lie,
                                 product_table)
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
 from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change, build_extension_problem,
-                                   chain_restore, diagonal_branches, eliminate, generate_constraints, instantiate,
-                                   star_change)
+                                   chain_restore, conjecture_check, diagonal_branches, eliminate, generate_constraints,
+                                   instantiate, star_change)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
@@ -537,6 +541,71 @@ def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
     restore = dense_chain_restore_matrix(moved, n, variant)
     assert_inverse_by_fraction_product(sparse_rows(restore))
     assert dense(chain_restore(moved, n, variant)) == fraction_basis_change(moved, restore)
+
+
+@functools.lru_cache(maxsize=None)
+def conjecture_frame(variant: str, n: int, r: int, seed: int) -> tuple:
+    """(alphas, admitted b_k, whether a_1 may be nonzero) of a sampled frame.
+    The x action is linear in (a_1, b), so a_1 is admissible exactly when
+    the member with a_1 = 1 and b = 0 constructs."""
+    rng = random.Random(f"two-step:{variant}:{n}:{r}:{seed}")
+    alphas = sample_graded_alphas(variant, n, r, rng)
+    admitted = tuple(sorted(sample_solv_bs(variant, n, r, alphas, rng)))
+    try:
+        a1_free = variant == "A" and bool(make_SolvA(n, r, alphas, 1, {}))
+    except ConstructionError:
+        a1_free = False
+    return alphas, admitted, a1_free
+
+
+@st.composite
+def conjecture_members(draw) -> tuple:
+    """(variant, n, r, alphas, a1, b): A at n = 5..9 or B at n = 5, 7, 9, a
+    sampled frame, random rationals on the admitted b_k (each may be zero),
+    and a nonzero a_1 where the frame admits one."""
+    variant, n = draw(st.sampled_from([("A", n) for n in range(5, 10)] + [("B", n) for n in (5, 7, 9)]))
+    r = draw(st.integers(1, n - 3 if variant == "A" else n - 4))
+    alphas, admitted, a1_free = conjecture_frame(variant, n, r, draw(st.integers(0, 3)))
+    b = {k: v for k in admitted if (v := draw(st.one_of(st.just(Fraction(0)), nonzero_rationals)))}
+    a1 = draw(st.one_of(st.just(Fraction(0)), nonzero_rationals)) if a1_free else Fraction(0)
+    return variant, n, r, alphas, a1, b
+
+
+def two_step_conjecture(alg: Algebra, n: int, variant: str, b) -> tuple:
+    """(residual tail, restored tensor) the two-step way: the star change
+    made in Fractions, the tail read off the image's [e_1, x], then the
+    chain products of the image made in Fractions."""
+    moved = from_dense(alg.labels, fraction_basis_change(alg, dense_matrix(star_change(n, variant, b), alg.dim)))
+    tensor = dense(moved)
+    residual = {k: c for k, c in enumerate(tensor[1][n + 1]) if c and 2 <= k <= n}
+    return residual, fraction_basis_change(moved, dense_chain_restore_matrix(moved, n, variant))
+
+
+@given(conjecture_members())
+@settings(max_examples=60, deadline=None)
+def test_one_change_per_trial_matches_the_two_step_path(member):
+    """conjecture_check makes one basis change of the member, chain_restore
+    started from the star change T, and reads the tail as [u_1, u_x] through
+    T^-1; the two-step path changes to T, then re-adapts the image. Both must
+    give the same residual tail and the same restored table, also for
+    a_1 != 0, which leaves a residual once some b_k is nonzero."""
+    variant, n, r, alphas, a1, b = member
+    alg = make_SolvA(n, r, alphas, a1, b) if variant == "A" else make_SolvB(n, r, alphas, b)
+    residual, restored = two_step_conjecture(alg, n, variant, b)
+    res = conjecture_check(n, variant, r, alphas, a1, b)
+    assert res.residual_b == residual
+    assert dense(chain_restore(alg, n, variant, star_change(n, variant, b))) == restored
+    target = make_SolvA(n, r, alphas, a1, {}) if variant == "A" else make_SolvB(n, r, alphas, {})
+    assert res.eliminated == (not residual and restored == dense(target))
+    assert res.eliminated == (a1 == 0 or not b)
+
+
+def test_one_change_per_trial_pins_the_a1_residual():
+    """With a_1 != 0 the transformation leaves a residual tail."""
+    alg = make_SolvA(6, 3, {1: 1}, 1, {2: 1})
+    assert two_step_conjecture(alg, 6, "A", {2: 1})[0] == {6: Fraction(1, 2)}
+    res = conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
+    assert res.residual_b == {6: Fraction(1, 2)} and not res.eliminated
 
 
 @given(st.integers(1, 5), st.data())

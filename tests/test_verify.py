@@ -1,10 +1,13 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from leibnizalg import algebra, verify
 from leibnizalg.algebra import leibniz_defects, product_table
+from leibnizalg.extensions import conjecture_check, frame_key, frame_memo
 from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_products
 from leibnizalg.poly import Poly, PolyRing
 from leibnizalg.verify import (
@@ -209,7 +212,8 @@ def test_sample_solv_bs_multiplies_no_poly(monkeypatch):
 
 
 def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
-    """One integer scaling of N's table serves every D_k check."""
+    """One integer scaling of N's table serves every D_k check of a cold
+    frame; a warm frame keeps its admitted b_k and scales nothing."""
     calls = []
 
     def counted(table):
@@ -218,9 +222,115 @@ def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
 
     scale = algebra.int_table
     monkeypatch.setattr(algebra, "int_table", counted)
+    frame_memo.clear()
     for variant, n, r in (("A", 9, 1), ("A", 9, 3), ("B", 9, 1)):
         rng = random.Random(f"scale:{variant}:{n}:{r}")
         alphas = sample_graded_alphas(variant, n, r, rng)
         calls.clear()
-        sample_solv_bs(variant, n, r, alphas, rng)
+        cold = sample_solv_bs(variant, n, r, alphas, rng)
         assert len(calls) == 1, (variant, n, r)
+        calls.clear()
+        warm = sample_solv_bs(variant, n, r, alphas, rng)
+        assert calls == [], (variant, n, r)
+        assert sorted(warm) == sorted(cold)
+
+
+# -- the memo of conjecture frames --------------------------------------------------
+
+
+CONJ_POINTS = [("conj-i", n) for n in range(5, 10)] + [("conj-ii", n) for n in (5, 7, 9)]
+
+
+def test_conjecture_reports_do_not_depend_on_the_frame_memo(monkeypatch):
+    """The canonical conj-i/conj-ii reports are byte-identical whether every
+    trial starts from an empty memo or the trials of a run share it; the
+    shared memo validates each graded frame once, not once per trial."""
+    graded = verify._graded_algebra
+    validations = []
+
+    def counted(*args):
+        validations.append(args)
+        return graded(*args)
+
+    monkeypatch.setattr(verify, "_graded_algebra", counted)
+    sample = verify.sample_graded_alphas
+
+    def cold(*args):  # every conjecture trial starts with sample_graded_alphas
+        frame_memo.clear()
+        return sample(*args)
+
+    def reports():
+        validations.clear()
+        out = [json.dumps(run_scenario(sid, n, seed).canonical(), sort_keys=True)
+               for sid, n in CONJ_POINTS for seed in range(4)]
+        return out, len(validations)
+
+    shared, shared_validations = reports()
+    monkeypatch.setattr(verify, "sample_graded_alphas", cold)
+    cleared, cleared_validations = reports()
+    assert shared == cleared
+    assert cleared_validations == len(CONJ_POINTS) * 4 * verify.CONJ_TRIALS
+    assert shared_validations < cleared_validations
+
+
+def test_different_exact_alphas_never_share_a_frame():
+    """Each frame keeps the target of its own exact (variant, n, r, alphas,
+    a1): alphas that differ in one coordinate, or the same alphas with
+    another a1, get their own entries."""
+    frame_memo.clear()
+    cases = []
+    for seed in range(12):
+        rng = random.Random(f"frames:{seed}")
+        alphas = sample_graded_alphas("A", 7, 1, rng)
+        cases.append((alphas, sample_solv_bs("A", 7, 1, alphas, rng)))
+    distinct = {frame_key("A", 7, 1, alphas) for alphas, _ in cases}
+    assert len(distinct) > 1
+    for alphas, b in cases:
+        assert conjecture_check(7, "A", 1, alphas, 0, b).eliminated
+    assert set(frame_memo) == distinct
+    for alphas, _ in cases:
+        assert frame_memo[frame_key("A", 7, 1, alphas)]["target"] == make_SolvA(7, 1, alphas, 0, {}).table
+    assert frame_key("A", 7, 1, {1: 1, 2: Fraction(1, 2)}) != frame_key("A", 7, 1, {1: 1, 2: Fraction(1, 3)})
+    conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
+    conjecture_check(6, "A", 3, {1: 1}, 0, {2: 1})
+    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 1)]["target"] == make_SolvA(6, 3, {1: 1}, 1, {}).table
+    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 0)]["target"] == make_SolvA(6, 3, {1: 1}, 0, {}).table
+
+
+def test_an_alpha_that_fails_its_construction_is_never_stored(monkeypatch):
+    """Only a validation that passed makes an entry: a member that raises
+    ConstructionError stores no target, the admitted b_k of a frame that
+    never validated are not kept, and a sampler whose every candidate fails
+    stores nothing."""
+    frame_memo.clear()
+    off_variety = {1: 1, 2: 1, 3: 0}  # A n=8 r=1: the Leibniz identity fails on (e1, e2, e3)
+    with pytest.raises(ConstructionError):
+        conjecture_check(8, "A", 1, off_variety, 0, {})
+    with pytest.raises(ConstructionError):
+        conjecture_check(8, "A", 1, {1: 0, 2: 0, 3: 0}, 0, {})
+    sample_solv_bs("A", 8, 1, off_variety, random.Random(0))
+    assert frame_memo == {}
+
+    def refuse(*args):
+        raise ConstructionError("refused")
+
+    monkeypatch.setattr(verify, "_graded_algebra", refuse)
+    with pytest.raises(RuntimeError, match="no valid alpha tuple"):
+        sample_graded_alphas("A", 7, 1, random.Random(0))
+    assert frame_memo == {}
+
+
+def test_run_scenario_starts_from_an_empty_frame_memo(monkeypatch):
+    """A frame left by an earlier call is gone when the runner starts."""
+    seen = []
+    sc = SCENARIOS["conj-i"]
+
+    def runner(n, rng):
+        seen.append(dict(frame_memo))
+        return sc.runner(n, rng)
+
+    monkeypatch.setitem(SCENARIOS, "conj-i", replace(sc, runner=runner))
+    conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
+    assert frame_memo
+    assert run_scenario("conj-i", 5, 0).verdict == "pass"
+    assert seen == [{}]
