@@ -5,10 +5,13 @@ general element of the computed derivation space, as d sparse rows of Poly
 entries, so row i lists the nonzero coordinates of [e_i, x] in the cell form
 of the product table, the form of every vector and every linear map in the
 package. The products [x, e_i] and [x, x] get fresh unknowns, in sparse rows
-too. The Leibniz identity over the extended basis plus the right-annihilator
-equations yield a polynomial constraint system that a deterministic
-linear-substitution elimination reduces to either a Contradiction (with a
-replayable witness) or a residual parametric Family.
+too. The Leibniz defects of the extended basis (the triples with an x) yield
+a polynomial constraint system that a deterministic linear-substitution
+elimination reduces to either a Contradiction (with a replayable witness) or
+a residual parametric Family. The right-annihilator equations
+[b_p, [b_q, b_r] + [b_r, b_q]] = 0 are not added: each equals
+-(D(p, q, r) + D(p, r, q)), D the Leibniz defect, and both triples hold an x
+when q or r is x, so the defects already imply them.
 :meth:`ExtensionProblem.products` is the one product map of N + <x>:
 :func:`generate_constraints` reads the system off it, and
 :func:`instantiate` evaluates its x cells at a solution.
@@ -176,17 +179,15 @@ def _int_cells(products: Mapping, m: int) -> list:
 
 
 def leibniz_equations(ring: PolyRing, products: Mapping, m: int, known: int = 0,
-                      annihilator: bool = False, hypotheses: Sequence[Poly] = ()) -> tuple:
+                      hypotheses: Sequence[Poly] = ()) -> tuple:
     """The polynomial system that the Leibniz identity puts on a product
     table with Poly entries: ``products`` maps (i, j) to the ``(k, c)`` of
     [b_i, b_j] over m basis vectors, each c a Poly of ``ring`` or a rational.
 
     The equations are the nonzero coordinates of the Leibniz defects in
     (i, j, k, t) order, skipping the triples inside the first ``known`` basis
-    vectors (an algebra, validated elsewhere); with ``annihilator``, the
-    coordinates of [b_p, [b_q, b_r] + [b_r, b_q]] for the pairs q <= r not
-    both inside, in (q, r, p, t) order; then the ``hypotheses``. Each is
-    content-normalized, and a repeat is dropped.
+    vectors (an algebra, validated elsewhere); then the ``hypotheses``. Each
+    is content-normalized, and a repeat is dropped.
 
     The cells are expanded into ``(k, monomial, int)`` terms, all scaled by
     one common denominator L. The defects are walked over the nonzero cells
@@ -242,23 +243,6 @@ def leibniz_equations(ring: PolyRing, products: Mapping, m: int, known: int = 0,
                     e = acc[base + t]
                     e[mono] = e.get(mono, 0) - c * c2
         add(acc)
-    if annihilator:
-        for q in range(m):
-            for r in range(max(q, known), m):
-                sym: dict = {}  # the (k, monomial) terms of [b_q, b_r] + [b_r, b_q]
-                for k, mono, c in cells[q][r] + cells[r][q]:
-                    sym[k, mono] = sym.get((k, mono), 0) + c
-                sym = [(k, mono, c) for (k, mono), c in sym.items() if c]
-                if not sym:
-                    continue
-                for row in cells:  # [b_p, sym], from row p of the table
-                    acc = defaultdict(dict)
-                    for j, mono1, c in sym:
-                        for k, mono2, c2 in row[j]:
-                            mono = tuple(sorted(mono1 + mono2)) if mono1 and mono2 else mono1 or mono2
-                            e = acc[k]
-                            e[mono] = e.get(mono, 0) + c * c2
-                    add(acc)
     for h in hypotheses:
         if h:
             equations.setdefault(h.content_normalized())
@@ -266,19 +250,20 @@ def leibniz_equations(ring: PolyRing, products: Mapping, m: int, known: int = 0,
 
 
 def generate_constraints(problem: ExtensionProblem, hypotheses: Sequence[Poly] = ()) -> ConstraintSystem:
-    """Leibniz identity over every extended-basis triple involving x, plus the
-    right-annihilator equations [u, [v,w]+[w,v]] = 0 for pairs involving x,
-    plus the hypotheses (:func:`leibniz_equations` on the product table of
+    """Leibniz identity over every extended-basis triple involving x, plus
+    the hypotheses (:func:`leibniz_equations` on the product table of
     N + <x>).
 
     Triples lying entirely inside the nilradical are skipped: the nilradical
-    is validated at construction, so those equations hold identically.
+    is validated at construction, so those equations hold identically. The
+    right-annihilator equations [u, [v,w]+[w,v]] = 0 for pairs involving x
+    are left out: each is minus the sum of the defects of (u, v, w) and
+    (u, w, v), which the system holds, so the ideal is the same.
     """
     d = problem.nilradical.dim
     ring = problem.ring
     hypotheses = [h if h.ring is ring else _lift(h, ring) for h in hypotheses]
-    equations = leibniz_equations(ring, problem.products(), d + 1, known=d, annihilator=True,
-                                  hypotheses=hypotheses)
+    equations = leibniz_equations(ring, problem.products(), d + 1, known=d, hypotheses=hypotheses)
     return ConstraintSystem(ring=ring, equations=equations, problem=problem)
 
 
@@ -340,7 +325,9 @@ def eliminate(system: ConstraintSystem):
     and duplicates change neither solvability nor constancy, so a slot is
     content-normalized only where it is read (the candidates with the fewest
     terms, the witness, the residual, each on a copy) and, in place, after a
-    non-unit pivot.
+    non-unit pivot. Slots that a step makes equal are not merged: finding
+    them takes a normalization and a hash per rewrite, which costs more than
+    the repeated rewrites (about 7% of them) do.
     """
     ring = system.ring
     names = ring.names
@@ -656,7 +643,8 @@ def chain_restore(alg: Algebra, n: int, variant: str, start: Optional[Sequence] 
 
 # The memo of the conjecture frames: frame_key(...) -> {fact: value}. The facts,
 # each the same for every b of the frame:
-#   "graded"   the graded nilradical validated (verify.sample_graded_alphas);
+#   "graded"   the validated graded nilradical (verify.sample_graded_alphas),
+#              which the graded runners read;
 #   "admitted" the b_k whose x-row propagation is a derivation of the
 #              nilradical (verify.sample_solv_bs);
 #   "target"   the product table of the validated b = 0 member
@@ -665,6 +653,13 @@ def chain_restore(alg: Algebra, n: int, variant: str, start: Optional[Sequence] 
 # its construction is never stored. verify.run_scenario clears the memo
 # first, so it holds one scenario's frames.
 frame_memo: dict = {}
+
+# The memo of the alpha sampler's eliminations: (variant, n, r, hypotheses) ->
+# the outcome of the graded alpha relations under those hypotheses
+# (verify.sample_graded_alphas). An outcome depends only on its equations, so a
+# repeated candidate reads it here; verify.run_scenario clears it with
+# frame_memo.
+alpha_memo: dict = {}
 
 
 def frame_key(variant: str, n: int, r: int, alphas: Mapping, a1=0) -> tuple:

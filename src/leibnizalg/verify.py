@@ -40,6 +40,7 @@ from .algebra import (
 from .derivations import derivation_space, is_derivation, max_nil_independent
 from .extensions import (
     ConstraintSystem,
+    alpha_memo,
     apply_basis_change,
     build_extension_problem,
     chain_shift,
@@ -281,7 +282,10 @@ def _sole_family(nilradical: Algebra):
 
 def annihilator_zeroing_emerged(problem, outcome) -> bool:
     """The right-annihilator facts must force [x,e_i] = 0 for every basis
-    vector of the structural span: the solver has to derive it, not assume."""
+    vector e_i of the span of the [u,v]+[v,u] (``annihilator_span``): the
+    solver has to derive it from the Leibniz defects, which imply
+    [x, [u,v]+[v,u]] = 0, not assume it; the system holds no annihilator
+    equation of its own."""
     d = problem.nilradical.dim
     rows = set(problem.annihilator_span)  # an RREF basis holds e_i iff it has the row e_i
     res = resolved_assignments(outcome)
@@ -327,6 +331,12 @@ def _assignment_lines(outcome, limit: int = 400):
 
 def _graded_algebra(variant: str, n: int, r: int, alphas) -> Algebra:
     return (make_A_algebra if variant == "A" else make_B_algebra)(n, r, alphas)
+
+
+def _sampled_algebra(variant: str, n: int, r: int, alphas) -> Algebra:
+    """The graded algebra that :func:`sample_graded_alphas` validated for
+    the alphas it returned, read from its frame (``frame_memo``)."""
+    return frame_memo[frame_key(variant, n, r, alphas)]["graded"]
 
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int) -> tuple:
@@ -389,20 +399,28 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
     leading alpha to 1, draw or solve the rest (free directions get random
     rationals, discrete directions get exact rational roots of the univariate
     residuals), and let the elimination propagate the forced ones. An (n, r)
-    outside the family's range raises its ConstructionError. A candidate
-    whose graded algebra validated before (``extensions.frame_memo``) is
-    not built again."""
+    outside the family's range raises its ConstructionError. The validated
+    graded algebra is kept in its frame (``extensions.frame_memo``), so a
+    candidate that validated before is not built again, and the outcome of
+    each hypothesis tuple in ``extensions.alpha_memo``, so a repeated one is
+    not eliminated again; neither memo changes a draw."""
     check_graded_range(variant, n, r)
     t = graded_alpha_count(variant, n, r)
     if t <= 0:
         return {}
     names, ring, rels = _jacobi_setup(variant, n, r, t)
 
+    def solve(hyps):
+        key = (variant, n, r, tuple(hyps))
+        if key not in alpha_memo:
+            alpha_memo[key] = eliminate(ConstraintSystem(ring, rels + key[3]))
+        return alpha_memo[key]
+
     for lead in range(1, t + 1):
         for _ in range(8):
             hyps = [ring.var(names[k]) for k in range(lead - 1)]
             hyps.append(ring.var(names[lead - 1]) - 1)
-            outcome = eliminate(ConstraintSystem(ring, rels + tuple(hyps)))
+            outcome = solve(hyps)
             dead = False
             while outcome.kind == "family" and not dead:
                 pinned = False
@@ -426,7 +444,7 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
                             dead = True
                         break
                     hyps.append(ring.var(undecided[0]) - small_rational(rng, 6))
-                outcome = eliminate(ConstraintSystem(ring, rels + tuple(hyps)))
+                outcome = solve(hyps)
                 if outcome.kind == "contradiction":
                     dead = True
             if dead or outcome.kind == "contradiction" or outcome.residual:
@@ -441,10 +459,10 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
             key = frame_key(variant, n, r, alphas)
             if "graded" not in frame_memo.get(key, {}):
                 try:
-                    _graded_algebra(variant, n, r, alphas)
+                    alg = _graded_algebra(variant, n, r, alphas)
                 except ConstructionError:
                     continue
-                frame_memo.setdefault(key, {})["graded"] = True
+                frame_memo.setdefault(key, {})["graded"] = alg
             return alphas
     raise RuntimeError(f"no valid alpha tuple found for {variant} n={n} r={r}")
 
@@ -725,7 +743,7 @@ def _run_graded_shape(variant: str, n: int, rng: RngFactory) -> Verdict:
     for r in sorted({1, max(1, (n - 3) // 2 if variant == "A" else n - 4)}):
         alphas = sample_graded_alphas(variant, n, r, rng)
         params.append((f"alpha(r={r})", alphas))
-        errs = _shape_graded(_graded_algebra(variant, n, r, alphas), r, variant)
+        errs = _shape_graded(_sampled_algebra(variant, n, r, alphas), r, variant)
         if errs:
             errors.append(f"r={r}: {', '.join(errs)}")
     stated = ("triangular with diagonal (i+r)a_0" if variant == "A" else
@@ -874,7 +892,7 @@ def _run_graded_class(variant: str, n: int, rng: RngFactory) -> Verdict:
     for r in rs:
         alphas = sample_graded_alphas(variant, n, r, rng)
         params.append((f"alpha(r={r})", alphas))
-        problem, outcome, failure = _sole_family(_graded_algebra(variant, n, r, alphas))
+        problem, outcome, failure = _sole_family(_sampled_algebra(variant, n, r, alphas))
         if failure:
             return _within(f"r={r}", failure, params=params)
         alg = instantiate_family(problem, outcome, rng)
@@ -919,7 +937,7 @@ def _run_graded_nolie(variant: str, n: int, rng: RngFactory) -> Verdict:
     r = 1 if n <= (6 if variant == "A" else 7) else rng.choice((1, 2))
     alphas = sample_graded_alphas(variant, n, r, rng)
     params = (("r", r), ("alpha", alphas))
-    nilradical = _graded_algebra(variant, n, r, alphas)
+    nilradical = _sampled_algebra(variant, n, r, alphas)
     problem, outcome, failure = _sole_family(nilradical)
     if failure:
         return replace(failure, params=params)
@@ -1067,7 +1085,8 @@ def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
     """Run one scenario and stamp its verdict with the id, n, seed and wall
     time. The runner gets n and a factory that returns a fresh
     ``scenario_rng(scenario_id, n, seed)`` on every call. The memo of
-    conjecture frames (``extensions.frame_memo``) starts empty."""
+    conjecture frames (``extensions.frame_memo``) and that of the alpha
+    sampler's eliminations (``extensions.alpha_memo``) start empty."""
     if scenario_id not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
@@ -1077,6 +1096,7 @@ def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
     if not sc.admissible(n):
         raise ValueError(f"scenario {scenario_id} requires {sc.rule()}, got n={n}")
     frame_memo.clear()
+    alpha_memo.clear()
     t0 = time.monotonic()
     body = sc.runner(n, lambda: scenario_rng(scenario_id, n, seed))
     return Report(scenario=scenario_id, n=n, seed=seed, verdict=body.verdict,

@@ -14,14 +14,17 @@ Leibniz defect that the library's sparse walk is compared against. The
 derivation space from dense ``Fraction`` rows of the derivation equation,
 the annihilator span from dense brackets, and the constraint equations from
 dense unit vectors through a bracket loop are the references for the sparse
-constructions of the extension problem.
+constructions of the extension problem. The right-annihilator coordinates
+[e_p, [u, v] + [v, u]] that the constraint system leaves out, and an exact
+linear-span test over monomial coordinates, check that the defects imply
+them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from leibnizalg.algebra import Algebra, algebra_from_products, product_table
-from leibnizalg.linalg import nullspace, rref, scale_to_integers
+from leibnizalg.linalg import nullspace, rank, rref, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -238,21 +241,24 @@ def table_bracket(prods, u, v, zero) -> list:
     return out
 
 
-def dense_constraints(problem, hypotheses=()) -> tuple:
-    """The equations of ``generate_constraints(problem, hypotheses)``, in its
-    order, from dense loops: the Leibniz defect of every triple with an x,
-    then [e_p, s] for every unit vector e_p and every nonzero dense
-    s = [u, v] + [v, u] with an x among u, v, then the hypotheses; each
-    content-normalized, zeros and repeats dropped."""
+def _extended_table(problem):
+    """The product table of N + <x> built from the problem's parts, x last."""
     N = problem.nilradical
-    d, m, ring = N.dim, N.dim + 1, problem.ring
-    zero = ring.zero
+    d = N.dim
     products = {(i, j): N.table[i][j] for i in range(d) for j in range(d)}
     for i in range(d):
         products[i, d] = problem.template[i]
         products[d, i] = problem.unknown_rows[i]
     products[d, d] = problem.square_row
-    table = product_table(products, m)
+    return product_table(products, d + 1)
+
+
+def dense_constraints(problem, hypotheses=()) -> tuple:
+    """The equations of ``generate_constraints(problem, hypotheses)``, in its
+    order, from dense loops: the Leibniz defect of every triple with an x,
+    then the hypotheses; each content-normalized, zeros and repeats
+    dropped."""
+    d, ring = problem.nilradical.dim, problem.ring
     equations = {}
 
     def add(polys):
@@ -260,20 +266,42 @@ def dense_constraints(problem, hypotheses=()) -> tuple:
             if p:
                 equations.setdefault(p.content_normalized(), None)
 
-    for (p, q, r), defect in dense_leibniz_defects(table, zero):
+    for (p, q, r), defect in dense_leibniz_defects(_extended_table(problem), ring.zero):
         if max(p, q, r) == d:
             add(defect.values())
+    for h in hypotheses:
+        assert h.ring is ring
+        add((h,))
+    return tuple(equations)
+
+
+def dense_annihilator_coordinates(problem) -> list:
+    """The nonzero coordinates of [e_p, s] for every unit vector e_p and
+    every nonzero dense s = [u, v] + [v, u] with an x among u, v: the
+    right-annihilator equations, which the Leibniz defects imply."""
+    d, ring = problem.nilradical.dim, problem.ring
+    m, zero = d + 1, ring.zero
+    table = _extended_table(problem)
+    coords = []
     for q in range(m):
-        for r in range(q, m):
-            if r < d:
-                continue
+        for r in range(max(q, d), m):
             sym = [zero] * m
             for k, c in table[q][r] + table[r][q]:
                 sym[k] = sym[k] + c
             if any(sym):
                 for p in range(m):
-                    add(table_bracket(table, [int(i == p) for i in range(m)], sym, zero))
-    for h in hypotheses:
-        assert h.ring is ring
-        add((h,))
-    return tuple(equations)
+                    coords.extend(c for c in table_bracket(table, [int(i == p) for i in range(m)], sym, zero) if c)
+    return coords
+
+
+def in_linear_span(polys, span) -> bool:
+    """Whether every Poly of ``polys`` is a rational linear combination of
+    the Polys of ``span``: each monomial is a coordinate, and adding the
+    polys to the span's exact RREF must not raise its rank."""
+    cols = {}
+
+    def row(p):
+        return [(cols.setdefault(mono, len(cols)), c) for mono, c in p.terms()]
+
+    base = [row(p) for p in span]
+    return rank(base) == rank(base + [row(p) for p in polys])

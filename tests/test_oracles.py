@@ -59,9 +59,9 @@ from leibnizalg.linalg import int_is_nilpotent, sparse_inverse
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
-from dense_algebra import (Matrix, dense, dense_annihilator_span, dense_constraints, dense_derivation_space,
-                           dense_matrix, from_dense, mat_apply, mat_identity, mat_int_rows, mat_is_nilpotent, mat_mul,
-                           mat_zeros, sparse, sparse_rows, table_bracket)
+from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
+                           dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_apply, mat_identity,
+                           mat_int_rows, mat_is_nilpotent, mat_mul, mat_zeros, sparse, sparse_rows, table_bracket)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -778,21 +778,32 @@ def test_constraints_match_the_dense_bracket_loop(scenario_systems):
         assert system.equations == dense_constraints(system.problem, hypotheses)
 
 
+def test_annihilator_coordinates_lie_in_the_span_of_the_defect_equations(scenario_systems):
+    """Every right-annihilator coordinate [e_p, [u, v] + [v, u]] with an x
+    among u, v is a rational linear combination of the Leibniz defect
+    equations, so leaving them out of the system keeps its ideal."""
+    problems = {id(system.problem): system.problem for _, _, _, system, _ in scenario_systems}
+    for problem in problems.values():
+        coords = dense_annihilator_coordinates(problem)
+        assert coords
+        assert in_linear_span(coords, generate_constraints(problem).equations)
+
+
 def test_nonexist_systems_keep_the_elimination_order(scenario_systems):
     """The exact counts the benchmark traces for the non-existence workload
-    at n = 7: seven systems, 2243 equations, 393 substitutions, and a widest
+    at n = 7: seven systems, 1796 equations, 393 substitutions, and a widest
     ring of 86 indeterminates."""
     systems = [(s, out) for scenario, n, _, s, out in scenario_systems if n == 7 and scenario.endswith("nonexist")]
     assert len(systems) == 7
     assert all(out.kind == "contradiction" for _, out in systems)
-    assert sum(len(s.equations) for s, _ in systems) == 2243
+    assert sum(len(s.equations) for s, _ in systems) == 1796
     assert sum(len(out.assignments) for _, out in systems) == 393
     assert max(len(s.ring.names) for s, _ in systems) == 86
 
 
 def test_classify_systems_keep_the_elimination_order(scenario_runs):
     """The exact counts the benchmark traces for the classification workload
-    at seed 0 (n = 5, thm36-class at n = 6): 1940 generated equations, 470
+    at seed 0 (n = 5, thm36-class at n = 6): 1531 generated equations, 470
     substitutions and a widest ring of 94 indeterminates, over every system
     eliminated, the alpha-sampling ones included."""
     records, eliminations = scenario_runs
@@ -801,7 +812,7 @@ def test_classify_systems_keep_the_elimination_order(scenario_runs):
     systems = [s for scenario, n, _, s, _ in records if at.get(scenario) == n]
     runs = [(s, out) for scenario, n, s, out in eliminations if at.get(scenario) == n]
     assert {scenario for scenario, n, _, _, _ in records if at.get(scenario) == n} == set(at)
-    assert sum(len(s.equations) for s in systems) == 1940
+    assert sum(len(s.equations) for s in systems) == 1531
     assert sum(len(out.assignments) for _, out in runs) == 470
     assert max(len(s.ring.names) for s, _ in runs) == 94
 
@@ -858,6 +869,17 @@ def test_constraints_match_the_dense_bracket_loop_on_random_tables(case, data):
     hypotheses exercise the scaling to integers."""
     problem, hypotheses = data.draw(extension_cases(case))
     assert generate_constraints(problem, hypotheses).equations == dense_constraints(problem, hypotheses)
+
+
+@pytest.mark.parametrize("case", ["default", "template"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_annihilator_coordinates_lie_in_the_span_of_the_defects_on_random_tables(case, data):
+    """The same span test on random sparse tables, with the default template
+    and with one of non-integral weights."""
+    problem, _ = data.draw(extension_cases(case))
+    coords = dense_annihilator_coordinates(problem)
+    assert in_linear_span(coords, generate_constraints(problem).equations)
 
 
 def reference_jacobi_relations(variant, n, r, ring, t):
