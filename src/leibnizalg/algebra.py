@@ -138,8 +138,11 @@ class Algebra:
     @cached_property
     def scaled(self) -> tuple:
         """``int_table(self.table)``, computed on first use and kept: the
-        integer-scaled table that the exact checks read. It is not a field,
-        so equality, hashing and ``repr`` ignore it."""
+        integer-scaled table that the exact checks (``leibniz_check``,
+        ``is_lie``, ``derivation_space``) read. ``extensions.apply_basis_change``
+        seeds it, since its transform already yields the integer table; every
+        other algebra computes it here. It is not a field, so equality,
+        hashing and ``repr`` ignore it."""
         return int_table(self.table)
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
@@ -216,10 +219,11 @@ def leibniz_check(alg: Algebra) -> LeibnizReport:
 
 
 def is_lie(alg: Algebra) -> bool:
-    """Antisymmetry, [b_i, b_j] = -[b_j, b_i] on the product table; together
-    with the Leibniz identity this is equivalent to the Jacobi identity."""
+    """Antisymmetry, [b_i, b_j] = -[b_j, b_i], compared on the integer-scaled
+    table (``alg.scaled``); together with the Leibniz identity this is
+    equivalent to the Jacobi identity."""
     d = alg.dim
-    prods = alg.table
+    prods = alg.scaled[0]
     return all(prods[i][j] == tuple((k, -c) for k, c in prods[j][i]) for i in range(d) for j in range(i, d))
 
 
@@ -344,6 +348,13 @@ def nilradical_report(alg: Algebra, count: int) -> NilradicalReport:
     nilradical of a codimension-one solvable extension: a two-sided ideal,
     nilpotent, with the ambient algebra non-nilpotent. Any nilpotent ideal
     strictly containing it would be the whole algebra, which is excluded."""
+    return _nilradical_report(alg, count, None)
+
+
+def _nilradical_report(alg: Algebra, count: int, nilpotent: Optional[bool]) -> NilradicalReport:
+    """:func:`nilradical_report`, given ``nilpotent``, the value of
+    ``is_nilpotent(alg)`` when the caller has it already (None when not), so
+    the ambient lower central series is computed once."""
     d = alg.dim
     for i in range(d):
         for j in range(d):
@@ -352,7 +363,7 @@ def nilradical_report(alg: Algebra, count: int) -> NilradicalReport:
                     return NilradicalReport(False, f"not an ideal: [{alg.labels[i]},{alg.labels[j]}] leaves the span")
     if not is_nilpotent(subalgebra_on_indices(alg, count)):
         return NilradicalReport(False, "candidate is not nilpotent")
-    if is_nilpotent(alg):
+    if is_nilpotent(alg) if nilpotent is None else nilpotent:
         return NilradicalReport(False, "ambient algebra is nilpotent")
     return NilradicalReport(True, "")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -42,7 +43,7 @@ from .algebra import (
 )
 from .derivations import derivation_space, is_derivation
 from .families import make_SolvA, make_SolvB
-from .linalg import rref, scale_to_integers, sparse_inverse, to_fraction
+from .linalg import int_inverse, rref, scale_to_integers, to_fraction
 from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
 
@@ -544,19 +545,22 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
     nonzero entries only: for each u_a the half-transform [u_a, b_j] sums
     T[a,i] [b_i, b_j] over the nonzero T[a,i] and the nonzero cells of row i;
     [u_a, u_b] combines those with the nonzero entries of u_b; each nonzero
-    coordinate m is then pushed through row m of T^-1. T, T^-1 and the
-    product table (``alg.scaled``) are integers, so each entry is one integer
-    sum divided once by the product of the three common denominators (twice
-    T's, for the two rows)."""
+    coordinate m is then pushed through row m of T^-1. T, T^-1 (from
+    ``int_inverse``) and the product table (``alg.scaled``) are integers, so
+    each entry is one integer sum N over D, the product of the three common
+    denominators (twice T's, for the two rows). The lcm of the reduced
+    denominators of the N / D is D / g, g = gcd(D, all N), so the result's
+    integer-scaled table is the N / g over D / g: it is stored as
+    ``out.scaled`` with no second scaling, and the Leibniz check reads it."""
     d = alg.dim
     if len(rows) != d:
         raise ValueError("basis change has wrong dimension")
-    (inv_rows,), den_inv = int_table((sparse_inverse(rows),))  # raises on singular input
+    inv_rows, den_inv = int_inverse(rows)  # raises on singular input
     (t_rows,), den_t = int_table((rows,))
     prods, den_p = alg.scaled
     den = den_t * den_t * den_p * den_inv
     cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
-    table = []
+    nums = []
     for u in t_rows:
         half = [{} for _ in range(d)]  # half[j]: the nonzero {m: c} of [u_a, b_j]
         for i, ti in u:
@@ -576,9 +580,16 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
                 if c:
                     for k, e in inv_rows[m]:
                         new[k] = new.get(k, 0) + c * e
-            plane.append(tuple((k, Fraction(new[k], den)) for k in sorted(new) if new[k]))
-        table.append(tuple(plane))
-    out = Algebra(alg.labels, tuple(table), alg.metadata)
+            plane.append(tuple((k, new[k]) for k in sorted(new) if new[k]))
+        nums.append(tuple(plane))
+    g = gcd(den, *(c for plane in nums for cell in plane for _, c in cell))
+    den //= g
+    if g > 1:
+        nums = [tuple(tuple((k, c // g) for k, c in cell) for cell in plane) for plane in nums]
+    nums = tuple(nums)
+    table = tuple(tuple(tuple((k, Fraction(c, den)) for k, c in cell) for cell in plane) for plane in nums)
+    out = Algebra(alg.labels, table, alg.metadata)
+    vars(out)["scaled"] = nums, den  # int_table(out.table), exactly
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out
@@ -706,12 +717,12 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
         frame_memo.setdefault(key, {})["target"] = target
     change = star_change(n, variant, b)
     x = n + 1
-    inv = sparse_inverse(change)  # raises on singular input
+    inv, den = int_inverse(change)  # raises on singular input
     tail = {}
     for m, c in bracket(alg.table, change[1], change[x]):
         for k, e in inv[m]:
             tail[k] = tail.get(k, 0) + c * e
-    residual = {k: tail[k] for k in sorted(tail) if tail[k] and 2 <= k <= n}
+    residual = {k: Fraction(tail[k], den) for k in sorted(tail) if tail[k] and 2 <= k <= n}
     restored = chain_restore(alg, n, variant, change)
     return ConjectureResult(eliminated=(not residual and restored.table == target),
                             residual_b=residual, variant=variant, n=n)

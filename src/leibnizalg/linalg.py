@@ -15,9 +15,12 @@ denominators, and the caller builds at most one ``Fraction`` per output
 entry. Row reduction keeps each row's nonzero entries as a ``{col: int}``
 dict scaled to coprime integers and runs the sparse fraction-free kernel in
 ``_rref_py``; :func:`kernel_basis` solves rows already in the kernel's form,
-and the nilpotency test powers an integer matrix. Everything returned to
-callers is in canonical reduced row echelon form with leading coefficient 1,
-so subspace bases and solution sets are reproducible across runs."""
+and :func:`int_inverse` returns an inverse as integer rows over one common
+denominator, which :func:`sparse_inverse` divides out. The nilpotency test
+reads the trace of an integer matrix first and powers only a matrix of
+trace 0. Everything returned by the reductions is in canonical reduced row
+echelon form with leading coefficient 1, so subspace bases and solution
+sets are reproducible across runs."""
 
 from __future__ import annotations
 
@@ -64,6 +67,8 @@ def to_fraction(x) -> Fraction:
     than int or Fraction raises TypeError."""
     if type(x) is Fraction:
         return x
+    if type(x) is int:
+        return Fraction(x)
     (num,), den = scale_to_integers((x,))
     return Fraction(num, den)
 
@@ -149,11 +154,15 @@ def kernel_basis(work: list, ncols: int) -> dict:
 
 
 def int_is_nilpotent(rows: list[list[int]]) -> bool:
-    """True iff M^d = 0 for a nonempty d x d dense integer matrix, by
-    repeated squaring. A matrix that is not square raises ValueError."""
+    """True iff M^d = 0 for a d x d dense integer matrix. A nilpotent matrix
+    has trace 0, so a nonzero trace answers False at once; only a zero-trace
+    matrix is powered, by repeated squaring. A matrix that is not square
+    raises ValueError."""
     d = len(rows)
     if any(len(row) != d for row in rows):
         raise ValueError("nilpotency is defined for square matrices only")
+    if sum(row[i] for i, row in enumerate(rows)):
+        return False
     power = rows
     e = 1
     while True:
@@ -166,22 +175,33 @@ def int_is_nilpotent(rows: list[list[int]]) -> bool:
         e *= 2
 
 
-def sparse_inverse(rows: Sequence) -> tuple:
-    """The inverse of an invertible d x d rational map, given and returned
-    as its d sparse rows (``Fraction`` entries on return). Raises ValueError
-    on singular input.
+def int_inverse(rows: Sequence) -> tuple:
+    """(inv, den) for an invertible d x d rational map T, given as its d
+    sparse rows: ``inv`` holds the sparse integer rows of den * T^-1, and den
+    is the least common multiple of the denominators of T^-1's entries, so
+    T . inv = den * I. Raises ValueError on singular input.
 
     Each row of [T | I] is scaled to integers on its own, and one reduction
     of their span gives [I | T^-1] when T is invertible, since the pivots
-    then all fall in T's columns."""
+    then all fall in T's columns. The kernel returns each row primitive with
+    a positive leading entry, its lead times e_i followed by lead times row i
+    of T^-1, so den is the lcm of the leads."""
     d = len(rows)
     if any(row and not (0 <= row[0][0] and row[-1][0] < d) for row in rows):
         raise ValueError(f"column index out of range for a {d} x {d} matrix")
     reduced = _kernel.rref_int([_primitive([*row, (d + a, 1)]) for a, row in enumerate(rows)])
     if reduced and min(reduced[-1]) >= d:
         raise ValueError("singular matrix")
-    inverse = []
-    for row in reduced:
-        lead = min(row)
-        inverse.append(tuple((c - d, Fraction(x, row[lead])) for c, x in sorted(row.items()) if c >= d))
-    return tuple(inverse)
+    leads = [row[min(row)] for row in reduced]
+    den = lcm(*leads)
+    inverse = tuple(tuple((c - d, x * (den // lead)) for c, x in sorted(row.items()) if c >= d)
+                    for row, lead in zip(reduced, leads))
+    return inverse, den
+
+
+def sparse_inverse(rows: Sequence) -> tuple:
+    """The inverse of an invertible d x d rational map, given and returned
+    as its d sparse rows (``Fraction`` entries on return): :func:`int_inverse`
+    divided by its den. Raises ValueError on singular input."""
+    inverse, den = int_inverse(rows)
+    return tuple(tuple((c, Fraction(x, den)) for c, x in row) for row in inverse)

@@ -30,11 +30,11 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (
     Algebra,
+    _nilradical_report,
     algebra_from_products,
     is_lie,
     is_nilpotent,
     is_solvable,
-    nilradical_equals,
     subalgebra_on_indices,
 )
 from .derivations import derivation_space, is_derivation, max_nil_independent
@@ -815,9 +815,11 @@ def _structure_errors(alg: Algebra, n: int) -> list:
     errs = []
     if alg.dim != n + 2:
         errs.append(f"dimension {alg.dim} != {n + 2}")
-    if not is_solvable(alg) or is_nilpotent(alg):
+    solvable = is_solvable(alg)
+    nilpotent = solvable and is_nilpotent(alg)  # a nilpotent algebra is solvable
+    if not solvable or nilpotent:
         errs.append("not solvable non-nilpotent")
-    if not nilradical_equals(alg, n + 1):
+    if not _nilradical_report(alg, n + 1, nilpotent):
         errs.append("nilradical mismatch")
     return errs
 

@@ -283,14 +283,15 @@ def test_conjecture_random_samples():
     ("B", 7, {1: 1, 2: -2}, {2: Fraction(1, 3), 4: Fraction(-2), 6: Fraction(5, 7)}),
 ])
 def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alphas, b):
-    """Every algebra keeps its integer-scaled table, so one conjecture_check
-    scales as many product tables as it builds algebras, wherever the
-    package binds int_table: on a cold frame the member, the b = 0 target
-    and the restored table; on a warm frame the target's table is kept and
-    only the member and the restored table are built. The image under the
-    star change is never built. The one basis change, W = chain_restore
-    started from the star change, scales the rows of W and of W^-1 once
-    more, as one-plane tables."""
+    """Every algebra keeps its integer-scaled table, and apply_basis_change
+    hands its result that table directly, so one conjecture_check scales the
+    product table of every algebra it builds but the restored one, wherever
+    the package binds int_table: on a cold frame the member and the b = 0
+    target; on a warm frame the target's table is kept and only the member
+    is scaled. The image under the star change is never built. The one
+    basis change, W = chain_restore started from the star change, scales
+    the rows of W once more, as a one-plane table; W^-1 and the star
+    change's inverse come out of int_inverse as integers."""
     scale = algebra.int_table
     calls, built = [], []
 
@@ -315,8 +316,8 @@ def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alph
         assert conjecture_check(n, variant, 1, alphas, 0, b).eliminated
         assert len(built) == want
         tables = [t for t in calls if len(t) == n + 2]
-        assert len(tables) == len(built)
-        assert len(calls) - len(tables) == 2
+        assert len(tables) == len(built) - 1
+        assert len(calls) - len(tables) == 1
 
 
 def test_conjecture_reports_residual_when_transformation_cannot_work():

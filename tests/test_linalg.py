@@ -8,12 +8,14 @@ from leibnizalg.algebra import Subspace
 from leibnizalg.linalg import (
     binomial,
     dense_row,
+    int_inverse,
     int_is_nilpotent,
     nullspace,
     rank,
     rref,
     scale_to_integers,
     sparse_inverse,
+    to_fraction,
 )
 from leibnizalg.poly import PolyRing
 
@@ -144,6 +146,19 @@ def test_nilpotent_nonzero_diagonal_false():
 def test_nilpotent_requires_square():
     with pytest.raises(ValueError):
         int_is_nilpotent([[1, 0]])
+    with pytest.raises(ValueError):
+        int_is_nilpotent([[1, 0], [0]])  # ragged: raises before the trace reads row 1
+
+
+def test_nilpotent_zero_trace_is_powered():
+    """Trace 0 decides nothing: diag(1, -1), a rotation and a matrix with
+    eigenvalues 0, 1, -1 are not nilpotent; a non-triangular nilpotent and
+    the empty matrix are."""
+    assert not int_is_nilpotent([[1, 0], [0, -1]])
+    assert not int_is_nilpotent([[0, 1], [-1, 0]])
+    assert not int_is_nilpotent([[0, 1, 0], [0, 1, 0], [0, 0, -1]])
+    assert int_is_nilpotent([[2, -4], [1, -2]])  # (2, 1) spans its image and its kernel
+    assert int_is_nilpotent([])
 
 
 @given(st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=7))
@@ -176,6 +191,11 @@ def test_inverse_round_trip():
                      for row in [[2, 1, 0], [1, 1, 1], [0, 3, 1]]))
     inv = sparse_inverse(sparse_rows(m))
     assert mat_mul(m, dense_matrix(inv, 3)).rows == mat_identity(3).rows
+    # the integer form: T inv = den I, den the least common denominator of T^-1
+    int_inv, den = int_inverse(sparse_rows(m))
+    assert mat_mul(m, dense_matrix(int_inv, 3)).rows == mat_scaled(mat_identity(3), den).rows
+    assert den == lcm(*(c.denominator for row in inv for _, c in row))
+    assert int_inverse(()) == ((), 1)
 
 
 @st.composite
@@ -220,6 +240,8 @@ def test_inverse_singular_raises():
     m = Matrix(tuple(tuple(Fraction(v) for v in row) for row in [[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
         sparse_inverse(sparse_rows(m))
+    with pytest.raises(ValueError, match="singular"):
+        int_inverse(sparse_rows(m))
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.0, PolyRing(("t",)).var("t"), "1/2"],
@@ -235,6 +257,7 @@ def test_non_rational_entries_raise_type_error(bad):
         lambda: rank(entries),
         lambda: nullspace(entries, 2),
         lambda: sparse_inverse(entries),
+        lambda: int_inverse(entries),
         lambda: Subspace.span(entries, 2),
     ]
     for call in calls:
@@ -249,3 +272,21 @@ def test_scale_to_integers_uses_the_least_common_denominator(entries):
     assert den == lcm(*(Fraction(x).denominator for x in entries))
     assert len(ints) == len(entries)
     assert all(type(a) is int and Fraction(a, den) == x for a, x in zip(ints, entries))
+
+
+def test_to_fraction_keeps_exact_types_and_refuses_the_rest():
+    """int (bool and int subclasses included) and Fraction convert exactly;
+    anything else raises TypeError naming its type."""
+
+    class Count(int):
+        pass
+
+    for x, want in ((7, Fraction(7)), (-3, Fraction(-3)), (True, Fraction(1)), (False, Fraction(0)),
+                    (Count(5), Fraction(5)), (Fraction(2, 3), Fraction(2, 3))):
+        got = to_fraction(x)
+        assert type(got) is Fraction and got == want
+    half = Fraction(1, 2)
+    assert to_fraction(half) is half
+    for bad in (0.5, "1", None, PolyRing(("t",)).var("t")):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            to_fraction(bad)

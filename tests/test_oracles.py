@@ -17,14 +17,19 @@ without the library's own Leibniz check.
 The library evaluates ``leibniz_check``, ``is_lie``, ``apply_basis_change``
 and ``int_is_nilpotent`` on integers scaled to a common denominator;
 Hypothesis checks each against a test-local ``Fraction`` reference on random
-rational inputs with mixed denominators. ``apply_basis_change`` walks only
-nonzero entries, so it is also checked on mostly-zero matrices and on the
-star and chain-restore changes of the conjectures, and the one change a
-conjecture trial makes is checked against the two-step Fraction path (the
-star change, then the chain restore of its image) on random admissible
-SolvA/SolvB members at n = 5..9, a_1 != 0 included; ``sparse_inverse``, which
-it inverts each change with, is checked by multiplying T T^-1 out in
-Fractions on the same matrices, and must raise on singular ones. ``derivation_space`` is
+rational inputs with mixed denominators. ``int_is_nilpotent`` answers a
+nonzero trace at once, so it is also checked on conjugated block matrices of
+trace 0, nilpotent or not, which only the powering can decide.
+``apply_basis_change`` walks only nonzero entries, so it is also checked on
+mostly-zero matrices and on the star and chain-restore changes of the
+conjectures, and the one change a conjecture trial makes is checked against
+the two-step Fraction path (the star change, then the chain restore of its
+image) on random admissible SolvA/SolvB members at n = 5..9, a_1 != 0
+included; the integer table it hands its result must be ``int_table`` of the
+result's Fraction table. ``sparse_inverse`` and ``int_inverse``, which
+inverts each change, are checked by multiplying T T^-1 out in Fractions on
+the same matrices (T inv = den I for the integer form), and must raise on
+singular ones. ``derivation_space`` is
 checked against sympy's ``Matrix.nullspace`` of the derivation equation
 written out from the structure tensor, for every family. Its sparse integer
 rows, the annihilator span and the constraint equations of the extension
@@ -46,8 +51,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg import verify
-from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, is_lie, leibniz_check, leibniz_defects,
-                                product_table)
+from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, int_table, is_lie, leibniz_check,
+                                leibniz_defects, product_table)
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
 from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change, build_extension_problem,
                                    chain_restore, conjecture_check, diagonal_branches, eliminate, generate_constraints,
@@ -55,13 +60,14 @@ from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change,
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
-from leibnizalg.linalg import int_is_nilpotent, sparse_inverse
+from leibnizalg.linalg import int_inverse, int_is_nilpotent, sparse_inverse
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
                            dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_apply, mat_identity,
-                           mat_int_rows, mat_is_nilpotent, mat_mul, mat_zeros, sparse, sparse_rows, table_bracket)
+                           mat_int_rows, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, sparse, sparse_rows,
+                           table_bracket)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -458,12 +464,18 @@ def sparse_invertible_matrices(draw, d: int) -> Matrix:
 
 def assert_inverse_by_fraction_product(rows) -> None:
     """T times T^-1 is the identity, multiplied out in Fractions, for the
-    sparse rows of T; T^-1 comes back in the same canonical row form."""
+    sparse rows of T; T^-1 comes back in the same canonical row form. The
+    integer inverse (inv, den) gives T inv = den I, with den the least
+    common denominator of T^-1, so it is T^-1's integer-scaled table."""
     d = len(rows)
     inv = sparse_inverse(rows)
     assert mat_mul(dense_matrix(rows, d), dense_matrix(inv, d)).rows == mat_identity(d).rows
     assert inv == sparse_rows(dense_matrix(inv, d))
     assert all(type(c) is Fraction for row in inv for _, c in row)
+    int_inv, den = int_inverse(rows)
+    assert mat_mul(dense_matrix(rows, d), dense_matrix(int_inv, d)).rows == mat_scaled(mat_identity(d), den).rows
+    assert all(type(c) is int for row in int_inv for _, c in row)
+    assert ((int_inv,), den) == int_table((inv,))
 
 
 @given(st.integers(1, 9), st.data())
@@ -484,6 +496,8 @@ def test_sparse_inverse_of_permuted_triangular_matrices(d, data):
         rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
     with pytest.raises(ValueError, match="singular"):
         sparse_inverse(sparse_rows(rows))
+    with pytest.raises(ValueError, match="singular"):
+        int_inverse(sparse_rows(rows))
 
 
 SOLVABLE_MEMBERS = (
@@ -501,6 +515,19 @@ def test_apply_basis_change_matches_fraction_reference(alg, sparse, data):
     rows = sparse_rows(mat)
     assert_inverse_by_fraction_product(rows)
     assert dense(apply_basis_change(alg, rows)) == fraction_basis_change(alg, mat)
+
+
+@given(st.sampled_from(LEIBNIZ_FAMILIES + SOLVABLE_MEMBERS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_basis_change_hands_over_its_integer_table(alg, data):
+    """The integer table apply_basis_change stores on its result (N / g over
+    D / g) is int_table of the result's Fraction table, on dense random
+    changes, which are not triangular."""
+    mat = data.draw(invertible_matrices(alg.dim))
+    assume(any(mat.rows[i][j] for i in range(alg.dim) for j in range(i)))
+    out = apply_basis_change(alg, sparse_rows(mat))
+    assert "scaled" in vars(out)
+    assert out.scaled == int_table(out.table)
 
 
 def dense_chain_restore_matrix(alg: Algebra, n: int, variant: str) -> Matrix:
@@ -626,6 +653,42 @@ def test_matrix_is_nilpotent_matches_fraction_reference(d, data):
     else:
         mat = Matrix(tuple(tuple(data.draw(entry) for _ in range(d)) for _ in range(d)))
     assert int_is_nilpotent(mat_int_rows(mat)) == mat_is_nilpotent(mat)
+
+
+@st.composite
+def zero_trace_block_matrices(draw) -> tuple:
+    """(M, nilpotent): M = P B P^-1 for a random invertible P and a
+    block-diagonal B whose blocks each have trace 0: strictly upper
+    triangular (nilpotent), diag(a, -a) or the rotation [[0, a], [-b, 0]]
+    (neither nilpotent: their squares are a^2 I and -ab I). M has trace 0,
+    so the trace alone cannot decide it, and is not triangular in general."""
+    blocks = draw(st.lists(st.sampled_from(("nil", "hyperbolic", "rotation")), min_size=1, max_size=3))
+    sizes = [draw(st.integers(1, 3)) if kind == "nil" else 2 for kind in blocks]
+    d = sum(sizes)
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    at = 0
+    for kind, size in zip(blocks, sizes):
+        if kind == "nil":
+            for i in range(at, at + size):
+                for j in range(i + 1, at + size):
+                    rows[i][j] = draw(st.one_of(st.just(Fraction(0)), nonzero_rationals))
+        elif kind == "hyperbolic":
+            a = draw(nonzero_rationals)
+            rows[at][at], rows[at + 1][at + 1] = a, -a
+        else:
+            rows[at][at + 1], rows[at + 1][at] = draw(nonzero_rationals), -draw(nonzero_rationals)
+        at += size
+    p = draw(invertible_matrices(d))
+    return mat_mul(mat_mul(inverse(p), Matrix(tuple(map(tuple, rows)))), p), all(b == "nil" for b in blocks)
+
+
+@given(zero_trace_block_matrices())
+@settings(max_examples=120, deadline=None)
+def test_zero_trace_nilpotency_matches_fraction_reference(case):
+    """Trace 0 on every input, so each answer comes from the powering."""
+    mat, nilpotent = case
+    assert sum(mat.rows[i][i] for i in range(mat.nrows)) == 0
+    assert int_is_nilpotent(mat_int_rows(mat)) == mat_is_nilpotent(mat) == nilpotent
 
 
 # -- the derivation space against sympy ---------------------------------------------------
