@@ -43,7 +43,6 @@ from .extensions import (
     Family,
     apply_basis_change,
     build_extension_problem,
-    chain_restore,
     conjecture_check,
     diagonal_branches,
     eliminate,

@@ -61,19 +61,18 @@ def _load_algebra(path: str):
         raise SystemExit(2)
 
 
-def _parse_params(text: str) -> dict:
-    params = {}
-    if not text:
-        return params
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _parse_pairs(text: str) -> list:
+    """The comma-separated name=value pairs, in order, as exact rationals."""
+    pairs = []
+    for chunk in filter(None, (c.strip() for c in text.split(","))):
         if "=" not in chunk:
             raise ValueError(f"parameter {chunk!r} is not of the form name=value")
         name, _, value = chunk.partition("=")
-        params[name.strip()] = Fraction(value.strip())
-    return params
+        try:
+            pairs.append((name.strip(), Fraction(value.strip())))
+        except ZeroDivisionError:
+            raise ValueError(f"parameter {chunk!r} has a zero denominator") from None
+    return pairs
 
 
 def _cmd_check(args) -> int:
@@ -139,8 +138,7 @@ def _cmd_family(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        params = _parse_params(args.params)
-        alg = make_family(FamilySpec(args.family, args.n, params))
+        alg = make_family(FamilySpec(args.family, args.n, dict(_parse_pairs(args.params))))
     except (ValueError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -152,15 +150,7 @@ def _parse_hypotheses(text: str, problem):
     """name=value pairs on template entries: a<k> is entry (0,k), b<k> is
     entry (1,k), d<i>_<j> is entry (i,j)."""
     hyps = []
-    if not text:
-        return hyps
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, value = chunk.partition("=")
-        name = name.strip()
-        val = Fraction(value.strip())
+    for name, val in _parse_pairs(text):
         if name.startswith("a") and name[1:].isdigit():
             i, j = 0, int(name[1:])
         elif name.startswith("b") and name[1:].isdigit():
@@ -196,17 +186,10 @@ def _cmd_extend(args) -> int:
     alg = _load_algebra(args.file)
     try:
         problem = build_extension_problem(alg)
+        branches = [_parse_hypotheses(args.hypotheses, problem)] if args.hypotheses else diagonal_branches(problem)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.hypotheses:
-        try:
-            branches = [_parse_hypotheses(args.hypotheses, problem)]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        branches = diagonal_branches(problem)
     if not branches:
         print("every derivation of the algebra is nilpotent: no non-nilpotent extension exists")
         return 0

@@ -21,9 +21,8 @@ term by term in a dict and turned into a :class:`~leibnizalg.poly.Poly`
 once, content-normalized. The graded alpha relations of ``verify`` come from
 the same function. The elimination divides by no pivot coefficient. A basis
 change is a map too: the sparse rows of the new basis vectors in old
-coordinates. A conjecture trial makes one basis change of its member, and
-what does not depend on the trial's b (the frame: variant, n, r, alphas,
-a1) is kept in :data:`frame_memo`.
+coordinates. A conjecture trial inverts nothing and builds no table; what
+does not depend on its b (variant, n, r, alphas, a1) is in :data:`frame_memo`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .algebra import (
 )
 from .derivations import derivation_space, is_derivation
 from .families import make_SolvA, make_SolvB
-from .linalg import int_inverse, rref, scale_to_integers, to_fraction
+from .linalg import int_inverse, is_unitriangular, rref, scale_to_integers, to_fraction, unitriangular_solve
 from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
 
@@ -534,6 +533,27 @@ def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction]) -> Optio
     return shear_change(n + 2, entries)
 
 
+def _old_brackets(prods: Sequence, rows: Sequence):
+    """Per a, [u_a, u_b] in old coordinates as ``{m: int}``, for every b."""
+    cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
+    for u in rows:
+        half = [{} for _ in prods]  # half[j]: the nonzero {m: c} of [u_a, b_j]
+        for i, ti in u:
+            for j, cell in cells[i]:
+                acc = half[j]
+                for m, c in cell:
+                    acc[m] = acc.get(m, 0) + ti * c
+        half = [[(m, c) for m, c in acc.items() if c] for acc in half]
+        plane = []
+        for v in rows:
+            w = {}
+            for j, vj in v:
+                for m, c in half[j]:
+                    w[m] = w.get(m, 0) + vj * c
+            plane.append(w)
+        yield plane
+
+
 def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
     """Transform the product table to the basis whose vector u_a has the
     sparse old coordinates ``rows[a]`` (the nonzero ``(i, c)``, sorted by i);
@@ -542,39 +562,24 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
 
     The entry of [u_a, u_b] on new basis vector k is
     (bracket(u_a, u_b) @ T^-1)[k], T the matrix of the rows. It is built over
-    nonzero entries only: for each u_a the half-transform [u_a, b_j] sums
-    T[a,i] [b_i, b_j] over the nonzero T[a,i] and the nonzero cells of row i;
-    [u_a, u_b] combines those with the nonzero entries of u_b; each nonzero
-    coordinate m is then pushed through row m of T^-1. T, T^-1 (from
+    nonzero entries only: each nonzero old coordinate m of [u_a, u_b]
+    (:func:`_old_brackets`) is pushed through row m of T^-1. T, T^-1 (from
     ``int_inverse``) and the product table (``alg.scaled``) are integers, so
     each entry is one integer sum N over D, the product of the three common
     denominators (twice T's, for the two rows). The lcm of the reduced
     denominators of the N / D is D / g, g = gcd(D, all N), so the result's
     integer-scaled table is the N / g over D / g: it is stored as
     ``out.scaled`` with no second scaling, and the Leibniz check reads it."""
-    d = alg.dim
-    if len(rows) != d:
+    if len(rows) != alg.dim:
         raise ValueError("basis change has wrong dimension")
     inv_rows, den_inv = int_inverse(rows)  # raises on singular input
     (t_rows,), den_t = int_table((rows,))
     prods, den_p = alg.scaled
     den = den_t * den_t * den_p * den_inv
-    cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
     nums = []
-    for u in t_rows:
-        half = [{} for _ in range(d)]  # half[j]: the nonzero {m: c} of [u_a, b_j]
-        for i, ti in u:
-            for j, cell in cells[i]:
-                acc = half[j]
-                for m, c in cell:
-                    acc[m] = acc.get(m, 0) + ti * c
-        half = [[(m, c) for m, c in acc.items() if c] for acc in half]
+    for old in _old_brackets(prods, t_rows):
         plane = []
-        for v in t_rows:
-            w = {}  # [u_a, u_b] in old coordinates
-            for j, vj in v:
-                for m, c in half[j]:
-                    w[m] = w.get(m, 0) + vj * c
+        for w in old:
             new = {}  # [u_a, u_b] in new coordinates
             for m, c in w.items():
                 if c:
@@ -593,6 +598,30 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out
+
+
+def carries_products(alg: Algebra, rows: Sequence, target: tuple) -> bool:
+    """True iff the basis u_a = ``rows[a]`` of ``alg`` has the structure
+    constants c of the algebra whose ``.scaled`` is ``target``: [u_a, u_b] =
+    sum_k c[a][b][k] u_k for every pair (the image check of an isomorphism).
+    The rows must be upper unitriangular (else ValueError), hence a basis,
+    so this is ``apply_basis_change(alg, rows).scaled == target`` with no
+    inverse and no new table. In integers, both sides times den_p * den_t *
+    den_r^2, the common denominators of the two tables and of the rows."""
+    (prods, den_p), (want_prods, den_t) = alg.scaled, target
+    if len(rows) != len(prods) or len(want_prods) != len(prods) or not is_unitriangular(rows):
+        raise ValueError("need an upper unitriangular change and a target of the algebra's dimension")
+    (t_rows,), den_r = int_table((rows,))
+    prods = [[tuple((m, c * den_t) for m, c in cell) for cell in plane] for plane in prods]
+    scaled_rows = [[(m, e * den_p * den_r) for m, e in row] for row in t_rows]
+    for a, old in enumerate(_old_brackets(prods, t_rows)):
+        for b, w in enumerate(old):
+            for k, c in want_prods[a][b]:
+                for m, e in scaled_rows[k]:
+                    w[m] = w.get(m, 0) - c * e
+            if any(w.values()):
+                return False
+    return True
 
 
 def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
@@ -630,24 +659,18 @@ def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
     return chain_shift(n, 1, e1_top, A) or tuple(((i, 1),) for i in range(n + 2))
 
 
-def chain_restore(alg: Algebra, n: int, variant: str, start: Optional[Sequence] = None) -> Algebra:
-    """Re-adapt the basis of a solvable extension through its chain
-    products: keep u_0, u_1 and u_x, and rebuild the rest as
-    w_{i+1} = [u_0, w_i] from w_1 = u_1 (for the second variant the top
-    vector is -[u_1, w_{n-1}]). The u's are rows 0, 1 and n + 1 of the
-    basis change ``start`` in the coordinates of ``alg`` (the identity when
-    None). Brackets do not depend on the basis, so this one change of
-    ``alg`` is its change to ``start`` followed by the re-adaptation of the
-    image. Unitriangular on a unitriangular ``start``, hence invertible."""
-    x = n + 1
-    start = start or tuple(((i, 1),) for i in range(x + 1))
+def chain_rows(alg: Algebra, n: int, variant: str, start: Sequence) -> list:
+    """Rows 0, 1 and x = n + 1 of the change ``start`` (u_0, u_1, u_x) with
+    the rest rebuilt as w_{i+1} = [u_0, w_i] from w_1 = u_1 (for B the top
+    row is -[u_1, w_{n-1}]), in the table of ``alg``: ``start`` followed by
+    the chain re-adaptation of the image; unitriangular when ``start`` is."""
     rows = [start[0], start[1]]
     for i in range(1, n if variant == "A" else n - 1):
         rows.append(bracket(alg.table, rows[0], rows[i]))
     if variant == "B":
         rows.append(tuple((k, -c) for k, c in bracket(alg.table, rows[1], rows[n - 1])))
-    rows.append(start[x])
-    return apply_basis_change(alg, rows)
+    rows.append(start[n + 1])
+    return rows
 
 
 # -- conjecture frames ----------------------------------------------------------------
@@ -658,7 +681,7 @@ def chain_restore(alg: Algebra, n: int, variant: str, start: Optional[Sequence] 
 #              which the graded runners read;
 #   "admitted" the b_k whose x-row propagation is a derivation of the
 #              nilradical (verify.sample_solv_bs);
-#   "target"   the product table of the validated b = 0 member
+#   "target"   the integer-scaled table of the validated b = 0 member
 #              (conjecture_check).
 # An entry is made only by a validation that passed, so an alpha that fails
 # its construction is never stored. verify.run_scenario clears the memo
@@ -693,16 +716,11 @@ class ConjectureResult:
 def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction],
                      a1, b: Mapping[int, Fraction]) -> ConjectureResult:
     """Build the solvable family member, apply the star transformation T,
-    read the residual tail coefficients off the transformed [e_1, x] row,
-    re-adapt the basis through the chain products and compare the whole
-    product table against the member with all b = 0.
-
-    The image under T is never built: its [e_1, x] row is the bracket of
-    rows 1 and x of T pushed through T^-1, and the re-adapted basis is one
-    change of the member (``chain_restore`` started from T), made through
-    apply_basis_change, so a single mismatched entry is caught exactly. The
-    b = 0 member is built and validated once per frame (``frame_memo``).
-    """
+    read the residual tail off the transformed [e_1, x] row (the y with
+    y . T = [u_1, u_x]), and check that the basis re-adapted through the
+    chain products (``chain_rows`` from T) carries the products of the b = 0
+    member (``carries_products``), which is built and validated once per
+    frame (``frame_memo``). Nothing is inverted and no table is built."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
 
@@ -713,16 +731,10 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
     key = frame_key(variant, n, r, alphas, a1)
     target = frame_memo.get(key, {}).get("target")
     if target is None:
-        target = member({}).table
+        target = member({}).scaled
         frame_memo.setdefault(key, {})["target"] = target
     change = star_change(n, variant, b)
-    x = n + 1
-    inv, den = int_inverse(change)  # raises on singular input
-    tail = {}
-    for m, c in bracket(alg.table, change[1], change[x]):
-        for k, e in inv[m]:
-            tail[k] = tail.get(k, 0) + c * e
-    residual = {k: Fraction(tail[k], den) for k in sorted(tail) if tail[k] and 2 <= k <= n}
-    restored = chain_restore(alg, n, variant, change)
-    return ConjectureResult(eliminated=(not residual and restored.table == target),
-                            residual_b=residual, variant=variant, n=n)
+    tail = unitriangular_solve(bracket(alg.table, change[1], change[n + 1]), change)
+    residual = {k: c for k, c in tail if 2 <= k <= n}
+    restored = carries_products(alg, chain_rows(alg, n, variant, change), target)
+    return ConjectureResult(not residual and restored, residual, variant, n)

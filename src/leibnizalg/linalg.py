@@ -4,10 +4,10 @@ A row has one form throughout the package: its nonzero ``(col, c)`` pairs,
 sorted by col, the form of a product-table cell. A d x d linear map is the
 tuple of its d rows (row i lists the nonzero coordinates of the image of
 b_i), whatever the scalar: a basis change, a derivation, the symbolic
-extension template. :func:`rref`, :func:`rank`, :func:`nullspace` and
-:func:`sparse_inverse` take ``int``/``Fraction`` rows in that form (a zero
-entry is allowed and dropped) and return them with ``Fraction`` entries;
-:func:`dense_row` expands a row for code that indexes entries by position.
+extension template. :func:`rref`, :func:`rank` and :func:`nullspace` take
+``int``/``Fraction`` rows in that form (a zero entry is allowed and
+dropped) and return them with ``Fraction`` entries; :func:`dense_row`
+expands a row for code that indexes entries by position.
 
 The exact checks run on integers: :func:`scale_to_integers` multiplies
 ``int``/``Fraction`` entries by the least common multiple of their
@@ -15,12 +15,12 @@ denominators, and the caller builds at most one ``Fraction`` per output
 entry. Row reduction keeps each row's nonzero entries as a ``{col: int}``
 dict scaled to coprime integers and runs the sparse fraction-free kernel in
 ``_rref_py``; :func:`kernel_basis` solves rows already in the kernel's form,
-and :func:`int_inverse` returns an inverse as integer rows over one common
-denominator, which :func:`sparse_inverse` divides out. The nilpotency test
-reads the trace of an integer matrix first and powers only a matrix of
-trace 0. Everything returned by the reductions is in canonical reduced row
-echelon form with leading coefficient 1, so subspace bases and solution
-sets are reproducible across runs."""
+:func:`int_inverse` returns an inverse as integer rows over one common
+denominator, and :func:`unitriangular_solve` solves y T = v without one. The
+nilpotency test reads the trace of an integer matrix first and powers only a
+matrix of trace 0. Everything returned by the reductions is in canonical
+reduced row echelon form with leading coefficient 1, so subspace bases and
+solution sets are reproducible across runs."""
 
 from __future__ import annotations
 
@@ -87,6 +87,25 @@ def dense_row(row: Sequence, width: int, zero=_ZERO) -> tuple:
 def is_upper_triangular(rows: Sequence) -> bool:
     """True iff no row i of a map lists a column left of i."""
     return all(c >= i for i, row in enumerate(rows) for c, _ in row)
+
+
+def is_unitriangular(rows: Sequence) -> bool:
+    """True iff a map is upper triangular with every diagonal entry 1."""
+    return is_upper_triangular(rows) and all(row and row[0] == (i, 1) for i, row in enumerate(rows))
+
+
+def unitriangular_solve(v: Sequence, rows: Sequence) -> tuple:
+    """The sparse row y with y . T = v for an upper unitriangular T (else
+    ValueError), by forward substitution with +, - and * only."""
+    if not is_unitriangular(rows):
+        raise ValueError("map is not upper unitriangular")
+    acc, y = dict(v), []
+    for k, row in enumerate(rows):
+        if c := acc.pop(k, 0):
+            y.append((k, c))
+            for j, t in row[1:]:
+                acc[j] = acc.get(j, 0) - c * t
+    return tuple(y)
 
 
 # -- row reduction -----------------------------------------------------------
@@ -197,11 +216,3 @@ def int_inverse(rows: Sequence) -> tuple:
     inverse = tuple(tuple((c - d, x * (den // lead)) for c, x in sorted(row.items()) if c >= d)
                     for row, lead in zip(reduced, leads))
     return inverse, den
-
-
-def sparse_inverse(rows: Sequence) -> tuple:
-    """The inverse of an invertible d x d rational map, given and returned
-    as its d sparse rows (``Fraction`` entries on return): :func:`int_inverse`
-    divided by its den. Raises ValueError on singular input."""
-    inverse, den = int_inverse(rows)
-    return tuple(tuple((c, Fraction(x, den)) for c, x in row) for row in inverse)

@@ -7,7 +7,8 @@ d x d x d structure tensor ``tensor[i][j][k]`` (the coefficient of e_k in
 ``Fraction`` (or ``Poly``) action, product, zero test and nilpotency test
 that the oracles compare the integer-scaled library routines against, the
 matrix arithmetic the tests use to combine derivations, the conversion
-between dense vectors or matrices and sparse rows, the dense bracket
+between dense vectors or matrices and sparse rows, the ``Fraction`` inverse
+of a map in sparse rows (``sparse_inverse``), the dense bracket
 ``table_bracket`` that ``algebra.bracket`` is compared against, subspace
 containment for the series tests, and the per-triple
 Leibniz defect that the library's sparse walk is compared against. The
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from leibnizalg.algebra import Algebra, algebra_from_products, product_table
-from leibnizalg.linalg import nullspace, rank, rref, scale_to_integers
+from leibnizalg.linalg import int_inverse, nullspace, rank, rref, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,13 @@ def sparse_rows(mat) -> tuple:
     """The library's form of a dense matrix (a ``Matrix`` or a sequence of
     rows): row a lists the nonzero (i, c) of its row a, sorted by i."""
     return tuple(map(sparse, mat.rows if isinstance(mat, Matrix) else mat))
+
+
+def sparse_inverse(rows) -> tuple:
+    """The inverse of an invertible map in sparse rows, with ``Fraction``
+    entries: ``int_inverse`` divided by its den (ValueError when singular)."""
+    inverse, den = int_inverse(rows)
+    return tuple(tuple((c, Fraction(x, den)) for c, x in row) for row in inverse)
 
 
 def dense_matrix(rows, d: int, zero=Fraction(0)) -> Matrix:

@@ -339,6 +339,23 @@ def test_cli_family_list(capsys):
     assert "SolvA" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, message", [
+    (["family", "F1", "--n", "5", "--params", "alpha3=1/0"], "parameter 'alpha3=1/0' has a zero denominator"),
+    (["extend", "{alg}", "--hypotheses", "a0=1/0"], "parameter 'a0=1/0' has a zero denominator"),
+    (["extend", "{alg}", "--hypotheses", "a0"], "parameter 'a0' is not of the form name=value"),
+], ids=["family-zero-denominator", "extend-zero-denominator", "extend-no-equals"])
+def test_cli_malformed_values_exit_2_with_one_line(tmp_path, capsys, command, message):
+    """A zero denominator in --params or --hypotheses, or a hypothesis with
+    no '=', is a usage error: one line on stderr, exit 2, no traceback."""
+    out = tmp_path / "alg.json"
+    main(["family", "F2", "--n", "5", "--params", "gamma=1", "--out", str(out)])
+    capsys.readouterr()
+    assert main([str(out) if arg == "{alg}" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_family_construction_error_exits_2(capsys):
     assert main(["family", "Qn", "--n", "6"]) == 2
     assert "odd" in capsys.readouterr().err

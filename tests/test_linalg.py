@@ -14,12 +14,13 @@ from leibnizalg.linalg import (
     rank,
     rref,
     scale_to_integers,
-    sparse_inverse,
     to_fraction,
+    unitriangular_solve,
 )
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import Matrix, dense_matrix, mat_identity, mat_int_rows, mat_mul, mat_scaled, sparse_rows
+from dense_algebra import (Matrix, dense_matrix, mat_identity, mat_int_rows, mat_mul, mat_scaled, sparse_inverse,
+                           sparse_rows)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -234,6 +235,31 @@ def test_rref_matches_sympy_on_sparse_integer_matrices(case):
     want_ns = sympy.Matrix.hstack(*kernel).T.rref()[0] if kernel else sympy.zeros(0, ncols)
     assert nullspace(sparse_rows(rows), ncols) == sparse_rows(
         [[Fraction(int(x.p), int(x.q)) for x in want_ns.row(t)] for t in range(want_ns.rows)])
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unitriangular_solve_inverts_by_forward_substitution(d, data):
+    """y T = v for a random upper unitriangular T (zeros mixed in above the
+    diagonal) and a random sparse v, multiplied out in Fractions: the same
+    y as v T^-1."""
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    mat = Matrix(tuple(tuple(Fraction(int(i == j)) if j <= i else data.draw(entry) for j in range(d))
+                       for i in range(d)))
+    v = data.draw(st.lists(entry, min_size=d, max_size=d))
+    y = unitriangular_solve(sparse_rows([v])[0], sparse_rows(mat))
+    assert mat_mul(dense_matrix((y,), d), mat).rows[0] == tuple(v)
+    assert y == sparse_rows(mat_mul(Matrix((tuple(v),)), dense_matrix(sparse_inverse(sparse_rows(mat)), d)))[0]
+
+
+def test_unitriangular_solve_is_generic_in_the_scalar():
+    """Only +, - and * are used, so Poly entries work: with T = [[1, t], [0, 1]]
+    and v = (1, 0), y = (1, -t)."""
+    ring = PolyRing(("t",))
+    t = ring.var("t")
+    assert unitriangular_solve(((0, ring.one),), (((0, 1), (1, t)), ((1, 1),))) == ((0, ring.one), (1, -t))
+    with pytest.raises(ValueError, match="unitriangular"):
+        unitriangular_solve(((0, 1),), (((0, 1),), ((0, t), (1, 1))))
 
 
 def test_inverse_singular_raises():

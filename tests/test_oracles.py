@@ -22,14 +22,18 @@ nonzero trace at once, so it is also checked on conjugated block matrices of
 trace 0, nilpotent or not, which only the powering can decide.
 ``apply_basis_change`` walks only nonzero entries, so it is also checked on
 mostly-zero matrices and on the star and chain-restore changes of the
-conjectures, and the one change a conjecture trial makes is checked against
-the two-step Fraction path (the star change, then the chain restore of its
-image) on random admissible SolvA/SolvB members at n = 5..9, a_1 != 0
-included; the integer table it hands its result must be ``int_table`` of the
-result's Fraction table. ``sparse_inverse`` and ``int_inverse``, which
-inverts each change, are checked by multiplying T T^-1 out in Fractions on
-the same matrices (T inv = den I for the integer form), and must raise on
-singular ones. ``derivation_space`` is
+conjectures; the integer table it hands its result must be ``int_table`` of
+the result's Fraction table. A conjecture trial inverts nothing: its
+residual tail (a forward substitution over the star change) and its image
+check (``carries_products``: the re-adapted rows carry the b = 0 member's
+products) are checked against the two-step Fraction path (the star change,
+then the chain restore of its image) on random admissible SolvA/SolvB
+members at n = 5..9, a_1 != 0 included, and the image check against
+``apply_basis_change`` on random unitriangular changes, with one target
+entry perturbed as well. ``int_inverse``, which inverts each change, and
+its ``Fraction`` form ``sparse_inverse`` are checked by multiplying T T^-1
+out in Fractions on the same matrices (T inv = den I for the integer form),
+and must raise on singular ones. ``derivation_space`` is
 checked against sympy's ``Matrix.nullspace`` of the derivation equation
 written out from the structure tensor, for every family. Its sparse integer
 rows, the annihilator span and the constraint equations of the extension
@@ -55,19 +59,19 @@ from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, int_tab
                                 leibniz_defects, product_table)
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
 from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change, build_extension_problem,
-                                   chain_restore, conjecture_check, diagonal_branches, eliminate, generate_constraints,
-                                   instantiate, star_change)
+                                   carries_products, chain_rows, conjecture_check, diagonal_branches, eliminate,
+                                   generate_constraints, instantiate, star_change)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
-from leibnizalg.linalg import int_inverse, int_is_nilpotent, sparse_inverse
+from leibnizalg.linalg import int_inverse, int_is_nilpotent, unitriangular_solve
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
                            dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_apply, mat_identity,
-                           mat_int_rows, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, sparse, sparse_rows,
-                           table_bracket)
+                           mat_int_rows, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, sparse, sparse_inverse,
+                           sparse_rows, table_bracket)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -567,7 +571,8 @@ def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
     assert dense(moved) == fraction_basis_change(alg, dense_matrix(change, alg.dim))
     restore = dense_chain_restore_matrix(moved, n, variant)
     assert_inverse_by_fraction_product(sparse_rows(restore))
-    assert dense(chain_restore(moved, n, variant)) == fraction_basis_change(moved, restore)
+    rows = chain_rows(moved, n, variant, sparse_rows(mat_identity(moved.dim)))
+    assert dense(apply_basis_change(moved, rows)) == fraction_basis_change(moved, restore)
 
 
 @functools.lru_cache(maxsize=None)
@@ -611,28 +616,119 @@ def two_step_conjecture(alg: Algebra, n: int, variant: str, b) -> tuple:
 @given(conjecture_members())
 @settings(max_examples=60, deadline=None)
 def test_one_change_per_trial_matches_the_two_step_path(member):
-    """conjecture_check makes one basis change of the member, chain_restore
-    started from the star change T, and reads the tail as [u_1, u_x] through
-    T^-1; the two-step path changes to T, then re-adapts the image. Both must
-    give the same residual tail and the same restored table, also for
-    a_1 != 0, which leaves a residual once some b_k is nonzero."""
+    """conjecture_check re-adapts the member in one step, chain_rows started
+    from the star change T, and reads the tail as the y with y T = [u_1, u_x];
+    the two-step path changes to T, then re-adapts the image. Both must give
+    the same residual tail and the same restored table, also for a_1 != 0,
+    which leaves a residual once some b_k is nonzero."""
     variant, n, r, alphas, a1, b = member
     alg = make_SolvA(n, r, alphas, a1, b) if variant == "A" else make_SolvB(n, r, alphas, b)
     residual, restored = two_step_conjecture(alg, n, variant, b)
     res = conjecture_check(n, variant, r, alphas, a1, b)
     assert res.residual_b == residual
-    assert dense(chain_restore(alg, n, variant, star_change(n, variant, b))) == restored
+    assert dense(apply_basis_change(alg, chain_rows(alg, n, variant, star_change(n, variant, b)))) == restored
     target = make_SolvA(n, r, alphas, a1, {}) if variant == "A" else make_SolvB(n, r, alphas, {})
     assert res.eliminated == (not residual and restored == dense(target))
     assert res.eliminated == (a1 == 0 or not b)
 
 
 def test_one_change_per_trial_pins_the_a1_residual():
-    """With a_1 != 0 the transformation leaves a residual tail."""
+    """With a_1 != 0 the transformation leaves a residual tail, and the
+    re-adapted basis does not reach the b = 0 member: the image check says
+    so, as the two-step Fraction path does."""
     alg = make_SolvA(6, 3, {1: 1}, 1, {2: 1})
-    assert two_step_conjecture(alg, 6, "A", {2: 1})[0] == {6: Fraction(1, 2)}
+    residual, restored = two_step_conjecture(alg, 6, "A", {2: 1})
+    assert residual == {6: Fraction(1, 2)}
     res = conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
     assert res.residual_b == {6: Fraction(1, 2)} and not res.eliminated
+    target = make_SolvA(6, 3, {1: 1}, 1, {})
+    rows = chain_rows(alg, 6, "A", star_change(6, "A", {2: 1}))
+    assert restored != dense(target) and not carries_products(alg, rows, target.scaled)
+
+
+def member_and_target(variant: str, n: int, r: int, alphas, a1, b) -> tuple:
+    if variant == "A":
+        return make_SolvA(n, r, alphas, a1, b), make_SolvA(n, r, alphas, a1, {})
+    return make_SolvB(n, r, alphas, b), make_SolvB(n, r, alphas, {})
+
+
+def perturbed_table(alg: Algebra, rng: random.Random) -> Algebra:
+    """``alg`` with one structure constant moved by a nonzero rational."""
+    d = alg.dim
+    tensor = [[list(cell) for cell in plane] for plane in dense(alg)]
+    i, j, k = (rng.randrange(d) for _ in range(3))
+    tensor[i][j][k] += Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+    return from_dense(alg.labels, tensor)
+
+
+@pytest.mark.parametrize("variant,n", STAR_CASES, ids=[f"{v}{n}" for v, n in STAR_CASES])
+def test_conjecture_trial_matches_the_dense_inverse_route(variant, n):
+    """The two steps of a trial against the dense Fraction route, which
+    inverts T: the forward-solved tail is [u_1, u_x] T^-1, and the image
+    check of the re-adapted rows answers whether the restored table (the
+    star change, then the chain restore of its image, in Fractions) is the
+    b = 0 member's, and answers False on a target with one entry
+    perturbed."""
+    rng = random.Random(f"image:{variant}:{n}")
+    r = rng.randint(1, n - 3 if variant == "A" else n - 4)
+    alphas = sample_graded_alphas(variant, n, r, rng)
+    b = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in sample_solv_bs(variant, n, r, alphas, rng)}
+    alg, target = member_and_target(variant, n, r, alphas, 0, b)
+    change = star_change(n, variant, b)
+    x, d = n + 1, alg.dim
+    tail = unitriangular_solve(bracket(alg.table, change[1], change[x]), change)
+    inverse = dense_matrix(sparse_inverse(change), d)
+    u1, ux = (dense_matrix(change, d).rows[a] for a in (1, x))
+    want = mat_apply(inverse, table_bracket(alg.table, u1, ux, Fraction(0)))
+    assert dense_matrix((tail,), d).rows[0] == want
+    rows = chain_rows(alg, n, variant, change)
+    restored = two_step_conjecture(alg, n, variant, b)[1]
+    assert restored == dense(target) and carries_products(alg, rows, target.scaled)
+    off = perturbed_table(target, rng)
+    assert restored != dense(off) and not carries_products(alg, rows, off.scaled)
+
+
+@st.composite
+def unitriangular_matrices(draw, d: int) -> Matrix:
+    """Upper unitriangular, with random rationals (zeros mixed in) above the
+    diagonal."""
+    return Matrix(tuple(tuple(Fraction(1) if j == i else draw(st.one_of(st.just(Fraction(0)), nonzero_rationals))
+                              if j > i else Fraction(0) for j in range(d)) for i in range(d)))
+
+
+@given(st.sampled_from(LEIBNIZ_FAMILIES + SOLVABLE_MEMBERS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_image_check_matches_apply_basis_change(alg, data):
+    """On random unitriangular changes the image check holds for the
+    Fraction-route transform of the algebra and fails once one of its
+    entries is perturbed."""
+    mat = data.draw(unitriangular_matrices(alg.dim))
+    rows = sparse_rows(mat)
+    moved = from_dense(alg.labels, fraction_basis_change(alg, mat))
+    assert carries_products(alg, rows, moved.scaled)
+    assert dense(apply_basis_change(alg, rows)) == dense(moved)
+    assert not carries_products(alg, rows, perturbed_table(moved, random.Random(data.draw(st.integers(0, 99)))).scaled)
+
+
+def test_changes_that_are_not_unitriangular_raise():
+    """A diagonal entry other than 1, an entry left of the diagonal, a zero
+    row or a permutation raise ValueError in the image check and in the
+    forward substitution; nothing falls back to an inverse."""
+    alg = make_SolvA(5, 1, {1: 1}, 0, {2: Fraction(1, 2)})
+    d = alg.dim
+    unit = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    bad = []
+    for i, j, c in ((2, 2, Fraction(2)), (3, 1, Fraction(1, 3)), (4, 4, Fraction(0))):
+        rows = [list(r) for r in unit]
+        rows[i][j] = c
+        bad.append(sparse_rows(rows))
+    bad.append(sparse_rows(unit[1:2] + unit[:1] + unit[2:]))
+    for rows in bad:
+        with pytest.raises(ValueError, match="unitriangular"):
+            carries_products(alg, rows, alg.scaled)
+        with pytest.raises(ValueError, match="unitriangular"):
+            unitriangular_solve(((0, Fraction(1)),), rows)
+    assert carries_products(alg, sparse_rows(unit), alg.scaled)
 
 
 @given(st.integers(1, 5), st.data())

@@ -275,8 +275,9 @@ def test_conjecture_reports_do_not_depend_on_the_frame_memo(monkeypatch):
 
 def test_different_exact_alphas_never_share_a_frame():
     """Each frame keeps the target of its own exact (variant, n, r, alphas,
-    a1): alphas that differ in one coordinate, or the same alphas with
-    another a1, get their own entries."""
+    a1), the integer-scaled table of the validated b = 0 member: alphas
+    that differ in one coordinate, or the same alphas with another a1, get
+    their own entries."""
     frame_memo.clear()
     cases = []
     for seed in range(12):
@@ -289,12 +290,12 @@ def test_different_exact_alphas_never_share_a_frame():
         assert conjecture_check(7, "A", 1, alphas, 0, b).eliminated
     assert set(frame_memo) == distinct
     for alphas, _ in cases:
-        assert frame_memo[frame_key("A", 7, 1, alphas)]["target"] == make_SolvA(7, 1, alphas, 0, {}).table
+        assert frame_memo[frame_key("A", 7, 1, alphas)]["target"] == make_SolvA(7, 1, alphas, 0, {}).scaled
     assert frame_key("A", 7, 1, {1: 1, 2: Fraction(1, 2)}) != frame_key("A", 7, 1, {1: 1, 2: Fraction(1, 3)})
     conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
     conjecture_check(6, "A", 3, {1: 1}, 0, {2: 1})
-    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 1)]["target"] == make_SolvA(6, 3, {1: 1}, 1, {}).table
-    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 0)]["target"] == make_SolvA(6, 3, {1: 1}, 0, {}).table
+    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 1)]["target"] == make_SolvA(6, 3, {1: 1}, 1, {}).scaled
+    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 0)]["target"] == make_SolvA(6, 3, {1: 1}, 0, {}).scaled
 
 
 def test_an_alpha_that_fails_its_construction_is_never_stored(monkeypatch):
