@@ -343,18 +343,13 @@ class NilradicalReport:
         return self.ok
 
 
-def nilradical_report(alg: Algebra, count: int) -> NilradicalReport:
+def nilradical_report(alg: Algebra, count: int, nilpotent: Optional[bool] = None) -> NilradicalReport:
     """Check that the span of the first ``count`` basis vectors is the
     nilradical of a codimension-one solvable extension: a two-sided ideal,
     nilpotent, with the ambient algebra non-nilpotent. Any nilpotent ideal
-    strictly containing it would be the whole algebra, which is excluded."""
-    return _nilradical_report(alg, count, None)
-
-
-def _nilradical_report(alg: Algebra, count: int, nilpotent: Optional[bool]) -> NilradicalReport:
-    """:func:`nilradical_report`, given ``nilpotent``, the value of
-    ``is_nilpotent(alg)`` when the caller has it already (None when not), so
-    the ambient lower central series is computed once."""
+    strictly containing it would be the whole algebra, which is excluded.
+    ``nilpotent`` is ``is_nilpotent(alg)`` when the caller has it already
+    (None when not), so the ambient lower central series is computed once."""
     d = alg.dim
     for i in range(d):
         for j in range(d):

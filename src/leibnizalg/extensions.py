@@ -22,7 +22,8 @@ once, content-normalized. The graded alpha relations of ``verify`` come from
 the same function. The elimination divides by no pivot coefficient. A basis
 change is a map too: the sparse rows of the new basis vectors in old
 coordinates. A conjecture trial inverts nothing and builds no table; what
-does not depend on its b (variant, n, r, alphas, a1) is in :data:`frame_memo`.
+does not depend on its b (variant, n, r, alphas, a1) is computed once per
+:class:`Memo`, which ``verify.run_scenario`` makes one of per run.
 """
 
 from __future__ import annotations
@@ -675,31 +676,35 @@ def chain_rows(alg: Algebra, n: int, variant: str, start: Sequence) -> list:
 
 # -- conjecture frames ----------------------------------------------------------------
 
-# The memo of the conjecture frames: frame_key(...) -> {fact: value}. The facts,
-# each the same for every b of the frame:
-#   "graded"   the validated graded nilradical (verify.sample_graded_alphas),
-#              which the graded runners read;
-#   "admitted" the b_k whose x-row propagation is a derivation of the
-#              nilradical (verify.sample_solv_bs);
-#   "target"   the integer-scaled table of the validated b = 0 member
-#              (conjecture_check).
-# An entry is made only by a validation that passed, so an alpha that fails
-# its construction is never stored. verify.run_scenario clears the memo
-# first, so it holds one scenario's frames.
-frame_memo: dict = {}
 
-# The memo of the alpha sampler's eliminations: (variant, n, r, hypotheses) ->
-# the outcome of the graded alpha relations under those hypotheses
-# (verify.sample_graded_alphas). An outcome depends only on its equations, so a
-# repeated candidate reads it here; verify.run_scenario clears it with
-# frame_memo.
-alpha_memo: dict = {}
+class Memo:
+    """``memo(fn, *args)`` is ``fn(*args)``, called once per distinct
+    ``(fn, args)``: for pure functions of hashable arguments. A raise
+    propagates and is not kept, so a failed construction is never stored."""
+
+    def __init__(self):
+        self._values: dict = {}
+
+    def __call__(self, fn, *args):
+        key = fn, args
+        if key not in self._values:
+            self._values[key] = fn(*args)
+        return self._values[key]
 
 
-def frame_key(variant: str, n: int, r: int, alphas: Mapping, a1=0) -> tuple:
-    """The exact frame (variant, n, r, alphas, a1) of a SolvA/SolvB member,
-    everything that fixes it but b; alphas are keyed as given, as Fractions."""
-    return variant, n, r, tuple(sorted((k, to_fraction(v)) for k, v in alphas.items())), to_fraction(a1)
+def alpha_items(alphas: Mapping) -> tuple:
+    """The alphas as a hashable, sorted tuple of ``(k, alpha_k)``: the key of
+    a frame's facts in a :class:`Memo`."""
+    return tuple(sorted(alphas.items()))
+
+
+def _member(variant: str, n: int, r: int, alphas: Mapping, a1, b: Mapping) -> Algebra:
+    return make_SolvA(n, r, alphas, a1, b) if variant == "A" else make_SolvB(n, r, alphas, b)
+
+
+def _target(variant: str, n: int, r: int, alphas: tuple, a1) -> tuple:
+    """The integer-scaled table of the validated b = 0 member of a frame."""
+    return _member(variant, n, r, dict(alphas), a1, {}).scaled
 
 
 @dataclass(frozen=True)
@@ -714,25 +719,18 @@ class ConjectureResult:
 
 
 def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction],
-                     a1, b: Mapping[int, Fraction]) -> ConjectureResult:
+                     a1, b: Mapping[int, Fraction], memo: Optional[Memo] = None) -> ConjectureResult:
     """Build the solvable family member, apply the star transformation T,
     read the residual tail off the transformed [e_1, x] row (the y with
     y . T = [u_1, u_x]), and check that the basis re-adapted through the
     chain products (``chain_rows`` from T) carries the products of the b = 0
     member (``carries_products``), which is built and validated once per
-    frame (``frame_memo``). Nothing is inverted and no table is built."""
+    frame in ``memo`` (a fresh one when none is given). Nothing is inverted
+    and no table is built."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
-
-    def member(bs):
-        return make_SolvA(n, r, alphas, a1, bs) if variant == "A" else make_SolvB(n, r, alphas, bs)
-
-    alg = member(b)
-    key = frame_key(variant, n, r, alphas, a1)
-    target = frame_memo.get(key, {}).get("target")
-    if target is None:
-        target = member({}).scaled
-        frame_memo.setdefault(key, {})["target"] = target
+    alg = _member(variant, n, r, alphas, a1, b)
+    target = (memo or Memo())(_target, variant, n, r, alpha_items(alphas), a1)
     change = star_change(n, variant, b)
     tail = unitriangular_solve(bracket(alg.table, change[1], change[n + 1]), change)
     residual = {k: c for k, c in tail if 2 <= k <= n}

@@ -5,11 +5,14 @@ a non-existence deduction (Contradiction with replayable witness), a
 classification (solver Family + scripted basis changes = table, entry for
 entry), the nil-independence bound, or a conjecture sampling run.
 
-One pipeline runs them all: ``run_scenario`` hands a runner n and a factory
-of fresh ``scenario_rng(id, n, seed)`` streams, and the runner returns only
-its ``Verdict`` (verdict, details, findings, params, transcript);
-``run_scenario`` stamps it with the scenario id, n, seed and wall time into
-a ``Report``, and ``run_all`` goes through ``run_scenario``.
+One pipeline runs them all: ``run_scenario`` hands a runner n and a
+``Run``, whose ``rng()`` returns a fresh ``scenario_rng(id, n, seed)`` stream
+and whose ``memo`` calls each pure function the run needs once per distinct
+arguments (the Jacobi relations, the sampler's eliminations, the validated
+frames); the runner returns only its ``Verdict`` (verdict, details,
+findings, params, transcript). ``run_scenario`` stamps it with the scenario
+id, n, seed and wall time into a ``Report``, and ``run_all`` goes through
+``run_scenario``. Nothing a run computes outlives it.
 
 Reports are deterministic for a fixed (scenario, n, seed); wall time is kept
 out of the canonical serialization. Documented divergences between computed
@@ -30,25 +33,24 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (
     Algebra,
-    _nilradical_report,
     algebra_from_products,
     is_lie,
     is_nilpotent,
     is_solvable,
+    nilradical_report,
     subalgebra_on_indices,
 )
 from .derivations import derivation_space, is_derivation, max_nil_independent
 from .extensions import (
     ConstraintSystem,
-    alpha_memo,
+    Memo,
+    alpha_items,
     apply_basis_change,
     build_extension_problem,
     chain_shift,
     conjecture_check,
     diagonal_branches,
     eliminate,
-    frame_key,
-    frame_memo,
     generate_constraints,
     instantiate,
     leibniz_equations,
@@ -145,7 +147,18 @@ class Verdict:
     transcript: Sequence = ()
 
 
-RngFactory = Callable[[], random.Random]
+@dataclass(frozen=True)
+class Run:
+    """One ``run_scenario`` call: fresh ``scenario_rng(scenario_id, n, seed)``
+    streams from :meth:`rng`, and one :class:`~leibnizalg.extensions.Memo`
+    of pure functions that lives as long as the run."""
+    scenario_id: str
+    n: int
+    seed: int
+    memo: Memo = field(default_factory=Memo)
+
+    def rng(self) -> random.Random:
+        return scenario_rng(self.scenario_id, self.n, self.seed)
 
 
 def _within(case: str, body: Verdict, **context) -> Verdict:
@@ -329,14 +342,9 @@ def _assignment_lines(outcome, limit: int = 400):
 # -- graded-family parameter sampling -------------------------------------------------
 
 
-def _graded_algebra(variant: str, n: int, r: int, alphas) -> Algebra:
-    return (make_A_algebra if variant == "A" else make_B_algebra)(n, r, alphas)
-
-
-def _sampled_algebra(variant: str, n: int, r: int, alphas) -> Algebra:
-    """The graded algebra that :func:`sample_graded_alphas` validated for
-    the alphas it returned, read from its frame (``frame_memo``)."""
-    return frame_memo[frame_key(variant, n, r, alphas)]["graded"]
+def _graded_algebra(variant: str, n: int, r: int, alphas: tuple) -> Algebra:
+    """The validated graded algebra of the alphas ``alpha_items`` gives."""
+    return (make_A_algebra if variant == "A" else make_B_algebra)(n, r, dict(alphas))
 
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int) -> tuple:
@@ -346,16 +354,11 @@ def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: 
     return leibniz_equations(ring, graded_products(variant, n, r, alphas), n + 1)
 
 
-_jacobi_cache: dict = {}
-
-
 def _jacobi_setup(variant: str, n: int, r: int, t: int):
-    key = (variant, n, r)
-    if key not in _jacobi_cache:
-        names = tuple(f"al{k:02d}" for k in range(1, t + 1))
-        ring = PolyRing(names)
-        _jacobi_cache[key] = (names, ring, _symbolic_jacobi_relations(variant, n, r, ring, t))
-    return _jacobi_cache[key]
+    """The alpha names, their ring and the Jacobi relations in them."""
+    names = tuple(f"al{k:02d}" for k in range(1, t + 1))
+    ring = PolyRing(names)
+    return names, ring, _symbolic_jacobi_relations(variant, n, r, ring, t)
 
 
 def _rational_roots(poly: Poly, name: str):
@@ -394,27 +397,27 @@ def _rational_roots(poly: Poly, name: str):
     return tuple(sorted(set(roots)))
 
 
-def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> dict:
+def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random,
+                         memo: Optional[Memo] = None) -> dict:
     """Deterministically sample alpha parameters on the Jacobi variety: fix a
     leading alpha to 1, draw or solve the rest (free directions get random
     rationals, discrete directions get exact rational roots of the univariate
     residuals), and let the elimination propagate the forced ones. An (n, r)
-    outside the family's range raises its ConstructionError. The validated
-    graded algebra is kept in its frame (``extensions.frame_memo``), so a
-    candidate that validated before is not built again, and the outcome of
-    each hypothesis tuple in ``extensions.alpha_memo``, so a repeated one is
-    not eliminated again; neither memo changes a draw."""
+    outside the family's range raises its ConstructionError. ``memo`` (a
+    fresh one when none is given) holds the Jacobi relations, the outcome of
+    each hypothesis tuple and the validated graded algebra
+    (``memo(_graded_algebra, variant, n, r, alpha_items(alphas))``, which the
+    graded runners read), so a run sets up, eliminates and validates each of
+    them once; it changes no draw."""
     check_graded_range(variant, n, r)
     t = graded_alpha_count(variant, n, r)
     if t <= 0:
         return {}
-    names, ring, rels = _jacobi_setup(variant, n, r, t)
+    memo = memo or Memo()
+    names, ring, rels = memo(_jacobi_setup, variant, n, r, t)
 
     def solve(hyps):
-        key = (variant, n, r, tuple(hyps))
-        if key not in alpha_memo:
-            alpha_memo[key] = eliminate(ConstraintSystem(ring, rels + key[3]))
-        return alpha_memo[key]
+        return memo(eliminate, ConstraintSystem(ring, rels + tuple(hyps)))
 
     for lead in range(1, t + 1):
         for _ in range(8):
@@ -456,19 +459,25 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random) -> di
                 alphas[k] = val.evaluate({}) if val is not None else Fraction(0)
             if not any(alphas.values()):
                 continue
-            key = frame_key(variant, n, r, alphas)
-            if "graded" not in frame_memo.get(key, {}):
-                try:
-                    alg = _graded_algebra(variant, n, r, alphas)
-                except ConstructionError:
-                    continue
-                frame_memo.setdefault(key, {})["graded"] = alg
+            try:
+                memo(_graded_algebra, variant, n, r, alpha_items(alphas))
+            except ConstructionError:
+                continue
             return alphas
     raise RuntimeError(f"no valid alpha tuple found for {variant} n={n} r={r}")
 
 
+def _admitted_bs(variant: str, n: int, r: int, alphas: tuple) -> tuple:
+    """The k whose x-row propagation D_k is a derivation of the nilradical."""
+    top = n + 1 if variant == "A" else n
+    nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)),
+                                graded_products(variant, n, r, dict(alphas)))
+    return tuple(k for k in range(2, top)
+                 if is_derivation(nil, solvable_x_rows(variant, n, nil.table, (), ((k, 1),))))
+
+
 def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
-                   rng: random.Random) -> dict:
+                   rng: random.Random, memo: Optional[Memo] = None) -> dict:
     """The displayed solvable families overstate freedom: depending on alpha,
     some b_k are forced to zero by the Leibniz identity. With a_1 = 0, x acts
     on the nilradical N by R_x|N = R + sum_k b_k D_k, where D_k is the
@@ -483,17 +492,10 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     to the caller's construction, which validates the sample. N keeps its
     integer-scaled table (``Algebra.scaled``), so it is scaled once for all
     the checks. The admitted b_k are the same for every b of the frame, so
-    a frame that already validated (``frame_memo``) keeps them, and its next
-    sample only draws the b_k."""
-    key = frame_key(variant, n, r, alphas)
-    admitted = frame_memo.get(key, {}).get("admitted")
-    if admitted is None:
-        top = n + 1 if variant == "A" else n
-        nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)), graded_products(variant, n, r, alphas))
-        admitted = tuple(k for k in range(2, top)
-                         if is_derivation(nil, solvable_x_rows(variant, n, nil.table, (), ((k, 1),))))
-        if key in frame_memo:
-            frame_memo[key]["admitted"] = admitted
+    ``memo`` (a fresh one when none is given) keeps them per frame
+    (:func:`_admitted_bs`), and the next sample of the frame only draws the
+    b_k."""
+    admitted = (memo or Memo())(_admitted_bs, variant, n, r, alpha_items(alphas))
     return {k: small_rational(rng, 8) for k in admitted}
 
 
@@ -668,11 +670,11 @@ def _shape_graded(alg: Algebra, r: int, variant: str):
     return errs
 
 
-# -- scenario runners: (n, rng factory) -> Verdict -------------------------------------
+# -- scenario runners: (n, run) -> Verdict --------------------------------------------
 
 
-def _run_prop31_shape(n: int, rng: RngFactory) -> Verdict:
-    rng = rng()
+def _run_prop31_shape(n: int, run: Run) -> Verdict:
+    rng = run.rng()
     cases = [("unit-top", {}, Fraction(1))]
     for s in (3, 4):
         if s <= n:
@@ -695,8 +697,8 @@ def _run_prop31_shape(n: int, rng: RngFactory) -> Verdict:
                              "a_1(theta - alpha_n) = 0",))
 
 
-def _run_prop34_shape(n: int, rng: RngFactory) -> Verdict:
-    rng = rng()
+def _run_prop34_shape(n: int, run: Run) -> Verdict:
+    rng = run.rng()
     cases = [("unit-gamma", {}, Fraction(1)), ("single-j3", {3: Fraction(1)}, Fraction(0))]
     if n % 2 == 0:
         cases.append(("mid-beta", {(n + 2) // 2: nonzero_rational(rng, 4)}, Fraction(1)))
@@ -721,7 +723,7 @@ def _f3_instances(n: int):
             yield f"theta={thetas} alpha={alpha}", thetas, alpha, make_F3(n, *thetas, alpha)
 
 
-def _run_prop38_shape(n: int, rng: RngFactory) -> Verdict:
+def _run_prop38_shape(n: int, run: Run) -> Verdict:
     errors = []
     findings = []
     for case, thetas, alpha, alg in _f3_instances(n):
@@ -736,14 +738,14 @@ def _run_prop38_shape(n: int, rng: RngFactory) -> Verdict:
                    findings=findings)
 
 
-def _run_graded_shape(variant: str, n: int, rng: RngFactory) -> Verdict:
-    rng = rng()
+def _run_graded_shape(variant: str, n: int, run: Run) -> Verdict:
+    rng = run.rng()
     errors = []
     params = []
     for r in sorted({1, max(1, (n - 3) // 2 if variant == "A" else n - 4)}):
-        alphas = sample_graded_alphas(variant, n, r, rng)
+        alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
         params.append((f"alpha(r={r})", alphas))
-        errs = _shape_graded(_sampled_algebra(variant, n, r, alphas), r, variant)
+        errs = _shape_graded(run.memo(_graded_algebra, variant, n, r, alpha_items(alphas)), r, variant)
         if errs:
             errors.append(f"r={r}: {', '.join(errs)}")
     stated = ("triangular with diagonal (i+r)a_0" if variant == "A" else
@@ -769,11 +771,11 @@ def _nonexist(nilradical: Algebra) -> Verdict:
     return Verdict("pass", details, transcript=transcript)
 
 
-def _run_prop32_nonexist(n: int, rng: RngFactory) -> Verdict:
+def _run_prop32_nonexist(n: int, run: Run) -> Verdict:
     return _nonexist(make_F1(n, {}, 1))
 
 
-def _run_prop33_nonexist(n: int, rng: RngFactory) -> Verdict:
+def _run_prop33_nonexist(n: int, run: Run) -> Verdict:
     findings = []
     for s in (3, 4):
         if s > n:
@@ -799,7 +801,7 @@ def _run_prop33_nonexist(n: int, rng: RngFactory) -> Verdict:
                    findings=findings)
 
 
-def _run_thm39_nonexist(n: int, rng: RngFactory) -> Verdict:
+def _run_thm39_nonexist(n: int, run: Run) -> Verdict:
     details = []
     for case, _, _, alg in _f3_instances(n):
         body = _nonexist(alg)
@@ -819,7 +821,7 @@ def _structure_errors(alg: Algebra, n: int) -> list:
     nilpotent = solvable and is_nilpotent(alg)  # a nilpotent algebra is solvable
     if not solvable or nilpotent:
         errs.append("not solvable non-nilpotent")
-    if not _nilradical_report(alg, n + 1, nilpotent):
+    if not nilradical_report(alg, n + 1, nilpotent):
         errs.append("nilradical mismatch")
     return errs
 
@@ -847,29 +849,29 @@ def _classification_core(nilradical: Algebra, target: Algebra, rng: random.Rando
                    findings=findings, params=params)
 
 
-def _run_thm35_class(n: int, rng: RngFactory) -> Verdict:
+def _run_thm35_class(n: int, run: Run) -> Verdict:
     return _classification_core(
-        make_F2(n, {}, 1), make_L1(n), rng(),
+        make_F2(n, {}, 1), make_L1(n), run.rng(),
         findings=("classified table omits [e_i,x]=i e_i and [x,e_0]=-e_0, both derived in "
                   "its construction and required by the identity",
                   "the odd-n header here and the even-n label in the family list are swapped "
                   "relative to each other; odd n is the consistent reading"))
 
 
-def _run_thm36_class(n: int, rng: RngFactory) -> Verdict:
-    beta_rng = rng()
+def _run_thm36_class(n: int, run: Run) -> Verdict:
+    beta_rng = run.rng()
     while True:
         beta = nonzero_rational(beta_rng, 6)
         if beta * beta != Fraction(2, n):
             break
     return _classification_core(
-        make_F2j1(n, beta), make_L2(n, beta), rng(), keep_xe1=n // 2,
+        make_F2j1(n, beta), make_L2(n, beta), run.rng(), keep_xe1=n // 2,
         findings=("beta sampled away from beta^2 = 2/n, where the derivation space jumps "
                   "and the family degenerates",),
         params=(("beta", beta),))
 
 
-def _run_thm37_class(n: int, rng: RngFactory) -> Verdict:
+def _run_thm37_class(n: int, run: Run) -> Verdict:
     findings = ["nilradical products [e_i,e_1]=e_{j0+i-1} run to i = n+1-j0 (the displayed "
                 "n-1-j0 contradicts the nilradical and the identity)"]
     for j0 in (3, 4, 5):
@@ -878,7 +880,7 @@ def _run_thm37_class(n: int, rng: RngFactory) -> Verdict:
         if 2 * j0 - 2 > n:
             findings.append(f"j0={j0}: the extra derivation parameter at (0,1) is removed by a "
                             f"nilradical automorphism e_0 -> e_0 + kappa e_1")
-        body = _classification_core(make_F2j(n, j0), make_L3(n, j0), rng(),
+        body = _classification_core(make_F2j(n, j0), make_L3(n, j0), run.rng(),
                                     mix_j0=j0, keep_xe1=j0 - 1)
         if body.verdict != "pass":
             return _within(f"j0={j0}", body, findings=findings)
@@ -886,15 +888,15 @@ def _run_thm37_class(n: int, rng: RngFactory) -> Verdict:
                    findings=findings)
 
 
-def _run_graded_class(variant: str, n: int, rng: RngFactory) -> Verdict:
-    rng = rng()
+def _run_graded_class(variant: str, n: int, run: Run) -> Verdict:
+    rng = run.rng()
     rs = sorted({1, max(1, (n - 3) // 2)}) if variant == "A" else sorted({1, max(1, n - 5)})
     findings = []
     params = []
     for r in rs:
-        alphas = sample_graded_alphas(variant, n, r, rng)
+        alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
         params.append((f"alpha(r={r})", alphas))
-        problem, outcome, failure = _sole_family(_sampled_algebra(variant, n, r, alphas))
+        problem, outcome, failure = _sole_family(run.memo(_graded_algebra, variant, n, r, alpha_items(alphas)))
         if failure:
             return _within(f"r={r}", failure, params=params)
         alg = instantiate_family(problem, outcome, rng)
@@ -931,15 +933,15 @@ def _run_graded_class(variant: str, n: int, rng: RngFactory) -> Verdict:
                    findings=findings, params=params)
 
 
-def _run_graded_nolie(variant: str, n: int, rng: RngFactory) -> Verdict:
+def _run_graded_nolie(variant: str, n: int, run: Run) -> Verdict:
     """Every solvable extension is Lie: (a) the symmetric coordinates vanish
     identically under the assignment log, (b) the Rabinowitsch certificate
     lam*(sum tag_k sym_k) - 1 = 0 produces a genuine Contradiction witness."""
-    rng = rng()
+    rng = run.rng()
     r = 1 if n <= (6 if variant == "A" else 7) else rng.choice((1, 2))
-    alphas = sample_graded_alphas(variant, n, r, rng)
+    alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
     params = (("r", r), ("alpha", alphas))
-    nilradical = _sampled_algebra(variant, n, r, alphas)
+    nilradical = run.memo(_graded_algebra, variant, n, r, alpha_items(alphas))
     problem, outcome, failure = _sole_family(nilradical)
     if failure:
         return replace(failure, params=params)
@@ -964,20 +966,20 @@ def _run_graded_nolie(variant: str, n: int, rng: RngFactory) -> Verdict:
                    transcript=_assignment_lines(cert_out, limit=40), params=params)
 
 
-def _run_thm26_bound(n: int, rng: RngFactory) -> Verdict:
-    rng = rng()
+def _run_thm26_bound(n: int, run: Run) -> Verdict:
+    rng = run.rng()
     solvables = []
     if n % 2 == 1:
         solvables.append(("L1", make_L1(n)))
     else:
         solvables.append(("L2", make_L2(n, nonzero_rational(rng, 6))))
     solvables.append(("L3", make_L3(n, 3)))
-    alphas = sample_graded_alphas("A", n, 1, rng)
-    b = sample_solv_bs("A", n, 1, alphas, rng)
+    alphas = sample_graded_alphas("A", n, 1, rng, run.memo)
+    b = sample_solv_bs("A", n, 1, alphas, rng, run.memo)
     solvables.append(("SolvA", make_SolvA(n, 1, alphas, 0, b)))
     if n % 2 == 1 and n >= 5:
-        alphas_b = sample_graded_alphas("B", n, 1, rng)
-        bs = sample_solv_bs("B", n, 1, alphas_b, rng)
+        alphas_b = sample_graded_alphas("B", n, 1, rng, run.memo)
+        bs = sample_solv_bs("B", n, 1, alphas_b, rng, run.memo)
         solvables.append(("SolvB", make_SolvB(n, 1, alphas_b, bs)))
     details = []
     for label, alg in solvables:
@@ -992,13 +994,13 @@ def _run_thm26_bound(n: int, rng: RngFactory) -> Verdict:
 CONJ_TRIALS = 50
 
 
-def _run_conj(variant: str, n: int, rng: RngFactory) -> Verdict:
-    rng = rng()
+def _run_conj(variant: str, n: int, run: Run) -> Verdict:
+    rng = run.rng()
     for _ in range(CONJ_TRIALS):
         r = rng.randint(1, n - 3 if variant == "A" else n - 4)
-        alphas = sample_graded_alphas(variant, n, r, rng)
-        b = sample_solv_bs(variant, n, r, alphas, rng)
-        res = conjecture_check(n, variant, r, alphas, 0, b)
+        alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
+        b = sample_solv_bs(variant, n, r, alphas, rng, run.memo)
+        res = conjecture_check(n, variant, r, alphas, 0, b, run.memo)
         if not res.eliminated:
             tail = {k: str(v) for k, v in res.residual_b.items()}
             return Verdict("finding", [f"counterexample at r={r}: residual tail {tail}"],
@@ -1025,7 +1027,7 @@ class Scenario:
     id: str
     description: str
     expected: str               # DerivationShape | Contradiction | FamilyMatch | BoundHolds | Eliminated
-    runner: Callable            # (n, rng factory) -> Verdict
+    runner: Callable            # (n, Run) -> Verdict
     parity: Optional[str] = None     # "odd" | "even" | None
     min_n: int = 5
 
@@ -1085,10 +1087,9 @@ SCENARIOS = {s.id: s for s in (
 
 def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
     """Run one scenario and stamp its verdict with the id, n, seed and wall
-    time. The runner gets n and a factory that returns a fresh
-    ``scenario_rng(scenario_id, n, seed)`` on every call. The memo of
-    conjecture frames (``extensions.frame_memo``) and that of the alpha
-    sampler's eliminations (``extensions.alpha_memo``) start empty."""
+    time. The runner gets n and a new :class:`Run`: its ``rng()`` returns a
+    fresh ``scenario_rng(scenario_id, n, seed)`` on every call, and its
+    ``memo`` starts empty and is dropped with the run."""
     if scenario_id not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
@@ -1097,10 +1098,8 @@ def run_scenario(scenario_id: str, n: int, seed: int = 0) -> Report:
         raise ValueError(f"n={n} rejected: constraint systems grow as (n+2)^3; limit is {MAX_N}")
     if not sc.admissible(n):
         raise ValueError(f"scenario {scenario_id} requires {sc.rule()}, got n={n}")
-    frame_memo.clear()
-    alpha_memo.clear()
     t0 = time.monotonic()
-    body = sc.runner(n, lambda: scenario_rng(scenario_id, n, seed))
+    body = sc.runner(n, Run(scenario_id, n, seed))
     return Report(scenario=scenario_id, n=n, seed=seed, verdict=body.verdict,
                   details=tuple(body.details), findings=tuple(body.findings),
                   params=tuple((str(k), str(v)) for k, v in body.params),

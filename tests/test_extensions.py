@@ -18,13 +18,13 @@ from leibnizalg.algebra import (
 )
 from leibnizalg.extensions import (
     ConstraintSystem,
+    Memo,
     apply_basis_change,
     build_extension_problem,
     chain_rows,
     conjecture_check,
     diagonal_branches,
     eliminate,
-    frame_memo,
     generate_constraints,
     instantiate,
     replay,
@@ -284,9 +284,9 @@ def test_conjecture_random_samples():
 def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alphas, b):
     """Every algebra keeps its integer-scaled table, so one conjecture_check
     scales the product table of every algebra it builds, wherever the
-    package binds int_table: on a cold frame the member and the b = 0
-    target; on a warm frame the frame keeps the validated target's integer
-    table, and only the member is built and scaled. No transformed algebra
+    package binds int_table: on a frame new to the memo the member and the
+    b = 0 target; on a frame the memo holds, the memo keeps the validated
+    target's integer table, and only the member is built and scaled. No transformed algebra
     is built: the image check reads the re-adapted rows (chain_rows started
     from the star change), scaled once as a one-plane table, against the
     two integer tables, and the tail is a forward substitution that scales
@@ -308,11 +308,11 @@ def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alph
         if name.partition(".")[0] == "leibnizalg" and getattr(mod, "int_table", None) is scale:
             monkeypatch.setattr(mod, "int_table", counted)
     monkeypatch.setattr(Algebra, "__init__", counted_init)
-    frame_memo.clear()
+    memo = Memo()
     for want in (2, 1):  # cold, then warm
         calls.clear()
         built.clear()
-        assert conjecture_check(n, variant, 1, alphas, 0, b).eliminated
+        assert conjecture_check(n, variant, 1, alphas, 0, b, memo).eliminated
         assert len(built) == want
         tables = [t for t in calls if len(t) == n + 2]
         assert len(tables) == len(built)

@@ -303,10 +303,10 @@ def test_cli_verify_error_loses_one_point_and_exits_3(monkeypatch, capsys, fmt):
     want = capsys.readouterr().out
     sc = SCENARIOS["conj-i"]
 
-    def runner(n, rng):
+    def runner(n, run):
         if n == 6:
             raise RuntimeError("no valid alpha tuple found for A n=6 r=1")
-        return sc.runner(n, rng)
+        return sc.runner(n, run)
 
     monkeypatch.setitem(SCENARIOS, "conj-i", replace(sc, runner=runner))
     assert main(["verify", "conj-i", "--n", "5..7", "--format", fmt]) == 3

@@ -1,13 +1,14 @@
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from leibnizalg import algebra, verify
+from leibnizalg import algebra, extensions, verify
 from leibnizalg.algebra import leibniz_defects, product_table
-from leibnizalg.extensions import conjecture_check, frame_key, frame_memo
+from leibnizalg.extensions import Memo, alpha_items, conjecture_check
 from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_products
 from leibnizalg.poly import Poly, PolyRing
 from leibnizalg.verify import (
@@ -89,11 +90,12 @@ def test_failing_scenarios_carry_witnesses():
 def test_failing_runner_is_stamped_by_the_registry(monkeypatch):
     """F2(0,...,0,1) has a solvable extension, so the non-existence check
     fails on it; the registry stamps the failure like any other verdict and
-    hands the runner fresh streams of the scenario's rng."""
+    hands the runner a run whose rng() gives fresh streams of the scenario's
+    rng."""
     draws = []
 
-    def runner(n, rng):
-        draws.append((rng().random(), rng().random()))
+    def runner(n, run):
+        draws.append((run.rng().random(), run.rng().random()))
         return verify._nonexist(make_F2(n, {}, 1))
 
     monkeypatch.setitem(SCENARIOS, "throwaway-nonexist",
@@ -212,8 +214,9 @@ def test_sample_solv_bs_multiplies_no_poly(monkeypatch):
 
 
 def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
-    """One integer scaling of N's table serves every D_k check of a cold
-    frame; a warm frame keeps its admitted b_k and scales nothing."""
+    """One integer scaling of N's table serves every D_k check of a frame
+    new to the memo; a frame the memo holds keeps its admitted b_k and
+    scales nothing."""
     calls = []
 
     def counted(table):
@@ -222,29 +225,30 @@ def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
 
     scale = algebra.int_table
     monkeypatch.setattr(algebra, "int_table", counted)
-    frame_memo.clear()
+    memo = Memo()
     for variant, n, r in (("A", 9, 1), ("A", 9, 3), ("B", 9, 1)):
         rng = random.Random(f"scale:{variant}:{n}:{r}")
-        alphas = sample_graded_alphas(variant, n, r, rng)
+        alphas = sample_graded_alphas(variant, n, r, rng, memo)
         calls.clear()
-        cold = sample_solv_bs(variant, n, r, alphas, rng)
+        cold = sample_solv_bs(variant, n, r, alphas, rng, memo)
         assert len(calls) == 1, (variant, n, r)
         calls.clear()
-        warm = sample_solv_bs(variant, n, r, alphas, rng)
+        warm = sample_solv_bs(variant, n, r, alphas, rng, memo)
         assert calls == [], (variant, n, r)
         assert sorted(warm) == sorted(cold)
 
 
-# -- the memo of conjecture frames --------------------------------------------------
+# -- the run: rng streams and one memo ----------------------------------------------
 
 
 CONJ_POINTS = [("conj-i", n) for n in range(5, 10)] + [("conj-ii", n) for n in (5, 7, 9)]
 
 
-def test_conjecture_reports_do_not_depend_on_the_frame_memo(monkeypatch):
+def test_conjecture_reports_do_not_depend_on_the_run_memo(monkeypatch):
     """The canonical conj-i/conj-ii reports are byte-identical whether every
-    trial starts from an empty memo or the trials of a run share it; the
-    shared memo validates each graded frame once, not once per trial."""
+    sampler, sample and check call of a trial gets a fresh memo or the
+    trials of a run share the run's; the shared memo validates each graded
+    frame once, not once per trial."""
     graded = verify._graded_algebra
     validations = []
 
@@ -253,11 +257,6 @@ def test_conjecture_reports_do_not_depend_on_the_frame_memo(monkeypatch):
         return graded(*args)
 
     monkeypatch.setattr(verify, "_graded_algebra", counted)
-    sample = verify.sample_graded_alphas
-
-    def cold(*args):  # every conjecture trial starts with sample_graded_alphas
-        frame_memo.clear()
-        return sample(*args)
 
     def reports():
         validations.clear()
@@ -266,72 +265,141 @@ def test_conjecture_reports_do_not_depend_on_the_frame_memo(monkeypatch):
         return out, len(validations)
 
     shared, shared_validations = reports()
-    monkeypatch.setattr(verify, "sample_graded_alphas", cold)
-    cleared, cleared_validations = reports()
-    assert shared == cleared
-    assert cleared_validations == len(CONJ_POINTS) * 4 * verify.CONJ_TRIALS
-    assert shared_validations < cleared_validations
+    for name in ("sample_graded_alphas", "sample_solv_bs", "conjecture_check"):
+        fn = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, fn=fn: fn(*args[:-1]))  # drop the run's memo
+    fresh, fresh_validations = reports()
+    assert shared == fresh
+    assert fresh_validations == len(CONJ_POINTS) * 4 * verify.CONJ_TRIALS
+    assert shared_validations < fresh_validations
 
 
-def test_different_exact_alphas_never_share_a_frame():
-    """Each frame keeps the target of its own exact (variant, n, r, alphas,
+def test_different_exact_alphas_never_share_a_frame(monkeypatch):
+    """Each frame gets the target of its own exact (variant, n, r, alphas,
     a1), the integer-scaled table of the validated b = 0 member: alphas
     that differ in one coordinate, or the same alphas with another a1, get
-    their own entries."""
-    frame_memo.clear()
+    their own."""
+    targets = {}
+    target = extensions._target
+
+    def kept(*key):
+        targets[key] = target(*key)
+        return targets[key]
+
+    monkeypatch.setattr(extensions, "_target", kept)
+    memo = Memo()
     cases = []
     for seed in range(12):
         rng = random.Random(f"frames:{seed}")
-        alphas = sample_graded_alphas("A", 7, 1, rng)
-        cases.append((alphas, sample_solv_bs("A", 7, 1, alphas, rng)))
-    distinct = {frame_key("A", 7, 1, alphas) for alphas, _ in cases}
+        alphas = sample_graded_alphas("A", 7, 1, rng, memo)
+        cases.append((alphas, sample_solv_bs("A", 7, 1, alphas, rng, memo)))
+    distinct = {("A", 7, 1, alpha_items(alphas), 0) for alphas, _ in cases}
     assert len(distinct) > 1
     for alphas, b in cases:
-        assert conjecture_check(7, "A", 1, alphas, 0, b).eliminated
-    assert set(frame_memo) == distinct
+        assert conjecture_check(7, "A", 1, alphas, 0, b, memo).eliminated
+    assert set(targets) == distinct
     for alphas, _ in cases:
-        assert frame_memo[frame_key("A", 7, 1, alphas)]["target"] == make_SolvA(7, 1, alphas, 0, {}).scaled
-    assert frame_key("A", 7, 1, {1: 1, 2: Fraction(1, 2)}) != frame_key("A", 7, 1, {1: 1, 2: Fraction(1, 3)})
-    conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
-    conjecture_check(6, "A", 3, {1: 1}, 0, {2: 1})
-    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 1)]["target"] == make_SolvA(6, 3, {1: 1}, 1, {}).scaled
-    assert frame_memo[frame_key("A", 6, 3, {1: 1}, 0)]["target"] == make_SolvA(6, 3, {1: 1}, 0, {}).scaled
+        assert targets["A", 7, 1, alpha_items(alphas), 0] == make_SolvA(7, 1, alphas, 0, {}).scaled
+    assert alpha_items({1: 1, 2: Fraction(1, 2)}) != alpha_items({1: 1, 2: Fraction(1, 3)})
+    conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1}, memo)
+    conjecture_check(6, "A", 3, {1: 1}, 0, {2: 1}, memo)
+    assert targets["A", 6, 3, ((1, 1),), 1] == make_SolvA(6, 3, {1: 1}, 1, {}).scaled
+    assert targets["A", 6, 3, ((1, 1),), 0] == make_SolvA(6, 3, {1: 1}, 0, {}).scaled
 
 
 def test_an_alpha_that_fails_its_construction_is_never_stored(monkeypatch):
-    """Only a validation that passed makes an entry: a member that raises
-    ConstructionError stores no target, the admitted b_k of a frame that
-    never validated are not kept, and a sampler whose every candidate fails
-    stores nothing."""
-    frame_memo.clear()
+    """A raise propagates out of the memo and stores nothing, so the next
+    call tries again: a member that raises ConstructionError leaves no
+    entry, and a sampler whose every candidate fails validation validates
+    the same candidates again on the next call."""
+    memo = Memo()
+    calls = []
+
+    def flaky(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise ConstructionError("refused")
+        return x
+
+    with pytest.raises(ConstructionError):
+        memo(flaky, 1)
+    assert memo(flaky, 1) == 1 and memo(flaky, 1) == 1
+    assert calls == [1, 1]
+
+    memo = Memo()
     off_variety = {1: 1, 2: 1, 3: 0}  # A n=8 r=1: the Leibniz identity fails on (e1, e2, e3)
-    with pytest.raises(ConstructionError):
-        conjecture_check(8, "A", 1, off_variety, 0, {})
-    with pytest.raises(ConstructionError):
-        conjecture_check(8, "A", 1, {1: 0, 2: 0, 3: 0}, 0, {})
-    sample_solv_bs("A", 8, 1, off_variety, random.Random(0))
-    assert frame_memo == {}
+    for alphas in (off_variety, {1: 0, 2: 0, 3: 0}):
+        with pytest.raises(ConstructionError):
+            conjecture_check(8, "A", 1, alphas, 0, {}, memo)
+    assert memo._values == {}
+
+    validations = []
 
     def refuse(*args):
+        validations.append(args)
         raise ConstructionError("refused")
 
     monkeypatch.setattr(verify, "_graded_algebra", refuse)
-    with pytest.raises(RuntimeError, match="no valid alpha tuple"):
-        sample_graded_alphas("A", 7, 1, random.Random(0))
-    assert frame_memo == {}
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no valid alpha tuple"):
+            sample_graded_alphas("A", 7, 1, random.Random(0), memo)
+    half = len(validations) // 2
+    assert half and validations[:half] == validations[half:]
 
 
-def test_run_scenario_starts_from_an_empty_frame_memo(monkeypatch):
-    """A frame left by an earlier call is gone when the runner starts."""
+def test_run_scenario_starts_from_an_empty_memo(monkeypatch):
+    """A memo entry of an earlier run is gone when the next runner starts,
+    and each rng() call of a run restarts the scenario's stream."""
     seen = []
     sc = SCENARIOS["conj-i"]
 
-    def runner(n, rng):
-        seen.append(dict(frame_memo))
-        return sc.runner(n, rng)
+    def probe(n):
+        seen.append(n)
+        return n
+
+    def runner(n, run):
+        run.memo(probe, n)
+        run.memo(probe, n)
+        assert run.rng().random() == run.rng().random() == scenario_rng("conj-i", n, 0).random()
+        return sc.runner(n, run)
 
     monkeypatch.setitem(SCENARIOS, "conj-i", replace(sc, runner=runner))
-    conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
-    assert frame_memo
     assert run_scenario("conj-i", 5, 0).verdict == "pass"
-    assert seen == [{}]
+    assert run_scenario("conj-i", 5, 0).verdict == "pass"
+    assert seen == [5, 5]
+
+
+def _module_state():
+    """The length of every dict, list or set attribute of every leibnizalg
+    module."""
+    return {(name, attr): len(value)
+            for name, mod in sorted(sys.modules.items()) if name.partition(".")[0] == "leibnizalg"
+            for attr, value in vars(mod).items() if isinstance(value, (dict, list, set))}
+
+
+def test_a_run_leaves_no_state_behind():
+    """Whatever a run computes lives in its Run: no module-level dict, list
+    or set of the package grows or shrinks across run_scenario."""
+    points = (("conj-i", 7), ("conj-ii", 7), ("thm26-bound", 7), ("prop41-shape", 8))
+    before = _module_state()
+    for sid, n in points:
+        assert run_scenario(sid, n, 0).verdict == "pass"
+    assert _module_state() == before
+
+
+def test_each_run_builds_the_jacobi_relations_once(monkeypatch):
+    """The Jacobi relations of a (variant, n, r) are built once per run, and
+    again by the next run: two identical runs build each twice."""
+    built = []
+    relations = verify._symbolic_jacobi_relations
+
+    def counted(variant, n, r, ring, t):
+        built.append((variant, n, r))
+        return relations(variant, n, r, ring, t)
+
+    monkeypatch.setattr(verify, "_symbolic_jacobi_relations", counted)
+    run_scenario("conj-i", 7, 0)
+    once = list(built)
+    assert once and len(set(once)) == len(once)
+    run_scenario("conj-i", 7, 0)
+    assert built == once + once
