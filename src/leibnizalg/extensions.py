@@ -21,7 +21,7 @@ term by term in a dict and turned into a :class:`~leibnizalg.poly.Poly`
 once, content-normalized. The graded alpha relations of ``verify`` come from
 the same function. The elimination divides by no pivot coefficient. A basis
 change is a map too: the sparse rows of the new basis vectors in old
-coordinates. A conjecture trial inverts nothing and builds no table; what
+coordinates. A conjecture trial inverts nothing and transforms no table; what
 does not depend on its b (variant, n, r, alphas, a1) is computed once per
 :class:`Memo`, which ``verify.run_scenario`` makes one of per run.
 """
@@ -42,7 +42,7 @@ from .algebra import (
     leibniz_check,
 )
 from .derivations import derivation_space, is_derivation
-from .families import make_SolvA, make_SolvB
+from .families import ConstructionError, solvable_algebra, validate
 from .linalg import int_inverse, is_unitriangular, rref, scale_to_integers, to_fraction, unitriangular_solve
 from .poly import Poly, PolyRing, lex_key, linear_form_rows
 
@@ -698,13 +698,9 @@ def alpha_items(alphas: Mapping) -> tuple:
     return tuple(sorted(alphas.items()))
 
 
-def _member(variant: str, n: int, r: int, alphas: Mapping, a1, b: Mapping) -> Algebra:
-    return make_SolvA(n, r, alphas, a1, b) if variant == "A" else make_SolvB(n, r, alphas, b)
-
-
 def _target(variant: str, n: int, r: int, alphas: tuple, a1) -> tuple:
     """The integer-scaled table of the validated b = 0 member of a frame."""
-    return _member(variant, n, r, dict(alphas), a1, {}).scaled
+    return validate(solvable_algebra(variant, n, r, dict(alphas), a1, {})).scaled
 
 
 @dataclass(frozen=True)
@@ -726,13 +722,21 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
     chain products (``chain_rows`` from T) carries the products of the b = 0
     member (``carries_products``), which is built and validated once per
     frame in ``memo`` (a fresh one when none is given). Nothing is inverted
-    and no table is built."""
+    and no transformed table is built. The member is validated only when
+    the trial does not eliminate: otherwise the image check, on rows that
+    form a basis, has shown it isomorphic to the validated b = 0 member."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
-    alg = _member(variant, n, r, alphas, a1, b)
-    target = (memo or Memo())(_target, variant, n, r, alpha_items(alphas), a1)
+    alg = solvable_algebra(variant, n, r, alphas, a1, b)
+    try:
+        target = (memo or Memo())(_target, variant, n, r, alpha_items(alphas), a1)
+    except ConstructionError:
+        validate(alg)  # the member's failure, if any, comes first
+        raise
     change = star_change(n, variant, b)
     tail = unitriangular_solve(bracket(alg.table, change[1], change[n + 1]), change)
     residual = {k: c for k, c in tail if 2 <= k <= n}
-    restored = carries_products(alg, chain_rows(alg, n, variant, change), target)
-    return ConjectureResult(not residual and restored, residual, variant, n)
+    eliminated = not residual and carries_products(alg, chain_rows(alg, n, variant, change), target)
+    if not eliminated:
+        validate(alg)
+    return ConjectureResult(eliminated, residual, variant, n)

@@ -10,9 +10,10 @@ Family ids:
   ``SolvA``, ``SolvB``
 
 Omitted products are zero. Parameters must be int or Fraction; any other
-type raises TypeError. Every constructor validates the Leibniz identity
-and fails loudly naming the first offending basis triple; families declared
-Lie are additionally checked for antisymmetry.
+type raises TypeError. Every ``make_*`` constructor validates the Leibniz
+identity (:func:`validate`), failing loudly on the first offending basis
+triple, and the antisymmetry of a family declared Lie; :func:`solvable_algebra`
+builds a SolvA/SolvB member unchecked, for ``extensions.conjecture_check``.
 
 The graded tables A, B, SolvA and SolvB each have one product-map builder,
 :func:`graded_products` and :func:`solvable_products`, generic in the scalar
@@ -71,17 +72,18 @@ def _require(cond: bool, msg: str):
         raise ConstructionError(msg)
 
 
-def _validated(products, labels, metadata) -> Algebra:
-    alg = algebra_from_products(labels, products, metadata)
+def validate(alg: Algebra) -> Algebra:
+    """``alg`` if the Leibniz identity holds (and antisymmetry, if declared Lie);
+    else ConstructionError naming the family, first failing triple and defect."""
     report = leibniz_check(alg)
+    labels, family = alg.labels, alg.metadata.get("family")
     if not report.ok:
         i, j, k, defect = report.failures[0]
         raise ConstructionError(
-            f"{metadata.get('family')}: Leibniz identity fails on ({labels[i]},{labels[j]},{labels[k]}), "
-            f"defect {defect}"
+            f"{family}: Leibniz identity fails on ({labels[i]},{labels[j]},{labels[k]}), defect {defect}"
         )
-    if metadata.get("lie") and not is_lie(alg):
-        raise ConstructionError(f"{metadata.get('family')}: antisymmetry fails")
+    if alg.metadata.get("lie") and not is_lie(alg):
+        raise ConstructionError(f"{family}: antisymmetry fails")
     return alg
 
 
@@ -109,7 +111,7 @@ def make_F1(n: int, alphas: Mapping[int, Fraction], theta: Fraction, family="F1"
             "params": {**{f"alpha{k}": v for k, v in full.items()}, "theta": theta}}
     if extra:
         meta["params"].update(extra)
-    return _validated(_f1_products(n, full, theta), _e_labels(n), meta)
+    return validate(algebra_from_products(_e_labels(n), _f1_products(n, full, theta), meta))
 
 
 def _f2_products(n: int, betas: dict, gamma: Fraction) -> dict:
@@ -132,7 +134,7 @@ def make_F2(n: int, betas: Mapping[int, Fraction], gamma: Fraction, family="F2",
             "params": {**{f"beta{k}": v for k, v in full.items()}, "gamma": gamma}}
     if extra:
         meta["params"].update(extra)
-    return _validated(_f2_products(n, full, gamma), _e_labels(n), meta)
+    return validate(algebra_from_products(_e_labels(n), _f2_products(n, full, gamma), meta))
 
 
 def make_F3(n: int, theta1, theta2, theta3, alpha=0) -> Algebra:
@@ -159,7 +161,7 @@ def make_F3(n: int, theta1, theta2, theta3, alpha=0) -> Algebra:
             prods.setdefault((i, j), []).append((n, alpha * (-1) ** i))
     meta = {"family": "F3", "n": n,
             "params": {"theta1": t1, "theta2": t2, "theta3": t3, "alpha": alpha}}
-    return _validated(prods, _e_labels(n), meta)
+    return validate(algebra_from_products(_e_labels(n), prods, meta))
 
 
 def f1s_alphas(n: int, s: int) -> dict:
@@ -207,7 +209,7 @@ def make_Ln(n: int) -> Algebra:
         prods[(0, i)] = [(i + 1, Fraction(1))]
         prods[(i, 0)] = [(i + 1, Fraction(-1))]
     meta = {"family": "Ln", "n": n, "params": {}, "lie": True}
-    return _validated(prods, _e_labels(n), meta)
+    return validate(algebra_from_products(_e_labels(n), prods, meta))
 
 
 def make_Qn(n: int) -> Algebra:
@@ -219,7 +221,7 @@ def make_Qn(n: int) -> Algebra:
     for i in range(1, n):
         prods.setdefault((i, n - i), []).append((n, Fraction((-1) ** i)))
     meta = {"family": "Qn", "n": n, "params": {}, "lie": True}
-    return _validated(prods, _e_labels(n), meta)
+    return validate(algebra_from_products(_e_labels(n), prods, meta))
 
 
 def graded_alpha_count(variant: str, n: int, r: int) -> int:
@@ -281,7 +283,7 @@ def _graded_algebra(variant: str, n: int, r: int, alphas: Mapping) -> Algebra:
     full = _graded_alphas(variant, n, r, alphas)
     meta = {"family": variant, "n": n, "lie": True,
             "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()}}}
-    return _validated(graded_products(variant, n, r, full), _e_labels(n), meta)
+    return validate(algebra_from_products(_e_labels(n), graded_products(variant, n, r, full), meta))
 
 
 def make_A_algebra(n: int, r: int, alphas: Mapping[int, Fraction]) -> Algebra:
@@ -316,7 +318,7 @@ def make_L1(n: int) -> Algebra:
     prods[(x, 0)] = [(0, Fraction(-1))]
     prods[(x, 1)] = [(1, -half)]
     meta = {"family": "L1", "n": n, "params": {}}
-    return _validated(prods, _e_labels(n, with_x=True), meta)
+    return validate(algebra_from_products(_e_labels(n, with_x=True), prods, meta))
 
 
 def make_L2(n: int, beta) -> Algebra:
@@ -340,7 +342,7 @@ def make_L2(n: int, beta) -> Algebra:
     prods[(x, 0)] = [(0, Fraction(-1))]
     prods[(x, 1)] = [(1, -half)] + ([(n // 2, -beta)] if beta else [])
     meta = {"family": "L2", "n": n, "params": {"beta": beta}}
-    return _validated(prods, _e_labels(n, with_x=True), meta)
+    return validate(algebra_from_products(_e_labels(n, with_x=True), prods, meta))
 
 
 def make_L3(n: int, j0: int) -> Algebra:
@@ -361,7 +363,7 @@ def make_L3(n: int, j0: int) -> Algebra:
     prods[(x, 0)] = [(0, Fraction(-1))]
     prods[(x, 1)] = [(1, Fraction(1 - j0)), (j0 - 1, Fraction(-1))]
     meta = {"family": "L3", "n": n, "params": {"j0": Fraction(j0)}}
-    return _validated(prods, _e_labels(n, with_x=True), meta)
+    return validate(algebra_from_products(_e_labels(n, with_x=True), prods, meta))
 
 
 def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
@@ -417,28 +419,32 @@ def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping
     return prods
 
 
+def solvable_algebra(variant: str, n: int, r: int, alphas: Mapping[int, Fraction], a1,
+                     bs: Mapping[int, Fraction]) -> Algebra:
+    """SolvA (``variant`` "A") or SolvB, with the range checks, labels and
+    metadata of :func:`make_SolvA` / :func:`make_SolvB` but no identity
+    check (:func:`validate` makes it). SolvB has no a1 and ignores it."""
+    if variant == "B":
+        _require(1 <= r <= n - 4, "SolvB needs 1 <= r <= n - 4")
+    full = _graded_alphas(f"Solv{variant}", n, r, alphas)
+    a1 = to_fraction(a1) if variant == "A" else Fraction(0)
+    b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n + 1 if variant == "A" else n)}
+    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
+              **({"a1": a1} if variant == "A" else {}), **{f"b{k}": v for k, v in b.items()}}
+    meta = {"family": f"Solv{variant}", "n": n, "lie": True, "params": params}
+    return algebra_from_products(_e_labels(n, with_x=True), solvable_products(variant, n, r, full, b, a1), meta)
+
+
 def make_SolvA(n: int, r: int, alphas: Mapping[int, Fraction], a1, bs: Mapping[int, Fraction]) -> Algebra:
     """Solvable Lie extension over an A-family nilradical, free parameters
     a1 and b_2..b_n kept explicit."""
-    full = _graded_alphas("SolvA", n, r, alphas)
-    a1 = to_fraction(a1)
-    b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n + 1)}
-    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
-              "a1": a1, **{f"b{k}": v for k, v in b.items()}}
-    meta = {"family": "SolvA", "n": n, "lie": True, "params": params}
-    return _validated(solvable_products("A", n, r, full, b, a1), _e_labels(n, with_x=True), meta)
+    return validate(solvable_algebra("A", n, r, alphas, a1, bs))
 
 
 def make_SolvB(n: int, r: int, alphas: Mapping[int, Fraction], bs: Mapping[int, Fraction]) -> Algebra:
     """Solvable Lie extension over a B-family nilradical, free parameters
     b_2..b_{n-1} kept explicit."""
-    _require(1 <= r <= n - 4, "SolvB needs 1 <= r <= n - 4")
-    full = _graded_alphas("SolvB", n, r, alphas)
-    b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n)}
-    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
-              **{f"b{k}": v for k, v in b.items()}}
-    meta = {"family": "SolvB", "n": n, "lie": True, "params": params}
-    return _validated(solvable_products("B", n, r, full, b), _e_labels(n, with_x=True), meta)
+    return validate(solvable_algebra("B", n, r, alphas, 0, bs))
 
 
 # -- dispatch -------------------------------------------------------------------

@@ -489,7 +489,9 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     nonzero exactly when D_k is a derivation of N: build N once, run
     ``is_derivation`` on each D_k and sample on the admitted b_k. A defect
     free of b (alphas off the Jacobi variety, or R not a derivation) is left
-    to the caller's construction, which validates the sample. N keeps its
+    to the caller, which validates the frame's b = 0 member (it has the
+    defect too) or the sample (``make_SolvA``/``make_SolvB``, and a failed
+    conjecture trial; an eliminating one is certified). N keeps its
     integer-scaled table (``Algebra.scaled``), so it is scaled once for all
     the checks. The admitted b_k are the same for every b of the frame, so
     ``memo`` (a fresh one when none is given) keeps them per frame

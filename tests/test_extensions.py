@@ -32,6 +32,7 @@ from leibnizalg.extensions import (
     star_change,
 )
 from leibnizalg.families import (
+    ConstructionError,
     make_A_algebra,
     make_B_algebra,
     make_F1,
@@ -42,6 +43,7 @@ from leibnizalg.families import (
     make_SolvB,
 )
 from leibnizalg.poly import Poly, PolyRing
+from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import dense, dense_matrix, from_dense, mat_identity, mat_mul, sparse_inverse, sparse_rows
 
@@ -317,6 +319,93 @@ def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alph
         tables = [t for t in calls if len(t) == n + 2]
         assert len(tables) == len(built)
         assert len(calls) - len(tables) == 1
+
+
+def counted_checks(monkeypatch) -> dict:
+    """Count leibniz_check and is_lie calls wherever the package binds them."""
+    counts = {}
+    for fname in ("leibniz_check", "is_lie"):
+        fn = getattr(algebra, fname)
+        counts[fname] = 0
+
+        def counted(alg, fn=fn, fname=fname):
+            counts[fname] += 1
+            return fn(alg)
+
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "leibnizalg" and getattr(mod, fname, None) is fn:
+                monkeypatch.setattr(mod, fname, counted)
+    return counts
+
+
+@pytest.mark.parametrize("variant,n,alphas,b", [
+    ("A", 7, {1: 1}, {2: Fraction(1, 3), 5: Fraction(-2), 7: Fraction(5, 7)}),
+    ("B", 7, {1: 1, 2: -2}, {2: Fraction(1, 3), 4: Fraction(-2), 6: Fraction(5, 7)}),
+])
+def test_eliminating_trials_are_certified_by_the_image_check(monkeypatch, variant, n, alphas, b):
+    """An eliminating trial makes no identity check of its own: its member
+    is isomorphic to the b = 0 member, which a frame new to the memo
+    validates once (one leibniz_check, one is_lie) and a frame the memo
+    holds does not validate again."""
+    counts = counted_checks(monkeypatch)
+    memo = Memo()
+    for want in (1, 0):  # cold, then warm
+        counts.update(dict.fromkeys(counts, 0))
+        assert conjecture_check(n, variant, 1, alphas, 0, b, memo).eliminated
+        assert counts == {"leibniz_check": want, "is_lie": want}
+
+
+def test_a_trial_that_does_not_eliminate_validates_its_member(monkeypatch):
+    """With a_1 != 0 the trial leaves a residual tail: the member is
+    validated once, before the result is returned, on a cold frame (with
+    the target) and on a warm one (alone)."""
+    counts = counted_checks(monkeypatch)
+    memo = Memo()
+    for want in (2, 1):  # cold, then warm
+        counts.update(dict.fromkeys(counts, 0))
+        res = conjecture_check(6, "A", 3, {1: 1}, 1, {2: Fraction(1)}, memo)
+        assert not res.eliminated and res.residual_b == {6: Fraction(1, 2)}
+        assert counts == {"leibniz_check": want, "is_lie": want}
+
+
+@pytest.mark.parametrize("variant,n", [("A", 7), ("A", 8), ("B", 7), ("B", 9)])
+def test_conjecture_check_raises_the_members_error_off_the_admitted_bs(variant, n):
+    """A b_k off the admitted coordinates breaks the Leibniz identity of the
+    member. conjecture_check raises the ConstructionError that make_SolvA /
+    make_SolvB raise on the same arguments (family, first failing triple,
+    defect), on a frame new to the memo and on one it holds, for one such
+    b_k and for two together."""
+    memo = Memo()
+    rng = random.Random(f"off-admitted:{variant}:{n}")
+    checked = 0
+    for r in range(1, (n - 3 if variant == "A" else n - 4) + 1):
+        alphas = sample_graded_alphas(variant, n, r, rng, memo)
+        admitted = sample_solv_bs(variant, n, r, alphas, rng, memo)
+        off = [k for k in range(2, n + 1 if variant == "A" else n) if k not in admitted][:2]
+        for b in [{k: Fraction(1, 3)} for k in off] + [dict.fromkeys(off, Fraction(1, 3))] * (len(off) == 2):
+            with pytest.raises(ConstructionError) as want:
+                make_SolvA(n, r, alphas, 0, b) if variant == "A" else make_SolvB(n, r, alphas, b)
+            with pytest.raises(ConstructionError) as got:
+                conjecture_check(n, variant, r, alphas, 0, b, memo)
+            assert str(got.value) == str(want.value)
+            assert "Leibniz identity fails" in str(got.value)
+            checked += len(b)
+    assert checked >= 4
+
+
+def test_conjecture_check_raises_the_members_error_when_the_frame_fails_too():
+    """With a_1 = 1 off what the frame admits, the b = 0 member fails too,
+    on the same triple with another defect. conjecture_check still raises
+    the member's own error, as make_SolvA does, not the frame's."""
+    n, r, alphas, a1, b = 6, 1, {1: -2, 2: 1}, 1, {3: Fraction(1, 3)}
+    with pytest.raises(ConstructionError) as want:
+        make_SolvA(n, r, alphas, a1, b)
+    with pytest.raises(ConstructionError) as frame:
+        make_SolvA(n, r, alphas, a1, {})
+    assert str(frame.value) != str(want.value)
+    with pytest.raises(ConstructionError) as got:
+        conjecture_check(n, "A", r, alphas, a1, b)
+    assert str(got.value) == str(want.value)
 
 
 def test_conjecture_reports_residual_when_transformation_cannot_work():

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +19,7 @@ from leibnizalg.verify import SCENARIOS
 from dense_algebra import dense
 
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def test_round_trip_identity():
@@ -393,3 +397,15 @@ def test_readme_command_line_block_names_exactly_the_subcommands():
     documented = set(re.findall(r"(?:^|\|)\s*leibnizalg\s+([a-z][\w-]*)", block, re.MULTILINE))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    """``python -m leibnizalg`` (the package's ``__main__``) is the command
+    line of a plain checkout: same exit code, same output as cli.main."""
+    argv = ["verify", "conj-i", "--n", "5", "--seed", "0", "--format", "machine"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "leibnizalg", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want

@@ -632,6 +632,19 @@ def test_one_change_per_trial_matches_the_two_step_path(member):
     assert res.eliminated == (a1 == 0 or not b)
 
 
+@given(conjecture_members())
+@settings(max_examples=40, deadline=None)
+def test_an_eliminating_trial_has_a_valid_member(member):
+    """conjecture_check validates no member of a trial that eliminates: the
+    image check certifies it. The validating constructors, whose Leibniz
+    and antisymmetry checks share no code with that image check, must
+    then build the same member without error, and it is Lie."""
+    variant, n, r, alphas, a1, b = member
+    if conjecture_check(n, variant, r, alphas, a1, b).eliminated:
+        alg = make_SolvA(n, r, alphas, a1, b) if variant == "A" else make_SolvB(n, r, alphas, b)
+        assert is_lie(alg) and leibniz_check(alg).ok
+
+
 def test_one_change_per_trial_pins_the_a1_residual():
     """With a_1 != 0 the transformation leaves a residual tail, and the
     re-adapted basis does not reach the b = 0 member: the image check says
