@@ -19,7 +19,10 @@ when q or r is x, so the defects already imply them.
 cells: every cell scaled by one common denominator, each equation summed
 term by term in a dict and turned into a :class:`~leibnizalg.poly.Poly`
 once, content-normalized. The graded alpha relations of ``verify`` come from
-the same function. The elimination divides by no pivot coefficient. A basis
+the same function. The elimination divides by no pivot coefficient, and
+keeps each live equation as its terms alone, a ``{monomial: int}`` dict; its
+indexes from a variable to the equations that hold it, or can be solved for
+it, may hold stale entries, which are checked when popped. A basis
 change is a map too: the sparse rows of the new basis vectors in old
 coordinates. A conjecture trial inverts nothing and transforms no table; what
 does not depend on its b (variant, n, r, alphas, a1) is computed once per
@@ -63,7 +66,6 @@ class ExtensionProblem:
     square_row: tuple         # [x, x] as a sparse row, one unknown per coordinate
     template_params: tuple
     unknown_names: tuple
-    annihilator_span: tuple   # RREF basis of span{[u,v]+[v,u], [u,u]} inside N, sparse rows
 
     @property
     def dim(self) -> int:
@@ -92,9 +94,10 @@ class ExtensionProblem:
         return tuple(c for c in coords if c)
 
 
-def _forced_annihilator_span(alg: Algebra) -> tuple:
+def forced_annihilator_span(alg: Algebra) -> tuple:
     """Sparse RREF rows of the span of the [b_i, b_j] + [b_j, b_i], two
-    cells added."""
+    cells added (the [b_i, b_i] among them): a subspace of the right
+    annihilator of a Leibniz algebra."""
     d = alg.dim
     prods = alg.scaled[0]
     rows = []
@@ -138,7 +141,6 @@ def build_extension_problem(
         square_row=rows[-1],
         template_params=tuple(params),
         unknown_names=unknown_names,
-        annihilator_span=_forced_annihilator_span(nilradical),
     )
 
 
@@ -299,11 +301,6 @@ def _poly_sort_key(p: Poly):
     return (p.num_terms, tuple((lex_key(mono), c) for mono, c in p.terms()))
 
 
-def _tally(counts: dict, mono: tuple, step: int) -> None:
-    for u in mono:
-        counts[u] = counts.get(u, 0) + step
-
-
 def eliminate(system: ConstraintSystem):
     """Fixpoint loop: stop on a nonzero constant (Contradiction), otherwise
     solve one equation that is linear in a single indeterminate with a
@@ -313,22 +310,26 @@ def eliminate(system: ConstraintSystem):
     then canonical term order. Each substitution removes an indeterminate, so
     termination is immediate; the outcome is deterministic.
 
-    Each live equation keeps a slot: a working ``{monomial: int}`` dict, the
-    equation up to a nonzero integer factor, and each variable's exponent
-    sum over its terms. ``index`` maps a variable to the slots that hold it,
-    ``solvable`` to those in which its only occurrence is a degree-1 term;
-    both are keyed by ring index, grow only for the variables of changed
-    terms, and skip a stale slot when popped. ``rank`` orders the ring
-    indices as their names sort. A step rewrites only the terms that hold the
-    pivot v, in the slots that hold it: the pivot c*v + rest
-    (``linear_coefficient``, once per step) is logged as v := -rest/c, and a
-    slot e becomes c^K e(v := -rest/c) in ints, K the degree of v in e. Scale
-    and duplicates change neither solvability nor constancy, so a slot is
-    content-normalized only where it is read (the candidates with the fewest
-    terms, the witness, the residual, each on a copy) and, in place, after a
-    non-unit pivot. Slots that a step makes equal are not merged: finding
-    them takes a normalization and a hash per rewrite, which costs more than
-    the repeated rewrites (about 7% of them) do.
+    Each live equation keeps a slot, and a slot is nothing but its working
+    ``{monomial: int}`` terms: the equation up to a nonzero integer factor.
+    A slot is constant when its only monomial is ``()``. Two indexes, keyed
+    by ring index, are supersets checked when popped: ``index[u]`` holds
+    every slot with a term that holds u, ``solvable[u]`` every slot that can
+    be solved for u. A slot joins ``index[u]`` when a term holding u appears
+    or vanishes in it (u not the pivot, which no slot holds afterwards), and
+    ``solvable[u]`` when that happens and ``(u,)`` is one of its terms; a
+    popped candidate stays only if ``(u,)`` is its sole term holding u.
+    ``rank`` orders the ring indices as their names sort. A step rewrites
+    only the terms that hold the pivot v, in the slots of ``index[v]`` that
+    hold it: the pivot c*v + rest (``linear_coefficient``, once per step) is
+    logged as v := -rest/c, and a slot e becomes c^K e(v := -rest/c) in
+    ints, K the degree of v in e. Scale and duplicates change neither
+    solvability nor constancy, so a slot is content-normalized only where it
+    is read (the candidates with the fewest terms, the witness, the residual,
+    each on a copy) and, in place, after a non-unit pivot.
+    Slots that a step makes equal are not merged: finding them takes a
+    normalization and a hash per rewrite, which costs more than the repeated
+    rewrites (about 7% of them) do.
     """
     ring = system.ring
     names = ring.names
@@ -336,7 +337,6 @@ def eliminate(system: ConstraintSystem):
     for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
         rank[i] = r
     slots: dict = {}      # slot -> working terms
-    occ: dict = {}        # slot -> {variable: exponent sum over the terms}
     index = defaultdict(set)
     solvable = defaultdict(set)
     constants: list = []
@@ -345,22 +345,14 @@ def eliminate(system: ConstraintSystem):
     def read(s) -> Poly:
         return Poly._raw(ring, dict(slots[s])).content_normalized()
 
-    def register(s, variables):
-        terms, counts = slots[s], occ[s]
-        for u in variables:
-            if not counts[u]:
-                del counts[u]
-                continue
-            index[u].add(s)
-            if counts[u] == 1 and (u,) in terms:
-                solvable[u].add(s)
-
     for s, e in enumerate(dict.fromkeys(e.content_normalized() for e in system.equations if e)):
-        slots[s], occ[s] = dict(e._terms), {}
-        for mono in e._terms:
-            _tally(occ[s], mono, 1)
-        register(s, tuple(occ[s]))
-        if not occ[s]:
+        terms = slots[s] = dict(e._terms)
+        for mono in terms:
+            for u in mono:
+                index[u].add(s)
+            if len(mono) == 1:
+                solvable[mono[0]].add(s)
+        if () in terms and len(terms) == 1:
             constants.append(s)
     while True:
         if constants:
@@ -369,8 +361,8 @@ def eliminate(system: ConstraintSystem):
         best = None
         while best is None and solvable:
             var = min(solvable, key=rank.__getitem__)
-            cands = [s for s in solvable.pop(var)
-                     if s in slots and occ[s].get(var) == 1 and (var,) in slots[s]]
+            cands = [s for s in solvable.pop(var)  # (var,) is the sole term that holds var
+                     if (var,) in slots.get(s, ()) and sum(var in mono for mono in slots[s]) == 1]
             if cands:  # the sort key starts with the term count: read only the fewest
                 fewest = min(len(slots[s]) for s in cands)
                 best = min((read(s) for s in cands if len(slots[s]) == fewest), key=_poly_sort_key)
@@ -385,11 +377,10 @@ def eliminate(system: ConstraintSystem):
         log.append((name, num if den == 1 else num * Fraction(1, den), best))
         powers = {1: num._terms.items()}
         for s in index.pop(var):
-            counts = occ.get(s)
-            if counts is None or var not in counts:
+            hits = [mono for mono in slots.get(s, ()) if var in mono]
+            if not hits:  # a deleted slot, or one that no longer holds var
                 continue
             terms = slots[s]
-            hits = [mono for mono in terms if var in mono]
             if den != 1:
                 scale = den ** max(mono.count(var) for mono in hits)
                 for mono in terms:
@@ -398,7 +389,6 @@ def eliminate(system: ConstraintSystem):
             for mono in hits:
                 c = terms.pop(mono)
                 touched.update(mono)
-                _tally(counts, mono, -1)
                 k = mono.count(var)
                 if k not in powers:
                     powers[k] = (num**k)._terms.items()
@@ -413,14 +403,17 @@ def eliminate(system: ConstraintSystem):
                         terms[mm] = t
                     if not (old and t):  # the term appeared or vanished
                         touched.update(mm)
-                        _tally(counts, mm, 1 if t else -1)
             if not terms:
-                del slots[s], occ[s]
+                del slots[s]
                 continue
             if den != 1:
                 terms = slots[s] = Poly._raw(ring, terms).content_normalized()._terms
-            register(s, touched)
-            if not counts:
+            touched.discard(var)
+            for u in touched:
+                index[u].add(s)
+                if (u,) in terms:
+                    solvable[u].add(s)
+            if () in terms and len(terms) == 1:
                 constants.append(s)
 
 

@@ -51,6 +51,7 @@ from .extensions import (
     conjecture_check,
     diagonal_branches,
     eliminate,
+    forced_annihilator_span,
     generate_constraints,
     instantiate,
     leibniz_equations,
@@ -295,12 +296,12 @@ def _sole_family(nilradical: Algebra):
 
 def annihilator_zeroing_emerged(problem, outcome) -> bool:
     """The right-annihilator facts must force [x,e_i] = 0 for every basis
-    vector e_i of the span of the [u,v]+[v,u] (``annihilator_span``): the
-    solver has to derive it from the Leibniz defects, which imply
-    [x, [u,v]+[v,u]] = 0, not assume it; the system holds no annihilator
-    equation of its own."""
+    vector e_i of the span of the [u,v]+[v,u] (``forced_annihilator_span``
+    of the nilradical): the solver has to derive it from the Leibniz
+    defects, which imply [x, [u,v]+[v,u]] = 0, not assume it; the system
+    holds no annihilator equation of its own."""
     d = problem.nilradical.dim
-    rows = set(problem.annihilator_span)  # an RREF basis holds e_i iff it has the row e_i
+    rows = set(forced_annihilator_span(problem.nilradical))  # an RREF basis holds e_i iff it has the row e_i
     res = resolved_assignments(outcome)
     for i in range(2, d):
         if ((i, 1),) not in rows:

@@ -399,6 +399,29 @@ def test_readme_command_line_block_names_exactly_the_subcommands():
     assert documented == set(sub.choices)
 
 
+
+def test_readme_python_api_block_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(want) == 2
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_reports_are_byte_identical_under_two_hash_seeds():
+    """No canonical report depends on the order of a set or dict of strings,
+    which the hash seed changes: ``verify all`` prints the same bytes under
+    PYTHONHASHSEED 1 and 2."""
+    argv = [sys.executable, "-m", "leibnizalg", "verify", "all", "--n", "5..7", "--seed", "3", "--format", "machine"]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
 def test_python_dash_m_runs_the_command_line(capsys):
     """``python -m leibnizalg`` (the package's ``__main__``) is the command
     line of a plain checkout: same exit code, same output as cli.main."""

@@ -58,8 +58,8 @@ from leibnizalg import verify
 from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, int_table, is_lie, leibniz_check,
                                 leibniz_defects, product_table)
 from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
-from leibnizalg.extensions import (_forced_annihilator_span, apply_basis_change, build_extension_problem,
-                                   carries_products, chain_rows, conjecture_check, diagonal_branches, eliminate,
+from leibnizalg.extensions import (apply_basis_change, build_extension_problem, carries_products, chain_rows,
+                                   conjecture_check, diagonal_branches, eliminate, forced_annihilator_span,
                                    generate_constraints, instantiate, star_change)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
@@ -888,7 +888,7 @@ def test_derivation_space_and_annihilator_span_match_dense_references(spec):
     for alg in members:
         space = derivation_space(alg)
         assert (space.basis, space.param_names) == dense_derivation_space(alg)
-        assert _forced_annihilator_span(alg) == dense_annihilator_span(alg)
+        assert forced_annihilator_span(alg) == dense_annihilator_span(alg)
 
 
 @given(sparse_tables())
@@ -896,7 +896,7 @@ def test_derivation_space_and_annihilator_span_match_dense_references(spec):
 def test_derivation_space_and_annihilator_span_match_dense_on_random_tables(alg):
     space = derivation_space(alg)
     assert (space.basis, space.param_names) == dense_derivation_space(alg)
-    assert _forced_annihilator_span(alg) == dense_annihilator_span(alg)
+    assert forced_annihilator_span(alg) == dense_annihilator_span(alg)
 
 
 EXTENSION_SCENARIOS = ("prop32-nonexist", "prop33-nonexist", "thm39-nonexist", "thm35-class", "thm36-class",
