@@ -399,7 +399,6 @@ def test_readme_command_line_block_names_exactly_the_subcommands():
     assert documented == set(sub.choices)
 
 
-
 def test_readme_python_api_block_prints_what_its_comments_say(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Python API", 1)[1].split("```python", 1)[1].split("```", 1)[0]
@@ -421,6 +420,7 @@ def test_reports_are_byte_identical_under_two_hash_seeds():
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
     assert outs[0] and outs[0] == outs[1]
+
 
 def test_python_dash_m_runs_the_command_line(capsys):
     """``python -m leibnizalg`` (the package's ``__main__``) is the command
