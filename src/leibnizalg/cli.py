@@ -75,6 +75,11 @@ def _parse_pairs(text: str) -> list:
     return pairs
 
 
+def _failure_text(alg, failure) -> str:
+    i, j, k, defect = failure
+    return f"({alg.labels[i]},{alg.labels[j]},{alg.labels[k]}): defect {[str(c) for c in defect]}"
+
+
 def _cmd_check(args) -> int:
     alg = _load_algebra(args.file)
     report = leibniz_check(alg)
@@ -82,8 +87,8 @@ def _cmd_check(args) -> int:
         print(f"pass: identity holds on all {alg.dim}^3 basis triples")
         return 0
     print(f"fail: {len(report.failures)} defective triples")
-    for i, j, k, defect in report.failures[: args.limit]:
-        print(f"  ({alg.labels[i]},{alg.labels[j]},{alg.labels[k]}): defect {[str(c) for c in defect]}")
+    for failure in report.failures[: args.limit]:
+        print(f"  {_failure_text(alg, failure)}")
     if len(report.failures) > args.limit:
         print(f"  ... {len(report.failures) - args.limit} more")
     return 1
@@ -105,9 +110,14 @@ def _cmd_series(args) -> int:
 def _cmd_derive(args) -> int:
     alg = _load_algebra(args.file)
     space = derivation_space(alg)
+    try:
+        count = max_nil_independent(space) if args.nil_independent else None
+    except ValueError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 2
     print(f"derivation space dimension: {space.dimension}")
-    if args.nil_independent:
-        print(f"max nil-independent: {max_nil_independent(space)}")
+    if count is not None:
+        print(f"max nil-independent: {count}")
     if not args.no_basis:
         for name, mat in zip(space.param_names, space.basis):
             print(f"basis derivation {name}:")
@@ -184,6 +194,11 @@ def _outcome_payload(hyp, outcome) -> dict:
 
 def _cmd_extend(args) -> int:
     alg = _load_algebra(args.file)
+    report = leibniz_check(alg)
+    if not report.ok:
+        print(f"error: {args.file}: not a Leibniz algebra: {_failure_text(alg, report.failures[0])}",
+              file=sys.stderr)
+        return 2
     try:
         problem = build_extension_problem(alg)
         branches = [_parse_hypotheses(args.hypotheses, problem)] if args.hypotheses else diagonal_branches(problem)

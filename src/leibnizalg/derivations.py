@@ -8,26 +8,23 @@ the dim^2 matrix entries, built as sparse integer rows from the
 integer-scaled product table; its canonical nullspace basis is the
 derivation space. :func:`is_derivation` checks one map (rational or Poly
 entries) by a walk over the nonzero cells of the same table and the nonzero
-entries of the map. Nil-independence is computed from the diagonal rank,
-which is exact for spaces of upper-triangular maps (every family handled
-here), with a randomized cross-check guarding the triangularity assumption.
+entries of the map. :func:`diagonal_functionals` is the one reading of
+nilpotency: an upper-triangular map is nilpotent exactly when its diagonal
+is zero, so the diagonal of a map linear in named parameters gives both the
+nil-independence count and the non-nilpotency branches of
+:func:`~leibnizalg.extensions.diagonal_branches`; a map that is not upper
+triangular is refused with ValueError.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import Algebra
-from .linalg import int_is_nilpotent, is_upper_triangular, kernel_basis, rank, rref, scale_to_integers
-from .poly import Poly, PolyRing
-
-# the randomized nil-independence cross-check: combinations drawn, fixed seed
-NIL_CHECK_TRIALS = 32
-NIL_CHECK_SEED = 7
+from .linalg import is_upper_triangular, kernel_basis, rref, scale_to_integers
+from .poly import Poly, PolyRing, linear_form_rows
 
 
 @dataclass(frozen=True)
@@ -198,45 +195,32 @@ def inner_derivations(alg: Algebra) -> DerivationSpace:
                            tuple(_param_name(p, d) for p in pivots))
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+def diagonal_functionals(rows: Sequence, params: Sequence[str]) -> tuple:
+    """The canonical RREF rows, sparse over the indices of ``params``, of the
+    diagonal entries of a map whose entries are linear forms in ``params``,
+    given as sparse rows of Poly entries: the generic element of a
+    derivation space, or the template of an extension problem.
+
+    An upper-triangular map is nilpotent exactly when its diagonal is zero,
+    so the map at a point of the parameters is nilpotent iff every returned
+    functional vanishes there. A map that is not upper triangular raises
+    ValueError, since its diagonal does not decide its nilpotency; so does a
+    diagonal entry that is not a linear form in ``params``.
+    """
+    if not is_upper_triangular(rows):
+        raise ValueError("map is not upper triangular: its diagonal does not decide its nilpotency")
+    diagonal = (c for i, row in enumerate(rows) for j, c in row if j == i)
+    return rref(linear_form_rows(diagonal, params))[0]
 
 
 def max_nil_independent(space: DerivationSpace) -> int:
-    """Maximal number of nil-independent derivations.
-
-    Primary method: rank of the map sending a derivation to its diagonal,
-    exact when the space consists of upper-triangular matrices (nilpotent
-    there means zero diagonal). A fixed-seed randomized cross-check compares
-    nilpotency of sampled combinations against their diagonals and raises on
-    any disagreement. The zero algebra is special-cased: the diagonal matrices
-    realize dim many nil-independent derivations and no more exist.
+    """Maximal number of nil-independent derivations: the number of
+    :func:`diagonal_functionals` of the generic derivation, which raises
+    ValueError when the derivation basis is not upper triangular. The zero
+    algebra is special-cased: the diagonal matrices realize dim many
+    nil-independent derivations and no more exist.
     """
     alg = space.algebra
-    if not space.basis:
-        return 0
     if not any(cell for plane in alg.table for cell in plane):
         return alg.dim
-    if not all(is_upper_triangular(m) for m in space.basis):
-        raise ValueError("nil-independence count requires an upper-triangular derivation basis")
-    r = rank([(i, c) for i, row in enumerate(m) for k, c in row if k == i] for m in space.basis)
-    # a nonzero multiple of a combination has the same nilpotency and the same
-    # zero pattern on its diagonal, so each combination is built in integers:
-    # the basis over its common denominator, times the coefficients' lcm
-    d = alg.dim
-    ints = iter(scale_to_integers([c for m in space.basis for row in m for _, c in row])[0])
-    basis = [[(i * d + k, next(ints)) for i, row in enumerate(m) for k, _ in row] for m in space.basis]
-    rng = random.Random(NIL_CHECK_SEED)
-    for _ in range(NIL_CHECK_TRIALS):
-        coeffs = [_random_rational(rng) for _ in space.basis]
-        den = lcm(*(c.denominator for c in coeffs))
-        combo = [0] * (d * d)
-        for c, m in zip(coeffs, basis):
-            w = c.numerator * (den // c.denominator)
-            for idx, v in m:
-                combo[idx] += w * v
-        rows = [combo[i * d:(i + 1) * d] for i in range(d)]
-        diag_zero = not any(rows[i][i] for i in range(d))
-        if int_is_nilpotent(rows) != diag_zero:
-            raise RuntimeError("triangularity assumption failed: nilpotency disagrees with diagonal")
-    return r
+    return len(diagonal_functionals(space.generic_matrix(), space.param_names))

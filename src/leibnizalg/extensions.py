@@ -44,10 +44,10 @@ from .algebra import (
     int_table,
     leibniz_check,
 )
-from .derivations import derivation_space, is_derivation
+from .derivations import derivation_space, diagonal_functionals, is_derivation
 from .families import ConstructionError, solvable_algebra, validate
 from .linalg import int_inverse, is_unitriangular, rref, scale_to_integers, to_fraction, unitriangular_solve
-from .poly import Poly, PolyRing, lex_key, linear_form_rows
+from .poly import Poly, PolyRing, lex_key
 
 
 def _lift(poly: Poly, ring: PolyRing) -> Poly:
@@ -471,19 +471,18 @@ def instantiate(problem: ExtensionProblem, outcome, free_values: Mapping[str, Fr
 def diagonal_branches(problem: ExtensionProblem) -> list:
     """Complete case split over non-nilpotent template normalizations.
 
-    The template is upper-triangular for every family treated here, so it is
-    non-nilpotent exactly when some diagonal functional of the parameters is
-    nonzero. RREF the span of the diagonal functionals f_1..f_r; scaling x
-    normalizes the first nonzero one to 1, giving the exhaustive branches
-    {f_1=1}, {f_1=0, f_2=1}, ..., returned as hypothesis lists.
+    The template is non-nilpotent exactly when some functional f_1..f_r of
+    :func:`~leibnizalg.derivations.diagonal_functionals` is nonzero; scaling
+    x normalizes the first nonzero one to 1, giving the exhaustive branches
+    {f_1=1}, {f_1=0, f_2=1}, ..., returned as hypothesis lists. A template
+    that is not upper triangular, whose diagonal would give an incomplete
+    split, or whose diagonal is not linear in the template parameters,
+    raises ValueError.
     """
     params = problem.template_params
     ring = problem.ring
-    if not params:
-        return []
-    diagonal = (c for i, row in enumerate(problem.template) for j, c in row if j == i)
     funcs = []
-    for row in rref(linear_form_rows(diagonal, params))[0]:
+    for row in diagonal_functionals(problem.template, params):
         f = ring.zero
         for k, c in row:
             f = f + ring.var(params[k]) * c

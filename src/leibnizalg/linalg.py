@@ -16,11 +16,10 @@ entry. Row reduction keeps each row's nonzero entries as a ``{col: int}``
 dict scaled to coprime integers and runs the sparse fraction-free kernel in
 ``_rref_py``; :func:`kernel_basis` solves rows already in the kernel's form,
 :func:`int_inverse` returns an inverse as integer rows over one common
-denominator, and :func:`unitriangular_solve` solves y T = v without one. The
-nilpotency test reads the trace of an integer matrix first and powers only a
-matrix of trace 0. Everything returned by the reductions is in canonical
-reduced row echelon form with leading coefficient 1, so subspace bases and
-solution sets are reproducible across runs."""
+denominator, and :func:`unitriangular_solve` solves y T = v without one.
+Everything returned by the reductions is in canonical reduced row echelon
+form with leading coefficient 1, so subspace bases and solution sets are
+reproducible across runs."""
 
 from __future__ import annotations
 
@@ -170,28 +169,6 @@ def kernel_basis(work: list, ncols: int) -> dict:
 
 
 # -- maps --------------------------------------------------------------------
-
-
-def int_is_nilpotent(rows: list[list[int]]) -> bool:
-    """True iff M^d = 0 for a d x d dense integer matrix. A nilpotent matrix
-    has trace 0, so a nonzero trace answers False at once; only a zero-trace
-    matrix is powered, by repeated squaring. A matrix that is not square
-    raises ValueError."""
-    d = len(rows)
-    if any(len(row) != d for row in rows):
-        raise ValueError("nilpotency is defined for square matrices only")
-    if sum(row[i] for i, row in enumerate(rows)):
-        return False
-    power = rows
-    e = 1
-    while True:
-        if not any(map(any, power)):
-            return True
-        if e >= d:
-            return False
-        cols = list(zip(*power))
-        power = [[sum(a * b for a, b in zip(row, col) if a) for col in cols] for row in power]
-        e *= 2
 
 
 def int_inverse(rows: Sequence) -> tuple:

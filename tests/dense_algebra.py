@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from leibnizalg.algebra import Algebra, algebra_from_products, product_table
-from leibnizalg.linalg import int_inverse, nullspace, rank, rref, scale_to_integers
+from leibnizalg.linalg import int_inverse, nullspace, rank, rref
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,6 @@ def mat_is_nilpotent(mat: Matrix) -> bool:
     for _ in range(mat.nrows):
         power = mat_mul(power, mat)
     return mat_is_zero(power)
-
-
-def mat_int_rows(mat: Matrix) -> list:
-    """The rows of a Fraction matrix times the common denominator of its
-    entries, as lists of ints."""
-    ints, _ = scale_to_integers([e for row in mat.rows for e in row])
-    return [ints[a * mat.ncols:(a + 1) * mat.ncols] for a in range(mat.nrows)]
 
 
 def leibniz_defect(prods, i: int, j: int, k: int, zero) -> list:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from leibnizalg.algebra import algebra_from_products
 from leibnizalg.derivations import (
     derivation_space,
+    diagonal_functionals,
     inner_derivations,
     is_derivation,
     max_nil_independent,
@@ -12,6 +14,7 @@ from leibnizalg.derivations import (
 )
 from leibnizalg.families import make_F1, make_F1s, make_F2, make_F3, make_Qn
 from leibnizalg.linalg import rref
+from leibnizalg.poly import PolyRing
 
 from dense_algebra import (dense, dense_matrix, from_dense, mat_add, mat_identity, mat_is_nilpotent, mat_mul,
                            mat_scaled, mat_sub, mat_zeros, sparse_rows)
@@ -170,6 +173,34 @@ def test_nonzero_count_iff_some_non_nilpotent():
     space = derivation_space(make_F1(5, {}, 1))
     assert max_nil_independent(space) > 0
     assert any(not mat_is_nilpotent(dense_matrix(m, 6)) for m in space.basis)
+
+
+def test_diagonal_functionals_read_the_diagonal():
+    """A strictly upper-triangular map has no diagonal functional; diag(a, -a)
+    has trace 0 and one functional, a, so it is nilpotent only at a = 0."""
+    ring = PolyRing(("a", "b"))
+    a, b = ring.var("a"), ring.var("b")
+    assert diagonal_functionals((((1, a), (2, b)), ((2, a * 3),), ()), ring.names) == ()
+    assert diagonal_functionals((((0, a), (1, b)), ((1, -a),)), ring.names) == (((0, Fraction(1)),),)
+    with pytest.raises(ValueError, match="not a linear form"):
+        diagonal_functionals((((0, a * b),), ()), ring.names)
+
+
+def test_diagonal_functionals_reject_a_non_triangular_map():
+    """A zero diagonal does not make a map nilpotent once it is not upper
+    triangular: the rotation (u, v) -> (a v, -a u), and the swap x <-> y,
+    a derivation of the Heisenberg algebra [x, y] = z = -[y, x], square to
+    a nonzero diagonal map. Both are refused, and so is the count on the
+    Heisenberg derivation space."""
+    ring = PolyRing(("a",))
+    a = ring.var("a")
+    with pytest.raises(ValueError, match="not upper triangular"):
+        diagonal_functionals((((1, a),), ((0, -a),)), ring.names)
+    heisenberg = algebra_from_products(("x", "y", "z"), {(0, 1): [(2, 1)], (1, 0): [(2, -1)]})
+    swap = (((1, Fraction(1)),), ((0, Fraction(1)),), ())
+    assert is_derivation(heisenberg, swap) and not mat_is_nilpotent(dense_matrix(swap, 3))
+    with pytest.raises(ValueError, match="not upper triangular"):
+        max_nil_independent(derivation_space(heisenberg))
 
 
 def test_naive_brute_force_oracle_matches():

@@ -8,6 +8,7 @@ import pytest
 from leibnizalg import algebra
 from leibnizalg.algebra import (
     Algebra,
+    algebra_from_products,
     is_lie,
     is_nilpotent,
     is_solvable,
@@ -173,6 +174,15 @@ def test_diagonal_branches_reject_a_nonlinear_diagonal():
     bent = replace(prob, template=tuple(tuple(sorted(row.items())) for row in rows))
     with pytest.raises(ValueError):
         diagonal_branches(bent)
+
+
+def test_diagonal_branches_reject_a_non_triangular_template():
+    """The Heisenberg algebra [x, y] = z = -[y, x] has the swap x <-> y
+    among its derivations: zero diagonal, not nilpotent. Branches read off
+    the diagonal alone would miss it, so the case split raises instead."""
+    heisenberg = algebra_from_products(("x", "y", "z"), {(0, 1): [(2, 1)], (1, 0): [(2, -1)]})
+    with pytest.raises(ValueError, match="not upper triangular"):
+        diagonal_branches(build_extension_problem(heisenberg))
 
 
 def test_f3_contradictions_all_branches():

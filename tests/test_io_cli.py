@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from leibnizalg import io as algio
+from leibnizalg.algebra import leibniz_check
 from leibnizalg.cli import build_parser, main
 from leibnizalg.families import FamilySpec, make_F1, make_L2, make_family
 from leibnizalg.verify import SCENARIOS
@@ -292,6 +293,67 @@ def test_cli_extend_hypothesis_outside_the_template_exits_2(tmp_path, capsys, hy
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert repr(hypothesis.split("=")[0]) in captured.err
+
+
+# labels and [i, j, k, c] entries (c the coefficient of b_k in [b_i, b_j]):
+# the Heisenberg algebra and sl2, whose derivation bases are not upper
+# triangular, the abelian algebra, and a table that fails the Leibniz
+# identity on 4 triples
+SMALL_ALGEBRAS = {
+    "heisenberg": (["x", "y", "z"], [[0, 1, 2, "1"], [1, 0, 2, "-1"]]),
+    "sl2": (["h", "e", "f"], [[0, 1, 1, "2"], [1, 0, 1, "-2"], [0, 2, 2, "-2"], [2, 0, 2, "2"],
+                              [1, 2, 0, "1"], [2, 1, 0, "-1"]]),
+    "abelian": (["a", "b", "c"], []),
+    "non-leibniz": (["a", "b", "c"], [[0, 0, 1, "1"], [1, 0, 2, "1"], [0, 1, 2, "1"], [1, 1, 2, "1"]]),
+}
+
+
+def small_algebra_file(tmp_path, name: str) -> Path:
+    labels, entries = SMALL_ALGEBRAS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"format": algio.FORMAT, "dim": len(labels), "labels": labels, "entries": entries}))
+    return path
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sl2"])
+def test_cli_derive_nil_independent_on_a_non_triangular_basis_exits_2(tmp_path, capsys, name):
+    """The count reads nilpotency off the diagonal, which needs an upper
+    triangular basis; it used to end in a traceback and exit 1."""
+    path = small_algebra_file(tmp_path, name)
+    assert main(["derive", str(path), "--nil-independent"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "not upper triangular" in captured.err
+
+
+def test_cli_extend_rejects_a_table_that_fails_the_leibniz_identity(tmp_path, capsys):
+    """The constraint system trusts the nilradical's own triples, so a file
+    that fails ``check`` used to get a verdict; it gets exit 2 and its first
+    failing triple."""
+    path = small_algebra_file(tmp_path, "non-leibniz")
+    assert main(["check", str(path)]) == 1
+    assert "fail: 4 defective triples" in capsys.readouterr().out
+    assert main(["extend", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a Leibniz algebra: (a,a,a): defect ['0', '0', '-1']\n"
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ALGEBRAS))
+@pytest.mark.parametrize("command", [["check"], ["series"], ["derive"], ["derive", "--nil-independent"],
+                                     ["extend"]], ids=" ".join)
+def test_cli_returns_a_documented_exit_code_on_small_algebras(tmp_path, capsys, name, command):
+    """Every file subcommand answers 0, 1 or 2 on each small algebra, with
+    an ``error:`` line for 2, and never raises; ``extend`` gives no verdict
+    on a table that fails the Leibniz identity."""
+    path = small_algebra_file(tmp_path, name)
+    code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    if command == ["extend"] and not leibniz_check(algio.loads(path.read_text())).ok:
+        assert code == 2
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_verify_conj_i(capsys):

@@ -9,7 +9,6 @@ from leibnizalg.linalg import (
     binomial,
     dense_row,
     int_inverse,
-    int_is_nilpotent,
     nullspace,
     rank,
     rref,
@@ -19,7 +18,7 @@ from leibnizalg.linalg import (
 )
 from leibnizalg.poly import PolyRing
 
-from dense_algebra import (Matrix, dense_matrix, mat_identity, mat_int_rows, mat_mul, mat_scaled, sparse_inverse,
+from dense_algebra import (Matrix, dense_matrix, mat_identity, mat_mul, mat_scaled, sparse_inverse,
                            sparse_rows)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
@@ -130,46 +129,6 @@ def test_sparse_rows_reduce_like_their_dense_matrix(case):
     for v in ns:
         assert all(sum(row[j] * c for j, c in v) == 0 for row in dense_rows)
     assert rref(ns) == (ns, tuple(v[0][0] for v in ns))
-
-
-def test_nilpotent_strictly_upper_triangular():
-    assert int_is_nilpotent([[1 if j > i else 0 for j in range(4)] for i in range(4)])
-
-
-def test_nilpotent_identity_false():
-    assert not int_is_nilpotent(mat_int_rows(mat_identity(3)))
-
-
-def test_nilpotent_nonzero_diagonal_false():
-    assert not int_is_nilpotent([[int(i == j and i > 0) for j in range(4)] for i in range(4)])
-
-
-def test_nilpotent_requires_square():
-    with pytest.raises(ValueError):
-        int_is_nilpotent([[1, 0]])
-    with pytest.raises(ValueError):
-        int_is_nilpotent([[1, 0], [0]])  # ragged: raises before the trace reads row 1
-
-
-def test_nilpotent_zero_trace_is_powered():
-    """Trace 0 decides nothing: diag(1, -1), a rotation and a matrix with
-    eigenvalues 0, 1, -1 are not nilpotent; a non-triangular nilpotent and
-    the empty matrix are."""
-    assert not int_is_nilpotent([[1, 0], [0, -1]])
-    assert not int_is_nilpotent([[0, 1], [-1, 0]])
-    assert not int_is_nilpotent([[0, 1, 0], [0, 1, 0], [0, 0, -1]])
-    assert int_is_nilpotent([[2, -4], [1, -2]])  # (2, 1) spans its image and its kernel
-    assert int_is_nilpotent([])
-
-
-@given(st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=7))
-@settings(max_examples=40, deadline=None)
-def test_nilpotency_scale_invariance(num, den):
-    c = Fraction(num, den)
-    m = Matrix(((Fraction(0), Fraction(2), Fraction(-3)),
-                (Fraction(0), Fraction(0), Fraction(5)),
-                (Fraction(0), Fraction(0), Fraction(0))))
-    assert int_is_nilpotent(mat_int_rows(mat_scaled(m, c)))
 
 
 def test_binomial_values():

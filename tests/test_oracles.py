@@ -14,12 +14,15 @@ families are instantiated at random rational points and each point is checked
 with the dense triple loop, which covers elimination and back-substitution
 without the library's own Leibniz check.
 
-The library evaluates ``leibniz_check``, ``is_lie``, ``apply_basis_change``
-and ``int_is_nilpotent`` on integers scaled to a common denominator;
+The library evaluates ``leibniz_check``, ``is_lie`` and
+``apply_basis_change`` on integers scaled to a common denominator;
 Hypothesis checks each against a test-local ``Fraction`` reference on random
-rational inputs with mixed denominators. ``int_is_nilpotent`` answers a
-nonzero trace at once, so it is also checked on conjugated block matrices of
-trace 0, nilpotent or not, which only the powering can decide.
+rational inputs with mixed denominators. The library reads nilpotency off
+the diagonal of an upper-triangular map; the dense ``Fraction`` powering of
+``mat_is_nilpotent`` checks that reading on random rational combinations of
+every upper-triangular derivation space of the families at n = 5..9, and
+the nil-independence count against the number of non-nilpotency branches
+for every nilradical the extension scenarios build at n = 5..8.
 ``apply_basis_change`` walks only nonzero entries, so it is also checked on
 mostly-zero matrices and on the star and chain-restore changes of the
 conjectures; the integer table it hands its result must be ``int_table`` of
@@ -57,20 +60,20 @@ from hypothesis import assume, given, settings, strategies as st
 from leibnizalg import verify
 from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, int_table, is_lie, leibniz_check,
                                 leibniz_defects, product_table)
-from leibnizalg.derivations import derivation_space, is_derivation, max_nil_independent
+from leibnizalg.derivations import derivation_space, diagonal_functionals, is_derivation, max_nil_independent
 from leibnizalg.extensions import (apply_basis_change, build_extension_problem, carries_products, chain_rows,
                                    conjecture_check, diagonal_branches, eliminate, forced_annihilator_span,
                                    generate_constraints, instantiate, star_change)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
-from leibnizalg.linalg import int_inverse, int_is_nilpotent, unitriangular_solve
+from leibnizalg.linalg import int_inverse, is_upper_triangular, nullspace, unitriangular_solve
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
-                           dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_apply, mat_identity,
-                           mat_int_rows, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, sparse, sparse_inverse,
+                           dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_add, mat_apply,
+                           mat_identity, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, sparse, sparse_inverse,
                            sparse_rows, table_bracket)
 
 
@@ -744,62 +747,6 @@ def test_changes_that_are_not_unitriangular_raise():
     assert carries_products(alg, sparse_rows(unit), alg.scaled)
 
 
-@given(st.integers(1, 5), st.data())
-@settings(max_examples=120, deadline=None)
-def test_matrix_is_nilpotent_matches_fraction_reference(d, data):
-    """Strictly upper-triangular matrices conjugated by a random invertible
-    P (nilpotent, dense), optionally perturbed in one entry, and arbitrary
-    matrices."""
-    entry = st.one_of(st.just(Fraction(0)), nonzero_rationals)
-    if data.draw(st.booleans()):
-        nil = Matrix(tuple(tuple(data.draw(entry) if j > i else Fraction(0) for j in range(d)) for i in range(d)))
-        p = data.draw(invertible_matrices(d))
-        mat = mat_mul(mat_mul(inverse(p), nil), p)
-        if data.draw(st.booleans()):
-            rows = [list(r) for r in mat.rows]
-            rows[data.draw(st.integers(0, d - 1))][data.draw(st.integers(0, d - 1))] += data.draw(nonzero_rationals)
-            mat = Matrix(tuple(tuple(r) for r in rows))
-    else:
-        mat = Matrix(tuple(tuple(data.draw(entry) for _ in range(d)) for _ in range(d)))
-    assert int_is_nilpotent(mat_int_rows(mat)) == mat_is_nilpotent(mat)
-
-
-@st.composite
-def zero_trace_block_matrices(draw) -> tuple:
-    """(M, nilpotent): M = P B P^-1 for a random invertible P and a
-    block-diagonal B whose blocks each have trace 0: strictly upper
-    triangular (nilpotent), diag(a, -a) or the rotation [[0, a], [-b, 0]]
-    (neither nilpotent: their squares are a^2 I and -ab I). M has trace 0,
-    so the trace alone cannot decide it, and is not triangular in general."""
-    blocks = draw(st.lists(st.sampled_from(("nil", "hyperbolic", "rotation")), min_size=1, max_size=3))
-    sizes = [draw(st.integers(1, 3)) if kind == "nil" else 2 for kind in blocks]
-    d = sum(sizes)
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    at = 0
-    for kind, size in zip(blocks, sizes):
-        if kind == "nil":
-            for i in range(at, at + size):
-                for j in range(i + 1, at + size):
-                    rows[i][j] = draw(st.one_of(st.just(Fraction(0)), nonzero_rationals))
-        elif kind == "hyperbolic":
-            a = draw(nonzero_rationals)
-            rows[at][at], rows[at + 1][at + 1] = a, -a
-        else:
-            rows[at][at + 1], rows[at + 1][at] = draw(nonzero_rationals), -draw(nonzero_rationals)
-        at += size
-    p = draw(invertible_matrices(d))
-    return mat_mul(mat_mul(inverse(p), Matrix(tuple(map(tuple, rows)))), p), all(b == "nil" for b in blocks)
-
-
-@given(zero_trace_block_matrices())
-@settings(max_examples=120, deadline=None)
-def test_zero_trace_nilpotency_matches_fraction_reference(case):
-    """Trace 0 on every input, so each answer comes from the powering."""
-    mat, nilpotent = case
-    assert sum(mat.rows[i][i] for i in range(mat.nrows)) == 0
-    assert int_is_nilpotent(mat_int_rows(mat)) == mat_is_nilpotent(mat) == nilpotent
-
-
 # -- the derivation space against sympy ---------------------------------------------------
 
 
@@ -891,6 +838,52 @@ def test_derivation_space_and_annihilator_span_match_dense_references(spec):
         assert forced_annihilator_span(alg) == dense_annihilator_span(alg)
 
 
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+def test_triangular_derivations_are_nilpotent_iff_their_diagonal_is_zero(spec):
+    """Random rational combinations of each upper-triangular derivation
+    space at n = 5..9: one on which every diagonal functional vanishes,
+    the same moved off by a basis map with a nonzero diagonal, and one with
+    independent weights. The dense Fraction powering finds each nilpotent
+    exactly when its diagonal is zero, and the functionals vanish exactly
+    then. The derivation bases of the solvable families are not triangular,
+    and the count refuses them."""
+    rng = random.Random(0)
+    seen = 0
+    for alg in members_for_n_5_to_12(spec):
+        if alg.metadata["n"] > 9:
+            continue
+        space = derivation_space(alg)
+        d, p = alg.dim, space.dimension
+        if not all(is_upper_triangular(m) for m in space.basis):
+            with pytest.raises(ValueError, match="not upper triangular"):
+                max_nil_independent(space)
+            continue
+        seen += 1
+        funcs = diagonal_functionals(space.generic_matrix(), space.param_names)
+        assert len(funcs) == max_nil_independent(space)
+        nil = [0] * p
+        for vec in nullspace(funcs, p):
+            w = random_rational(rng)
+            for k, c in vec:
+                nil[k] += w * c
+        moved = list(nil)
+        off = [k for k, m in enumerate(space.basis) if any(row and row[0][0] == i for i, row in enumerate(m))]
+        if off:
+            moved[rng.choice(off)] += random_rational(rng)
+        for weights in (nil, moved, [random_rational(rng) for _ in range(p)]):
+            combo = mat_zeros(d, d)
+            for w, m in zip(weights, space.basis):
+                combo = mat_add(combo, mat_scaled(dense_matrix(m, d), w))
+            diagonal_zero = not any(combo.rows[i][i] for i in range(d))
+            assert mat_is_nilpotent(combo) == diagonal_zero
+            assert all(sum(weights[k] * c for k, c in f) == 0 for f in funcs) == diagonal_zero
+    assert (seen == 0) == (spec.family in ("L1", "L2", "L3", "SolvA", "SolvB"))
+
+
 @given(sparse_tables())
 @settings(max_examples=150, deadline=None)
 def test_derivation_space_and_annihilator_span_match_dense_on_random_tables(alg):
@@ -940,6 +933,17 @@ def scenario_systems(scenario_runs):
     that the non-existence and classification scenarios generate and
     eliminate at n = 5..8 (seed 0), in call order."""
     return scenario_runs[0]
+
+
+def test_nil_independence_counts_the_non_nilpotency_branches(scenario_systems):
+    """Both read the diagonal functionals of the generic derivation: for
+    every nilradical the scenarios build, the count of Thm. 2.6 equals the
+    number of branches of the non-nilpotency case split."""
+    nilradicals = {id(s.problem.nilradical): s.problem.nilradical for _, _, _, s, _ in scenario_systems}
+    assert len(nilradicals) > 10
+    for nilradical in nilradicals.values():
+        count = max_nil_independent(derivation_space(nilradical))
+        assert count == len(diagonal_branches(build_extension_problem(nilradical)))
 
 
 def test_constraints_match_the_dense_bracket_loop(scenario_systems):
