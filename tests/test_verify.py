@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from leibnizalg import algebra, extensions, verify
 from leibnizalg.algebra import leibniz_defects, product_table
 from leibnizalg.extensions import Memo, alpha_items, conjecture_check
-from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_products
+from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_algebra, solvable_products
 from leibnizalg.poly import Poly, PolyRing
 from leibnizalg.verify import (
     MAX_N,
@@ -238,6 +240,19 @@ def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
         assert sorted(warm) == sorted(cold)
 
 
+@pytest.mark.parametrize("n,admitted", [(7, [2, 4, 6]), (9, [2, 4, 6, 8])])
+def test_b_at_r_n_minus_3_admits_bs_but_has_no_solvable_member(n, admitted):
+    """The graded B range runs to r = n - 3, where B has no alpha: the
+    admissible-b solve answers there, but SolvB stops at r = n - 4, so its
+    member raises the range error."""
+    rng = random.Random(f"top-r:{n}")
+    alphas = sample_graded_alphas("B", n, n - 3, rng)
+    assert alphas == {}
+    assert sorted(sample_solv_bs("B", n, n - 3, alphas, rng)) == admitted
+    with pytest.raises(ConstructionError, match=r"SolvB needs 1 <= r <= n - 4"):
+        solvable_algebra("B", n, n - 3, alphas, 0, {})
+
+
 # -- the run: rng streams and one memo ----------------------------------------------
 
 
@@ -272,6 +287,32 @@ def test_conjecture_reports_do_not_depend_on_the_run_memo(monkeypatch):
     assert shared == fresh
     assert fresh_validations == len(CONJ_POINTS) * 4 * verify.CONJ_TRIALS
     assert shared_validations < fresh_validations
+
+
+@pytest.mark.parametrize("scenario_id", ["conj-i", "conj-ii", "thm26-bound", "prop43-nolie"])
+def test_a_runs_memo_is_freed_when_the_run_returns(monkeypatch, scenario_id):
+    """Nothing a run computes outlives it, and no reference cycle holds it
+    until a cycle collection: with the collector off, every Memo made
+    during run_scenario (the run's own and the fresh ones of calls made
+    without it) is gone once the report is returned."""
+    made = []
+    init = Memo.__init__
+
+    def recorded(self):
+        made.append(weakref.ref(self))
+        init(self)
+
+    monkeypatch.setattr(Memo, "__init__", recorded)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = run_scenario(scenario_id, 7, 0)
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert report.verdict == "pass"
+    assert made and alive == 0
 
 
 def test_different_exact_alphas_never_share_a_frame(monkeypatch):
