@@ -50,15 +50,23 @@ def _write_text(path: str, text: str) -> None:
                 fh.write("\n")
 
 
-def _load_algebra(path: str):
+def _load_algebra(path: str, leibniz: bool = False):
+    """The algebra in ``path``, or exit 2 with an ``error:`` line: for a file
+    that does not load and, with ``leibniz``, for one that fails the
+    Leibniz identity (naming its first failing triple)."""
     try:
-        return algio.loads(_read_text(path))
+        alg = algio.loads(_read_text(path))
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except algio.AlgebraFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    report = leibniz_check(alg) if leibniz else None
+    if report is not None and not report.ok:
+        print(f"error: {path}: not a Leibniz algebra: {_failure_text(alg, report.failures[0])}", file=sys.stderr)
+        raise SystemExit(2)
+    return alg
 
 
 def _parse_pairs(text: str) -> list:
@@ -95,7 +103,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = _load_algebra(args.file, leibniz=True)
     lcs = series_dims(lower_central_series(alg))
     ds = series_dims(derived_series(alg))
     nilpotent = is_nilpotent(alg)
@@ -193,12 +201,7 @@ def _outcome_payload(hyp, outcome) -> dict:
 
 
 def _cmd_extend(args) -> int:
-    alg = _load_algebra(args.file)
-    report = leibniz_check(alg)
-    if not report.ok:
-        print(f"error: {args.file}: not a Leibniz algebra: {_failure_text(alg, report.failures[0])}",
-              file=sys.stderr)
-        return 2
+    alg = _load_algebra(args.file, leibniz=True)
     try:
         problem = build_extension_problem(alg)
         branches = [_parse_hypotheses(args.hypotheses, problem)] if args.hypotheses else diagonal_branches(problem)

@@ -25,7 +25,7 @@ indexes from a variable to the equations that hold it, or can be solved for
 it, may hold stale entries, which are checked when popped. A basis
 change is a map too: the sparse rows of the new basis vectors in old
 coordinates. A conjecture trial inverts nothing and transforms no table; what
-does not depend on its b (variant, n, r, alphas, a1) is computed once per
+does not depend on its b is a ``families.SolvableFrame``, built once per
 :class:`Memo`, which ``verify.run_scenario`` makes one of per run.
 """
 
@@ -45,7 +45,7 @@ from .algebra import (
     leibniz_check,
 )
 from .derivations import derivation_space, diagonal_functionals, is_derivation
-from .families import ConstructionError, solvable_algebra, validate
+from .families import ConstructionError, SolvableFrame, validate
 from .linalg import int_inverse, is_unitriangular, rref, scale_to_integers, to_fraction, unitriangular_solve
 from .poly import Poly, PolyRing, lex_key
 
@@ -690,11 +690,6 @@ def alpha_items(alphas: Mapping) -> tuple:
     return tuple(sorted(alphas.items()))
 
 
-def _target(variant: str, n: int, r: int, alphas: tuple, a1) -> tuple:
-    """The integer-scaled table of the validated b = 0 member of a frame."""
-    return validate(solvable_algebra(variant, n, r, dict(alphas), a1, {})).scaled
-
-
 @dataclass(frozen=True)
 class ConjectureResult:
     eliminated: bool
@@ -712,16 +707,18 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
     read the residual tail off the transformed [e_1, x] row (the y with
     y . T = [u_1, u_x]), and check that the basis re-adapted through the
     chain products (``chain_rows`` from T) carries the products of the b = 0
-    member (``carries_products``), which is built and validated once per
-    frame in ``memo`` (a fresh one when none is given). Nothing is inverted
-    and no transformed table is built. The member is validated only when
-    the trial does not eliminate: otherwise the image check, on rows that
-    form a basis, has shown it isomorphic to the validated b = 0 member."""
+    member (``carries_products``), all from the frame's
+    ``families.SolvableFrame``, built once in ``memo`` (a fresh one when
+    none is given). Nothing is inverted and no transformed table is built.
+    The member is validated only when the trial does not eliminate:
+    otherwise the image check, on rows that form a basis, has shown it
+    isomorphic to the validated b = 0 member."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
-    alg = solvable_algebra(variant, n, r, alphas, a1, b)
+    frame = (memo or Memo())(SolvableFrame, variant, n, r, alpha_items(alphas), a1)
+    alg = frame.member(b)
     try:
-        target = (memo or Memo())(_target, variant, n, r, alpha_items(alphas), a1)
+        target = frame.target
     except ConstructionError:
         validate(alg)  # the member's failure, if any, comes first
         raise

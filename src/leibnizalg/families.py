@@ -13,24 +13,26 @@ Omitted products are zero. Parameters must be int or Fraction; any other
 type raises TypeError. Every ``make_*`` constructor validates the Leibniz
 identity (:func:`validate`), failing loudly on the first offending basis
 triple, and the antisymmetry of a family declared Lie; :func:`solvable_algebra`
-builds a SolvA/SolvB member unchecked, for ``extensions.conjecture_check``.
+builds a SolvA/SolvB member unchecked.
 
-The graded tables A, B, SolvA and SolvB each have one product-map builder,
-:func:`graded_products` and :func:`solvable_products`, generic in the scalar
-type of the alphas and b's: the constructors call them with Fractions, the
-alpha Jacobi relations in ``verify`` with Poly indeterminates. The action of
-x on the nilradical is propagated along the chain in one place,
-:func:`solvable_x_rows`, which serves :func:`solvable_products` and the
-admissible-b solve in ``verify``.
+The graded tables A and B have one product-map builder,
+:func:`graded_products`, generic in the scalar type of the alphas: the
+constructors call it with Fractions, the alpha Jacobi relations in
+``verify`` with Poly indeterminates. Every SolvA/SolvB member is assembled
+by a :class:`SolvableFrame`, which builds what the members of one exact
+(variant, n, r, alphas, a1) share once; x is propagated along the chain in
+one place, :func:`solvable_x_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
+from .derivations import is_derivation
 from .linalg import binomial, to_fraction
 
 FAMILY_IDS = (
@@ -270,17 +272,11 @@ def check_graded_range(family: str, n: int, r: int) -> None:
         _require(1 <= r <= n - 3, f"{family} needs 1 <= r <= n - 3")
 
 
-def _graded_alphas(family: str, n: int, r: int, alphas: Mapping) -> dict:
-    """The range checks of ``family`` and its alpha_1..alpha_t as Fractions."""
-    check_graded_range(family, n, r)
-    t = graded_alpha_count(family[-1], n, r)
-    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
-    _require(t == 0 or any(full.values()), f"{family}: at least one alpha must be nonzero")
-    return full
-
-
 def _graded_algebra(variant: str, n: int, r: int, alphas: Mapping) -> Algebra:
-    full = _graded_alphas(variant, n, r, alphas)
+    check_graded_range(variant, n, r)
+    t = graded_alpha_count(variant, n, r)
+    full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
+    _require(t == 0 or any(full.values()), f"{variant}: at least one alpha must be nonzero")
     meta = {"family": variant, "n": n, "lie": True,
             "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()}}}
     return validate(algebra_from_products(_e_labels(n), graded_products(variant, n, r, full), meta))
@@ -369,15 +365,11 @@ def make_L3(n: int, j0: int) -> Algebra:
 def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
     """The rows [e_0, x], ..., [e_n, x] of x acting on the graded nilradical N
     of SolvA (``variant`` "A") or SolvB, from [e_0, x] = ``row0`` and
-    [e_1, x] = ``row1``: the other rows follow from
-    [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] along the chain products;
-    in B, e_n is not in the e_0-chain and is reached through
-    [e_1, e_{n-1}] = -e_n. ``table`` is a product table holding N's products
-    on its first n + 1 basis vectors; ``row0``, ``row1`` and the rows that
-    come back (a map, :mod:`~leibnizalg.linalg`) are sparse rows over its
-    basis, each product one :func:`~leibnizalg.algebra.bracket`. The rows are
-    linear in (row0, row1); scalars are as in :func:`graded_products`.
-    """
+    [e_1, x] = ``row1`` along the chain, [e_{i+1}, x] = [[e_0, x], e_i] +
+    [e_0, [e_i, x]]; in B, e_n is reached through [e_1, e_{n-1}] = -e_n.
+    ``table`` holds N's products on its first n + 1 basis vectors. The rows
+    are sparse, each product one :func:`~leibnizalg.algebra.bracket`, and
+    linear in (row0, row1); scalars are as in :func:`graded_products`."""
 
     def chain(u, j, i, v):
         """[u, e_j] + [e_i, v]."""
@@ -397,42 +389,72 @@ def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
     return tuple(rows)
 
 
-def solvable_products(variant: str, n: int, r: int, alphas: Mapping, bs: Mapping, a1=0) -> dict:
-    """{(i, j): [(k, c)]} product map of SolvA (``variant`` "A") or SolvB:
-    the graded nilradical N plus x acting by [e_0, x] = e_0 + a1 e_1 and
-    [e_1, x] = (1 + r) e_1 + sum_k b_k e_k, the other rows by
-    :func:`solvable_x_rows`. [x, e_i] = -[e_i, x].
+class SolvableFrame:
+    """The one builder of SolvA (``variant`` "A") and SolvB members, holding
+    what the members of one exact (n, r, alphas, a1) share: N's table
+    (``nilradical``, unvalidated) and the x rows, linear in b: [e_i, x] =
+    x0[i] + sum_k b_k d[k][i], ``x0`` from [e_0, x] = e_0 + a1 e_1 and
+    [e_1, x] = (1 + r) e_1, ``d[k]`` from 0 and e_k (:func:`solvable_x_rows`).
+    ``alphas`` is a tuple of ``(k, alpha_k)``, so the arguments key a memo.
+    SolvB's r <= n - 4 and a nonzero alpha are checked per member."""
 
-    Scalars are as in :func:`graded_products`: ``bs[k]`` may be Polys, which
-    makes the map linear in the b_k. No identity check is made here.
-    """
-    x = n + 1
-    prods = graded_products(variant, n, r, alphas)
-    table = [[()] * x for _ in range(x)]  # N's table: each map cell is already one nonzero (k, c)
-    for (i, j), cell in prods.items():
-        table[i][j] = cell
-    row0 = ((0, 1), (1, a1)) if a1 else ((0, 1),)
-    row1 = tuple((k, c) for k, c in sorted({1: 1 + r, **bs}.items()) if c)
-    for i, row in enumerate(solvable_x_rows(variant, n, table, row0, row1)):
-        prods[(i, x)] = row
-        prods[(x, i)] = [(k, -c) for k, c in row]
-    return prods
+    def __init__(self, variant: str, n: int, r: int, alphas: tuple, a1=0):
+        check_graded_range(f"Solv{variant}", n, r)
+        given = dict(alphas)
+        self.variant, self.n, self.r = variant, n, r
+        self.alphas = {k: to_fraction(given.get(k, 0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
+        self.a1 = to_fraction(a1) if variant == "A" else Fraction(0)
+        self.nilradical = algebra_from_products(_e_labels(n), graded_products(variant, n, r, self.alphas))
+        table, one = self.nilradical.table, Fraction(1)
+        row0 = ((0, one), (1, self.a1)) if self.a1 else ((0, one),)
+        self.x0 = solvable_x_rows(variant, n, table, row0, ((1, Fraction(1 + r)),))
+        self.d = {k: solvable_x_rows(variant, n, table, (), ((k, one),))
+                  for k in range(2, n + 1 if variant == "A" else n)}
+
+    def table(self, bs: Mapping) -> tuple:
+        """The member's canonical table at ``bs`` (keys among ``d``): N's rows
+        with the column [e_i, x] appended and the row [x, e_i] = -[e_i, x].
+        Any scalar with ``+``, ``*`` and a truth value: Poly b_k serve."""
+        cols = [dict(row) for row in self.x0]
+        for k, bk in bs.items():
+            if bk:
+                for col, row in zip(cols, self.d[k]):
+                    for m, c in row:
+                        col[m] = col[m] + bk * c if m in col else bk * c
+        cols = [tuple((m, c) for m, c in sorted(col.items()) if c) for col in cols]
+        x_row = tuple(tuple((m, -c) for m, c in col) for col in cols) + ((),)
+        return tuple(plane + (col,) for plane, col in zip(self.nilradical.table, cols)) + (x_row,)
+
+    def member(self, bs: Mapping[int, Fraction]) -> Algebra:
+        """The member at the b_k of ``bs`` (k = 2..n for A, 2..n-1 for B;
+        other keys are ignored), with the labels and metadata of
+        :func:`make_SolvA` / :func:`make_SolvB` and no identity check."""
+        variant, n, r, family = self.variant, self.n, self.r, f"Solv{self.variant}"
+        _require(variant == "A" or r <= n - 4, "SolvB needs 1 <= r <= n - 4")
+        _require(not self.alphas or any(self.alphas.values()), f"{family}: at least one alpha must be nonzero")
+        b = {k: to_fraction(bs.get(k, 0)) for k in self.d}
+        params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in self.alphas.items()},
+                  **({"a1": self.a1} if variant == "A" else {}), **{f"b{k}": v for k, v in b.items()}}
+        meta = {"family": family, "n": n, "lie": True, "params": params}
+        return Algebra(_e_labels(n, with_x=True), self.table(b), meta)
+
+    @cached_property
+    def admitted(self) -> tuple:
+        """The k whose d[k] is a derivation of N: the b_k that may be nonzero."""
+        return tuple(k for k, rows in self.d.items() if is_derivation(self.nilradical, rows))
+
+    @cached_property
+    def target(self) -> tuple:
+        """The integer-scaled table of the validated b = 0 member; a
+        ConstructionError propagates and keeps nothing."""
+        return validate(self.member({})).scaled
 
 
 def solvable_algebra(variant: str, n: int, r: int, alphas: Mapping[int, Fraction], a1,
                      bs: Mapping[int, Fraction]) -> Algebra:
-    """SolvA (``variant`` "A") or SolvB, with the range checks, labels and
-    metadata of :func:`make_SolvA` / :func:`make_SolvB` but no identity
-    check (:func:`validate` makes it). SolvB has no a1 and ignores it."""
-    if variant == "B":
-        _require(1 <= r <= n - 4, "SolvB needs 1 <= r <= n - 4")
-    full = _graded_alphas(f"Solv{variant}", n, r, alphas)
-    a1 = to_fraction(a1) if variant == "A" else Fraction(0)
-    b = {k: to_fraction(bs.get(k, 0)) for k in range(2, n + 1 if variant == "A" else n)}
-    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
-              **({"a1": a1} if variant == "A" else {}), **{f"b{k}": v for k, v in b.items()}}
-    meta = {"family": f"Solv{variant}", "n": n, "lie": True, "params": params}
-    return algebra_from_products(_e_labels(n, with_x=True), solvable_products(variant, n, r, full, b, a1), meta)
+    """The member of a new :class:`SolvableFrame`: :func:`make_SolvA` /
+    :func:`make_SolvB` without the identity check. SolvB ignores a1."""
+    return SolvableFrame(variant, n, r, tuple(alphas.items()), a1).member(bs)
 
 
 def make_SolvA(n: int, r: int, alphas: Mapping[int, Fraction], a1, bs: Mapping[int, Fraction]) -> Algebra:

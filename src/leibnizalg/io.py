@@ -45,7 +45,8 @@ def algebra_to_dict(alg: Algebra) -> dict:
 def algebra_from_dict(data: dict) -> Algebra:
     """The algebra of a parsed file. Each field must have the type that
     :func:`algebra_to_dict` writes (an integer is a JSON integer, not a bool,
-    a float or a string); anything else raises :class:`AlgebraFileError`."""
+    a float or a string; a coefficient or a parameter is an exact rational
+    string, not a JSON number); anything else raises :class:`AlgebraFileError`."""
     if not isinstance(data, dict):
         raise AlgebraFileError("top-level value must be an object")
     if data.get("format") != FORMAT:
@@ -76,8 +77,10 @@ def algebra_from_dict(data: dict) -> Algebra:
         if (i, j, k) in seen:
             raise AlgebraFileError(f"entry {pos}: duplicate index ({i},{j},{k})")
         seen.add((i, j, k))
+        if not isinstance(coeff, str):  # json reads 1e-400 as 0.0 and 0.5 as a binary float
+            raise AlgebraFileError(f"entry {pos}: coefficient {coeff!r} is not an exact rational string")
         try:
-            products.setdefault((i, j), []).append((k, Fraction(str(coeff))))
+            products.setdefault((i, j), []).append((k, Fraction(coeff)))
         except (ValueError, ZeroDivisionError):
             raise AlgebraFileError(f"entry {pos}: cannot parse coefficient {coeff!r} exactly")
     raw = data.get("metadata")
@@ -88,10 +91,12 @@ def algebra_from_dict(data: dict) -> Algebra:
                 raise TypeError
             metadata = {k: raw[k] for k in ("family", "n") if k in raw}
             if "params" in raw:
-                metadata["params"] = {k: Fraction(str(v)) for k, v in raw["params"].items()}
+                if not all(isinstance(v, str) for v in raw["params"].values()):
+                    raise TypeError
+                metadata["params"] = {k: Fraction(v) for k, v in raw["params"].items()}
         except (AttributeError, TypeError, ValueError, ZeroDivisionError):
             raise AlgebraFileError("'metadata' must be an object with a string 'family', "
-                                   "an integer 'n' and exact rational 'params'")
+                                   "an integer 'n' and 'params' of exact rational strings")
     return algebra_from_products(labels, products, metadata)
 
 

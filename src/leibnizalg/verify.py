@@ -33,14 +33,13 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (
     Algebra,
-    algebra_from_products,
     is_lie,
     is_nilpotent,
     is_solvable,
     nilradical_report,
     subalgebra_on_indices,
 )
-from .derivations import derivation_space, is_derivation, max_nil_independent
+from .derivations import derivation_space, max_nil_independent
 from .extensions import (
     ConstraintSystem,
     Memo,
@@ -61,6 +60,7 @@ from .extensions import (
 )
 from .families import (
     ConstructionError,
+    SolvableFrame,
     catalan_number,
     check_graded_range,
     f1s_alphas,
@@ -79,7 +79,7 @@ from .families import (
     make_L3,
     make_SolvA,
     make_SolvB,
-    solvable_x_rows,
+    validate,
 )
 from .linalg import dense_row, is_upper_triangular, nullspace, scale_to_integers
 from .poly import Poly, PolyRing, linear_form_rows
@@ -468,37 +468,23 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random,
     raise RuntimeError(f"no valid alpha tuple found for {variant} n={n} r={r}")
 
 
-def _admitted_bs(variant: str, n: int, r: int, alphas: tuple) -> tuple:
-    """The k whose x-row propagation D_k is a derivation of the nilradical."""
-    top = n + 1 if variant == "A" else n
-    nil = algebra_from_products(tuple(f"e{i}" for i in range(n + 1)),
-                                graded_products(variant, n, r, dict(alphas)))
-    return tuple(k for k in range(2, top)
-                 if is_derivation(nil, solvable_x_rows(variant, n, nil.table, (), ((k, 1),))))
-
-
 def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
                    rng: random.Random, memo: Optional[Memo] = None) -> dict:
     """The displayed solvable families overstate freedom: depending on alpha,
     some b_k are forced to zero by the Leibniz identity. With a_1 = 0, x acts
     on the nilradical N by R_x|N = R + sum_k b_k D_k, where D_k is the
-    x-row propagation (``solvable_x_rows``) started from [e_0, x] = 0 and
-    [e_1, x] = e_k. In the Leibniz identity of SolvA/SolvB the terms of a
-    triple with two x's cancel by antisymmetry, those of a triple without x
-    are free of b, and those of a triple with one x are the derivation
-    equation of R_x|N on N. So the identity is linear in b, and b_k may be
-    nonzero exactly when D_k is a derivation of N: build N once, run
-    ``is_derivation`` on each D_k and sample on the admitted b_k. A defect
-    free of b (alphas off the Jacobi variety, or R not a derivation) is left
-    to the caller, which validates the frame's b = 0 member (it has the
-    defect too) or the sample (``make_SolvA``/``make_SolvB``, and a failed
-    conjecture trial; an eliminating one is certified). N keeps its
-    integer-scaled table (``Algebra.scaled``), so it is scaled once for all
-    the checks. The admitted b_k are the same for every b of the frame, so
-    ``memo`` (a fresh one when none is given) keeps them per frame
-    (:func:`_admitted_bs`), and the next sample of the frame only draws the
-    b_k."""
-    admitted = (memo or Memo())(_admitted_bs, variant, n, r, alpha_items(alphas))
+    x-row propagation started from [e_0, x] = 0 and [e_1, x] = e_k. In the
+    Leibniz identity of SolvA/SolvB the terms of a triple with two x's
+    cancel by antisymmetry, those of a triple without x are free of b, and
+    those of a triple with one x are the derivation equation of R_x|N on N.
+    So the identity is linear in b, and b_k may be nonzero exactly when D_k
+    is a derivation of N (``SolvableFrame.admitted``). A defect free of b
+    (alphas off the Jacobi variety, or R not a derivation) is left to the
+    caller, which validates a member. The admitted b_k depend on neither b
+    nor a1, so ``memo`` (a fresh one when none is given) keeps the a1 = 0
+    :class:`~leibnizalg.families.SolvableFrame`, which the frame's
+    conjecture trials share, and the next sample only draws the b_k."""
+    admitted = (memo or Memo())(SolvableFrame, variant, n, r, alpha_items(alphas), 0).admitted
     return {k: small_rational(rng, 8) for k in admitted}
 
 
@@ -977,13 +963,11 @@ def _run_thm26_bound(n: int, run: Run) -> Verdict:
     else:
         solvables.append(("L2", make_L2(n, nonzero_rational(rng, 6))))
     solvables.append(("L3", make_L3(n, 3)))
-    alphas = sample_graded_alphas("A", n, 1, rng, run.memo)
-    b = sample_solv_bs("A", n, 1, alphas, rng, run.memo)
-    solvables.append(("SolvA", make_SolvA(n, 1, alphas, 0, b)))
-    if n % 2 == 1 and n >= 5:
-        alphas_b = sample_graded_alphas("B", n, 1, rng, run.memo)
-        bs = sample_solv_bs("B", n, 1, alphas_b, rng, run.memo)
-        solvables.append(("SolvB", make_SolvB(n, 1, alphas_b, bs)))
+    for variant in ("A", "B") if n % 2 == 1 else ("A",):
+        alphas = sample_graded_alphas(variant, n, 1, rng, run.memo)
+        b = sample_solv_bs(variant, n, 1, alphas, rng, run.memo)
+        frame = run.memo(SolvableFrame, variant, n, 1, alpha_items(alphas), 0)  # the one b was drawn on
+        solvables.append((f"Solv{variant}", validate(frame.member(b))))
     details = []
     for label, alg in solvables:
         nil = subalgebra_on_indices(alg, n + 1)

@@ -18,13 +18,16 @@ dense unit vectors through a bracket loop are the references for the sparse
 constructions of the extension problem. The right-annihilator coordinates
 [e_p, [u, v] + [v, u]] that the constraint system leaves out, and an exact
 linear-span test over monomial coordinates, check that the defects imply
-them.
+them. ``solvable_products`` is the per-member product-map path of
+SolvA/SolvB that ``families.SolvableFrame`` replaced, kept as the reference
+its assembled members are compared against.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from leibnizalg.algebra import Algebra, algebra_from_products, product_table
+from leibnizalg.families import graded_alpha_count, graded_products, solvable_x_rows
 from leibnizalg.linalg import int_inverse, nullspace, rank, rref
 
 
@@ -306,3 +309,37 @@ def in_linear_span(polys, span) -> bool:
 
     base = [row(p) for p in span]
     return rank(base) == rank(base + [row(p) for p in polys])
+
+
+def solvable_products(variant: str, n: int, r: int, alphas, bs, a1=0) -> dict:
+    """{(i, j): [(k, c)]} product map of SolvA (``variant`` "A") or SolvB,
+    built the way the library built every member before its frames: N's
+    product map, then x acting by [e_0, x] = e_0 + a1 e_1 and
+    [e_1, x] = (1 + r) e_1 + sum_k b_k e_k, one x-row propagation at the
+    whole b, and [x, e_i] = -[e_i, x]. Scalars as in ``graded_products``."""
+    x = n + 1
+    prods = graded_products(variant, n, r, alphas)
+    table = [[()] * x for _ in range(x)]  # each map cell is already one nonzero (k, c)
+    for (i, j), cell in prods.items():
+        table[i][j] = cell
+    row0 = ((0, 1), (1, a1)) if a1 else ((0, 1),)
+    row1 = tuple((k, c) for k, c in sorted({1: 1 + r, **bs}.items()) if c)
+    for i, row in enumerate(solvable_x_rows(variant, n, table, row0, row1)):
+        prods[(i, x)] = row
+        prods[(x, i)] = [(k, -c) for k, c in row]
+    return prods
+
+
+def reference_solvable_algebra(variant: str, n: int, r: int, alphas, a1, bs) -> Algebra:
+    """The unvalidated SolvA/SolvB member from :func:`solvable_products`
+    through ``algebra_from_products``, with the labels and metadata the
+    library gives it."""
+    t = graded_alpha_count(variant, n, r)
+    full = {k: Fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
+    a1 = Fraction(a1) if variant == "A" else Fraction(0)
+    b = {k: Fraction(bs.get(k, 0)) for k in range(2, n + 1 if variant == "A" else n)}
+    params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()},
+              **({"a1": a1} if variant == "A" else {}), **{f"b{k}": v for k, v in b.items()}}
+    labels = tuple(f"e{i}" for i in range(n + 1)) + ("x",)
+    meta = {"family": f"Solv{variant}", "n": n, "lie": True, "params": params}
+    return algebra_from_products(labels, solvable_products(variant, n, r, full, b, a1), meta)

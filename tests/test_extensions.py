@@ -296,11 +296,13 @@ def test_conjecture_random_samples():
 ])
 def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alphas, b):
     """Every algebra keeps its integer-scaled table, so one conjecture_check
-    scales the product table of every algebra it builds, wherever the
-    package binds int_table: on a frame new to the memo the member and the
-    b = 0 target; on a frame the memo holds, the memo keeps the validated
-    target's integer table, and only the member is built and scaled. No transformed algebra
-    is built: the image check reads the re-adapted rows (chain_rows started
+    scales the product table of every member it builds, wherever the
+    package binds int_table. On a frame new to the memo the frame builds N
+    (unscaled: only the admitted-b solve reads it in integers), and the b = 0
+    target and the member are assembled from it and scaled; on a frame the
+    memo holds, the frame keeps the validated target's integer table, and
+    only the member is assembled and scaled. No transformed algebra is
+    built: the image check reads the re-adapted rows (chain_rows started
     from the star change), scaled once as a one-plane table, against the
     two integer tables, and the tail is a forward substitution that scales
     nothing."""
@@ -322,13 +324,13 @@ def test_conjecture_check_scales_each_algebra_once(monkeypatch, variant, n, alph
             monkeypatch.setattr(mod, "int_table", counted)
     monkeypatch.setattr(Algebra, "__init__", counted_init)
     memo = Memo()
-    for want in (2, 1):  # cold, then warm
+    for dims in ([n + 1, n + 2, n + 2], [n + 2]):  # cold, then warm
         calls.clear()
         built.clear()
         assert conjecture_check(n, variant, 1, alphas, 0, b, memo).eliminated
-        assert len(built) == want
+        assert [alg.dim for alg in built] == dims
         tables = [t for t in calls if len(t) == n + 2]
-        assert len(tables) == len(built)
+        assert len(tables) == dims.count(n + 2)
         assert len(calls) - len(tables) == 1
 
 

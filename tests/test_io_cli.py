@@ -168,6 +168,11 @@ WRONGLY_TYPED_FIELDS = {
     "metadata-list-of-text": {"metadata": ["x"]},
     "dim-fractional": {"dim": 6.5},
     "dim-text": {"dim": "6"},
+    "entry-zero-float-coefficient": {"entries": [[0, 0, 2, 0.0]]},  # what json reads for 1e-400
+    "entry-float-coefficient": {"entries": [[0, 0, 2, 0.5]]},
+    "entry-integer-coefficient": {"entries": [[0, 0, 2, 1]]},
+    "metadata-param-float": {"metadata": {"family": "F1", "n": 5, "params": {"theta": 0.5}}},
+    "metadata-param-integer": {"metadata": {"family": "F1", "n": 5, "params": {"theta": 1}}},
 }
 
 
@@ -185,6 +190,15 @@ def test_wrongly_typed_field_is_rejected_by_loads_and_the_cli(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_an_underflowing_coefficient_is_rejected_not_read_as_zero():
+    """json reads the number 1e-400 as 0.0, so that product used to vanish
+    without a word."""
+    text = algio.dumps(make_F1(5, {}, 1)).replace('"1"', "1e-400", 1)
+    assert "1e-400" in text
+    with pytest.raises(algio.AlgebraFileError, match="not an exact rational string"):
+        algio.loads(text)
 
 
 @pytest.mark.parametrize("spec", [
@@ -340,17 +354,29 @@ def test_cli_extend_rejects_a_table_that_fails_the_leibniz_identity(tmp_path, ca
     assert captured.err == f"error: {path}: not a Leibniz algebra: (a,a,a): defect ['0', '0', '-1']\n"
 
 
+def test_cli_series_rejects_a_table_that_fails_the_leibniz_identity(tmp_path, capsys):
+    """Nilpotency, solvability and the filiform flag are facts about a
+    Leibniz algebra: on a file that fails ``check``, ``series`` used to
+    print ``nilpotent: True (index 4)`` and exit 0; it prints nothing on
+    stdout and exits 2 with the line ``extend`` gives."""
+    path = small_algebra_file(tmp_path, "non-leibniz")
+    assert main(["series", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a Leibniz algebra: (a,a,a): defect ['0', '0', '-1']\n"
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_ALGEBRAS))
 @pytest.mark.parametrize("command", [["check"], ["series"], ["derive"], ["derive", "--nil-independent"],
                                      ["extend"]], ids=" ".join)
 def test_cli_returns_a_documented_exit_code_on_small_algebras(tmp_path, capsys, name, command):
     """Every file subcommand answers 0, 1 or 2 on each small algebra, with
-    an ``error:`` line for 2, and never raises; ``extend`` gives no verdict
-    on a table that fails the Leibniz identity."""
+    an ``error:`` line for 2, and never raises; ``series`` and ``extend``
+    give no answer on a table that fails the Leibniz identity."""
     path = small_algebra_file(tmp_path, name)
     code = main([command[0], str(path), *command[1:]])
     assert code in (0, 1, 2)
-    if command == ["extend"] and not leibniz_check(algio.loads(path.read_text())).ok:
+    if command in (["series"], ["extend"]) and not leibniz_check(algio.loads(path.read_text())).ok:
         assert code == 2
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")

@@ -66,15 +66,17 @@ from leibnizalg.extensions import (apply_basis_change, build_extension_problem, 
                                    generate_constraints, instantiate, star_change)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
-                                 make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB)
+                                 make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB,
+                                 SolvableFrame)
 from leibnizalg.linalg import int_inverse, is_upper_triangular, nullspace, unitriangular_solve
 from leibnizalg.poly import PolyRing
 from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
                            dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_add, mat_apply,
-                           mat_identity, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, sparse, sparse_inverse,
-                           sparse_rows, table_bracket)
+                           mat_identity, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros,
+                           reference_solvable_algebra, solvable_products, sparse, sparse_inverse, sparse_rows,
+                           table_bracket)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -745,6 +747,46 @@ def test_changes_that_are_not_unitriangular_raise():
         with pytest.raises(ValueError, match="unitriangular"):
             unitriangular_solve(((0, Fraction(1)),), rows)
     assert carries_products(alg, sparse_rows(unit), alg.scaled)
+
+
+# -- the SolvA/SolvB frames against the product-map path ---------------------------------
+
+
+@pytest.mark.parametrize("variant,n", STAR_CASES, ids=[f"{v}{n}" for v, n in STAR_CASES])
+def test_frame_members_match_the_product_map_path(variant, n):
+    """Every member a SolvableFrame assembles (N's table plus the column
+    x0 + sum_k b_k d[k]) is the member of the per-member product-map path
+    (one x-row propagation at the whole b, product_table, Fraction
+    conversion): the same Fraction entries, labels and metadata, at every
+    SolvA/SolvB r, a_1 in {0, 1} for A, and b on admitted, non-admitted and
+    out-of-range keys. With Poly b_k the frame's table is the reference's
+    Poly table; a float b_k raises TypeError."""
+    top = n + 1 if variant == "A" else n
+    for r in range(1, n - 2 if variant == "A" else n - 3):
+        rng = random.Random(f"frame:{variant}:{n}:{r}")
+        alphas = sample_graded_alphas(variant, n, r, rng)
+        admitted = sample_solv_bs(variant, n, r, alphas, rng)
+        others = [k for k in range(2, top) if k not in admitted]
+        outside = {0: Fraction(3), 1: Fraction(-2), top: Fraction(5, 3)}
+        for a1 in ((0, 1) if variant == "A" else (0,)):
+            frame = SolvableFrame(variant, n, r, tuple(alphas.items()), a1)
+            draws = [{}, dict(admitted), {k: small_fraction(rng) for k in others},
+                     {**{k: small_fraction(rng) for k in range(2, top)}, **outside}]
+            for b in draws:
+                got, want = frame.member(b), reference_solvable_algebra(variant, n, r, alphas, a1, b)
+                assert got.table == want.table, (variant, n, r, a1, b)
+                assert all(type(c) is Fraction for plane in got.table for cell in plane for _, c in cell)
+                assert (got.labels, got.metadata) == (want.labels, want.metadata)
+            ring = PolyRing(tuple(f"b{k}" for k in range(2, top)))
+            bs = {k: ring.var(f"b{k}") for k in range(2, top)}
+            full = {k: alphas.get(k, Fraction(0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
+            assert frame.table(bs) == product_table(solvable_products(variant, n, r, full, bs, a1), n + 2)
+            with pytest.raises(TypeError):
+                frame.member({2: 0.5})
+
+
+def small_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 # -- the derivation space against sympy ---------------------------------------------------

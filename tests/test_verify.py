@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import algebra, extensions, verify
+from leibnizalg import algebra, verify
 from leibnizalg.algebra import leibniz_defects, product_table
 from leibnizalg.extensions import Memo, alpha_items, conjecture_check
-from leibnizalg.families import ConstructionError, make_F2, make_SolvA, make_SolvB, solvable_algebra, solvable_products
+from leibnizalg.families import ConstructionError, SolvableFrame, make_F2, make_SolvA, make_SolvB, solvable_algebra
 from leibnizalg.poly import Poly, PolyRing
 from leibnizalg.verify import (
     MAX_N,
@@ -24,6 +24,8 @@ from leibnizalg.verify import (
     scenario_rng,
     small_rational,
 )
+
+from dense_algebra import solvable_products
 
 
 def test_registry_covers_every_result():
@@ -315,44 +317,43 @@ def test_a_runs_memo_is_freed_when_the_run_returns(monkeypatch, scenario_id):
     assert made and alive == 0
 
 
-def test_different_exact_alphas_never_share_a_frame(monkeypatch):
-    """Each frame gets the target of its own exact (variant, n, r, alphas,
-    a1), the integer-scaled table of the validated b = 0 member: alphas
-    that differ in one coordinate, or the same alphas with another a1, get
-    their own."""
-    targets = {}
-    target = extensions._target
-
-    def kept(*key):
-        targets[key] = target(*key)
-        return targets[key]
-
-    monkeypatch.setattr(extensions, "_target", kept)
+def test_different_exact_alphas_never_share_a_frame():
+    """Each exact (variant, n, r, alphas, a1) gets a frame of its own in the
+    memo, whose target is the integer-scaled table of its validated b = 0
+    member: alphas that differ in one coordinate, or the same alphas with
+    another a1, get their own. The admissible-b solve and the trials of an
+    a1 = 0 frame share it."""
     memo = Memo()
+
+    def frames():
+        return {args: frame for (fn, args), frame in memo._values.items() if fn is SolvableFrame}
+
     cases = []
     for seed in range(12):
         rng = random.Random(f"frames:{seed}")
         alphas = sample_graded_alphas("A", 7, 1, rng, memo)
         cases.append((alphas, sample_solv_bs("A", 7, 1, alphas, rng, memo)))
     distinct = {("A", 7, 1, alpha_items(alphas), 0) for alphas, _ in cases}
-    assert len(distinct) > 1
+    assert len(distinct) > 1 and set(frames()) == distinct
     for alphas, b in cases:
         assert conjecture_check(7, "A", 1, alphas, 0, b, memo).eliminated
-    assert set(targets) == distinct
+    assert set(frames()) == distinct
     for alphas, _ in cases:
-        assert targets["A", 7, 1, alpha_items(alphas), 0] == make_SolvA(7, 1, alphas, 0, {}).scaled
+        assert frames()["A", 7, 1, alpha_items(alphas), 0].target == make_SolvA(7, 1, alphas, 0, {}).scaled
     assert alpha_items({1: 1, 2: Fraction(1, 2)}) != alpha_items({1: 1, 2: Fraction(1, 3)})
     conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1}, memo)
     conjecture_check(6, "A", 3, {1: 1}, 0, {2: 1}, memo)
-    assert targets["A", 6, 3, ((1, 1),), 1] == make_SolvA(6, 3, {1: 1}, 1, {}).scaled
-    assert targets["A", 6, 3, ((1, 1),), 0] == make_SolvA(6, 3, {1: 1}, 0, {}).scaled
+    assert frames()["A", 6, 3, ((1, 1),), 1].target == make_SolvA(6, 3, {1: 1}, 1, {}).scaled
+    assert frames()["A", 6, 3, ((1, 1),), 0].target == make_SolvA(6, 3, {1: 1}, 0, {}).scaled
 
 
 def test_an_alpha_that_fails_its_construction_is_never_stored(monkeypatch):
     """A raise propagates out of the memo and stores nothing, so the next
-    call tries again: a member that raises ConstructionError leaves no
-    entry, and a sampler whose every candidate fails validation validates
-    the same candidates again on the next call."""
+    call tries again. A frame whose alphas fail the member's checks is
+    built unvalidated and kept, but the target that raised is not, so the
+    next trial of the frame raises again; a frame that cannot be built
+    leaves no entry; and a sampler whose every candidate fails validation
+    validates the same candidates again on the next call."""
     memo = Memo()
     calls = []
 
@@ -370,9 +371,14 @@ def test_an_alpha_that_fails_its_construction_is_never_stored(monkeypatch):
     memo = Memo()
     off_variety = {1: 1, 2: 1, 3: 0}  # A n=8 r=1: the Leibniz identity fails on (e1, e2, e3)
     for alphas in (off_variety, {1: 0, 2: 0, 3: 0}):
-        with pytest.raises(ConstructionError):
-            conjecture_check(8, "A", 1, alphas, 0, {}, memo)
-    assert memo._values == {}
+        for _ in range(2):
+            with pytest.raises(ConstructionError):
+                conjecture_check(8, "A", 1, alphas, 0, {}, memo)
+    with pytest.raises(TypeError):
+        conjecture_check(8, "A", 1, {1: 0.5}, 0, {}, memo)
+    kept = [(fn, frame) for (fn, _), frame in memo._values.items()]
+    assert len(kept) == 2
+    assert all(fn is SolvableFrame and "target" not in vars(frame) for fn, frame in kept)
 
     validations = []
 
