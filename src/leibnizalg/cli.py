@@ -62,9 +62,9 @@ def _load_algebra(path: str, leibniz: bool = False):
     except algio.AlgebraFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    report = leibniz_check(alg) if leibniz else None
-    if report is not None and not report.ok:
-        print(f"error: {path}: not a Leibniz algebra: {_failure_text(alg, report.failures[0])}", file=sys.stderr)
+    failures = leibniz_check(alg).failures if leibniz else ()
+    if failures:
+        print(f"error: {path}: not a Leibniz algebra: {_failure_text(alg, failures[0])}", file=sys.stderr)
         raise SystemExit(2)
     return alg
 

@@ -414,7 +414,7 @@ class SolvableFrame:
     def table(self, bs: Mapping) -> tuple:
         """The member's canonical table at ``bs`` (keys among ``d``): N's rows
         with the column [e_i, x] appended and the row [x, e_i] = -[e_i, x].
-        Any scalar with ``+``, ``*`` and a truth value: Poly b_k serve."""
+        Any scalar with ``+``, ``*``, unary ``-`` and a truth value: Poly b_k serve."""
         cols = [dict(row) for row in self.x0]
         for k, bk in bs.items():
             if bk:
