@@ -392,7 +392,7 @@ def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
 class SolvableFrame:
     """The one builder of SolvA (``variant`` "A") and SolvB members, holding
     what the members of one exact (n, r, alphas, a1) share: N's table
-    (``nilradical``, unvalidated) and the x rows, linear in b: [e_i, x] =
+    (``nil_table``, unvalidated) and the x rows, linear in b: [e_i, x] =
     x0[i] + sum_k b_k d[k][i], ``x0`` from [e_0, x] = e_0 + a1 e_1 and
     [e_1, x] = (1 + r) e_1, ``d[k]`` from 0 and e_k (:func:`solvable_x_rows`).
     ``alphas`` is a tuple of ``(k, alpha_k)``, so the arguments key a memo.
@@ -404,8 +404,8 @@ class SolvableFrame:
         self.variant, self.n, self.r = variant, n, r
         self.alphas = {k: to_fraction(given.get(k, 0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
         self.a1 = to_fraction(a1) if variant == "A" else Fraction(0)
-        self.nilradical = algebra_from_products(_e_labels(n), graded_products(variant, n, r, self.alphas))
-        table, one = self.nilradical.table, Fraction(1)
+        self.nil_table = table = algebra_from_products(_e_labels(n), graded_products(variant, n, r, self.alphas)).table
+        one = Fraction(1)
         row0 = ((0, one), (1, self.a1)) if self.a1 else ((0, one),)
         self.x0 = solvable_x_rows(variant, n, table, row0, ((1, Fraction(1 + r)),))
         self.d = {k: solvable_x_rows(variant, n, table, (), ((k, one),))
@@ -423,7 +423,7 @@ class SolvableFrame:
                         col[m] = col[m] + bk * c if m in col else bk * c
         cols = [tuple((m, c) for m, c in sorted(col.items()) if c) for col in cols]
         x_row = tuple(tuple((m, -c) for m, c in col) for col in cols) + ((),)
-        return tuple(plane + (col,) for plane, col in zip(self.nilradical.table, cols)) + (x_row,)
+        return tuple(plane + (col,) for plane, col in zip(self.nil_table, cols)) + (x_row,)
 
     def member(self, bs: Mapping[int, Fraction]) -> Algebra:
         """The member at the b_k of ``bs`` (k = 2..n for A, 2..n-1 for B;
@@ -441,7 +441,8 @@ class SolvableFrame:
     @cached_property
     def admitted(self) -> tuple:
         """The k whose d[k] is a derivation of N: the b_k that may be nonzero."""
-        return tuple(k for k, rows in self.d.items() if is_derivation(self.nilradical, rows))
+        nil = Algebra(_e_labels(self.n), self.nil_table)  # its integer table is not kept
+        return tuple(k for k, rows in self.d.items() if is_derivation(nil, rows))
 
     @cached_property
     def target(self) -> tuple:
