@@ -51,9 +51,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_algebra(path: str, leibniz: bool = False):
-    """The algebra in ``path``, or exit 2 with an ``error:`` line: for a file
-    that does not load and, with ``leibniz``, for one that fails the
-    Leibniz identity (naming its first failing triple)."""
+    """The algebra in ``path``, or exit 2 with an ``error:`` line if it does
+    not load or, with ``leibniz``, fails the identity (first failing triple)."""
     try:
         alg = algio.loads(_read_text(path))
     except OSError as exc:

@@ -399,9 +399,9 @@ class SolvableFrame:
     SolvB's r <= n - 4 and a nonzero alpha are checked per member."""
 
     def __init__(self, variant: str, n: int, r: int, alphas: tuple, a1=0):
+        _require(variant == "A" or 1 <= r <= n - 3, "SolvB needs 1 <= r <= n - 4")  # r = n - 3: no member
         check_graded_range(f"Solv{variant}", n, r)
-        given = dict(alphas)
-        self.variant, self.n, self.r = variant, n, r
+        self.variant, self.n, self.r, given = variant, n, r, dict(alphas)
         self.alphas = {k: to_fraction(given.get(k, 0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
         self.a1 = to_fraction(a1) if variant == "A" else Fraction(0)
         self.nil_table = table = algebra_from_products(_e_labels(n), graded_products(variant, n, r, self.alphas)).table

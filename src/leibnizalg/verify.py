@@ -482,8 +482,7 @@ def sample_solv_bs(variant: str, n: int, r: int, alphas: Mapping[int, Fraction],
     (alphas off the Jacobi variety, or R not a derivation) is left to the
     caller, which validates a member. The admitted b_k depend on neither b
     nor a1, so ``memo`` (a fresh one when none is given) keeps the a1 = 0
-    :class:`~leibnizalg.families.SolvableFrame`, which the frame's
-    conjecture trials share, and the next sample only draws the b_k."""
+    frame, which its conjecture trials share, and the next sample only draws."""
     admitted = (memo or Memo())(SolvableFrame, variant, n, r, alpha_items(alphas), 0).admitted
     return {k: small_rational(rng, 8) for k in admitted}
 
