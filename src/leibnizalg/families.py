@@ -399,7 +399,7 @@ class SolvableFrame:
     SolvB's r <= n - 4 and a nonzero alpha are checked per member."""
 
     def __init__(self, variant: str, n: int, r: int, alphas: tuple, a1=0):
-        _require(variant == "A" or 1 <= r <= n - 3, "SolvB needs 1 <= r <= n - 4")  # r = n - 3: no member
+        _require(variant == "A" or 1 <= r <= n - 3, "SolvB needs 1 <= r <= n - 4")  # r = n - 3 fails per member
         check_graded_range(f"Solv{variant}", n, r)
         self.variant, self.n, self.r, given = variant, n, r, dict(alphas)
         self.alphas = {k: to_fraction(given.get(k, 0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
