@@ -24,9 +24,13 @@ keeps each live equation as its terms alone, a ``{monomial: int}`` dict; its
 indexes from a variable to the equations that hold it, or can be solved for
 it, may hold stale entries, which are checked when popped. A basis
 change is a map too: the sparse rows of the new basis vectors in old
-coordinates. A conjecture trial inverts nothing and transforms no table; what
-does not depend on its b is a ``families.SolvableFrame``, built once per
-:class:`Memo`, which ``verify.run_scenario`` makes one of per run.
+coordinates. A conjecture trial inverts nothing and transforms no table, and
+a trial that eliminates runs on integers alone: the member's integer table,
+the star change as integer rows over one denominator, the tail by forward
+substitution in integers and the image check of the chain rows on integer
+tables; only a trial that does not eliminate builds its ``Fraction`` member.
+What does not depend on its b is a ``families.SolvableFrame``, built once
+per :class:`Memo`, which ``verify.run_scenario`` makes one of per run.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from .algebra import (
 )
 from .derivations import derivation_space, diagonal_functionals, is_derivation
 from .families import ConstructionError, SolvableFrame, validate
-from .linalg import int_inverse, is_unitriangular, rref, scale_to_integers, to_fraction, unitriangular_solve
+from .linalg import (common_denominator, int_inverse, is_unitriangular, lowest_terms, rref, scale_to_integers,
+                     to_fraction, unitriangular_solve)
 from .poly import Poly, PolyRing, lex_key
 
 
@@ -493,56 +498,95 @@ def diagonal_branches(problem: ExtensionProblem) -> list:
 # -- basis changes ----------------------------------------------------------------
 
 
-def shear_change(m: int, entries) -> Optional[tuple]:
+def shear_change(m: int, entries, one=1) -> Optional[tuple]:
     """The identity on m basis vectors plus the listed off-diagonal entries
     ``(row, col, value)``: new basis vector e_row + value*e_col. Entries at
-    one position add up; None when no value is nonzero."""
+    one position add up; None when no value is nonzero. With ``one`` = den
+    and integer values it is the integer rows of the change over den."""
     entries = [(r, c, v) for r, c, v in entries if v]
     if not entries:
         return None
-    rows = [{r: 1} for r in range(m)]
+    rows = [{r: one} for r in range(m)]
     for r, c, v in entries:
         rows[r][c] = rows[r].get(c, 0) + v
     return tuple(tuple((c, v) for c, v in sorted(row.items()) if v) for row in rows)
 
 
+def _star_recursion(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
+    """(A, den): the A-coefficients A_k = A[k] / den that kill the tail
+    coefficients b_2.. of a head row, by the stated recursion of each
+    variant, in integers. For A (k = 2..n): A_2 = -b_2,
+    A_i = (b_i + sum_{j=2}^{i-1} A_j b_{i-j+1}) / (1 - i). For B
+    (k = 2..n-1): A_2 = -b_2, A_3 = b_2^2 / 2, and the even and odd
+    recursions feed each other in index order. The b_k are read over their
+    common denominator beta and every A_k over one running denominator, which
+    each step multiplies by the beta and the integer it divides by; the
+    result is in lowest terms."""
+    if variant not in ("A", "B"):
+        raise ValueError("variant must be 'A' or 'B'")
+    ints, beta = scale_to_integers(list(b.values()))
+    B = {k: c for k, c in zip(b, ints) if c}
+    b2 = B.get(2, 0)
+    if variant == "A":
+        A, den, start, stop = {2: -b2}, beta, 3, n + 1
+    else:
+        A, den, start, stop = {2: -2 * beta * b2, 3: b2 * b2}, 2 * beta * beta, 4, n
+    for m in range(start, stop):
+        if variant == "A":  # s = (b_m + sum A_j b_{m-j+1}) * den * beta
+            s, f = B.get(m, 0) * den + sum(A[j] * B.get(m - j + 1, 0) for j in range(2, m)), beta * (m - 1)
+        elif m % 2 == 0:
+            k = m // 2
+            s = B.get(m, 0) * den + sum(A[2 * j - 1] * B.get(2 * k - 2 * j + 2, 0) for j in range(2, k + 1))
+            f = beta * (m - 1)
+        else:
+            k = (m - 1) // 2
+            s, f = sum(A[2 * j] * B.get(2 * k - 2 * j + 2, 0) for j in range(1, k + 1)), 2 * k * beta
+        for j in A:  # A_m = -s / (den * f)
+            A[j] *= f
+        den *= f
+        A[m] = -s
+    g = gcd(den, *A.values())
+    return {k: c // g for k, c in A.items()}, den // g
+
+
 def tail_coefficients(b: Mapping[int, Fraction], n: int) -> dict:
     """The cascade that kills tail coefficients b_2..b_n of a head row:
-    A_2 = -b_2, A_i = (b_i + sum_{j=2}^{i-1} A_j b_{i-j+1}) / (1 - i)."""
-    A = {2: -b.get(2, Fraction(0))}
-    for i in range(3, n + 1):
-        acc = b.get(i, Fraction(0))
-        for j in range(2, i):
-            acc += A[j] * b.get(i - j + 1, Fraction(0))
-        A[i] = Fraction(1, 1 - i) * acc
-    return A
+    A_2 = -b_2, A_i = (b_i + sum_{j=2}^{i-1} A_j b_{i-j+1}) / (1 - i), as
+    Fractions (the A recursion of :func:`_star_recursion`)."""
+    A, den = _star_recursion(n, "A", b)
+    return {k: Fraction(c, den) for k, c in A.items()}
 
 
-def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction]) -> Optional[tuple]:
+def chain_shift(n: int, head: int, top: int, A: Mapping[int, Fraction], one=1) -> Optional[tuple]:
     """On (e_0..e_n, x): e_head -> e_head + sum_{i=2}^{top} A_i e_i and
-    e_i -> e_i + sum_{j>i} A_{j-i+1} e_j for i >= 2."""
+    e_i -> e_i + sum_{j>i} A_{j-i+1} e_j for i >= 2 (``one`` as in
+    :func:`shear_change`)."""
     entries = [(head, i, A.get(i, 0)) for i in range(2, top + 1)]
     entries += [(i, j, A.get(j - i + 1, 0)) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
-    return shear_change(n + 2, entries)
+    return shear_change(n + 2, entries, one)
 
 
-def _old_brackets(prods: Sequence, rows: Sequence):
-    """Per a, [u_a, u_b] in old coordinates as ``{m: int}``, for every b."""
+def _old_brackets(prods: Sequence, rows: Sequence, left: Optional[Sequence] = None):
+    """Per a, [u_a, u_b] in old coordinates as ``{m: int}``, for every b;
+    u_a is ``left[a]`` when given, u_b always ``rows[b]``."""
     cells = [[(j, cell) for j, cell in enumerate(plane) if cell] for plane in prods]
-    for u in rows:
-        half = [{} for _ in prods]  # half[j]: the nonzero {m: c} of [u_a, b_j]
+    for u in rows if left is None else left:
+        half = {}  # half[j]: the {m: c} of [u_a, b_j], for the j it reaches
         for i, ti in u:
             for j, cell in cells[i]:
-                acc = half[j]
-                for m, c in cell:
-                    acc[m] = acc.get(m, 0) + ti * c
-        half = [[(m, c) for m, c in acc.items() if c] for acc in half]
+                acc = half.get(j)
+                if acc is None:
+                    half[j] = {m: ti * c for m, c in cell}
+                else:
+                    for m, c in cell:
+                        acc[m] = acc.get(m, 0) + ti * c
         plane = []
         for v in rows:
             w = {}
             for j, vj in v:
-                for m, c in half[j]:
-                    w[m] = w.get(m, 0) + vj * c
+                if j in half:
+                    for m, c in half[j].items():
+                        w[m] = w.get(m, 0) + vj * c
             plane.append(w)
         yield plane
 
@@ -593,21 +637,24 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
     return out
 
 
-def carries_products(alg: Algebra, rows: Sequence, target: tuple) -> bool:
-    """True iff the basis u_a = ``rows[a]`` of ``alg`` has the structure
-    constants c of the algebra whose ``.scaled`` is ``target``: [u_a, u_b] =
-    sum_k c[a][b][k] u_k for every pair (the image check of an isomorphism).
-    The rows must be upper unitriangular (else ValueError), hence a basis,
-    so this is ``apply_basis_change(alg, rows).scaled == target`` with no
-    inverse and no new table. In integers, both sides times den_p * den_t *
-    den_r^2, the common denominators of the two tables and of the rows."""
-    (prods, den_p), (want_prods, den_t) = alg.scaled, target
-    if len(rows) != len(prods) or len(want_prods) != len(prods) or not is_unitriangular(rows):
+def carries_products(table: tuple, rows: tuple, target: tuple) -> bool:
+    """True iff the basis u_a = R_a / den_r, ``rows`` = (R, den_r), of the
+    algebra whose integer-scaled table is ``table`` = (P, den_p) has the
+    structure constants c = W / den_t of ``target`` = (W, den_t): [u_a, u_b]
+    = sum_k c[a][b][k] u_k for every pair (the image check of an
+    isomorphism). The rows must be upper unitriangular (integer rows with
+    den_r on the diagonal, else ValueError), hence a basis, so this is
+    ``apply_basis_change`` followed by a comparison of integer tables, with
+    no inverse and no new table. In integers, both sides times den_p * den_t
+    * den_r^2: den_t enters through the left factor of each bracket, den_p *
+    den_r through the rows that combine the target's constants."""
+    (prods, den_p), (t_rows, den_r), (want_prods, den_t) = table, rows, target
+    if len(t_rows) != len(prods) or len(want_prods) != len(prods) or not is_unitriangular(t_rows, den_r):
         raise ValueError("need an upper unitriangular change and a target of the algebra's dimension")
-    (t_rows,), den_r = int_table((rows,))
-    prods = [[tuple((m, c * den_t) for m, c in cell) for cell in plane] for plane in prods]
-    scaled_rows = [[(m, e * den_p * den_r) for m, e in row] for row in t_rows]
-    for a, old in enumerate(_old_brackets(prods, t_rows)):
+    left = None if den_t == 1 else [[(i, c * den_t) for i, c in row] for row in t_rows]
+    s = den_p * den_r
+    scaled_rows = [[(m, e * s) for m, e in row] for row in t_rows]
+    for a, old in enumerate(_old_brackets(prods, t_rows, left)):
         for b, w in enumerate(old):
             for k, c in want_prods[a][b]:
                 for m, e in scaled_rows[k]:
@@ -617,53 +664,68 @@ def carries_products(alg: Algebra, rows: Sequence, target: tuple) -> bool:
     return True
 
 
-def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
-    """The conjectured tail-killing transformation on the extended basis
-    (e_0..e_n, x): e_0 and x fixed, e_1 and each e_i (i >= 2) shifted by
-    A_{j-i+1} e_j. The A-coefficients follow the stated recursions for each
-    variant; the change is unitriangular, hence invertible.
+def int_star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
+    """(rows, den): the star transformation on the extended basis
+    (e_0..e_n, x) as integer rows over the common denominator of its
+    A-coefficients: e_0 and x fixed, e_1 -> e_1 + sum_{i=2}^{top} A_i e_i
+    and e_i -> e_i + sum_{j>i} A_{j-i+1} e_j for i >= 2, top = n for A and
+    n - 1 for B; unitriangular, hence invertible.
 
     For variant A the e_1 row runs through A_n: the displayed transformation
     stops it at A_{n-1}, which leaves a residual e_n tail on [e_1, x] (checked
     by hand and by the exact basis change); the recursion defines A_n and
     including it is what makes the elimination work.
     """
-    b = {k: to_fraction(v) for k, v in b.items()}
-    if variant == "A":
-        A = tail_coefficients(b, n)
-    elif variant == "B":
-        A = {2: -b.get(2, Fraction(0)), 3: b.get(2, Fraction(0)) ** 2 / 2}
-        for m in range(4, n):  # even and odd recursions feed each other in index order
-            if m % 2 == 0:
-                k = m // 2
-                acc = b.get(m, Fraction(0))
-                for j in range(2, k + 1):
-                    acc += A[2 * j - 1] * b.get(2 * k - 2 * j + 2, Fraction(0))
-                A[m] = Fraction(1, 1 - m) * acc
-            else:
-                k = (m - 1) // 2
-                acc = Fraction(0)
-                for j in range(1, k + 1):
-                    acc += A[2 * j] * b.get(2 * k - 2 * j + 2, Fraction(0))
-                A[m] = Fraction(-1, 2 * k) * acc
-    else:
-        raise ValueError("variant must be 'A' or 'B'")
-    e1_top = n if variant == "A" else n - 1
-    return chain_shift(n, 1, e1_top, A) or tuple(((i, 1),) for i in range(n + 2))
+    A, den = _star_recursion(n, variant, b)
+    rows = chain_shift(n, 1, n if variant == "A" else n - 1, A, den)
+    return rows or tuple(((i, den),) for i in range(n + 2)), den
 
 
-def chain_rows(alg: Algebra, n: int, variant: str, start: Sequence) -> list:
-    """Rows 0, 1 and x = n + 1 of the change ``start`` (u_0, u_1, u_x) with
-    the rest rebuilt as w_{i+1} = [u_0, w_i] from w_1 = u_1 (for B the top
-    row is -[u_1, w_{n-1}]), in the table of ``alg``: ``start`` followed by
-    the chain re-adaptation of the image; unitriangular when ``start`` is."""
-    rows = [start[0], start[1]]
+def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
+    """The star transformation of :func:`int_star_change` as sparse
+    Fraction rows."""
+    rows, den = int_star_change(n, variant, b)
+    return tuple(tuple((k, Fraction(c, den)) for k, c in row) for row in rows)
+
+
+def _tail_vanishes(v: Sequence, rows: Sequence, den: int, lo: int, hi: int) -> bool:
+    """Whether the y with y . T = v is zero at every coordinate lo..hi, for
+    the integer row v and T = ``rows`` / den upper unitriangular: forward
+    substitution in integers (each nonzero y_k before lo scales what is
+    left by den), stopped at the first nonzero coordinate in lo..hi."""
+    acc = dict(v)
+    for k, row in enumerate(rows[:hi + 1]):
+        if c := acc.pop(k, 0):
+            if k >= lo:
+                return False
+            acc = {j: a * den for j, a in acc.items()}
+            for j, t in row[1:]:
+                acc[j] = acc.get(j, 0) - c * t
+    return True
+
+
+def chain_rows(table: tuple, n: int, variant: str, start: tuple) -> tuple:
+    """(rows, den): rows 0, 1 and x = n + 1 of the change ``start`` = (S,
+    den_s) (u_0, u_1, u_x) with the rest rebuilt as w_{i+1} = [u_0, w_i]
+    from w_1 = u_1 (for B the top row is -[u_1, w_{n-1}]), in the
+    integer-scaled table ``table`` = (P, den_p): ``start`` followed by the
+    chain re-adaptation of the image, as integer rows over one denominator;
+    unitriangular when ``start`` is. Each bracket is over the product of
+    den_p and its two rows' denominators, and each row is kept in lowest
+    terms, so the integers stay small."""
+    prods, den_p = table
+    rows, den_s = start
+    out = [lowest_terms(rows[0], den_s), lowest_terms(rows[1], den_s)]
+    (u0, d0), (u1, d1) = out
     for i in range(1, n if variant == "A" else n - 1):
-        rows.append(bracket(alg.table, rows[0], rows[i]))
+        w, dw = out[i]
+        out.append(lowest_terms(bracket(prods, u0, w), den_p * d0 * dw))
     if variant == "B":
-        rows.append(tuple((k, -c) for k, c in bracket(alg.table, rows[1], rows[n - 1])))
-    rows.append(start[n + 1])
-    return rows
+        w, dw = out[n - 1]
+        top, dt = lowest_terms(bracket(prods, u1, w), den_p * d1 * dw)
+        out.append((tuple((k, -c) for k, c in top), dt))
+    out.append(lowest_terms(rows[n + 1], den_s))
+    return common_denominator(out)
 
 
 # -- conjecture frames ----------------------------------------------------------------
@@ -703,29 +765,35 @@ class ConjectureResult:
 
 def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction],
                      a1, b: Mapping[int, Fraction], memo: Optional[Memo] = None) -> ConjectureResult:
-    """Build the solvable family member, apply the star transformation T,
-    read the residual tail off the transformed [e_1, x] row (the y with
-    y . T = [u_1, u_x]), and check that the basis re-adapted through the
-    chain products (``chain_rows`` from T) carries the products of the b = 0
-    member (``carries_products``), all from the frame's
-    ``families.SolvableFrame``, built once in ``memo`` (a fresh one when
-    none is given). Nothing is inverted and no transformed table is built.
-    The member is validated only when the trial does not eliminate:
-    otherwise the image check, on rows that form a basis, has shown it
-    isomorphic to the validated b = 0 member."""
+    """Whether the star transformation T eliminates the tail of the solvable
+    family member at ``b``, all from the frame's ``families.SolvableFrame``,
+    built once in ``memo`` (a fresh one when none is given), in integers:
+    the member's integer table (``SolvableFrame.scaled_table``), T as integer
+    rows (``int_star_change``), the residual tail as the coordinates 2..n of
+    the y with y . T = [u_1, u_x] (forward substitution, stopped at the
+    first nonzero one), and the check that the basis re-adapted through the
+    chain products (``chain_rows`` from T) carries the products of the
+    validated b = 0 member (``carries_products``). Nothing is inverted and
+    no transformed table is built. A trial that eliminates builds no
+    Fraction member: the image check, on rows that form a basis, has shown
+    it isomorphic to the validated b = 0 member. Only a trial that does not
+    eliminate builds its member, validates it, and reads the exact residual
+    tail in Fractions."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
     frame = (memo or Memo())(SolvableFrame, variant, n, r, alpha_items(alphas), a1)
-    alg = frame.member(b)
+    table = frame.scaled_table(b)
     try:
         target = frame.target
     except ConstructionError:
-        validate(alg)  # the member's failure, if any, comes first
+        validate(frame.member(b))  # the member's failure, if any, comes first
         raise
+    change = int_star_change(n, variant, b)
+    rows, den = change
+    if (_tail_vanishes(bracket(table[0], rows[1], rows[n + 1]), rows, den, 2, n)
+            and carries_products(table, chain_rows(table, n, variant, change), target)):
+        return ConjectureResult(True, {}, variant, n)
+    alg = validate(frame.member(b))
     change = star_change(n, variant, b)
     tail = unitriangular_solve(bracket(alg.table, change[1], change[n + 1]), change)
-    residual = {k: c for k, c in tail if 2 <= k <= n}
-    eliminated = not residual and carries_products(alg, chain_rows(alg, n, variant, change), target)
-    if not eliminated:
-        validate(alg)
-    return ConjectureResult(eliminated, residual, variant, n)
+    return ConjectureResult(False, {k: c for k, c in tail if 2 <= k <= n}, variant, n)

@@ -20,8 +20,9 @@ The graded tables A and B have one product-map builder,
 constructors call it with Fractions, the alpha Jacobi relations in
 ``verify`` with Poly indeterminates. Every SolvA/SolvB member is assembled
 by a :class:`SolvableFrame`, which builds what the members of one exact
-(variant, n, r, alphas, a1) share once; x is propagated along the chain in
-one place, :func:`solvable_x_rows`.
+(variant, n, r, alphas, a1) share once and assembles a member as a Fraction
+table or as an integer table over one denominator; x is propagated along
+the chain in one place, :func:`solvable_x_rows`, in integers.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional
 
 from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
 from .derivations import is_derivation
-from .linalg import binomial, to_fraction
+from .linalg import binomial, common_denominator, lowest_terms, scale_to_integers, to_fraction
 
 FAMILY_IDS = (
     "F1", "F2", "F3", "F1s", "F2j", "F2j1", "Ln", "Qn", "A", "B",
@@ -272,14 +274,21 @@ def check_graded_range(family: str, n: int, r: int) -> None:
         _require(1 <= r <= n - 3, f"{family} needs 1 <= r <= n - 3")
 
 
+def _graded_nilradical(variant: str, n: int, r: int, full: Mapping) -> Algebra:
+    """The graded algebra of the alpha map ``full`` (every k = 1..t, as
+    Fractions) with the labels and metadata of :func:`make_A_algebra` /
+    :func:`make_B_algebra`, unchecked."""
+    meta = {"family": variant, "n": n, "lie": True,
+            "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()}}}
+    return algebra_from_products(_e_labels(n), graded_products(variant, n, r, full), meta)
+
+
 def _graded_algebra(variant: str, n: int, r: int, alphas: Mapping) -> Algebra:
     check_graded_range(variant, n, r)
     t = graded_alpha_count(variant, n, r)
     full = {k: to_fraction(alphas.get(k, 0)) for k in range(1, t + 1)}
     _require(t == 0 or any(full.values()), f"{variant}: at least one alpha must be nonzero")
-    meta = {"family": variant, "n": n, "lie": True,
-            "params": {"r": Fraction(r), **{f"alpha{k}": v for k, v in full.items()}}}
-    return validate(algebra_from_products(_e_labels(n), graded_products(variant, n, r, full), meta))
+    return validate(_graded_nilradical(variant, n, r, full))
 
 
 def make_A_algebra(n: int, r: int, alphas: Mapping[int, Fraction]) -> Algebra:
@@ -362,41 +371,49 @@ def make_L3(n: int, j0: int) -> Algebra:
     return validate(algebra_from_products(_e_labels(n, with_x=True), prods, meta))
 
 
-def solvable_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
-    """The rows [e_0, x], ..., [e_n, x] of x acting on the graded nilradical N
-    of SolvA (``variant`` "A") or SolvB, from [e_0, x] = ``row0`` and
+def solvable_x_rows(variant: str, n: int, table: tuple, row0: tuple, row1: tuple) -> tuple:
+    """(rows, den): the rows [e_0, x], ..., [e_n, x] of x acting on the
+    graded nilradical N of SolvA (``variant`` "A") or SolvB, as integer rows
+    over one denominator, from the integer rows [e_0, x] = ``row0`` and
     [e_1, x] = ``row1`` along the chain, [e_{i+1}, x] = [[e_0, x], e_i] +
     [e_0, [e_i, x]]; in B, e_n is reached through [e_1, e_{n-1}] = -e_n.
-    ``table`` holds N's products on its first n + 1 basis vectors. The rows
-    are sparse, each product one :func:`~leibnizalg.algebra.bracket`, and
-    linear in (row0, row1); scalars are as in :func:`graded_products`."""
+    ``table`` is N's integer-scaled table ``(prods, den)``
+    (:attr:`~leibnizalg.algebra.Algebra.scaled`). Each chain step is two
+    integer :func:`~leibnizalg.algebra.bracket` calls on sparse rows, over the
+    product of the denominators, and the new row is kept in lowest terms;
+    the rows are linear in (row0, row1)."""
+    prods, den_n = table
 
     def chain(u, j, i, v):
-        """[u, e_j] + [e_i, v]."""
-        left, right = bracket(table, u, ((j, 1),)), bracket(table, ((i, 1),), v)
-        if not (left and right):
-            return left or right
-        out = dict(left)
-        for k, c in right:
-            out[k] = out[k] + c if k in out else c
-        return tuple((k, c) for k, c in sorted(out.items()) if c)
+        """[u, e_j] + [e_i, v] for rows ``(row, den)``, in lowest terms."""
+        (u, du), (v, dv) = u, v
+        out = {k: c * dv for k, c in bracket(prods, u, ((j, 1),))}
+        for k, c in bracket(prods, ((i, 1),), v):
+            out[k] = out[k] + c * du if k in out else c * du
+        return lowest_terms(tuple((k, c) for k, c in sorted(out.items()) if c), den_n * du * dv)
 
-    rows = [row0, row1]
+    rows = [(row0, 1), (row1, 1)]
     for i in range(1, n if variant == "A" else n - 1):
-        rows.append(chain(row0, i, 0, rows[i]))
+        rows.append(chain(rows[0], i, 0, rows[i]))
     if variant == "B":
-        rows.append(tuple((k, -c) for k, c in chain(row1, n - 1, 1, rows[n - 1])))
-    return tuple(rows)
+        top, den = chain(rows[1], n - 1, 1, rows[n - 1])
+        rows.append((tuple((k, -c) for k, c in top), den))
+    return common_denominator(rows)
 
 
 class SolvableFrame:
     """The one builder of SolvA (``variant`` "A") and SolvB members, holding
-    what the members of one exact (n, r, alphas, a1) share: N's table
-    (``nil_table``, unvalidated) and the x rows, linear in b: [e_i, x] =
-    x0[i] + sum_k b_k d[k][i], ``x0`` from [e_0, x] = e_0 + a1 e_1 and
-    [e_1, x] = (1 + r) e_1, ``d[k]`` from 0 and e_k (:func:`solvable_x_rows`).
-    ``alphas`` is a tuple of ``(k, alpha_k)``, so the arguments key a memo.
-    SolvB's r <= n - 4 and a nonzero alpha are checked per member."""
+    what the members of one exact (n, r, alphas, a1) share. ``nil`` is N, the
+    graded algebra of the alphas with the labels and metadata of
+    :func:`make_A_algebra` / :func:`make_B_algebra`, unvalidated (``verify``
+    validates it, and so scales it, once per run for the alpha sampler).
+    ``x_rows`` holds the x rows, linear in b, in integers: [e_i, x] =
+    (x0[i] + sum_k b_k d[k][i]) / den, ``x0`` from [e_0, x] = e_0 + a1 e_1
+    and [e_1, x] = (1 + r) e_1, ``d[k]`` from 0 and e_k, propagated once over
+    N's integer table (:func:`solvable_x_rows`) on first use, so a frame
+    that only serves N builds none. ``alphas`` is a tuple of
+    ``(k, alpha_k)``, so the arguments key a memo. SolvB's r <= n - 4 and a
+    nonzero alpha are checked per member."""
 
     def __init__(self, variant: str, n: int, r: int, alphas: tuple, a1=0):
         _require(variant == "A" or 1 <= r <= n - 3, "SolvB needs 1 <= r <= n - 4")  # r = n - 3 fails per member
@@ -404,45 +421,92 @@ class SolvableFrame:
         self.variant, self.n, self.r, given = variant, n, r, dict(alphas)
         self.alphas = {k: to_fraction(given.get(k, 0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
         self.a1 = to_fraction(a1) if variant == "A" else Fraction(0)
-        self.nil_table = table = algebra_from_products(_e_labels(n), graded_products(variant, n, r, self.alphas)).table
-        one = Fraction(1)
-        row0 = ((0, one), (1, self.a1)) if self.a1 else ((0, one),)
-        self.x0 = solvable_x_rows(variant, n, table, row0, ((1, Fraction(1 + r)),))
-        self.d = {k: solvable_x_rows(variant, n, table, (), ((k, one),))
-                  for k in range(2, n + 1 if variant == "A" else n)}
+        self.nil = _graded_nilradical(variant, n, r, self.alphas)
 
-    def table(self, bs: Mapping) -> tuple:
-        """The member's canonical table at ``bs`` (keys among ``d``): N's rows
-        with the column [e_i, x] appended and the row [x, e_i] = -[e_i, x].
-        Any scalar with ``+``, ``*``, unary ``-`` and a truth value: Poly b_k serve."""
-        cols = [dict(row) for row in self.x0]
+    @cached_property
+    def x_rows(self) -> tuple:
+        """(x0, d, den): the integer x rows of b = 0 and of each b_k
+        (k = 2..n for A, 2..n-1 for B) over one common denominator."""
+        variant, n, table = self.variant, self.n, self.nil.scaled
+        (a1,), s = scale_to_integers((self.a1,))
+        row0 = ((0, s), (1, a1)) if a1 else ((0, s),)
+        x0, den = solvable_x_rows(variant, n, table, row0, ((1, s * (1 + self.r)),))
+        keys = range(2, n + 1 if variant == "A" else n)
+        maps = [(x0, den * s)] + [solvable_x_rows(variant, n, table, (), ((k, 1),)) for k in keys]
+        rows, den = common_denominator([(row, dm) for rows, dm in maps for row in rows])
+        x0, *d = (rows[i:i + n + 1] for i in range(0, len(rows), n + 1))
+        return x0, dict(zip(keys, d)), den
+
+    def _check_member(self):
+        """SolvB's r <= n - 4 and a nonzero alpha, the range and alpha
+        checks of :func:`make_SolvA` / :func:`make_SolvB`."""
+        variant, n, r = self.variant, self.n, self.r
+        _require(variant == "A" or r <= n - 4, "SolvB needs 1 <= r <= n - 4")
+        _require(not self.alphas or any(self.alphas.values()), f"Solv{variant}: at least one alpha must be nonzero")
+
+    def _columns(self, bs: Mapping, one) -> list:
+        """``one`` x0 + sum_k b_k d[k], the x column times den, as
+        ``{m: c}`` dicts; the b_k (keys among ``d``) and ``one`` may be any
+        scalar with ``+``, ``*`` and a truth value."""
+        x0, d, _ = self.x_rows
+        cols = [{m: one * c for m, c in row} for row in x0]
         for k, bk in bs.items():
             if bk:
-                for col, row in zip(cols, self.d[k]):
+                for col, row in zip(cols, d[k]):
                     for m, c in row:
                         col[m] = col[m] + bk * c if m in col else bk * c
+        return cols
+
+    @staticmethod
+    def _assemble(planes: tuple, cols: list) -> tuple:
+        """N's rows ``planes`` with the column [e_i, x] = ``cols[i]`` appended
+        and the row [x, e_i] = -[e_i, x]: the member's canonical table."""
         cols = [tuple((m, c) for m, c in sorted(col.items()) if c) for col in cols]
         x_row = tuple(tuple((m, -c) for m, c in col) for col in cols) + ((),)
-        return tuple(plane + (col,) for plane, col in zip(self.nil_table, cols)) + (x_row,)
+        return tuple(plane + (col,) for plane, col in zip(planes, cols)) + (x_row,)
+
+    def table(self, bs: Mapping) -> tuple:
+        """The member's canonical table at ``bs`` (keys among the frame's
+        b_k), N's Fraction rows and the column divided by den. Any scalar with ``+``,
+        ``*``, unary ``-`` and a truth value: Poly b_k serve."""
+        scale = Fraction(1, self.x_rows[2])
+        cols = [{m: c * scale for m, c in col.items()} for col in self._columns(bs, 1)]
+        return self._assemble(self.nil.table, cols)
+
+    def scaled_table(self, bs: Mapping) -> tuple:
+        """(table, den): the member's table at ``bs`` in integers over one
+        denominator, assembled from N's integer table and the integer x rows
+        with the b_k over their common denominator (so it is the member's
+        ``int_table`` once gcd(den, every entry) is divided out). The
+        member's range and alpha checks come first, and a b_k that is not
+        an int or Fraction raises TypeError, as in :meth:`member`."""
+        self._check_member()
+        _, d, den_x = self.x_rows
+        ints, den_b = scale_to_integers([bs.get(k, 0) for k in d])
+        prods, den_n = self.nil.scaled
+        den = lcm(den_n, den_x * den_b)
+        f = den // (den_x * den_b)
+        cols = self._columns({k: c * f for k, c in zip(d, ints)}, den_b * f)
+        if (f := den // den_n) != 1:
+            prods = tuple(tuple(cell and tuple((m, c * f) for m, c in cell) for cell in plane) for plane in prods)
+        return self._assemble(prods, cols), den
 
     def member(self, bs: Mapping[int, Fraction]) -> Algebra:
         """The member at the b_k of ``bs`` (k = 2..n for A, 2..n-1 for B;
         other keys are ignored), with the labels and metadata of
         :func:`make_SolvA` / :func:`make_SolvB` and no identity check."""
-        variant, n, r, family = self.variant, self.n, self.r, f"Solv{self.variant}"
-        _require(variant == "A" or r <= n - 4, "SolvB needs 1 <= r <= n - 4")
-        _require(not self.alphas or any(self.alphas.values()), f"{family}: at least one alpha must be nonzero")
-        b = {k: to_fraction(bs.get(k, 0)) for k in self.d}
+        self._check_member()
+        variant, n, r = self.variant, self.n, self.r
+        b = {k: to_fraction(bs.get(k, 0)) for k in self.x_rows[1]}
         params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in self.alphas.items()},
                   **({"a1": self.a1} if variant == "A" else {}), **{f"b{k}": v for k, v in b.items()}}
-        meta = {"family": family, "n": n, "lie": True, "params": params}
+        meta = {"family": f"Solv{variant}", "n": n, "lie": True, "params": params}
         return Algebra(_e_labels(n, with_x=True), self.table(b), meta)
 
     @cached_property
     def admitted(self) -> tuple:
         """The k whose d[k] is a derivation of N: the b_k that may be nonzero."""
-        nil = Algebra(_e_labels(self.n), self.nil_table)  # its integer table is not kept
-        return tuple(k for k, rows in self.d.items() if is_derivation(nil, rows))
+        return tuple(k for k, rows in self.x_rows[1].items() if is_derivation(self.nil, rows))
 
     @cached_property
     def target(self) -> tuple:

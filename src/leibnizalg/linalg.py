@@ -88,9 +88,24 @@ def is_upper_triangular(rows: Sequence) -> bool:
     return all(c >= i for i, row in enumerate(rows) for c, _ in row)
 
 
-def is_unitriangular(rows: Sequence) -> bool:
-    """True iff a map is upper triangular with every diagonal entry 1."""
-    return is_upper_triangular(rows) and all(row and row[0] == (i, 1) for i, row in enumerate(rows))
+def is_unitriangular(rows: Sequence, one=1) -> bool:
+    """True iff a map is upper triangular with every diagonal entry ``one``
+    (integer rows of a unitriangular map over the denominator ``one``)."""
+    return is_upper_triangular(rows) and all(row and row[0] == (i, one) for i, row in enumerate(rows))
+
+
+def lowest_terms(row: Sequence, den: int) -> tuple:
+    """(row, den) for the integer row over ``den``, both divided by the gcd
+    of den and the row's entries."""
+    g = gcd(den, *(c for _, c in row))
+    return (row, den) if g == 1 else (tuple((k, c // g) for k, c in row), den // g)
+
+
+def common_denominator(pairs: Sequence) -> tuple:
+    """(rows, den): the integer rows of the ``(row, den_i)`` pairs, each
+    over its own den_i, brought over den = lcm(den_i)."""
+    den = lcm(*(d for _, d in pairs))
+    return tuple(row if d == den else tuple((k, c * (den // d)) for k, c in row) for row, d in pairs), den
 
 
 def unitriangular_solve(v: Sequence, rows: Sequence) -> tuple:

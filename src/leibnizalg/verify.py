@@ -66,8 +66,6 @@ from .families import (
     f1s_alphas,
     graded_alpha_count,
     graded_products,
-    make_A_algebra,
-    make_B_algebra,
     make_F1,
     make_F1s,
     make_F2,
@@ -343,9 +341,20 @@ def _assignment_lines(outcome, limit: int = 400):
 # -- graded-family parameter sampling -------------------------------------------------
 
 
-def _graded_algebra(variant: str, n: int, r: int, alphas: tuple) -> Algebra:
-    """The validated graded algebra of the alphas ``alpha_items`` gives."""
-    return (make_A_algebra if variant == "A" else make_B_algebra)(n, r, dict(alphas))
+def _graded_algebra(frame: SolvableFrame) -> Algebra:
+    """The frame's graded nilradical N validated: the algebra
+    ``make_A_algebra`` / ``make_B_algebra`` build of the frame's alphas, which
+    are nonzero and in range wherever the sampler asks. N is the frame's own,
+    so its integer table, computed by the Leibniz check, is the one the
+    frame's x rows and trials read."""
+    return validate(frame.nil)
+
+
+def _validated_nilradical(variant: str, n: int, r: int, alphas: Mapping, memo: Memo) -> Algebra:
+    """The validated graded algebra of the alphas, built once per ``memo`` in
+    the a1 = 0 frame that ``sample_solv_bs`` and the conjecture trials of the
+    alphas share (the frame is a memo argument; the memo never is)."""
+    return memo(_graded_algebra, memo(SolvableFrame, variant, n, r, alpha_items(alphas), 0))
 
 
 def _symbolic_jacobi_relations(variant: str, n: int, r: int, ring: PolyRing, t: int) -> tuple:
@@ -407,9 +416,9 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random,
     outside the family's range raises its ConstructionError. ``memo`` (a
     fresh one when none is given) holds the Jacobi relations, the outcome of
     each hypothesis tuple and the validated graded algebra
-    (``memo(_graded_algebra, variant, n, r, alpha_items(alphas))``, which the
-    graded runners read), so a run sets up, eliminates and validates each of
-    them once; it changes no draw."""
+    (:func:`_validated_nilradical`, which the graded runners read), so a run sets
+    up, eliminates, builds and validates each of them once; it changes no
+    draw."""
     check_graded_range(variant, n, r)
     t = graded_alpha_count(variant, n, r)
     if t <= 0:
@@ -461,7 +470,7 @@ def sample_graded_alphas(variant: str, n: int, r: int, rng: random.Random,
             if not any(alphas.values()):
                 continue
             try:
-                memo(_graded_algebra, variant, n, r, alpha_items(alphas))
+                _validated_nilradical(variant, n, r, alphas, memo)
             except ConstructionError:
                 continue
             return alphas
@@ -733,7 +742,7 @@ def _run_graded_shape(variant: str, n: int, run: Run) -> Verdict:
     for r in sorted({1, max(1, (n - 3) // 2 if variant == "A" else n - 4)}):
         alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
         params.append((f"alpha(r={r})", alphas))
-        errs = _shape_graded(run.memo(_graded_algebra, variant, n, r, alpha_items(alphas)), r, variant)
+        errs = _shape_graded(_validated_nilradical(variant, n, r, alphas, run.memo), r, variant)
         if errs:
             errors.append(f"r={r}: {', '.join(errs)}")
     stated = ("triangular with diagonal (i+r)a_0" if variant == "A" else
@@ -884,7 +893,7 @@ def _run_graded_class(variant: str, n: int, run: Run) -> Verdict:
     for r in rs:
         alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
         params.append((f"alpha(r={r})", alphas))
-        problem, outcome, failure = _sole_family(run.memo(_graded_algebra, variant, n, r, alpha_items(alphas)))
+        problem, outcome, failure = _sole_family(_validated_nilradical(variant, n, r, alphas, run.memo))
         if failure:
             return _within(f"r={r}", failure, params=params)
         alg = instantiate_family(problem, outcome, rng)
@@ -929,7 +938,7 @@ def _run_graded_nolie(variant: str, n: int, run: Run) -> Verdict:
     r = 1 if n <= (6 if variant == "A" else 7) else rng.choice((1, 2))
     alphas = sample_graded_alphas(variant, n, r, rng, run.memo)
     params = (("r", r), ("alpha", alphas))
-    nilradical = run.memo(_graded_algebra, variant, n, r, alpha_items(alphas))
+    nilradical = _validated_nilradical(variant, n, r, alphas, run.memo)
     problem, outcome, failure = _sole_family(nilradical)
     if failure:
         return replace(failure, params=params)

@@ -26,8 +26,8 @@ its assembled members are compared against.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from leibnizalg.algebra import Algebra, algebra_from_products, product_table
-from leibnizalg.families import graded_alpha_count, graded_products, solvable_x_rows
+from leibnizalg.algebra import Algebra, algebra_from_products, bracket, int_table, product_table
+from leibnizalg.families import graded_alpha_count, graded_products
 from leibnizalg.linalg import int_inverse, nullspace, rank, rref
 
 
@@ -78,6 +78,19 @@ def sparse_rows(mat) -> tuple:
     """The library's form of a dense matrix (a ``Matrix`` or a sequence of
     rows): row a lists the nonzero (i, c) of its row a, sorted by i."""
     return tuple(map(sparse, mat.rows if isinstance(mat, Matrix) else mat))
+
+
+def scaled_rows(rows) -> tuple:
+    """(integer rows, den): sparse rational rows over their common
+    denominator, the form ``chain_rows`` and ``carries_products`` read."""
+    (ints,), den = int_table((rows,))
+    return ints, den
+
+
+def rational_rows(scaled) -> tuple:
+    """The sparse Fraction rows of integer rows over a denominator."""
+    rows, den = scaled
+    return tuple(tuple((i, Fraction(c, den)) for i, c in row) for row in rows)
 
 
 def sparse_inverse(rows) -> tuple:
@@ -311,6 +324,27 @@ def in_linear_span(polys, span) -> bool:
     return rank(base) == rank(base + [row(p) for p in polys])
 
 
+def reference_x_rows(variant: str, n: int, table, row0, row1) -> tuple:
+    """[e_0, x], ..., [e_n, x] from [e_0, x] = ``row0`` and [e_1, x] = ``row1``
+    along the chain, [e_{i+1}, x] = [[e_0, x], e_i] + [e_0, [e_i, x]] (in B,
+    e_n through [e_1, e_{n-1}] = -e_n), over N's ``table`` in its own
+    scalars: the propagation the library made in Fractions before its
+    frames made it over N's integer table."""
+
+    def chain(u, j, i, v):
+        out = dict(bracket(table, u, ((j, 1),)))
+        for k, c in bracket(table, ((i, 1),), v):
+            out[k] = out[k] + c if k in out else c
+        return tuple((k, c) for k, c in sorted(out.items()) if c)
+
+    rows = [row0, row1]
+    for i in range(1, n if variant == "A" else n - 1):
+        rows.append(chain(row0, i, 0, rows[i]))
+    if variant == "B":
+        rows.append(tuple((k, -c) for k, c in chain(row1, n - 1, 1, rows[n - 1])))
+    return tuple(rows)
+
+
 def solvable_products(variant: str, n: int, r: int, alphas, bs, a1=0) -> dict:
     """{(i, j): [(k, c)]} product map of SolvA (``variant`` "A") or SolvB,
     built the way the library built every member before its frames: N's
@@ -324,7 +358,7 @@ def solvable_products(variant: str, n: int, r: int, alphas, bs, a1=0) -> dict:
         table[i][j] = cell
     row0 = ((0, 1), (1, a1)) if a1 else ((0, 1),)
     row1 = tuple((k, c) for k, c in sorted({1: 1 + r, **bs}.items()) if c)
-    for i, row in enumerate(solvable_x_rows(variant, n, table, row0, row1)):
+    for i, row in enumerate(reference_x_rows(variant, n, table, row0, row1)):
         prods[(i, x)] = row
         prods[(x, i)] = [(k, -c) for k, c in row]
     return prods

@@ -33,7 +33,13 @@ products) are checked against the two-step Fraction path (the star change,
 then the chain restore of its image) on random admissible SolvA/SolvB
 members at n = 5..9, a_1 != 0 included, and the image check against
 ``apply_basis_change`` on random unitriangular changes, with one target
-entry perturbed as well. ``int_inverse``, which inverts each change, and
+entry perturbed as well. The trial runs on integers (the member's integer
+table, the star change as integer rows, an integer tail test and the image
+check on integer tables); at every r of A at n = 5..12 and of B at odd
+n = 5..11 it must give the dense Fraction route's verdict and residual, and
+fail on a perturbed target and on a star change stopped one entry early,
+and the integer tail test must match Fraction forward substitution on
+random unitriangular changes. ``int_inverse``, which inverts each change, and
 its ``Fraction`` form ``sparse_inverse`` are checked by multiplying T T^-1
 out in Fractions on the same matrices (T inv = den I for the integer form),
 and must raise on singular ones. ``derivation_space`` is
@@ -53,17 +59,18 @@ checked against the ``Poly`` walk of ``leibniz_defects`` for every admissible
 import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from leibnizalg import verify
+from leibnizalg import extensions, verify
 from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, int_table, is_lie, leibniz_check,
                                 leibniz_defects, product_table)
 from leibnizalg.derivations import derivation_space, diagonal_functionals, is_derivation, max_nil_independent
 from leibnizalg.extensions import (apply_basis_change, build_extension_problem, carries_products, chain_rows,
                                    conjecture_check, diagonal_branches, eliminate, forced_annihilator_span,
-                                   generate_constraints, instantiate, star_change)
+                                   generate_constraints, instantiate, int_star_change, star_change, _tail_vanishes)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB,
@@ -74,9 +81,9 @@ from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 
 from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
                            dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_add, mat_apply,
-                           mat_identity, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros,
-                           reference_solvable_algebra, solvable_products, sparse, sparse_inverse, sparse_rows,
-                           table_bracket)
+                           mat_identity, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, rational_rows,
+                           reference_solvable_algebra, scaled_rows, solvable_products, sparse, sparse_inverse,
+                           sparse_rows, table_bracket)
 
 
 def random_algebra(rng: random.Random, dim: int, density: float = 0.3) -> Algebra:
@@ -576,23 +583,27 @@ def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
     assert dense(moved) == fraction_basis_change(alg, dense_matrix(change, alg.dim))
     restore = dense_chain_restore_matrix(moved, n, variant)
     assert_inverse_by_fraction_product(sparse_rows(restore))
-    rows = chain_rows(moved, n, variant, sparse_rows(mat_identity(moved.dim)))
+    rows = rational_rows(chain_rows(moved.scaled, n, variant, scaled_rows(sparse_rows(mat_identity(moved.dim)))))
     assert dense(apply_basis_change(moved, rows)) == fraction_basis_change(moved, restore)
+
+
+def a1_admitted(variant: str, n: int, r: int, alphas) -> bool:
+    """Whether a_1 may be nonzero: the x action is linear in (a_1, b), so a_1
+    is admissible exactly when the SolvA member with a_1 = 1 and b = 0
+    constructs."""
+    try:
+        return variant == "A" and bool(make_SolvA(n, r, alphas, 1, {}))
+    except ConstructionError:
+        return False
 
 
 @functools.lru_cache(maxsize=None)
 def conjecture_frame(variant: str, n: int, r: int, seed: int) -> tuple:
-    """(alphas, admitted b_k, whether a_1 may be nonzero) of a sampled frame.
-    The x action is linear in (a_1, b), so a_1 is admissible exactly when
-    the member with a_1 = 1 and b = 0 constructs."""
+    """(alphas, admitted b_k, whether a_1 may be nonzero) of a sampled frame."""
     rng = random.Random(f"two-step:{variant}:{n}:{r}:{seed}")
     alphas = sample_graded_alphas(variant, n, r, rng)
     admitted = tuple(sorted(sample_solv_bs(variant, n, r, alphas, rng)))
-    try:
-        a1_free = variant == "A" and bool(make_SolvA(n, r, alphas, 1, {}))
-    except ConstructionError:
-        a1_free = False
-    return alphas, admitted, a1_free
+    return alphas, admitted, a1_admitted(variant, n, r, alphas)
 
 
 @st.composite
@@ -631,7 +642,8 @@ def test_one_change_per_trial_matches_the_two_step_path(member):
     residual, restored = two_step_conjecture(alg, n, variant, b)
     res = conjecture_check(n, variant, r, alphas, a1, b)
     assert res.residual_b == residual
-    assert dense(apply_basis_change(alg, chain_rows(alg, n, variant, star_change(n, variant, b)))) == restored
+    rows = rational_rows(chain_rows(alg.scaled, n, variant, int_star_change(n, variant, b)))
+    assert dense(apply_basis_change(alg, rows)) == restored
     target = make_SolvA(n, r, alphas, a1, {}) if variant == "A" else make_SolvB(n, r, alphas, {})
     assert res.eliminated == (not residual and restored == dense(target))
     assert res.eliminated == (a1 == 0 or not b)
@@ -660,8 +672,8 @@ def test_one_change_per_trial_pins_the_a1_residual():
     res = conjecture_check(6, "A", 3, {1: 1}, 1, {2: 1})
     assert res.residual_b == {6: Fraction(1, 2)} and not res.eliminated
     target = make_SolvA(6, 3, {1: 1}, 1, {})
-    rows = chain_rows(alg, 6, "A", star_change(6, "A", {2: 1}))
-    assert restored != dense(target) and not carries_products(alg, rows, target.scaled)
+    rows = chain_rows(alg.scaled, 6, "A", int_star_change(6, "A", {2: 1}))
+    assert restored != dense(target) and not carries_products(alg.scaled, rows, target.scaled)
 
 
 def member_and_target(variant: str, n: int, r: int, alphas, a1, b) -> tuple:
@@ -699,11 +711,85 @@ def test_conjecture_trial_matches_the_dense_inverse_route(variant, n):
     u1, ux = (dense_matrix(change, d).rows[a] for a in (1, x))
     want = mat_apply(inverse, table_bracket(alg.table, u1, ux, Fraction(0)))
     assert dense_matrix((tail,), d).rows[0] == want
-    rows = chain_rows(alg, n, variant, change)
+    rows = chain_rows(alg.scaled, n, variant, int_star_change(n, variant, b))
     restored = two_step_conjecture(alg, n, variant, b)[1]
-    assert restored == dense(target) and carries_products(alg, rows, target.scaled)
+    assert restored == dense(target) and carries_products(alg.scaled, rows, target.scaled)
     off = perturbed_table(target, rng)
-    assert restored != dense(off) and not carries_products(alg, rows, off.scaled)
+    assert restored != dense(off) and not carries_products(alg.scaled, rows, off.scaled)
+
+
+# (variant, n, r) of every SolvA r at n = 5..12 and every SolvB r at odd n = 5..11, less
+# B (11, 1), where the alpha sampler finds no rational point (ROADMAP item 1)
+TRIAL_POINTS = ([("A", n, r) for n in range(5, 13) for r in range(1, n - 2)]
+                + [("B", n, r) for n in (5, 7, 9, 11) for r in range(1, n - 3) if (n, r) != (11, 1)])
+
+
+def dense_conjecture_verdict(variant: str, n: int, r: int, alphas, a1, b) -> tuple:
+    """(eliminated, residual tail) of a trial the dense Fraction way: the
+    residual is [u_1, u_x] T^-1 on e_2..e_n with T^-1 from ``sparse_inverse``
+    and must match the two-step route's, and the trial eliminates when the
+    residual is empty and the star change followed by the chain restore
+    (``two_step_conjecture``) gives the b = 0 member's tensor."""
+    alg, target = member_and_target(variant, n, r, alphas, a1, b)
+    change = star_change(n, variant, b)
+    d = alg.dim
+    u1, ux = (dense_matrix(change, d).rows[a] for a in (1, n + 1))
+    tail = mat_apply(dense_matrix(sparse_inverse(change), d), table_bracket(alg.table, u1, ux, Fraction(0)))
+    residual, restored = two_step_conjecture(alg, n, variant, b)
+    assert residual == {k: c for k, c in enumerate(tail) if c and 2 <= k <= n}
+    return not residual and restored == dense(target), residual
+
+
+@pytest.mark.parametrize("variant,n,r", TRIAL_POINTS, ids=[f"{v}{n}-r{r}" for v, n, r in TRIAL_POINTS])
+def test_integer_trial_matches_the_dense_fraction_route(monkeypatch, variant, n, r):
+    """The integer trial (the member's integer table, the integer star
+    change, the forward-substituted tail and the integer image check)
+    against the dense Fraction route at every r: the same verdict and the
+    same residual at a random b on the admitted b_k, and for A at a_1 = 1
+    where the frame admits it (a residual once b is nonzero); the image
+    check refuses a target with one entry perturbed; stopping the e_1 row
+    one entry early (for A at A_{n-1}, the displayed form of the
+    transformation) leaves a residual tail; a non-admitted b_k raises the
+    exact ConstructionError of make_SolvA / make_SolvB, and a float b_k
+    raises TypeError."""
+    rng = random.Random(f"int-trial:{variant}:{n}:{r}")
+    alphas = sample_graded_alphas(variant, n, r, rng)
+    admitted = sample_solv_bs(variant, n, r, alphas, rng)
+    b = {k: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for k in admitted}
+    for a1 in (0, 1) if a1_admitted(variant, n, r, alphas) else (0,):
+        res = conjecture_check(n, variant, r, alphas, a1, b)
+        assert (res.eliminated, res.residual_b) == dense_conjecture_verdict(variant, n, r, alphas, a1, b)
+        assert res.eliminated == (a1 == 0)
+
+    frame = SolvableFrame(variant, n, r, tuple(alphas.items()), 0)
+    table = frame.scaled_table(b)
+    rows = chain_rows(table, n, variant, int_star_change(n, variant, b))
+    target = frame.member({})
+    assert carries_products(table, rows, target.scaled)
+    assert not carries_products(table, rows, perturbed_table(target, rng).scaled)
+
+    change = extensions.int_star_change
+
+    def stopped_early(n, variant, b):
+        rows, den = change(n, variant, b)
+        assert rows[1][-1][1], "the dropped entry must be nonzero"
+        return (rows[0], rows[1][:-1]) + rows[2:], den
+
+    with monkeypatch.context() as patched:
+        patched.setattr(extensions, "int_star_change", stopped_early)
+        mutated = conjecture_check(n, variant, r, alphas, 0, b)
+    assert not mutated.eliminated and mutated.residual_b
+
+    make = make_SolvA if variant == "A" else (lambda n, r, alphas, a1, b: make_SolvB(n, r, alphas, b))
+    top = n + 1 if variant == "A" else n
+    for k in [k for k in range(2, top) if k not in admitted][:2]:
+        with pytest.raises(ConstructionError) as want:
+            make(n, r, alphas, 0, {k: Fraction(1, 2)})
+        with pytest.raises(ConstructionError) as got:
+            conjecture_check(n, variant, r, alphas, 0, {k: Fraction(1, 2)})
+        assert str(got.value) == str(want.value)
+    with pytest.raises(TypeError):
+        conjecture_check(n, variant, r, alphas, 0, {min(admitted): 0.5})
 
 
 @st.composite
@@ -723,9 +809,29 @@ def test_image_check_matches_apply_basis_change(alg, data):
     mat = data.draw(unitriangular_matrices(alg.dim))
     rows = sparse_rows(mat)
     moved = from_dense(alg.labels, fraction_basis_change(alg, mat))
-    assert carries_products(alg, rows, moved.scaled)
+    assert carries_products(alg.scaled, scaled_rows(rows), moved.scaled)
     assert dense(apply_basis_change(alg, rows)) == dense(moved)
-    assert not carries_products(alg, rows, perturbed_table(moved, random.Random(data.draw(st.integers(0, 99)))).scaled)
+    off = perturbed_table(moved, random.Random(data.draw(st.integers(0, 99))))
+    assert not carries_products(alg.scaled, scaled_rows(rows), off.scaled)
+
+
+@given(st.integers(3, 8).flatmap(lambda d: st.tuples(unitriangular_matrices(d), st.lists(
+    st.one_of(st.just(Fraction(0)), nonzero_rationals), min_size=d, max_size=d))), st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_integer_tail_test_matches_forward_substitution(case, data):
+    """The trial's tail test reads, in integers over the rows' common
+    denominator, whether the y with y T = v vanishes on lo..hi: on random
+    unitriangular T and v = y T, it answers exactly whether y is zero there,
+    as the Fraction forward substitution finds it."""
+    mat, y = case
+    d = len(y)
+    lo = data.draw(st.integers(0, d - 1))
+    hi = data.draw(st.integers(lo, d - 1))
+    v = mat_apply(mat, y)
+    rows, den = scaled_rows(sparse_rows(mat))
+    (ints,), _ = scaled_rows((sparse(v),))
+    assert dense_matrix((unitriangular_solve(sparse(v), sparse_rows(mat)),), d).rows[0] == tuple(y)
+    assert _tail_vanishes(ints, rows, den, lo, hi) == (not any(y[lo:hi + 1]))
 
 
 def test_changes_that_are_not_unitriangular_raise():
@@ -743,10 +849,10 @@ def test_changes_that_are_not_unitriangular_raise():
     bad.append(sparse_rows(unit[1:2] + unit[:1] + unit[2:]))
     for rows in bad:
         with pytest.raises(ValueError, match="unitriangular"):
-            carries_products(alg, rows, alg.scaled)
+            carries_products(alg.scaled, scaled_rows(rows), alg.scaled)
         with pytest.raises(ValueError, match="unitriangular"):
             unitriangular_solve(((0, Fraction(1)),), rows)
-    assert carries_products(alg, sparse_rows(unit), alg.scaled)
+    assert carries_products(alg.scaled, scaled_rows(sparse_rows(unit)), alg.scaled)
 
 
 # -- the SolvA/SolvB frames against the product-map path ---------------------------------
@@ -760,7 +866,9 @@ def test_frame_members_match_the_product_map_path(variant, n):
     conversion): the same Fraction entries, labels and metadata, at every
     SolvA/SolvB r, a_1 in {0, 1} for A, and b on admitted, non-admitted and
     out-of-range keys. With Poly b_k the frame's table is the reference's
-    Poly table; a float b_k raises TypeError."""
+    Poly table; a float b_k raises TypeError. The integer table the frame
+    assembles for the trials is the member's int_table once the gcd of its
+    denominator and entries is divided out."""
     top = n + 1 if variant == "A" else n
     for r in range(1, n - 2 if variant == "A" else n - 3):
         rng = random.Random(f"frame:{variant}:{n}:{r}")
@@ -775,6 +883,10 @@ def test_frame_members_match_the_product_map_path(variant, n):
             for b in draws:
                 got, want = frame.member(b), reference_solvable_algebra(variant, n, r, alphas, a1, b)
                 assert got.table == want.table, (variant, n, r, a1, b)
+                table, den = frame.scaled_table(b)
+                g = gcd(den, *(c for plane in table for cell in plane for _, c in cell))
+                assert (tuple(tuple(tuple((k, c // g) for k, c in cell) for cell in plane) for plane in table),
+                        den // g) == want.scaled
                 assert all(type(c) is Fraction for plane in got.table for cell in plane for _, c in cell)
                 assert (got.labels, got.metadata) == (want.labels, want.metadata)
             ring = PolyRing(tuple(f"b{k}" for k in range(2, top)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import algebra, verify
+from leibnizalg import algebra, families, verify
 from leibnizalg.algebra import leibniz_defects, product_table
 from leibnizalg.extensions import Memo, alpha_items, conjecture_check
 from leibnizalg.families import ConstructionError, SolvableFrame, make_F2, make_SolvA, make_SolvB, solvable_algebra
@@ -218,9 +218,10 @@ def test_sample_solv_bs_multiplies_no_poly(monkeypatch):
 
 
 def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
-    """One integer scaling of N's table serves every D_k check of a frame
-    new to the memo; a frame the memo holds keeps its admitted b_k and
-    scales nothing."""
+    """The sampler validates N in the frame that sample_solv_bs reads, and
+    that validation scales N's table: its integer table then serves the x
+    rows and every D_k check, so a frame new to sample_solv_bs scales
+    nothing, and one the memo holds keeps its admitted b_k."""
     calls = []
 
     def counted(table):
@@ -233,9 +234,11 @@ def test_sample_solv_bs_scales_the_nilradical_once(monkeypatch):
     for variant, n, r in (("A", 9, 1), ("A", 9, 3), ("B", 9, 1)):
         rng = random.Random(f"scale:{variant}:{n}:{r}")
         alphas = sample_graded_alphas(variant, n, r, rng, memo)
+        nil = memo(SolvableFrame, variant, n, r, alpha_items(alphas), 0).nil
+        assert "scaled" in vars(nil) and calls.count(nil.table) == 1, (variant, n, r)
         calls.clear()
         cold = sample_solv_bs(variant, n, r, alphas, rng, memo)
-        assert len(calls) == 1, (variant, n, r)
+        assert calls == [], (variant, n, r)
         calls.clear()
         warm = sample_solv_bs(variant, n, r, alphas, rng, memo)
         assert calls == [], (variant, n, r)
@@ -259,6 +262,32 @@ def test_b_at_r_n_minus_3_admits_bs_but_has_no_solvable_member(n, admitted):
 
 
 CONJ_POINTS = [("conj-i", n) for n in range(5, 10)] + [("conj-ii", n) for n in (5, 7, 9)]
+
+
+@pytest.mark.parametrize("scenario_id,frames", [("conj-i", 25), ("conj-ii", 3)])
+def test_a_run_builds_each_frames_nilradical_once(monkeypatch, scenario_id, frames):
+    """Each frame of a run builds its graded nilradical N from one Fraction
+    graded_products call, which the alpha sampler's validation, the
+    admitted-b solve and the trials then share: at seed 0, n = 7, conj-i's
+    50 trials fall in 25 frames and conj-ii's in 3."""
+    builds, made = [], []
+    graded = families.graded_products
+
+    def counted(variant, n, r, alphas):
+        if not any(isinstance(v, Poly) for v in alphas.values()):  # the Jacobi relations use Poly alphas
+            builds.append((variant, n, r, tuple(sorted(alphas.items()))))
+        return graded(variant, n, r, alphas)
+
+    init = SolvableFrame.__init__
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(families, "graded_products", counted)
+    monkeypatch.setattr(SolvableFrame, "__init__", counted_init)
+    assert run_scenario(scenario_id, 7, 0).verdict == "pass"
+    assert len(builds) == len(made) == len(set(made)) == frames
 
 
 def test_conjecture_reports_do_not_depend_on_the_run_memo(monkeypatch):
