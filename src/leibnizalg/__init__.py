@@ -50,7 +50,6 @@ from .extensions import (
     instantiate,
     replay,
     resolved_assignments,
-    star_change,
 )
 from .families import (
     FAMILY_IDS,

@@ -13,9 +13,10 @@ map for any scalar type. :func:`leibniz_defects` is one walk over the
 nonzero products that yields every nonzero Leibniz defect; the exact checks
 (:func:`leibniz_check`) run it on the integer-scaled table
 (:func:`int_table`: every coefficient times the common denominator of the
-table), which each :class:`Algebra` computes once, on first use, and keeps as
-:attr:`Algebra.scaled`; a check turns only a failing defect back into
-Fractions. The polynomial systems of the symbolic extension problem and of
+table), which each :class:`Algebra` computes once, on first use, or is
+handed by :func:`scaled_algebra`, and keeps as :attr:`Algebra.scaled`; a
+check turns only a failing defect back into Fractions (:func:`failure_text`
+names one). The polynomial systems of the symbolic extension problem and of
 the graded alpha relations evaluate the same identity through
 ``extensions.leibniz_equations``, the same walk on integer terms.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .linalg import nullspace, rref, scale_to_integers, to_fraction
@@ -139,10 +141,10 @@ class Algebra:
     def scaled(self) -> tuple:
         """``int_table(self.table)``, computed on first use and kept: the
         integer-scaled table that the exact checks (``leibniz_check``,
-        ``is_lie``, ``derivation_space``) read. ``extensions.apply_basis_change``
-        seeds it, since its transform already yields the integer table; every
-        other algebra computes it here. It is not a field, so equality,
-        hashing and ``repr`` ignore it."""
+        ``is_lie``, ``derivation_space``) read. :func:`scaled_algebra` seeds
+        it for an algebra built from its integer table (a basis change, a
+        SolvA/SolvB member); every other algebra computes it here. It is not
+        a field, so equality, hashing and ``repr`` ignore it."""
         return int_table(self.table)
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
@@ -155,6 +157,21 @@ class Algebra:
     def __repr__(self) -> str:
         name = (self.metadata or {}).get("family", "Algebra")
         return f"<{name} dim={self.dim}>"
+
+
+def scaled_algebra(labels: Sequence[str], scaled: tuple, metadata: Optional[dict] = None) -> Algebra:
+    """The algebra of the nonzero integer entries ``scaled`` = (prods, den)
+    over den, one Fraction per entry; less the gcd of den and every entry,
+    the pair is its ``int_table`` exactly, kept as :attr:`Algebra.scaled`."""
+    prods, den = scaled
+    g = gcd(den, *(c for plane in prods for cell in plane for _, c in cell))
+    if g > 1:
+        prods = tuple(tuple(tuple((k, c // g) for k, c in cell) for cell in plane) for plane in prods)
+        den //= g
+    table = tuple(tuple(tuple((k, Fraction(c, den)) for k, c in cell) for cell in plane) for plane in prods)
+    alg = Algebra(tuple(labels), table, metadata)
+    vars(alg)["scaled"] = prods, den
+    return alg
 
 
 def algebra_from_products(
@@ -197,6 +214,14 @@ class LeibnizReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def failure_text(labels: Sequence, failure: tuple) -> str:
+    """A failing triple ``(i, j, k, defect)`` of a :class:`LeibnizReport`
+    as ``(b_i,b_j,b_k): defect [...]``, each coordinate of the defect as its
+    ``str``: the one form every error and report names it in."""
+    i, j, k, defect = failure
+    return f"({labels[i]},{labels[j]},{labels[k]}): defect {[str(c) for c in defect]}"
 
 
 def leibniz_check(alg: Algebra) -> LeibnizReport:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import io as algio
 from .algebra import (
     derived_series,
+    failure_text,
     is_filiform,
     is_nilpotent,
     is_solvable,
@@ -63,7 +64,7 @@ def _load_algebra(path: str, leibniz: bool = False):
         raise SystemExit(2)
     failures = leibniz_check(alg).failures if leibniz else ()
     if failures:
-        print(f"error: {path}: not a Leibniz algebra: {_failure_text(alg, failures[0])}", file=sys.stderr)
+        print(f"error: {path}: not a Leibniz algebra: {failure_text(alg.labels, failures[0])}", file=sys.stderr)
         raise SystemExit(2)
     return alg
 
@@ -82,11 +83,6 @@ def _parse_pairs(text: str) -> list:
     return pairs
 
 
-def _failure_text(alg, failure) -> str:
-    i, j, k, defect = failure
-    return f"({alg.labels[i]},{alg.labels[j]},{alg.labels[k]}): defect {[str(c) for c in defect]}"
-
-
 def _cmd_check(args) -> int:
     alg = _load_algebra(args.file)
     report = leibniz_check(alg)
@@ -95,7 +91,7 @@ def _cmd_check(args) -> int:
         return 0
     print(f"fail: {len(report.failures)} defective triples")
     for failure in report.failures[: args.limit]:
-        print(f"  {_failure_text(alg, failure)}")
+        print(f"  {failure_text(alg.labels, failure)}")
     if len(report.failures) > args.limit:
         print(f"  ... {len(report.failures) - args.limit} more")
     return 1

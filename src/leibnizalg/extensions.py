@@ -24,13 +24,13 @@ keeps each live equation as its terms alone, a ``{monomial: int}`` dict; its
 indexes from a variable to the equations that hold it, or can be solved for
 it, may hold stale entries, which are checked when popped. A basis
 change is a map too: the sparse rows of the new basis vectors in old
-coordinates. A conjecture trial inverts nothing and transforms no table, and
-a trial that eliminates runs on integers alone: the member's integer table,
-the star change as integer rows over one denominator, the tail by forward
-substitution in integers and the image check of the chain rows on integer
-tables; only a trial that does not eliminate builds its ``Fraction`` member.
-What does not depend on its b is a ``families.SolvableFrame``, built once
-per :class:`Memo`, which ``verify.run_scenario`` makes one of per run.
+coordinates. A conjecture trial inverts nothing, transforms no table and
+runs on integers: the member's integer table, the star change as integer
+rows over one denominator, the tail by forward substitution and, if it is
+zero, the image check of the chain rows; only a trial that does not
+eliminate builds its ``Fraction`` member, to validate it. What does not
+depend on its b is a ``families.SolvableFrame``, built once per
+:class:`Memo`, which ``verify.run_scenario`` makes one of per run.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .algebra import (
     bracket,
     int_table,
     leibniz_check,
+    scaled_algebra,
 )
 from .derivations import derivation_space, diagonal_functionals, is_derivation
 from .families import ConstructionError, SolvableFrame, validate
@@ -603,10 +604,9 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
     (:func:`_old_brackets`) is pushed through row m of T^-1. T, T^-1 (from
     ``int_inverse``) and the product table (``alg.scaled``) are integers, so
     each entry is one integer sum N over D, the product of the three common
-    denominators (twice T's, for the two rows). The lcm of the reduced
-    denominators of the N / D is D / g, g = gcd(D, all N), so the result's
-    integer-scaled table is the N / g over D / g: it is stored as
-    ``out.scaled`` with no second scaling, and the Leibniz check reads it."""
+    denominators (twice T's, for the two rows), and ``scaled_algebra``
+    keeps the N over D, less their gcd, as ``out.scaled``, which the Leibniz
+    check reads with no second scaling."""
     if len(rows) != alg.dim:
         raise ValueError("basis change has wrong dimension")
     inv_rows, den_inv = int_inverse(rows)  # raises on singular input
@@ -624,14 +624,7 @@ def apply_basis_change(alg: Algebra, rows: Sequence) -> Algebra:
                         new[k] = new.get(k, 0) + c * e
             plane.append(tuple((k, new[k]) for k in sorted(new) if new[k]))
         nums.append(tuple(plane))
-    g = gcd(den, *(c for plane in nums for cell in plane for _, c in cell))
-    den //= g
-    if g > 1:
-        nums = [tuple(tuple((k, c // g) for k, c in cell) for cell in plane) for plane in nums]
-    nums = tuple(nums)
-    table = tuple(tuple(tuple((k, Fraction(c, den)) for k, c in cell) for cell in plane) for plane in nums)
-    out = Algebra(alg.labels, table, alg.metadata)
-    vars(out)["scaled"] = nums, den  # int_table(out.table), exactly
+    out = scaled_algebra(alg.labels, (tuple(nums), den), alg.metadata)
     if not leibniz_check(out).ok:
         raise RuntimeError("basis change broke the Leibniz identity (change not invertible?)")
     return out
@@ -679,29 +672,6 @@ def int_star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
     A, den = _star_recursion(n, variant, b)
     rows = chain_shift(n, 1, n if variant == "A" else n - 1, A, den)
     return rows or tuple(((i, den),) for i in range(n + 2)), den
-
-
-def star_change(n: int, variant: str, b: Mapping[int, Fraction]) -> tuple:
-    """The star transformation of :func:`int_star_change` as sparse
-    Fraction rows."""
-    rows, den = int_star_change(n, variant, b)
-    return tuple(tuple((k, Fraction(c, den)) for k, c in row) for row in rows)
-
-
-def _tail_vanishes(v: Sequence, rows: Sequence, den: int, lo: int, hi: int) -> bool:
-    """Whether the y with y . T = v is zero at every coordinate lo..hi, for
-    the integer row v and T = ``rows`` / den upper unitriangular: forward
-    substitution in integers (each nonzero y_k before lo scales what is
-    left by den), stopped at the first nonzero coordinate in lo..hi."""
-    acc = dict(v)
-    for k, row in enumerate(rows[:hi + 1]):
-        if c := acc.pop(k, 0):
-            if k >= lo:
-                return False
-            acc = {j: a * den for j, a in acc.items()}
-            for j, t in row[1:]:
-                acc[j] = acc.get(j, 0) - c * t
-    return True
 
 
 def chain_rows(table: tuple, n: int, variant: str, start: tuple) -> tuple:
@@ -769,16 +739,16 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
     family member at ``b``, all from the frame's ``families.SolvableFrame``,
     built once in ``memo`` (a fresh one when none is given), in integers:
     the member's integer table (``SolvableFrame.scaled_table``), T as integer
-    rows (``int_star_change``), the residual tail as the coordinates 2..n of
-    the y with y . T = [u_1, u_x] (forward substitution, stopped at the
-    first nonzero one), and the check that the basis re-adapted through the
-    chain products (``chain_rows`` from T) carries the products of the
-    validated b = 0 member (``carries_products``). Nothing is inverted and
-    no transformed table is built. A trial that eliminates builds no
-    Fraction member: the image check, on rows that form a basis, has shown
-    it isomorphic to the validated b = 0 member. Only a trial that does not
-    eliminate builds its member, validates it, and reads the exact residual
-    tail in Fractions."""
+    rows (``int_star_change``), the y with y . T = [u_1, u_x] by forward
+    substitution (``unitriangular_solve``), whose coordinates 2..n are the
+    residual tail, and, when the tail is zero, the check that the basis
+    re-adapted through the chain products (``chain_rows`` from T) carries
+    the products of the validated b = 0 member (``carries_products``).
+    Nothing is inverted and no transformed table is built. A trial that
+    eliminates builds no Fraction member: the image check, on rows that form
+    a basis, has shown it isomorphic to the validated b = 0 member. A trial
+    that does not eliminate validates its member and reads the exact
+    residual off the same substitution."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
     frame = (memo or Memo())(SolvableFrame, variant, n, r, alpha_items(alphas), a1)
@@ -788,12 +758,11 @@ def conjecture_check(n: int, variant: str, r: int, alphas: Mapping[int, Fraction
     except ConstructionError:
         validate(frame.member(b))  # the member's failure, if any, comes first
         raise
-    change = int_star_change(n, variant, b)
-    rows, den = change
-    if (_tail_vanishes(bracket(table[0], rows[1], rows[n + 1]), rows, den, 2, n)
-            and carries_products(table, chain_rows(table, n, variant, change), target)):
+    rows, den = change = int_star_change(n, variant, b)
+    y, scale = unitriangular_solve(bracket(table[0], rows[1], rows[n + 1]), change)
+    tail = [(k, c) for k, c in y if 2 <= k <= n]
+    if not tail and carries_products(table, chain_rows(table, n, variant, change), target):
         return ConjectureResult(True, {}, variant, n)
-    alg = validate(frame.member(b))
-    change = star_change(n, variant, b)
-    tail = unitriangular_solve(bracket(alg.table, change[1], change[n + 1]), change)
-    return ConjectureResult(False, {k: c for k, c in tail if 2 <= k <= n}, variant, n)
+    validate(frame.member(b))
+    scale *= table[1] * den * den  # [u_1, u_x] came over den_table * den^2
+    return ConjectureResult(False, {k: Fraction(c, scale) for k, c in tail}, variant, n)

@@ -12,17 +12,18 @@ Family ids:
 Omitted products are zero. Parameters must be int or Fraction; any other
 type raises TypeError. Every ``make_*`` constructor validates the Leibniz
 identity (:func:`validate`), failing loudly on the first offending basis
-triple, and the antisymmetry of a family declared Lie; :func:`solvable_algebra`
-builds a SolvA/SolvB member unchecked.
+triple, and the antisymmetry of a family declared Lie;
+:meth:`SolvableFrame.member` builds a SolvA/SolvB member unchecked.
 
 The graded tables A and B have one product-map builder,
 :func:`graded_products`, generic in the scalar type of the alphas: the
 constructors call it with Fractions, the alpha Jacobi relations in
 ``verify`` with Poly indeterminates. Every SolvA/SolvB member is assembled
 by a :class:`SolvableFrame`, which builds what the members of one exact
-(variant, n, r, alphas, a1) share once and assembles a member as a Fraction
-table or as an integer table over one denominator; x is propagated along
-the chain in one place, :func:`solvable_x_rows`, in integers.
+(variant, n, r, alphas, a1) share once and assembles a member as an integer
+table over one denominator, the member's ``Algebra`` being its Fraction
+view; x is propagated along the chain in one place,
+:func:`solvable_x_rows`, in integers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Optional
 
-from .algebra import Algebra, algebra_from_products, bracket, is_lie, leibniz_check
+from .algebra import Algebra, algebra_from_products, bracket, failure_text, is_lie, leibniz_check, scaled_algebra
 from .derivations import is_derivation
 from .linalg import binomial, common_denominator, lowest_terms, scale_to_integers, to_fraction
 
@@ -80,12 +81,9 @@ def validate(alg: Algebra) -> Algebra:
     """``alg`` if the Leibniz identity holds (and antisymmetry, if declared Lie);
     else ConstructionError naming the family, first failing triple and defect."""
     report = leibniz_check(alg)
-    labels, family = alg.labels, alg.metadata.get("family")
+    family = alg.metadata.get("family")
     if not report.ok:
-        i, j, k, defect = report.failures[0]
-        raise ConstructionError(
-            f"{family}: Leibniz identity fails on ({labels[i]},{labels[j]},{labels[k]}), defect {defect}"
-        )
+        raise ConstructionError(f"{family}: Leibniz identity fails on {failure_text(alg.labels, report.failures[0])}")
     if alg.metadata.get("lie") and not is_lie(alg):
         raise ConstructionError(f"{family}: antisymmetry fails")
     return alg
@@ -411,9 +409,10 @@ class SolvableFrame:
     (x0[i] + sum_k b_k d[k][i]) / den, ``x0`` from [e_0, x] = e_0 + a1 e_1
     and [e_1, x] = (1 + r) e_1, ``d[k]`` from 0 and e_k, propagated once over
     N's integer table (:func:`solvable_x_rows`) on first use, so a frame
-    that only serves N builds none. ``alphas`` is a tuple of
-    ``(k, alpha_k)``, so the arguments key a memo. SolvB's r <= n - 4 and a
-    nonzero alpha are checked per member."""
+    that only serves N builds none. A member is assembled in integers
+    (:meth:`scaled_table`), and :meth:`member` is its Fraction view.
+    ``alphas`` is a tuple of ``(k, alpha_k)``, so the arguments key a memo.
+    SolvB's r <= n - 4 and a nonzero alpha are checked per member."""
 
     def __init__(self, variant: str, n: int, r: int, alphas: tuple, a1=0):
         _require(variant == "A" or 1 <= r <= n - 3, "SolvB needs 1 <= r <= n - 4")  # r = n - 3 fails per member
@@ -437,13 +436,6 @@ class SolvableFrame:
         x0, *d = (rows[i:i + n + 1] for i in range(0, len(rows), n + 1))
         return x0, dict(zip(keys, d)), den
 
-    def _check_member(self):
-        """SolvB's r <= n - 4 and a nonzero alpha, the range and alpha
-        checks of :func:`make_SolvA` / :func:`make_SolvB`."""
-        variant, n, r = self.variant, self.n, self.r
-        _require(variant == "A" or r <= n - 4, "SolvB needs 1 <= r <= n - 4")
-        _require(not self.alphas or any(self.alphas.values()), f"Solv{variant}: at least one alpha must be nonzero")
-
     def _columns(self, bs: Mapping, one) -> list:
         """``one`` x0 + sum_k b_k d[k], the x column times den, as
         ``{m: c}`` dicts; the b_k (keys among ``d``) and ``one`` may be any
@@ -457,30 +449,16 @@ class SolvableFrame:
                         col[m] = col[m] + bk * c if m in col else bk * c
         return cols
 
-    @staticmethod
-    def _assemble(planes: tuple, cols: list) -> tuple:
-        """N's rows ``planes`` with the column [e_i, x] = ``cols[i]`` appended
-        and the row [x, e_i] = -[e_i, x]: the member's canonical table."""
-        cols = [tuple((m, c) for m, c in sorted(col.items()) if c) for col in cols]
-        x_row = tuple(tuple((m, -c) for m, c in col) for col in cols) + ((),)
-        return tuple(plane + (col,) for plane, col in zip(planes, cols)) + (x_row,)
-
-    def table(self, bs: Mapping) -> tuple:
-        """The member's canonical table at ``bs`` (keys among the frame's
-        b_k), N's Fraction rows and the column divided by den. Any scalar with ``+``,
-        ``*``, unary ``-`` and a truth value: Poly b_k serve."""
-        scale = Fraction(1, self.x_rows[2])
-        cols = [{m: c * scale for m, c in col.items()} for col in self._columns(bs, 1)]
-        return self._assemble(self.nil.table, cols)
-
     def scaled_table(self, bs: Mapping) -> tuple:
-        """(table, den): the member's table at ``bs`` in integers over one
-        denominator, assembled from N's integer table and the integer x rows
-        with the b_k over their common denominator (so it is the member's
-        ``int_table`` once gcd(den, every entry) is divided out). The
-        member's range and alpha checks come first, and a b_k that is not
-        an int or Fraction raises TypeError, as in :meth:`member`."""
-        self._check_member()
+        """(table, den): the member's canonical table at ``bs`` in integers
+        over one denominator, N's rows with the column [e_i, x] = x0 +
+        sum_k b_k d[k] appended and the row [x, e_i] = -[e_i, x], the b_k over
+        their common denominator. The range and alpha checks of
+        :func:`make_SolvA` / :func:`make_SolvB` come first; a b_k that is not
+        an int or Fraction raises TypeError."""
+        variant, n, r = self.variant, self.n, self.r
+        _require(variant == "A" or r <= n - 4, "SolvB needs 1 <= r <= n - 4")
+        _require(not self.alphas or any(self.alphas.values()), f"Solv{variant}: at least one alpha must be nonzero")
         _, d, den_x = self.x_rows
         ints, den_b = scale_to_integers([bs.get(k, 0) for k in d])
         prods, den_n = self.nil.scaled
@@ -489,19 +467,21 @@ class SolvableFrame:
         cols = self._columns({k: c * f for k, c in zip(d, ints)}, den_b * f)
         if (f := den // den_n) != 1:
             prods = tuple(tuple(cell and tuple((m, c * f) for m, c in cell) for cell in plane) for plane in prods)
-        return self._assemble(prods, cols), den
+        cols = [tuple((m, c) for m, c in sorted(col.items()) if c) for col in cols]
+        x_row = tuple(tuple((m, -c) for m, c in col) for col in cols) + ((),)
+        return tuple(plane + (col,) for plane, col in zip(prods, cols)) + (x_row,), den
 
     def member(self, bs: Mapping[int, Fraction]) -> Algebra:
         """The member at the b_k of ``bs`` (k = 2..n for A, 2..n-1 for B;
         other keys are ignored), with the labels and metadata of
-        :func:`make_SolvA` / :func:`make_SolvB` and no identity check."""
-        self._check_member()
-        variant, n, r = self.variant, self.n, self.r
+        :func:`make_SolvA` / :func:`make_SolvB` and no identity check: the
+        Fraction view of :meth:`scaled_table`, which it keeps as ``scaled``."""
+        scaled, variant, n, r = self.scaled_table(bs), self.variant, self.n, self.r
         b = {k: to_fraction(bs.get(k, 0)) for k in self.x_rows[1]}
         params = {"r": Fraction(r), **{f"alpha{k}": v for k, v in self.alphas.items()},
                   **({"a1": self.a1} if variant == "A" else {}), **{f"b{k}": v for k, v in b.items()}}
         meta = {"family": f"Solv{variant}", "n": n, "lie": True, "params": params}
-        return Algebra(_e_labels(n, with_x=True), self.table(b), meta)
+        return scaled_algebra(_e_labels(n, with_x=True), scaled, meta)
 
     @cached_property
     def admitted(self) -> tuple:
@@ -515,23 +495,16 @@ class SolvableFrame:
         return validate(self.member({})).scaled
 
 
-def solvable_algebra(variant: str, n: int, r: int, alphas: Mapping[int, Fraction], a1,
-                     bs: Mapping[int, Fraction]) -> Algebra:
-    """The member of a new :class:`SolvableFrame`: :func:`make_SolvA` /
-    :func:`make_SolvB` without the identity check. SolvB ignores a1."""
-    return SolvableFrame(variant, n, r, tuple(alphas.items()), a1).member(bs)
-
-
 def make_SolvA(n: int, r: int, alphas: Mapping[int, Fraction], a1, bs: Mapping[int, Fraction]) -> Algebra:
     """Solvable Lie extension over an A-family nilradical, free parameters
     a1 and b_2..b_n kept explicit."""
-    return validate(solvable_algebra("A", n, r, alphas, a1, bs))
+    return validate(SolvableFrame("A", n, r, tuple(alphas.items()), a1).member(bs))
 
 
 def make_SolvB(n: int, r: int, alphas: Mapping[int, Fraction], bs: Mapping[int, Fraction]) -> Algebra:
     """Solvable Lie extension over a B-family nilradical, free parameters
     b_2..b_{n-1} kept explicit."""
-    return validate(solvable_algebra("B", n, r, alphas, 0, bs))
+    return validate(SolvableFrame("B", n, r, tuple(alphas.items())).member(bs))
 
 
 # -- dispatch -------------------------------------------------------------------

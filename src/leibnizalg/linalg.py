@@ -15,8 +15,9 @@ denominators, and the caller builds at most one ``Fraction`` per output
 entry. Row reduction keeps each row's nonzero entries as a ``{col: int}``
 dict scaled to coprime integers and runs the sparse fraction-free kernel in
 ``_rref_py``; :func:`kernel_basis` solves rows already in the kernel's form,
-:func:`int_inverse` returns an inverse as integer rows over one common
-denominator, and :func:`unitriangular_solve` solves y T = v without one.
+and :func:`int_inverse` returns an inverse as integer rows over one common
+denominator, the form in which :func:`unitriangular_solve` solves y T = v
+without an inverse.
 Everything returned by the reductions is in canonical reduced row echelon
 form with leading coefficient 1, so subspace bases and solution sets are
 reproducible across runs."""
@@ -88,10 +89,10 @@ def is_upper_triangular(rows: Sequence) -> bool:
     return all(c >= i for i, row in enumerate(rows) for c, _ in row)
 
 
-def is_unitriangular(rows: Sequence, one=1) -> bool:
-    """True iff a map is upper triangular with every diagonal entry ``one``
-    (integer rows of a unitriangular map over the denominator ``one``)."""
-    return is_upper_triangular(rows) and all(row and row[0] == (i, one) for i, row in enumerate(rows))
+def is_unitriangular(rows: Sequence, den) -> bool:
+    """True iff the rows over ``den`` are an upper unitriangular map: upper
+    triangular, with every diagonal entry den."""
+    return is_upper_triangular(rows) and all(row and row[0] == (i, den) for i, row in enumerate(rows))
 
 
 def lowest_terms(row: Sequence, den: int) -> tuple:
@@ -108,18 +109,26 @@ def common_denominator(pairs: Sequence) -> tuple:
     return tuple(row if d == den else tuple((k, c * (den // d)) for k, c in row) for row, d in pairs), den
 
 
-def unitriangular_solve(v: Sequence, rows: Sequence) -> tuple:
-    """The sparse row y with y . T = v for an upper unitriangular T (else
-    ValueError), by forward substitution with +, - and * only."""
-    if not is_unitriangular(rows):
+def unitriangular_solve(v: Sequence, change: tuple) -> tuple:
+    """(y, scale) with (y / scale) . T = v for the upper unitriangular
+    T = R / den, ``change`` = (R, den) (else ValueError), by forward
+    substitution with +, - and * only: at each nonzero y_k what is left of
+    v, and the y found so far, are scaled by den, so integer R and v give
+    integer y. At den = 1 nothing is scaled and any scalar serves."""
+    rows, den = change
+    if not is_unitriangular(rows, den):
         raise ValueError("map is not upper unitriangular")
-    acc, y = dict(v), []
+    acc, y, scale = dict(v), [], 1
     for k, row in enumerate(rows):
         if c := acc.pop(k, 0):
             y.append((k, c))
+            if den != 1:
+                acc = {j: a * den for j, a in acc.items()}
+                y = [(i, a * den) for i, a in y]
+                scale *= den
             for j, t in row[1:]:
                 acc[j] = acc.get(j, 0) - c * t
-    return tuple(y)
+    return tuple(y), scale
 
 
 # -- row reduction -----------------------------------------------------------

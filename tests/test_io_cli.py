@@ -472,6 +472,17 @@ def test_cli_solvable_graded_errors_name_the_family(family, n, params, message, 
     assert captured.out == ""
 
 
+def test_cli_family_identity_failure_names_the_defect_as_check_does(capsys):
+    """A member that fails the Leibniz identity names its first failing
+    triple and defect in the form ``check`` and ``extend`` print, each
+    coordinate as its str, not as a tuple of Fraction reprs."""
+    assert main(["family", "SolvB", "--n", "7", "--params", "r=1,alpha1=1,b2=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Fraction(" not in captured.err
+    assert captured.err == ("error: SolvB: Leibniz identity fails on (e1,e2,e3): "
+                            "defect ['0', '0', '0', '0', '0', '0', '0', '2', '0']\n")
+
+
 def test_metadata_survives_family_dispatch():
     alg = make_family(FamilySpec("L3", 5, {"j0": 3}))
     data = algio.algebra_to_dict(alg)

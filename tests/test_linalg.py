@@ -206,19 +206,20 @@ def test_unitriangular_solve_inverts_by_forward_substitution(d, data):
     mat = Matrix(tuple(tuple(Fraction(int(i == j)) if j <= i else data.draw(entry) for j in range(d))
                        for i in range(d)))
     v = data.draw(st.lists(entry, min_size=d, max_size=d))
-    y = unitriangular_solve(sparse_rows([v])[0], sparse_rows(mat))
+    y, scale = unitriangular_solve(sparse_rows([v])[0], (sparse_rows(mat), 1))
+    assert scale == 1
     assert mat_mul(dense_matrix((y,), d), mat).rows[0] == tuple(v)
     assert y == sparse_rows(mat_mul(Matrix((tuple(v),)), dense_matrix(sparse_inverse(sparse_rows(mat)), d)))[0]
 
 
 def test_unitriangular_solve_is_generic_in_the_scalar():
-    """Only +, - and * are used, so Poly entries work: with T = [[1, t], [0, 1]]
-    and v = (1, 0), y = (1, -t)."""
+    """Only +, - and * are used, so at den = 1 Poly entries work: with
+    T = [[1, t], [0, 1]] and v = (1, 0), y = (1, -t) over scale 1."""
     ring = PolyRing(("t",))
     t = ring.var("t")
-    assert unitriangular_solve(((0, ring.one),), (((0, 1), (1, t)), ((1, 1),))) == ((0, ring.one), (1, -t))
+    assert unitriangular_solve(((0, ring.one),), ((((0, 1), (1, t)), ((1, 1),)), 1)) == (((0, ring.one), (1, -t)), 1)
     with pytest.raises(ValueError, match="unitriangular"):
-        unitriangular_solve(((0, 1),), (((0, 1),), ((0, t), (1, 1))))
+        unitriangular_solve(((0, 1),), ((((0, 1),), ((0, t), (1, 1))), 1))
 
 
 def test_inverse_singular_raises():

@@ -59,7 +59,6 @@ checked against the ``Poly`` walk of ``leibniz_defects`` for every admissible
 import functools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -70,7 +69,7 @@ from leibnizalg.algebra import (Algebra, algebra_from_products, bracket, int_tab
 from leibnizalg.derivations import derivation_space, diagonal_functionals, is_derivation, max_nil_independent
 from leibnizalg.extensions import (apply_basis_change, build_extension_problem, carries_products, chain_rows,
                                    conjecture_check, diagonal_branches, eliminate, forced_annihilator_span,
-                                   generate_constraints, instantiate, int_star_change, star_change, _tail_vanishes)
+                                   generate_constraints, instantiate, int_star_change)
 from leibnizalg.families import (ConstructionError, FamilySpec, check_graded_range, graded_alpha_count,
                                  graded_products, make_A_algebra, make_B_algebra, make_F1, make_F1s, make_F2, make_F2j,
                                  make_F3, make_family, make_L1, make_Ln, make_Qn, make_SolvA, make_SolvB,
@@ -82,7 +81,7 @@ from leibnizalg.verify import sample_graded_alphas, sample_solv_bs
 from dense_algebra import (Matrix, dense, dense_annihilator_coordinates, dense_annihilator_span, dense_constraints,
                            dense_derivation_space, dense_matrix, from_dense, in_linear_span, mat_add, mat_apply,
                            mat_identity, mat_is_nilpotent, mat_mul, mat_scaled, mat_zeros, rational_rows,
-                           reference_solvable_algebra, scaled_rows, solvable_products, sparse, sparse_inverse,
+                           reference_solvable_algebra, scaled_rows, sparse, sparse_inverse,
                            sparse_rows, table_bracket)
 
 
@@ -577,7 +576,7 @@ def test_star_change_and_chain_restore_match_fraction_reference(variant, n):
     alphas = sample_graded_alphas(variant, n, r, rng)
     b = sample_solv_bs(variant, n, r, alphas, rng)
     alg = make_SolvA(n, r, alphas, 0, b) if variant == "A" else make_SolvB(n, r, alphas, b)
-    change = star_change(n, variant, b)
+    change = rational_rows(int_star_change(n, variant, b))
     assert_inverse_by_fraction_product(change)
     moved = apply_basis_change(alg, change)
     assert dense(moved) == fraction_basis_change(alg, dense_matrix(change, alg.dim))
@@ -623,7 +622,8 @@ def two_step_conjecture(alg: Algebra, n: int, variant: str, b) -> tuple:
     """(residual tail, restored tensor) the two-step way: the star change
     made in Fractions, the tail read off the image's [e_1, x], then the
     chain products of the image made in Fractions."""
-    moved = from_dense(alg.labels, fraction_basis_change(alg, dense_matrix(star_change(n, variant, b), alg.dim)))
+    change = rational_rows(int_star_change(n, variant, b))
+    moved = from_dense(alg.labels, fraction_basis_change(alg, dense_matrix(change, alg.dim)))
     tensor = dense(moved)
     residual = {k: c for k, c in enumerate(tensor[1][n + 1]) if c and 2 <= k <= n}
     return residual, fraction_basis_change(moved, dense_chain_restore_matrix(moved, n, variant))
@@ -704,14 +704,15 @@ def test_conjecture_trial_matches_the_dense_inverse_route(variant, n):
     alphas = sample_graded_alphas(variant, n, r, rng)
     b = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in sample_solv_bs(variant, n, r, alphas, rng)}
     alg, target = member_and_target(variant, n, r, alphas, 0, b)
-    change = star_change(n, variant, b)
-    x, d = n + 1, alg.dim
-    tail = unitriangular_solve(bracket(alg.table, change[1], change[x]), change)
+    (prods, den_p), (star, den) = alg.scaled, int_star_change(n, variant, b)
+    change, x, d = rational_rows((star, den)), n + 1, alg.dim
+    y, scale = unitriangular_solve(bracket(prods, star[1], star[x]), (star, den))
+    tail = tuple((k, Fraction(c, scale * den_p * den * den)) for k, c in y)
     inverse = dense_matrix(sparse_inverse(change), d)
     u1, ux = (dense_matrix(change, d).rows[a] for a in (1, x))
     want = mat_apply(inverse, table_bracket(alg.table, u1, ux, Fraction(0)))
     assert dense_matrix((tail,), d).rows[0] == want
-    rows = chain_rows(alg.scaled, n, variant, int_star_change(n, variant, b))
+    rows = chain_rows(alg.scaled, n, variant, (star, den))
     restored = two_step_conjecture(alg, n, variant, b)[1]
     assert restored == dense(target) and carries_products(alg.scaled, rows, target.scaled)
     off = perturbed_table(target, rng)
@@ -731,7 +732,7 @@ def dense_conjecture_verdict(variant: str, n: int, r: int, alphas, a1, b) -> tup
     residual is empty and the star change followed by the chain restore
     (``two_step_conjecture``) gives the b = 0 member's tensor."""
     alg, target = member_and_target(variant, n, r, alphas, a1, b)
-    change = star_change(n, variant, b)
+    change = rational_rows(int_star_change(n, variant, b))
     d = alg.dim
     u1, ux = (dense_matrix(change, d).rows[a] for a in (1, n + 1))
     tail = mat_apply(dense_matrix(sparse_inverse(change), d), table_bracket(alg.table, u1, ux, Fraction(0)))
@@ -819,19 +820,23 @@ def test_image_check_matches_apply_basis_change(alg, data):
     st.one_of(st.just(Fraction(0)), nonzero_rationals), min_size=d, max_size=d))), st.data())
 @settings(max_examples=60, deadline=None)
 def test_the_integer_tail_test_matches_forward_substitution(case, data):
-    """The trial's tail test reads, in integers over the rows' common
-    denominator, whether the y with y T = v vanishes on lo..hi: on random
-    unitriangular T and v = y T, it answers exactly whether y is zero there,
-    as the Fraction forward substitution finds it."""
+    """The trial's tail is read by forward substitution in integers: on
+    random unitriangular T = R / den, R integer rows over a den > 1 that need
+    not be in lowest terms, and v = y T scaled to integers, the (y', scale)
+    it returns gives y' / scale = y, the dense Fraction solution, with scale
+    den to the number of nonzero y_k; the same rows as Fractions over
+    den = 1 give y itself."""
     mat, y = case
     d = len(y)
-    lo = data.draw(st.integers(0, d - 1))
-    hi = data.draw(st.integers(lo, d - 1))
-    v = mat_apply(mat, y)
     rows, den = scaled_rows(sparse_rows(mat))
-    (ints,), _ = scaled_rows((sparse(v),))
-    assert dense_matrix((unitriangular_solve(sparse(v), sparse_rows(mat)),), d).rows[0] == tuple(y)
-    assert _tail_vanishes(ints, rows, den, lo, hi) == (not any(y[lo:hi + 1]))
+    extra = data.draw(st.integers(2, 9))
+    rows, den = tuple(tuple((j, c * extra) for j, c in row) for row in rows), den * extra
+    v = mat_apply(mat, y)
+    (ints,), den_v = scaled_rows((sparse(v),))
+    got, scale = unitriangular_solve(ints, (rows, den))
+    assert dense_matrix((tuple((k, Fraction(c, scale * den_v)) for k, c in got),), d).rows[0] == tuple(y)
+    assert scale == den ** len(got)
+    assert unitriangular_solve(sparse(v), (sparse_rows(mat), 1)) == (sparse(y), 1)
 
 
 def test_changes_that_are_not_unitriangular_raise():
@@ -851,7 +856,7 @@ def test_changes_that_are_not_unitriangular_raise():
         with pytest.raises(ValueError, match="unitriangular"):
             carries_products(alg.scaled, scaled_rows(rows), alg.scaled)
         with pytest.raises(ValueError, match="unitriangular"):
-            unitriangular_solve(((0, Fraction(1)),), rows)
+            unitriangular_solve(((0, 1),), scaled_rows(rows))
     assert carries_products(alg.scaled, scaled_rows(sparse_rows(unit)), alg.scaled)
 
 
@@ -865,10 +870,9 @@ def test_frame_members_match_the_product_map_path(variant, n):
     (one x-row propagation at the whole b, product_table, Fraction
     conversion): the same Fraction entries, labels and metadata, at every
     SolvA/SolvB r, a_1 in {0, 1} for A, and b on admitted, non-admitted and
-    out-of-range keys. With Poly b_k the frame's table is the reference's
-    Poly table; a float b_k raises TypeError. The integer table the frame
-    assembles for the trials is the member's int_table once the gcd of its
-    denominator and entries is divided out."""
+    out-of-range keys; a float b_k raises TypeError. The member keeps the
+    integer table the frame assembles for the trials, less the gcd of its
+    denominator and entries, as its ``scaled``: the reference's int_table."""
     top = n + 1 if variant == "A" else n
     for r in range(1, n - 2 if variant == "A" else n - 3):
         rng = random.Random(f"frame:{variant}:{n}:{r}")
@@ -883,16 +887,9 @@ def test_frame_members_match_the_product_map_path(variant, n):
             for b in draws:
                 got, want = frame.member(b), reference_solvable_algebra(variant, n, r, alphas, a1, b)
                 assert got.table == want.table, (variant, n, r, a1, b)
-                table, den = frame.scaled_table(b)
-                g = gcd(den, *(c for plane in table for cell in plane for _, c in cell))
-                assert (tuple(tuple(tuple((k, c // g) for k, c in cell) for cell in plane) for plane in table),
-                        den // g) == want.scaled
+                assert got.scaled == want.scaled  # the scaled table it was handed is int_table's
                 assert all(type(c) is Fraction for plane in got.table for cell in plane for _, c in cell)
                 assert (got.labels, got.metadata) == (want.labels, want.metadata)
-            ring = PolyRing(tuple(f"b{k}" for k in range(2, top)))
-            bs = {k: ring.var(f"b{k}") for k in range(2, top)}
-            full = {k: alphas.get(k, Fraction(0)) for k in range(1, graded_alpha_count(variant, n, r) + 1)}
-            assert frame.table(bs) == product_table(solvable_products(variant, n, r, full, bs, a1), n + 2)
             with pytest.raises(TypeError):
                 frame.member({2: 0.5})
 

@@ -11,7 +11,7 @@ import pytest
 from leibnizalg import algebra, families, verify
 from leibnizalg.algebra import leibniz_defects, product_table
 from leibnizalg.extensions import Memo, alpha_items, conjecture_check
-from leibnizalg.families import ConstructionError, SolvableFrame, make_F2, make_SolvA, make_SolvB, solvable_algebra
+from leibnizalg.families import ConstructionError, SolvableFrame, make_F2, make_SolvA, make_SolvB
 from leibnizalg.poly import Poly, PolyRing
 from leibnizalg.verify import (
     MAX_N,
@@ -255,7 +255,7 @@ def test_b_at_r_n_minus_3_admits_bs_but_has_no_solvable_member(n, admitted):
     assert alphas == {}
     assert sorted(sample_solv_bs("B", n, n - 3, alphas, rng)) == admitted
     with pytest.raises(ConstructionError, match=r"SolvB needs 1 <= r <= n - 4"):
-        solvable_algebra("B", n, n - 3, alphas, 0, {})
+        SolvableFrame("B", n, n - 3, alpha_items(alphas)).member({})
 
 
 # -- the run: rng streams and one memo ----------------------------------------------
